@@ -29,7 +29,6 @@ def main() -> None:
     parser.add_argument("--kappa-max", type=float, default=2.0)
     parser.add_argument("--correlation", default="exponential",
                         choices=("identity", "exponential", "one_ring"))
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     spec = ScenarioSpec(
@@ -48,9 +47,7 @@ def main() -> None:
         MCPoint(spec.k, 10 ** (s / 10), 10 ** (s / 10)) for s in spec.snr_grid_db
     ]
     start = time.time()
-    reports = conventional_mc(
-        scenario.profiles, points, spec.t, args.trials, args.seed, workers=args.workers
-    )
+    reports = conventional_mc(scenario.profiles, points, spec.t, args.trials, args.seed)
     mc_elapsed = time.time() - start
 
     print(f"scenario: {spec.layout}, N={spec.n}, K={spec.k}, "

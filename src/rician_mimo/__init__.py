@@ -41,8 +41,7 @@ from .estimation import (
     EstimatorState,
     build_estimator_multicell,
     build_estimator_singlecell,
-    estimate_multicell,
-    estimate_singlecell,
+    lmmse_estimate,
 )
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 from .results import ResultRow, emit_results
@@ -51,8 +50,6 @@ from .spectral_efficiency import (
     MCPoint,
     SEReport,
     conventional_mc,
-    se_conv_multicell_mc,
-    se_conv_singlecell_mc,
     se_stat_multicell,
     se_stat_singlecell,
 )

@@ -15,7 +15,6 @@ grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +26,6 @@ from .config import SystemConfig
 from .estimation import EstimatorState
 
 
-def _log_scale(config: SystemConfig) -> float:
-    return 1.0 / math.log(2.0) if config.log_base == "base2" else 1.0
-
-
 @dataclass
 class AsymptoticState:
     """Q matrix and companions for the conventional-combining equivalents."""
@@ -39,9 +34,6 @@ class AsymptoticState:
     rho_d: float
     gram2: np.ndarray  # (1/N) E[Hhat^H Z^2 Hhat], drives the noise term
     t_matrix: np.ndarray  # quadratic-term matrix H^H ZXZ H + diag traces
-    r_tilde_traces: np.ndarray  # per-user tr(R_tilde)
-    h_bar_norms: np.ndarray  # per-user ||h_bar||^2
-    refined: bool = True
     cross_traces: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     # cross_traces[m, i] = (1/N) tr(Z R_{j,l_m,i} Phi_{j,i} R_{j,j,i}) over
     # interfering cells l_m != j (multi-cell only)
@@ -207,7 +199,6 @@ def _contamination_split(
     cross_covs: list[list[np.ndarray]],
     cross_gains: list[list[np.ndarray]],
     cross_traces: np.ndarray,
-    estimators: list[EstimatorState],
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split each contaminating conditional mean along the local estimate.
@@ -311,7 +302,7 @@ def _build_state(
     if refined and cross_gains:
         contam_alpha, contam_extra = _contamination_split(
             h_bar, [p.r_cov for p in profiles], r_tildes, z, q,
-            cross_covs, cross_gains, cross, estimators, n,
+            cross_covs, cross_gains, cross, n,
         )
     if contam_second is None:
         contam_second = np.zeros((0, 0))
@@ -320,9 +311,6 @@ def _build_state(
         rho_d=rho_d,
         gram2=gram2,
         t_matrix=t_mat,
-        r_tilde_traces=np.array([np.real(np.trace(rt)) for rt in r_tildes]),
-        h_bar_norms=np.sum(np.abs(h_bar) ** 2, axis=0),
-        refined=refined,
         cross_traces=cross,
         q_mean=q_mean,
         var_mat=var_mat,
@@ -424,13 +412,13 @@ def se_conv_singlecell_de(
     den = intra + noise
     if include_estimation_error:
         den = den + _error_term(state, config.n_antennas)
-    return config.prelog * np.log1p(num / den) * _log_scale(config)
+    return config.prelog * np.log1p(num / den) * config.log_scale
 
 
 def se_conv_singlecell_de_simplified(state: AsymptoticState, config: SystemConfig) -> np.ndarray:
     """O(1/N) simplification: SE_k = prelog * log(rho_d / [Q]_kk)."""
     q_diag = np.real(np.diag(state.q_matrix))
-    return config.prelog * np.log(state.rho_d / q_diag) * _log_scale(config)
+    return config.prelog * np.log(state.rho_d / q_diag) * config.log_scale
 
 
 def se_conv_favorable(
@@ -443,7 +431,7 @@ def se_conv_favorable(
     rho = config.snr_data
     traces = np.array([np.real(np.trace(e.r_tilde)) for e in estimators])
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
-    return config.prelog * np.log1p(rho / n * (traces + norms)) * _log_scale(config)
+    return config.prelog * np.log1p(rho / n * (traces + norms)) * config.log_scale
 
 
 @dataclass
@@ -471,7 +459,7 @@ def se_conv_multicell_de(
     q, q_diag, num, intra, noise = _common_terms(state)
     rho = state.rho_d
     k = state.n_users
-    scale = _log_scale(config)
+    scale = config.log_scale
     if include_estimation_error:
         noise = noise + _error_term(state, config.n_antennas)
     # inter-cell contamination: sum over l != j and all i of |[Q]_ki c_{jli}|^2
@@ -523,7 +511,7 @@ def se_stat_singlecell_de(
     """
     n = config.n_antennas
     rho = config.snr_data
-    scale = _log_scale(config)
+    scale = config.log_scale
     comb = statistical_combiner(profiles, rho)
     g = comb.vectors
     h_bar = np.column_stack([p.h_bar for p in profiles])
@@ -540,7 +528,7 @@ def se_stat_singlecell_de(
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:
     """Multi-cell statistical equivalent; depends on local statistics only."""
-    return np.log1p(_los_quadratic(local_profiles, config.snr_data)) * _log_scale(config)
+    return np.log1p(_los_quadratic(local_profiles, config.snr_data)) * config.log_scale
 
 
 def pilot_contamination_term(

@@ -7,8 +7,9 @@ Subcommands:
   sweep         sweep one axis (snr, kappa_max, n_antennas, tau)
   reproduce     run a built-in figure preset and print its summary
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure, 3 I/O
-error.  Worker count defaults to $RICIAN_MIMO_WORKERS (1 if unset).
+Exit codes: 0 success, 1 configuration error (usage errors included),
+2 numerical failure, 3 I/O error.  Runs are serial and byte-deterministic;
+`--workers N` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,7 +24,13 @@ import numpy as np
 from .config import ConfigError
 from .presets import PRESET_IDS, run_preset
 from .results import ResultRow, emit_results, render_csv, render_json
-from .scenarios import ScenarioSpec, build_scenario, parse_scenario
+from .scenarios import (
+    ScenarioSpec,
+    build_scenario,
+    parse_float_list,
+    parse_scenario,
+    parse_snr_range,
+)
 from .sweeps import MODES, SWEEP_AXES, run_sweep
 from .training import solve_tau_star
 
@@ -32,17 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-
-def _parse_snr(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--snr expects lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ConfigError("--snr needs step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
-    return tuple(lo + i * step for i in range(count + 1))
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
@@ -70,7 +65,7 @@ def _load_spec(args) -> ScenarioSpec:
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.snr is not None:
-        overrides["snr_grid_db"] = _parse_snr(args.snr)
+        overrides["snr_grid_db"] = parse_snr_range(args.snr, "--snr")
     if args.bits:
         overrides["log_base"] = "base2"
     return dataclasses.replace(spec, **overrides) if overrides else spec
@@ -101,12 +96,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bits", action="store_true", help="report SE in bits (log2)")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
+    parser.add_argument(
+        "--workers", type=int, help="ignored; accepted for compatibility (runs are serial)"
+    )
     parser.add_argument("--schemes", default="conv,stat", help="comma list: conv,stat")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with the configuration-error exit code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rician-mimo",
         description="Uplink SE experiments for correlated Rician massive MIMO",
     )
@@ -129,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return max(1, int(os.environ.get("RICIAN_MIMO_WORKERS", "1")))
-
-
 def _cmd_simulate(args, mode: str) -> int:
     spec = _load_spec(args)
     rows = run_sweep(
@@ -142,7 +141,6 @@ def _cmd_simulate(args, mode: str) -> int:
         schemes=_parse_schemes(args.schemes),
         sweep_axis="snr",
         mode=mode,
-        workers=_workers(args),
     )
     _emit(rows, args)
     return EXIT_OK
@@ -177,23 +175,20 @@ def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     values = None
     if args.values:
-        values = tuple(float(v) for v in args.values.split(","))
+        values = parse_float_list(args.values, "--values")
     rows = run_sweep(
         spec,
         schemes=_parse_schemes(args.schemes),
         sweep_axis=args.axis,
         axis_values=values,
         mode=args.mode,
-        workers=_workers(args),
     )
     _emit(rows, args)
     return EXIT_OK
 
 
 def _cmd_reproduce(args) -> int:
-    rows, summary = run_preset(
-        args.figure, trials=args.trials, seed=args.seed, workers=_workers(args)
-    )
+    rows, summary = run_preset(args.figure, trials=args.trials, seed=args.seed)
     if args.out:
         try:
             emit_results(rows, args.format, args.out)

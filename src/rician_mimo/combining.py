@@ -18,11 +18,9 @@ from .channel import UserLinkProfile
 
 @dataclass
 class CombinerSet:
-    """K combining vectors (columns) plus the matrix that was inverted."""
+    """K combining vectors (columns)."""
 
     vectors: np.ndarray  # (N, K)
-    kind: str  # "conventional" | "statistical"
-    regularizer: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.vectors)):
@@ -47,36 +45,16 @@ def conventional_combiner(
     """
     n = estimates.shape[0]
     mat = estimates @ estimates.conj().T + regularizer + (n / rho_d) * np.eye(n)
-    return CombinerSet(
-        vectors=_solve_hermitian(mat, estimates),
-        kind="conventional",
-        regularizer=mat,
-    )
-
-
-def conventional_combiner_singlecell(
-    estimates: np.ndarray,
-    err_cov_sum: np.ndarray,
-    rho_d: float,
-) -> CombinerSet:
-    return conventional_combiner(estimates, err_cov_sum, rho_d)
-
-
-def conventional_combiner_multicell(
-    estimates: np.ndarray,
-    a_matrix: np.ndarray,
-    rho_d: float,
-) -> CombinerSet:
-    """Multi-cell variant; `a_matrix` = sum_i (R_jji - Rt_jji) + sum_{l!=j,i} R_jli."""
-    return conventional_combiner(estimates, a_matrix, rho_d)
+    return CombinerSet(vectors=_solve_hermitian(mat, estimates))
 
 
 def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
     """g_bar_k = (sum_i R_i + Hbar_k Hbar_k^H + (N/rho_d) I)^{-1} h_bar_k.
 
     Hbar_k drops column k, so only the *other* users' LoS directions are
-    whitened.  Uses local statistics only; a user with kappa = 0 gets the
-    zero vector (its LoS numerator vanishes).
+    whitened.  Uses local statistics only, so the multi-cell receiver is the
+    same; a user with kappa = 0 gets the zero vector (its LoS numerator
+    vanishes).
     """
     n = profiles[0].n_antennas
     h_bar = np.column_stack([p.h_bar for p in profiles])
@@ -87,10 +65,4 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     solved = _solve_hermitian(base, h_bar)
     quad = np.real(np.sum(h_bar.conj() * solved, axis=0))
     vectors = solved / (1.0 - quad)
-    return CombinerSet(vectors=vectors, kind="statistical", regularizer=base)
-
-
-# the single- and multi-cell statistical combiners share the same formula:
-# the multi-cell receiver is deliberately oblivious to other cells.
-statistical_combiner_singlecell = statistical_combiner
-statistical_combiner_multicell = statistical_combiner
+    return CombinerSet(vectors=vectors)

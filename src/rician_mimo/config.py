@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 LOG_BASES = ("natural", "base2")
@@ -47,6 +48,11 @@ class SystemConfig:
     def prelog(self) -> float:
         """Fraction of the coherence block left for data after training."""
         return 1.0 - self.training_len / self.coherence_len
+
+    @property
+    def log_scale(self) -> float:
+        """Factor that converts an SE in nats to the configured log base."""
+        return 1.0 / math.log(2.0) if self.log_base == "base2" else 1.0
 
     def with_snr(self, snr_data: float, snr_training: float | None = None) -> "SystemConfig":
         return replace(

@@ -4,7 +4,7 @@ Single-cell estimation inverts Phi = (R + I/(tau*rho_tr))^{-1}; the
 multi-cell variant sums the covariances of every same-pilot link, which is
 what creates pilot contamination.  All matrices that the Monte Carlo loop
 needs per draw (gains, error covariances) are precomputed here, so the
-per-trial work is matrix-vector only.
+per-trial work is matrix-vector only (`lmmse_estimate`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import UserLinkProfile, standard_complex_normal
+from .channel import UserLinkProfile
 
 
 @dataclass
@@ -88,42 +88,20 @@ def build_estimator_singlecell(profile: UserLinkProfile, tau: float, rho_tr: flo
     return build_estimator_multicell([profile], 0, tau, rho_tr)
 
 
-def pilot_observation(
-    state: EstimatorState,
-    channels: list[np.ndarray],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Despread pilot observation: sum of same-pilot channels plus scaled noise."""
-    noise = standard_complex_normal(rng, state.n_antennas)
-    return sum(channels) + noise / np.sqrt(state.tau_rho)
-
-
-def estimate_from_observation(state: EstimatorState, y_tr: np.ndarray) -> np.ndarray:
-    """LMMSE estimate of the local channel given the pilot observation."""
-    return state.h_bar + state.gain @ (y_tr - state.h_bar)
-
-
-def conditional_means(state: EstimatorState, y_tr: np.ndarray) -> dict[int, np.ndarray]:
-    """Conditional mean of each same-pilot interfering channel given y_tr."""
-    centered = y_tr - state.h_bar
-    return {ell: cg @ centered for ell, cg in state.cross_gains.items()}
-
-
-def estimate_singlecell(
-    profile: UserLinkProfile,
-    state: EstimatorState,
-    true_channel: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    y_tr = pilot_observation(state, [true_channel], rng)
-    return estimate_from_observation(state, y_tr)
-
-
-def estimate_multicell(
-    state: EstimatorState,
-    true_channels: list[np.ndarray],
-    rng: np.random.Generator,
+def lmmse_estimate(
+    gain: np.ndarray,
+    cross_gains: dict[int, np.ndarray],
+    h_bar: np.ndarray,
+    y: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Estimate the local link and return the interferers' conditional means."""
-    y_tr = pilot_observation(state, true_channels, rng)
-    return estimate_from_observation(state, y_tr), conditional_means(state, y_tr)
+    """LMMSE estimate of the local link and the interferers' conditional means.
+
+    `y` is the despread pilot observation: the sum of the same-pilot channels
+    plus the pilot noise scaled by 1/sqrt(tau*rho_tr).  Operands may be
+    stacked on leading axes, e.g. one (N, N) gain against (draws, N)
+    observations, or (K, N, N) gains against (K, N) observations.
+    """
+    centered = y - h_bar
+    h_hat = h_bar + np.matmul(gain, centered[..., None])[..., 0]
+    means = {ell: np.matmul(cg, centered[..., None])[..., 0] for ell, cg in cross_gains.items()}
+    return h_hat, means

@@ -179,7 +179,6 @@ def run_preset(
     figure_id: str,
     trials: int | None = None,
     seed: int | None = None,
-    workers: int = 1,
 ) -> tuple[list[ResultRow], dict]:
     """Run one preset end to end; returns (result rows, qualitative summary)."""
     rows: list[ResultRow] = []
@@ -211,11 +210,11 @@ def run_preset(
         use_seed = spec.seed if seed is None else seed
         schemes = ("conv",) if figure_id == "fig1a" else ("conv", "stat")
         rows.extend(
-            _rows_for_scenario(scenario, schemes, "both", use_trials, use_seed, workers)
+            _rows_for_scenario(scenario, schemes, "both", use_trials, use_seed)
         )
         if figure_id == "fig5":
             single = scenario.single_cell_view(0)
             rows.extend(
-                _rows_for_scenario(single, schemes, "both", use_trials, use_seed, workers)
+                _rows_for_scenario(single, schemes, "both", use_trials, use_seed)
             )
     return rows, preset_summary(figure_id)

@@ -219,23 +219,35 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
 
 
+def parse_float_list(text: str, name: str, sep: str = ",") -> tuple[float, ...]:
+    """Numbers separated by `sep`; a malformed one is a configuration error."""
+    try:
+        return tuple(float(p) for p in text.split(sep))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot parse {text!r} as numbers") from exc
+
+
+def parse_snr_range(text: str, name: str) -> tuple[float, ...]:
+    """Points of a `lo:hi:step` SNR range in dB, both ends included."""
+    if text.count(":") != 2:
+        raise ConfigError(f"{name}: expected lo:hi:step, got {text!r}")
+    lo, hi, step = parse_float_list(text, name, sep=":")
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"{name}: need step > 0 and hi >= lo")
+    count = int(round((hi - lo) / step))
+    return tuple(lo + i * step for i in range(count + 1))
+
+
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
     if name == "snr_grid_db":
         if ":" in raw:
-            parts = raw.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"field snr_grid_db: expected lo:hi:step, got {raw!r}")
-            lo, hi, step = (float(p) for p in parts)
-            if step <= 0 or hi < lo:
-                raise ConfigError("field snr_grid_db: need step > 0 and hi >= lo")
-            count = int(round((hi - lo) / step))
-            return tuple(lo + i * step for i in range(count + 1))
-        return tuple(float(p) for p in raw.split(","))
-    if name == "snr_training_db":
-        return None if raw.lower() == "none" else float(raw)
+            return parse_snr_range(raw, f"field {name}")
+        return parse_float_list(raw, f"field {name}")
     ftype = _FIELD_TYPES[name].type
     try:
+        if name == "snr_training_db":
+            return None if raw.lower() == "none" else float(raw)
         if ftype == "int":
             return int(raw)
         if ftype == "float":

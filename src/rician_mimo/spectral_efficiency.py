@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserLinkProfile
+from .channel import UserLinkProfile, standard_complex_normal
 from .combining import conventional_combiner, statistical_combiner
 from .config import SystemConfig
-from .estimation import build_estimator_multicell
+from .estimation import build_estimator_multicell, lmmse_estimate
 
 Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
 
@@ -45,15 +45,10 @@ class SEReport:
     trials: int
     seed: int
     prelog: float
-    sinr_samples: np.ndarray | None = None
 
     def __post_init__(self):
         if np.any(self.per_user_se < 0):
             raise ValueError("spectral efficiencies must be non-negative")
-
-
-def _log_scale(config: SystemConfig) -> float:
-    return 1.0 / math.log(2.0) if config.log_base == "base2" else 1.0
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -81,24 +76,17 @@ class _EstimatorArrays:
     def __init__(self, profiles: Profiles, tau: int, rho_tr: float):
         L = len(profiles)
         K = len(profiles[0][0])
-        N = profiles[0][0][0].n_antennas
         self.tau_rho = tau * rho_tr
         self.gain = []  # per bs: (K, N, N) local estimation gains
         self.cross_gain = []  # per bs: dict cell -> (K, N, N)
         self.a_mat = []  # per bs: combiner regularizer
         self.b_mat = []  # per bs: conditional error + interference covariance
-        self.err_cov = []  # per bs: (K, N, N)
-        self.r_tilde = []  # per bs: (K, N, N)
-        self.phi = []  # per bs: (K, N, N)
         for j in range(L):
             states = [
                 build_estimator_multicell([profiles[j][ell][k] for ell in range(L)], j, tau, rho_tr)
                 for k in range(K)
             ]
             self.gain.append(np.stack([s.gain for s in states]))
-            self.phi.append(np.stack([s.phi for s in states]))
-            self.err_cov.append(np.stack([s.err_cov for s in states]))
-            self.r_tilde.append(np.stack([s.r_tilde for s in states]))
             cross = {
                 ell: np.stack([states[k].cross_gains[ell] for k in range(K)])
                 for ell in range(L)
@@ -116,82 +104,52 @@ class _EstimatorArrays:
             self.b_mat.append(err_sum + (cond_sum if L > 1 else 0.0))
 
 
-def _batched_matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # mats: (K, N, N), vecs: (K, N) -> (K, N)
-    return np.matmul(mats, vecs[:, :, None])[:, :, 0]
-
-
-def _build_est_cache(
-    profiles: Profiles, points: list[MCPoint]
-) -> dict[tuple[int, float], _EstimatorArrays]:
-    est_cache: dict[tuple[int, float], _EstimatorArrays] = {}
-    for pt in points:
-        key = (pt.tau, pt.rho_tr)
-        if key not in est_cache:
-            est_cache[key] = _EstimatorArrays(profiles, pt.tau, pt.rho_tr)
-    return est_cache
-
-
 def mc_log_moments(
     profiles: Profiles,
     points: list[MCPoint],
     seed: int,
     trial_start: int,
     trial_count: int,
-    _prebuilt: tuple[_ScenarioArrays, dict] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum of squares of log(1+SINR) over a contiguous trial range.
 
-    Each trial is seeded from (seed, trial index) alone, so chunking the
-    trial range over workers and reducing the sums in chunk order gives the
-    same result as one serial pass.
+    Each trial is seeded from (seed, trial index) alone, and the sums are
+    reduced over the fixed trial chunks of `_chunk_ranges`, so the result
+    depends only on the seed and the trial range.
     """
-    if _prebuilt is None:
-        arr = _ScenarioArrays(profiles)
-        est_cache = _build_est_cache(profiles, points)
-    else:
-        arr, est_cache = _prebuilt
+    arr = _ScenarioArrays(profiles)
+    keys = dict.fromkeys((pt.tau, pt.rho_tr) for pt in points)
+    est_cache = {key: _EstimatorArrays(profiles, *key) for key in keys}
     L, K, N = arr.L, arr.K, arr.N
     logs = np.zeros((len(points), L, trial_count, K))
     for idx in range(trial_count):
-        t = trial_start + idx
-        rng = _trial_rng(seed, t)
-        z = [
-            [
-                (rng.standard_normal((K, N)) + 1j * rng.standard_normal((K, N))) / math.sqrt(2.0)
-                for _ in range(L)
-            ]
-            for _ in range(L)
-        ]
-        w = [
-            (rng.standard_normal((K, N)) + 1j * rng.standard_normal((K, N))) / math.sqrt(2.0)
-            for _ in range(L)
-        ]
+        rng = _trial_rng(seed, trial_start + idx)
+        z = [[standard_complex_normal(rng, K, N) for _ in range(L)] for _ in range(L)]
+        w = [standard_complex_normal(rng, K, N) for _ in range(L)]
         h = [
-            [_batched_matvec(arr.sqrt_r[j][ell], z[j][ell]) + arr.h_bar[j][ell] for ell in range(L)]
+            [
+                np.matmul(arr.sqrt_r[j][ell], z[j][ell][..., None])[..., 0] + arr.h_bar[j][ell]
+                for ell in range(L)
+            ]
             for j in range(L)
         ]
         # estimates and conditional interference means per (tau, rho_tr) group
-        per_key: dict[tuple[int, float], tuple] = {}
-        for key, est in est_cache.items():
-            h_hat = []
-            cond_mean = []
-            for j in range(L):
-                y = sum(h[j][ell] for ell in range(L)) + w[j] / math.sqrt(est.tau_rho)
-                centered = y - arr.h_bar[j][j]
-                h_hat.append(arr.h_bar[j][j] + _batched_matvec(est.gain[j], centered))
-                cond_mean.append(
-                    {
-                        ell: _batched_matvec(cg, centered)
-                        for ell, cg in est.cross_gain[j].items()
-                    }
+        per_key = {
+            key: [
+                lmmse_estimate(
+                    est.gain[j],
+                    est.cross_gain[j],
+                    arr.h_bar[j][j],
+                    sum(h[j][ell] for ell in range(L)) + w[j] / math.sqrt(est.tau_rho),
                 )
-            per_key[key] = (h_hat, cond_mean)
+                for j in range(L)
+            ]
+            for key, est in est_cache.items()
+        }
         for p_idx, pt in enumerate(points):
             est = est_cache[(pt.tau, pt.rho_tr)]
-            h_hat, cond_mean = per_key[(pt.tau, pt.rho_tr)]
-            for j in range(L):
-                hh = h_hat[j].T  # (N, K)
+            for j, (h_hat, cond_mean) in enumerate(per_key[(pt.tau, pt.rho_tr)]):
+                hh = h_hat.T  # (N, K)
                 comb = conventional_combiner(hh, est.a_mat[j], pt.rho_d)
                 g = comb.vectors
                 gh = g.conj().T
@@ -200,17 +158,21 @@ def mc_log_moments(
                 intra = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
                 err = np.real(np.sum(g.conj() * (est.b_mat[j] @ g), axis=0))
                 inter = np.zeros(K)
-                for ell, means in cond_mean[j].items():
+                for means in cond_mean.values():
                     inter += np.sum(np.abs(gh @ means.T) ** 2, axis=1)
                 noise = (N / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
                 sinr = sig / (intra + err + inter + noise)
                 logs[p_idx, j, idx] = np.log1p(sinr)
-    return np.sum(logs, axis=2), np.sum(logs**2, axis=2)
+    squares = logs**2
+    chunks = _chunk_ranges(trial_count)
+    sums = sum(np.sum(logs[:, :, start : start + count], axis=2) for start, count in chunks)
+    sumsqs = sum(np.sum(squares[:, :, start : start + count], axis=2) for start, count in chunks)
+    return sums, sumsqs
 
 
 def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    # fixed chunk layout regardless of worker count, so the floating-point
-    # reduction order (and hence the output bytes) never depends on it
+    # fixed chunk layout, so the floating-point reduction order (and hence
+    # the output bytes) depends on the trial count alone
     n_chunks = min(trials, 16)
     base, extra = divmod(trials, n_chunks)
     ranges = []
@@ -229,41 +191,18 @@ def conventional_mc(
     trials: int,
     seed: int,
     log_scale: float = 1.0,
-    workers: int = 1,
 ) -> list[list[SEReport]]:
     """Monte Carlo SE of conventional combining, all cells, all points.
 
     Returns reports[point][bs].  Estimators are shared between points with
     equal (tau, rho_tr); channel and pilot-noise draws are shared by all
-    points of a trial.  With workers > 1 the trial range is fanned out to a
-    process pool; the reduction order is fixed so results do not depend on
-    the worker count.
+    points of a trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     L = len(profiles)
     K = len(profiles[0][0])
-    ranges = _chunk_ranges(trials)
-    if workers > 1 and trials > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _moments_task,
-                    [(profiles, points, seed, start, count) for start, count in ranges],
-                )
-            )
-    else:
-        # build the (expensive) estimator matrices once and share them across
-        # chunks; the chunked reduction order matches the pooled path exactly
-        prebuilt = (_ScenarioArrays(profiles), _build_est_cache(profiles, points))
-        parts = [
-            mc_log_moments(profiles, points, seed, start, count, _prebuilt=prebuilt)
-            for start, count in ranges
-        ]
-    sums = sum(p[0] for p in parts)
-    sumsqs = sum(p[1] for p in parts)
+    sums, sumsqs = mc_log_moments(profiles, points, seed, 0, trials)
     out = []
     for p_idx, pt in enumerate(points):
         prelog = 1.0 - pt.tau / coherence_len
@@ -288,36 +227,6 @@ def conventional_mc(
             )
         out.append(per_bs)
     return out
-
-
-def _moments_task(args):
-    return mc_log_moments(*args)
-
-
-def se_conv_singlecell_mc(
-    profiles: list[UserLinkProfile],
-    config: SystemConfig,
-    trials: int,
-    seed: int,
-) -> SEReport:
-    points = [MCPoint(config.training_len, config.snr_data, config.snr_training)]
-    reports = conventional_mc(
-        [[profiles]], points, config.coherence_len, trials, seed, _log_scale(config)
-    )
-    return reports[0][0]
-
-
-def se_conv_multicell_mc(
-    profiles: Profiles,
-    config: SystemConfig,
-    trials: int,
-    seed: int,
-) -> list[SEReport]:
-    points = [MCPoint(config.training_len, config.snr_data, config.snr_training)]
-    reports = conventional_mc(
-        profiles, points, config.coherence_len, trials, seed, _log_scale(config)
-    )
-    return reports[0]
 
 
 def _stat_report(
@@ -355,7 +264,7 @@ def se_stat_singlecell(profiles: list[UserLinkProfile], config: SystemConfig) ->
     user's LoS outer product is excluded from the interference.
     """
     cov = sum(p.r_cov + np.outer(p.h_bar, p.h_bar.conj()) for p in profiles)
-    return _stat_report(profiles, cov, config.snr_data, "stat_single", _log_scale(config))
+    return _stat_report(profiles, cov, config.snr_data, "stat_single", config.log_scale)
 
 
 def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport]:
@@ -371,7 +280,7 @@ def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport
         )
         rep = _stat_report(
             profiles[j][j], cov, config.snr_data,
-            "stat_single" if L == 1 else "stat_multi", _log_scale(config),
+            "stat_single" if L == 1 else "stat_multi", config.log_scale,
         )
         reports.append(rep)
     return reports

@@ -38,10 +38,6 @@ SCHEMES = ("conv", "stat")
 MODES = ("mc", "de", "both")
 
 
-def _log_scale_value(spec: ScenarioSpec) -> float:
-    return 1.0 / np.log(2.0) if spec.log_base == "base2" else 1.0
-
-
 def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
     """Training length at one SNR point, honoring the spec's tau_mode."""
     spec = scenario.spec
@@ -101,35 +97,25 @@ def _rows_for_scenario(
     mode: str,
     trials: int,
     seed: int,
-    workers: int,
 ) -> list[ResultRow]:
     spec = scenario.spec
     k = scenario.n_users
     multi = scenario.n_cells > 1
     taus = {snr: resolve_tau_for_snr(scenario, snr) for snr in spec.snr_grid_db}
+    configs = {snr: spec.system_config(snr, tau=taus[snr]) for snr in spec.snr_grid_db}
     rows: list[ResultRow] = []
     conv_mc_reports = None
     if "conv" in schemes and mode in ("mc", "both"):
         points = [
-            MCPoint(
-                tau=taus[snr],
-                rho_d=spec.system_config(snr).snr_data,
-                rho_tr=spec.system_config(snr).snr_training,
-            )
+            MCPoint(taus[snr], configs[snr].snr_data, configs[snr].snr_training)
             for snr in spec.snr_grid_db
         ]
-        reports = conventional_mc(
-            scenario.profiles,
-            points,
-            spec.t,
-            trials,
-            seed,
-            _log_scale_value(spec),
-            workers=workers,
-        )
+        # the log base, and hence its scale, is the same at every SNR
+        log_scale = spec.system_config(0.0).log_scale
+        reports = conventional_mc(scenario.profiles, points, spec.t, trials, seed, log_scale)
         conv_mc_reports = dict(zip(spec.snr_grid_db, reports))
     for snr in spec.snr_grid_db:
-        config = spec.system_config(snr, tau=taus[snr])
+        config = configs[snr]
         for scheme in schemes:
             if scheme == "conv":
                 name = "conv_multi" if multi else "conv_single"
@@ -177,7 +163,6 @@ def run_sweep(
     sweep_axis: str = "snr",
     axis_values: tuple[float, ...] | None = None,
     mode: str = "both",
-    workers: int = 1,
     trials: int | None = None,
     seed: int | None = None,
 ) -> list[ResultRow]:
@@ -216,6 +201,6 @@ def run_sweep(
     for variant in variants:
         scenario = build_scenario(variant)
         rows.extend(
-            _rows_for_scenario(scenario, tuple(schemes), mode, trials, seed, workers)
+            _rows_for_scenario(scenario, tuple(schemes), mode, trials, seed)
         )
     return rows

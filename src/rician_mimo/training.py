@@ -45,7 +45,6 @@ class TrainingCurve:
         self.t = config.coherence_len
         self.rho_d = config.snr_data
         self.rho_tr = config.snr_training
-        self.log_scale = 1.0 / math.log(2.0) if config.log_base == "base2" else 1.0
         h_bar = np.column_stack([p.h_bar for p in profiles])
         self.gram = h_bar.conj().T @ h_bar / self.n
         # eigenvalues of each user's covariance; every tau-dependent trace is
@@ -104,7 +103,7 @@ class TrainingCurve:
     def avg_se(self, tau: float) -> float:
         """Average simplified SE per user at training length tau."""
         gam = self.gamma(tau)
-        return (1.0 - tau / self.t) * float(np.mean(np.log1p(gam))) * self.log_scale
+        return (1.0 - tau / self.t) * float(np.mean(np.log1p(gam))) * self.config.log_scale
 
     def se_derivative(self, tau: float) -> float:
         """d/dtau of the average simplified SE (without the log-base scale)."""

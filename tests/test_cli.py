@@ -133,15 +133,6 @@ def test_cli_deterministic_across_worker_counts(scenario_file, capsys):
     assert out1 == out2
 
 
-def test_workers_env_default(scenario_file, capsys, monkeypatch):
-    monkeypatch.setenv("RICIAN_MIMO_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
-    assert code == 0
-    monkeypatch.delenv("RICIAN_MIMO_WORKERS")
-    _, out_serial, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
-    assert out == out_serial
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -194,6 +185,51 @@ def test_exit_numerical_failure(scenario_file, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--snr", "a:10:5"],
+        ["sweep", "--axis", "kappa_max", "--values", "1,x"],
+    ],
+    ids=["snr-range", "sweep-values"],
+)
+def test_exit_config_error_malformed_number(scenario_file, capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--scenario", scenario_file)
+    assert code == 1
+    assert "configuration error" in err
+
+
+def test_exit_config_error_malformed_snr_list(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SCENARIO_TEXT.replace("snr_grid_db = 0,10", "snr_grid_db = 0,x"))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(bad))
+    assert code == 1
+    assert "configuration error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--format", "xml"],
+        ["reproduce", "--figure", "fig9"],
+        ["simulate", "--workers", "abc"],
+    ],
+    ids=["format", "figure", "workers"],
+)
+def test_usage_errors_exit_config(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+
+
 def test_unknown_subcommand_rejected(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["render"])
+    assert exc.value.code == 1

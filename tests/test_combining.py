@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rician_mimo.channel import build_profile, exponential_correlation, los_steering
-from rician_mimo.combining import (
-    conventional_combiner,
-    conventional_combiner_multicell,
-    conventional_combiner_singlecell,
-    statistical_combiner,
-)
+from rician_mimo.combining import conventional_combiner, statistical_combiner
 
 
 def random_estimates(n, k, seed=0):
@@ -87,15 +82,6 @@ def test_conventional_scale_invariance_of_quotient():
     assert sinr_of(3.7 * g, est, 0, noise_cov) == pytest.approx(
         sinr_of(g, est, 0, noise_cov), rel=1e-12
     )
-
-
-def test_singlecell_and_multicell_wrappers_agree():
-    n, k = 8, 3
-    est = random_estimates(n, k, seed=7)
-    reg = 0.2 * np.eye(n)
-    a = conventional_combiner_singlecell(est, reg, 2.0)
-    b = conventional_combiner_multicell(est, reg, 2.0)
-    assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_conventional_rejects_nonfinite():

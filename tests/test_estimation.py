@@ -10,15 +10,12 @@ from rician_mimo.channel import (
     exponential_correlation,
     los_steering,
     one_ring_correlation,
+    standard_complex_normal,
 )
 from rician_mimo.estimation import (
     build_estimator_multicell,
     build_estimator_singlecell,
-    conditional_means,
-    estimate_from_observation,
-    estimate_multicell,
-    estimate_singlecell,
-    pilot_observation,
+    lmmse_estimate,
 )
 
 
@@ -106,14 +103,15 @@ def _draws_setup(multicell):
 
 
 def _sample_links(profiles, rng, draws):
-    out = []
-    for p in profiles:
-        z = (
-            rng.standard_normal((draws, p.n_antennas))
-            + 1j * rng.standard_normal((draws, p.n_antennas))
-        ) / math.sqrt(2)
-        out.append(p.h_bar[None, :] + z @ p.sqrt_r.T)
-    return out
+    return [
+        p.h_bar[None, :] + standard_complex_normal(rng, draws, p.n_antennas) @ p.sqrt_r.T
+        for p in profiles
+    ]
+
+
+def _observe(state, links, rng, draws):
+    noise = standard_complex_normal(rng, draws, state.n_antennas)
+    return sum(links) + noise / math.sqrt(state.tau_rho)
 
 
 def test_mmse_orthogonality_and_covariance_split():
@@ -121,12 +119,8 @@ def test_mmse_orthogonality_and_covariance_split():
     rng = np.random.default_rng(2024)
     profiles, state = _draws_setup(multicell=False)
     (h,) = _sample_links(profiles, rng, draws)
-    noise = (
-        rng.standard_normal((draws, state.n_antennas))
-        + 1j * rng.standard_normal((draws, state.n_antennas))
-    ) / math.sqrt(2)
-    y = h + noise / math.sqrt(state.tau_rho)
-    h_hat = state.h_bar[None, :] + (y - state.h_bar[None, :]) @ state.gain.T
+    y = _observe(state, [h], rng, draws)
+    h_hat, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
     err = h - h_hat
     tol = 4.0 / math.sqrt(draws) * np.linalg.norm(profiles[0].r_cov)
 
@@ -147,14 +141,10 @@ def test_multicell_conditional_interference_moments():
     rng = np.random.default_rng(77)
     profiles, state = _draws_setup(multicell=True)
     links = _sample_links(profiles, rng, draws)
-    noise = (
-        rng.standard_normal((draws, state.n_antennas))
-        + 1j * rng.standard_normal((draws, state.n_antennas))
-    ) / math.sqrt(2)
-    y = sum(links) + noise / math.sqrt(state.tau_rho)
+    y = _observe(state, links, rng, draws)
+    _, cond_means = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
     for ell in (1, 2):
-        cond_mean = (y - state.h_bar[None, :]) @ state.cross_gains[ell].T
-        resid = links[ell] - cond_mean
+        resid = links[ell] - cond_means[ell]
         tol = 4.0 / math.sqrt(draws) * np.linalg.norm(profiles[ell].r_cov)
         # residual is uncorrelated with the observation
         cross = (y - y.mean(0)).conj().T @ resid / draws
@@ -166,34 +156,46 @@ def test_multicell_conditional_interference_moments():
 
 
 # ---------------------------------------------------------------------------
-# per-draw helpers
+# the single LMMSE estimation function, per draw and stacked
 
 
 def test_estimate_from_observation_affine():
     _, state = _draws_setup(multicell=False)
     y = np.ones(state.n_antennas, dtype=complex)
     expected = state.h_bar + state.gain @ (y - state.h_bar)
-    assert np.allclose(estimate_from_observation(state, y), expected)
+    h_hat, means = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
+    assert np.allclose(h_hat, expected)
+    assert means == {}
 
 
 def test_estimate_singlecell_matches_manual_path():
+    # one (N, N) gain against a (draws, N) stack equals the per-draw estimates
     profiles, state = _draws_setup(multicell=False)
-    h = profiles[0].h_bar.copy()
-    est = estimate_singlecell(profiles[0], state, h, np.random.default_rng(5))
-    y = pilot_observation(state, [h], np.random.default_rng(5))
-    assert np.allclose(est, estimate_from_observation(state, y))
+    rng = np.random.default_rng(5)
+    (h,) = _sample_links(profiles, rng, 4)
+    y = _observe(state, [h], rng, 4)
+    stacked, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
+    for d in range(4):
+        single, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y[d])
+        assert np.allclose(stacked[d], single)
+        assert np.allclose(single, state.h_bar + state.gain @ (y[d] - state.h_bar))
 
 
 def test_estimate_multicell_returns_all_interferers():
+    # (K, N, N) gains against (K, N) observations equal the per-user estimates
     profiles, state = _draws_setup(multicell=True)
-    channels = [p.h_bar + 0.1 for p in profiles]
-    est, cond = estimate_multicell(state, channels, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    y = _observe(state, _sample_links(profiles, rng, 2), rng, 2)
+    gains = np.stack([state.gain, 2.0 * state.gain])
+    cross = {ell: np.stack([cg, 2.0 * cg]) for ell, cg in state.cross_gains.items()}
+    h_bar = np.stack([state.h_bar, state.h_bar])
+    est, cond = lmmse_estimate(gains, cross, h_bar, y)
     assert set(cond) == {1, 2}
-    y = pilot_observation(state, channels, np.random.default_rng(9))
-    assert np.allclose(est, estimate_from_observation(state, y))
-    manual = conditional_means(state, y)
-    for ell in (1, 2):
-        assert np.allclose(cond[ell], manual[ell])
+    for u, scale in enumerate((1.0, 2.0)):
+        centered = y[u] - state.h_bar
+        assert np.allclose(est[u], state.h_bar + scale * state.gain @ centered)
+        for ell in (1, 2):
+            assert np.allclose(cond[ell][u], scale * state.cross_gains[ell] @ centered)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,9 @@ def test_parse_comments_and_blank_lines():
         ("n = not_an_int\n", "cannot parse"),
         ("snr_grid_db = 0:10:0\n", "step"),
         ("snr_grid_db = 1:2:3:4\n", "lo:hi:step"),
+        ("snr_grid_db = 0,x\n", "cannot parse"),
+        ("snr_grid_db = a:10:5\n", "cannot parse"),
+        ("snr_training_db = x\n", "cannot parse"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):

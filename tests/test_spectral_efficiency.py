@@ -8,16 +8,16 @@ from rician_mimo.channel import (
     exponential_correlation,
     los_steering,
     one_ring_correlation,
+    standard_complex_normal,
 )
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
-from rician_mimo.estimation import build_estimator_multicell, estimate_multicell
+from rician_mimo.estimation import build_estimator_multicell, lmmse_estimate
 from rician_mimo.spectral_efficiency import (
     MCPoint,
     SEReport,
     conventional_mc,
     mc_log_moments,
-    se_conv_singlecell_mc,
     se_stat_multicell,
     se_stat_singlecell,
 )
@@ -95,7 +95,9 @@ def test_conditional_denominator_matches_nested_mc():
     h_hat = np.zeros((n, k), dtype=complex)
     cond = []
     for u in range(k):
-        est, cm = estimate_multicell(states[u], [true[ell][u] for ell in range(l)], rng)
+        noise = standard_complex_normal(rng, n) / math.sqrt(states[u].tau_rho)
+        y = sum(true[ell][u] for ell in range(l)) + noise
+        est, cm = lmmse_estimate(states[u].gain, states[u].cross_gains, states[u].h_bar, y)
         h_hat[:, u] = est
         cond.append(cm)
 
@@ -150,17 +152,6 @@ def test_conditional_denominator_matches_nested_mc():
 # Monte Carlo harness behaviour
 
 
-def test_conventional_mc_worker_invariance():
-    profiles = tiny_profiles(seed=1)
-    points = [MCPoint(2, 1.0, 1.0), MCPoint(4, 3.0, 3.0)]
-    serial = conventional_mc(profiles, points, 50, 24, seed=9, workers=1)
-    pooled = conventional_mc(profiles, points, 50, 24, seed=9, workers=3)
-    for p in range(len(points)):
-        for j in range(2):
-            assert np.array_equal(serial[p][j].per_user_se, pooled[p][j].per_user_se)
-            assert np.array_equal(serial[p][j].se_stderr, pooled[p][j].se_stderr)
-
-
 def test_mc_common_random_numbers_across_point_subsets():
     # evaluating a subset of points with the same seed sees identical draws
     profiles = tiny_profiles(seed=2)
@@ -186,7 +177,7 @@ def test_mc_prelog_and_scheme_labels():
     )[0][0]
     assert rep.prelog == pytest.approx(1.0 - 5 / 50)
     assert rep.scheme == "conv_multi"
-    single = se_conv_singlecell_mc(profiles[0][0], make_config(n_cells=1), 4, 1)
+    single = conventional_mc([[profiles[0][0]]], [MCPoint(5, 1.0, 1.0)], 50, 4, seed=1)[0][0]
     assert single.scheme == "conv_single"
 
 

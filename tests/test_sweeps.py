@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rician_mimo.sweeps import (
     run_sweep,
     stat_de_per_bs,
 )
+from rician_mimo.training import solve_tau_star
 
 
 def small_spec(**overrides):
@@ -117,11 +120,23 @@ def test_sweep_reproducible():
     assert a == b
 
 
-def test_sweep_worker_invariance():
-    spec = small_spec(trials=12)
-    a = run_sweep(spec, schemes=("conv",), mode="mc", workers=1)
-    b = run_sweep(spec, schemes=("conv",), mode="mc", workers=4)
-    assert a == b
+def test_base2_values_are_natural_values_over_ln2():
+    spec = small_spec(trials=3, tau_mode="optimal")
+    bits_spec = small_spec(trials=3, tau_mode="optimal", log_base="base2")
+    nats = run_sweep(spec, mode="both")
+    bits = run_sweep(bits_spec, mode="both")
+    assert len(nats) == len(bits)
+    for a, b in zip(nats, bits):
+        assert (a.scheme, a.snr_db, a.user_id, a.tau_used) == (
+            b.scheme, b.snr_db, b.user_id, b.tau_used
+        )
+        assert b.se_value == pytest.approx(a.se_value / math.log(2.0), rel=1e-14, abs=0.0)
+        assert b.se_de == pytest.approx(a.se_de / math.log(2.0), rel=1e-14, abs=0.0)
+    profiles = build_scenario(spec).local_profiles(0)
+    for snr in spec.snr_grid_db:
+        a = solve_tau_star(profiles, spec.system_config(snr))
+        b = solve_tau_star(profiles, bits_spec.system_config(snr))
+        assert b.avg_se_at_star == pytest.approx(a.avg_se_at_star / math.log(2.0), rel=1e-14)
 
 
 def test_sweep_validation_errors():
