@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import UserLinkProfile
 from .combining import statistical_combiner
@@ -494,7 +493,7 @@ def _los_quadratic(profiles: list[UserLinkProfile], rho_d: float) -> np.ndarray:
     n = profiles[0].n_antennas
     h_bar = np.column_stack([p.h_bar for p in profiles])
     mat = h_bar @ h_bar.conj().T + (n / rho_d) * np.eye(n)
-    solved = cho_solve(cho_factor(mat, lower=True), h_bar)
+    solved = np.linalg.solve(mat, h_bar)
     quad = np.real(np.sum(h_bar.conj() * solved, axis=0))
     # removing column k is a rank-1 downdate of the inverted matrix
     return quad / (1.0 - quad)

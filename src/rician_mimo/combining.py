@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import UserLinkProfile
 
@@ -27,25 +26,32 @@ class CombinerSet:
             raise ValueError("combining vectors must be finite")
 
 
-def _solve_hermitian(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # single factorization shared across all K right-hand sides
-    return cho_solve(cho_factor(mat, lower=True), rhs)
-
-
 def conventional_combiner(
     estimates: np.ndarray,
-    regularizer: np.ndarray,
+    regularizer_eig: tuple[np.ndarray, np.ndarray],
     rho_d: float,
 ) -> CombinerSet:
-    """g_k = (H_hat H_hat^H + regularizer + (N/rho_d) I)^{-1} h_hat_k.
+    """g_k = (H_hat H_hat^H + A + (N/rho_d) I)^{-1} h_hat_k.
 
-    `regularizer` is the Hermitian PSD design matrix: the sum of estimation
-    error covariances in the single-cell case, plus the inter-cell covariances
-    in the multi-cell case.
+    A is the Hermitian PSD regularizer: the sum of estimation error
+    covariances in the single-cell case, plus the inter-cell covariances in
+    the multi-cell case.  It is passed as its eigenpair (lam, U) =
+    `np.linalg.eigh(A)`, so one decomposition serves every SNR and every
+    channel draw: the SNR only shifts lam.  With X = U^H H_hat and
+    D = diag(1/(lam + N/rho_d)), the matrix-inversion lemma gives
+
+        G = U (D X) (I_K + X^H D X)^{-1},
+
+    an N x K rotation plus one K x K solve; no N x N system is formed.
     """
-    n = estimates.shape[0]
-    mat = estimates @ estimates.conj().T + regularizer + (n / rho_d) * np.eye(n)
-    return CombinerSet(vectors=_solve_hermitian(mat, estimates))
+    lam, u = regularizer_eig
+    n, k = estimates.shape
+    x = u.conj().T @ estimates
+    dx = x / (lam + n / rho_d)[:, None]
+    gram = np.eye(k) + x.conj().T @ dx
+    # (D X) gram^{-1}, transposed into a left solve
+    vectors = u @ np.linalg.solve(gram.T, dx.T).T
+    return CombinerSet(vectors=vectors)
 
 
 def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
@@ -62,7 +68,7 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     base = r_sum + h_bar @ h_bar.conj().T + (n / rho_d) * np.eye(n)
     # one factorization of the full matrix; dropping column k from Hbar is a
     # rank-1 downdate, handled per user by Sherman-Morrison
-    solved = _solve_hermitian(base, h_bar)
+    solved = np.linalg.solve(base, h_bar)
     quad = np.real(np.sum(h_bar.conj() * solved, axis=0))
     vectors = solved / (1.0 - quad)
     return CombinerSet(vectors=vectors)

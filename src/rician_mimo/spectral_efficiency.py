@@ -79,7 +79,7 @@ class _EstimatorArrays:
         self.tau_rho = tau * rho_tr
         self.gain = []  # per bs: (K, N, N) local estimation gains
         self.cross_gain = []  # per bs: dict cell -> (K, N, N)
-        self.a_mat = []  # per bs: combiner regularizer
+        self.a_eig = []  # per bs: eigh of the combiner regularizer
         self.b_mat = []  # per bs: conditional error + interference covariance
         for j in range(L):
             states = [
@@ -100,7 +100,7 @@ class _EstimatorArrays:
             cond_sum = sum(
                 states[k].cond_covs[ell] for ell in range(L) if ell != j for k in range(K)
             )
-            self.a_mat.append(err_sum + (inter_r if L > 1 else 0.0))
+            self.a_eig.append(np.linalg.eigh(err_sum + (inter_r if L > 1 else 0.0)))
             self.b_mat.append(err_sum + (cond_sum if L > 1 else 0.0))
 
 
@@ -150,7 +150,7 @@ def mc_log_moments(
             est = est_cache[(pt.tau, pt.rho_tr)]
             for j, (h_hat, cond_mean) in enumerate(per_key[(pt.tau, pt.rho_tr)]):
                 hh = h_hat.T  # (N, K)
-                comb = conventional_combiner(hh, est.a_mat[j], pt.rho_d)
+                comb = conventional_combiner(hh, est.a_eig[j], pt.rho_d)
                 g = comb.vectors
                 gh = g.conj().T
                 p_mat = gh @ hh  # p[k, i] = g_k^H h_hat_i
@@ -263,7 +263,8 @@ def se_stat_singlecell(profiles: list[UserLinkProfile], config: SystemConfig) ->
     Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user; the served
     user's LoS outer product is excluded from the interference.
     """
-    cov = sum(p.r_cov + np.outer(p.h_bar, p.h_bar.conj()) for p in profiles)
+    h_bar = np.column_stack([p.h_bar for p in profiles])
+    cov = sum(p.r_cov for p in profiles) + h_bar @ h_bar.conj().T
     return _stat_report(profiles, cov, config.snr_data, "stat_single", config.log_scale)
 
 
@@ -272,12 +273,9 @@ def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport
     L = len(profiles)
     reports = []
     for j in range(L):
-        cov = sum(
-            profiles[j][ell][i].r_cov
-            + np.outer(profiles[j][ell][i].h_bar, profiles[j][ell][i].h_bar.conj())
-            for ell in range(L)
-            for i in range(len(profiles[j][ell]))
-        )
+        links = [p for cell in profiles[j] for p in cell]
+        h_bar = np.column_stack([p.h_bar for p in links])
+        cov = sum(p.r_cov for p in links) + h_bar @ h_bar.conj().T
         rep = _stat_report(
             profiles[j][j], cov, config.snr_data,
             "stat_single" if L == 1 else "stat_multi", config.log_scale,

@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import rician_mimo
 from rician_mimo import cli
 from rician_mimo.results import FIELD_NAMES, parse_csv
 
@@ -233,3 +237,39 @@ def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# one BLAS library: every dense factorization is a numpy call
+
+
+def test_no_scipy_linalg_in_compute_path(scenario_file, tmp_path, capsys, monkeypatch):
+    # numpy and scipy each load their own OpenBLAS with its own thread pool;
+    # hopping between them per call makes the two pools fight over the cores.
+    # toeplitz is construction only and keeps scipy.linalg imported.
+    for info in pkgutil.iter_modules(rician_mimo.__path__):
+        module = importlib.import_module(f"rician_mimo.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__name__", "").startswith("scipy.linalg"):
+                pytest.fail(f"rician_mimo.{info.name}.{name} binds a scipy.linalg module")
+            if callable(obj) and (getattr(obj, "__module__", None) or "").startswith("scipy.linalg"):
+                assert obj is scipy.linalg.toeplitz, f"rician_mimo.{info.name}.{name}"
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg factorization called")
+
+    for name in ("cho_factor", "cho_solve", "solve", "inv"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    three_cell = tmp_path / "three.cfg"
+    three_cell.write_text(
+        SCENARIO_TEXT.replace("n = 16", "n = 8").replace("trials = 6", "trials = 2")
+        + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    )
+    for argv in (
+        ["simulate", "--scenario", scenario_file, "--trials", "2"],
+        ["simulate", "--scenario", str(three_cell)],
+        ["asymptotic", "--scenario", scenario_file],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert parse_csv(out)

@@ -31,7 +31,7 @@ def test_conventional_solves_linear_system():
     est = random_estimates(n, k)
     reg = 0.3 * np.eye(n)
     rho = 2.0
-    combo = conventional_combiner(est, reg, rho)
+    combo = conventional_combiner(est, np.linalg.eigh(reg), rho)
     mat = est @ est.conj().T + reg + (n / rho) * np.eye(n)
     residual = mat @ combo.vectors - est
     assert np.max(np.abs(residual)) < 1e-8
@@ -41,7 +41,7 @@ def test_conventional_single_user_direction():
     # K = 1, no regularizer: g is parallel to the estimate
     n = 8
     est = random_estimates(n, 1, seed=3)
-    combo = conventional_combiner(est, np.zeros((n, n)), 1.0)
+    combo = conventional_combiner(est, np.linalg.eigh(np.zeros((n, n))), 1.0)
     g = combo.vectors[:, 0]
     cos = np.abs(g.conj() @ est[:, 0]) / (np.linalg.norm(g) * np.linalg.norm(est[:, 0]))
     assert cos == pytest.approx(1.0, abs=1e-12)
@@ -55,7 +55,7 @@ def test_conventional_maximizes_rayleigh_quotient():
     est = random_estimates(n, k, seed=11)
     reg = 0.5 * np.eye(n) + 0.1 * np.ones((n, n))
     rho = 4.0
-    combo = conventional_combiner(est, reg, rho)
+    combo = conventional_combiner(est, np.linalg.eigh(reg), rho)
     others = np.delete(est, 2, axis=1)
     noise_cov = others @ others.conj().T + reg + (n / rho) * np.eye(n)
     g_star = combo.vectors[:, 2]
@@ -76,7 +76,7 @@ def test_conventional_maximizes_rayleigh_quotient():
 def test_conventional_scale_invariance_of_quotient():
     n, k = 6, 3
     est = random_estimates(n, k, seed=5)
-    combo = conventional_combiner(est, np.eye(n), 1.0)
+    combo = conventional_combiner(est, np.linalg.eigh(np.eye(n)), 1.0)
     g = combo.vectors[:, 0]
     noise_cov = np.eye(n)
     assert sinr_of(3.7 * g, est, 0, noise_cov) == pytest.approx(
@@ -89,7 +89,29 @@ def test_conventional_rejects_nonfinite():
     est = random_estimates(n, 2)
     est[0, 0] = np.nan
     with pytest.raises((ValueError, np.linalg.LinAlgError)):
-        conventional_combiner(est, np.eye(n), 1.0)
+        conventional_combiner(est, np.linalg.eigh(np.eye(n)), 1.0)
+
+
+def _regularizer(n, rank, seed):
+    b = random_estimates(n, rank, seed=seed)
+    return b @ b.conj().T / max(rank, 1)
+
+
+@pytest.mark.parametrize(
+    "n, k, rank",
+    [(150, k, rank) for k in (20, 149) for rank in (0, 30, 150)] + [(8, 3, 8)],
+)
+@pytest.mark.parametrize("rho", [0.1, 1e4, 1e5])
+def test_conventional_backward_error_at_hard_corners(n, k, rank, rho):
+    # normwise backward error of each column against the defining N x N
+    # system, down to noise loadings N/rho far below the regularizer's scale
+    est = random_estimates(n, k, seed=rank + k)
+    reg = _regularizer(n, rank, seed=7)
+    g = conventional_combiner(est, np.linalg.eigh(reg), rho).vectors
+    mat = est @ est.conj().T + reg + (n / rho) * np.eye(n)
+    residual = np.linalg.norm(mat @ g - est, axis=0)
+    backward = residual / (np.linalg.norm(mat, 2) * np.linalg.norm(g, axis=0))
+    assert np.max(backward) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
