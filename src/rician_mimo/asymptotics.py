@@ -61,18 +61,31 @@ class AsymptoticState:
         return self.q_matrix.shape[0]
 
 
-def _gram(h_bar: np.ndarray, r_tildes: list[np.ndarray], weight: np.ndarray) -> np.ndarray:
+def _traces(stack: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """tr(stack_i @ weight) for every i: one (K, N^2) matrix-vector product."""
+    return stack.reshape(len(stack), -1) @ weight.T.ravel()
+
+
+def _pair_traces(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """[a, b] -> tr(left_a @ right_b) for two (K, N, N) stacks, without
+    forming any N x N product."""
+    return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
+
+
+def _gram(h_bar: np.ndarray, r_tildes: np.ndarray, weight: np.ndarray) -> np.ndarray:
     n = h_bar.shape[0]
     g = h_bar.conj().T @ weight @ h_bar
-    g = g + np.diag([np.real(np.trace(rt @ weight)) for rt in r_tildes])
+    g = g + np.diag(np.real(_traces(r_tildes, weight)))
     g = g / n
     return 0.5 * (g + g.conj().T)
 
 
 def _second_order_moments(
     h_bar: np.ndarray,
-    r_tildes: list[np.ndarray],
+    r_tildes: np.ndarray,
     z: np.ndarray,
+    zr: np.ndarray,
+    z2: np.ndarray,
     zxz: np.ndarray,
     q: np.ndarray,
     gram2: np.ndarray,
@@ -89,22 +102,20 @@ def _second_order_moments(
     Hbar.  Returns (E[Qtilde], Var([Qtilde]_ki), noise shift, error shift):
     the shifts are the second-order corrections of E[[Qtilde G_B Qtilde]_kk]
     for the noise gram (B = Z^2) and the error-term gram (B = Z A Z / N).
+    `zr` is the (K, N, N) stack Z R_tilde_i.
     """
     k = len(r_tildes)
-    z2 = z @ z
-    zr = [z @ rt for rt in r_tildes]
-    t_t = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            t_t[i, j] = np.real(np.einsum("ab,ba->", zr[i], zr[j]))
-            t_t[j, i] = t_t[i, j]
-    w_mats = [h_bar.conj().T @ (zr_j @ z) @ h_bar for zr_j in zr]
+    t_t = np.real(_pair_traces(zr, zr))
+    t_t = 0.5 * (t_t + t_t.T)
+    # Z is Hermitian, so Hbar^H Z is the K x N projection (Z Hbar)^H
+    zh = z @ h_bar
+    w_mats = zh.conj().T @ (r_tildes @ zh)  # (K, K, K): Hbar^H Z Rt_m Z Hbar
     q_diag = np.real(np.diag(q))
     p_mat = np.abs(q) ** 2  # symmetric since q is Hermitian
     # E[Delta Q Delta] and the resolvent mean shift Q E[.] Q
     w_sum = sum(q_diag[a] * w_mats[a] for a in range(k))
     m_mat = w_sum + np.diag(
-        t_t @ q_diag + np.array([np.real(np.trace(wm @ q)) for wm in w_mats])
+        t_t @ q_diag + np.real(np.einsum("mab,ba->m", w_mats, q))
     )
     q_mean = q + q @ m_mat @ q / n**2
     q_mean = 0.5 * (q_mean + q_mean.conj().T)
@@ -113,12 +124,9 @@ def _second_order_moments(
     # resums part of the higher orders
     qm = q_mean
     pm_mat = np.abs(qm) ** 2
-    w_left = np.column_stack(
-        [np.real(np.einsum("ik,ij,jk->k", qm.conj(), wm, qm)) for wm in w_mats]
-    )  # w_left[k, m] = qm_k^H W_m qm_k
-    w_right = np.column_stack(
-        [np.real(np.einsum("ik,ij,jk->k", q.conj(), wm, q)) for wm in w_mats]
-    )
+    # w_left[k, m] = qm_k^H W_m qm_k
+    w_left = np.real(np.einsum("ik,mij,jk->km", qm.conj(), w_mats, qm))
+    w_right = np.real(np.einsum("ik,mij,jk->km", q.conj(), w_mats, q))
     # Var([Qtilde]_ki) = E|[Qtilde Delta Q]_ki|^2 at leading order
     var_mat = (pm_mat @ t_t @ p_mat + w_left @ p_mat + (w_right @ pm_mat).T) / n**2
     var_mat = 0.5 * (var_mat + var_mat.T)
@@ -128,17 +136,14 @@ def _second_order_moments(
         for the random gram G_B = (1/N) Hhat^H B Hhat with mean g_bar."""
         # Qtilde fluctuations through the mean gram
         u_vec = np.real(np.diag(q @ g_bar @ q))
-        s_vec = np.array([np.real(np.trace(g_bar @ q @ wm @ q)) for wm in w_mats])
+        s_vec = np.real(np.einsum("mcd,dc->m", w_mats, q @ g_bar @ q))  # tr(G Q W_m Q)
         b_vec = (pm_mat @ (t_t @ u_vec) + w_left @ u_vec + pm_mat @ s_vec) / n**2
-        # anticorrelation between Qtilde and the fluctuation of G_B itself
-        bzr = [b_weight @ rt for rt in r_tildes]
-        t1b = np.empty((k, k))
-        for a in range(k):
-            for i in range(k):
-                t1b[a, i] = np.real(np.einsum("ab,ba->", zr[a], bzr[i]))
-        w1b_mats = [h_bar.conj().T @ (zr_a @ b_weight) @ h_bar for zr_a in zr]
+        # anticorrelation between Qtilde and the fluctuation of G_B itself:
+        # t1b[a, i] = tr(Z Rt_a B Rt_i), w1b[a] = Hbar^H Z Rt_a B Hbar
+        t1b = np.real(_pair_traces(zr, b_weight @ r_tildes))
+        w1b_mats = zh.conj().T @ (r_tildes @ (b_weight @ h_bar))
         m1b = sum(q_diag[a] * w1b_mats[a] for a in range(k)) + np.diag(
-            t1b.T @ q_diag + np.array([np.conj(np.trace(wm @ q)) for wm in w1b_mats])
+            t1b.T @ q_diag + np.conj(np.einsum("mab,ba->m", w1b_mats, q))
         )
         d_vec = -2.0 * np.real(np.einsum("ik,ij,jk->k", qm.conj(), m1b, qm)) / n**2
         return b_vec + d_vec
@@ -158,23 +163,17 @@ def _second_order_moments(
         # v_i = (hbar_i - Hbar y_i / N) / N, which performs the near-complete
         # cancellation between the direct and resolvent pieces analytically
         # before any second moment is taken.
-        s0 = h_bar.conj().T @ z @ h_bar
+        s0 = h_bar.conj().T @ zh
         y_mat = q @ s0
         mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
         v_mat = (h_bar - h_bar @ (y_mat / n)) / n
         zv = z @ v_mat
-        vrv = np.stack(
-            [np.real(np.einsum("ni,nm,mi->i", zv.conj(), rt, zv)) for rt in r_tildes]
-        )
-        qwq = np.stack(
-            [np.real(np.einsum("kb,bc,ck->k", q, wm, q)) for wm in w_mats]
-        )
+        # vrv[m, i] = zv_i^H Rt_m zv_i, vrhq[m, i] = zv_i^H Rt_m (Z Hbar Q)_i
+        vrv = np.real(np.sum(zv.conj() * (r_tildes @ zv), axis=1))
+        qwq = np.real(np.einsum("kb,mbc,ck->mk", q, w_mats, q))
         ab = np.abs(y_mat) ** 2
         var_psi = p_mat @ vrv + (qwq.T @ ab + p_mat @ (t_t @ ab)) / n**4
-        zhq = z @ h_bar @ q
-        vrhq = np.stack(
-            [np.einsum("ni,nm,mi->i", zv.conj(), rt, zhq) for rt in r_tildes]
-        )
+        vrhq = np.sum(zv.conj() * (r_tildes @ (zh @ q)), axis=1)
         qyc = q * y_mat.conj()
         cov_qpsi = -(p_mat @ vrhq) / n**2 + (
             qwq.T @ qyc + p_mat @ (t_t @ qyc)
@@ -192,8 +191,9 @@ def _second_order_moments(
 def _contamination_split(
     h_bar: np.ndarray,
     local_covs: list[np.ndarray],
-    r_tildes: list[np.ndarray],
+    r_tildes: np.ndarray,
     z: np.ndarray,
+    zr: np.ndarray,
     q: np.ndarray,
     cross_covs: list[list[np.ndarray]],
     cross_gains: list[list[np.ndarray]],
@@ -214,7 +214,8 @@ def _contamination_split(
     m_cells = len(cross_gains)
     alphas = np.zeros((m_cells, k))
     extra = np.zeros((m_cells, k, k))
-    tr_zrt = np.array([np.real(np.trace(z @ rt)) for rt in r_tildes])
+    tr_zrt = np.real(_traces(r_tildes, z))
+    zh = z @ h_bar
     for m in range(m_cells):
         for i in range(k):
             if tr_zrt[i] <= 1e-12 * n:
@@ -234,15 +235,12 @@ def _contamination_split(
             ):
                 continue
             # quadratic remainder and its correlation with the exact part,
-            # both at leading (deterministic-resolvent) order
-            w_res = z @ resid @ z
-            w_xc = z @ x_c.conj().T @ z
-            g_res = h_bar.conj().T @ w_res @ h_bar + np.diag(
-                [np.real(np.trace(rt @ w_res)) for rt in r_tildes]
-            )
-            g_xc = h_bar.conj().T @ w_xc @ h_bar + np.diag(
-                [np.trace(rt @ w_xc) for rt in r_tildes]
-            )
+            # both at leading (deterministic-resolvent) order: the grams of
+            # Z M Z for M = resid and x_c^H, with tr(Rt_j Z M Z) read as
+            # tr((Z Rt_j)(Z M))
+            x_ch = x_c.conj().T
+            g_res = zh.conj().T @ resid @ zh + np.diag(np.real(_traces(zr, z @ resid)))
+            g_xc = zh.conj().T @ x_ch @ zh + np.diag(_traces(zr, z @ x_ch))
             quad_res = np.real(np.einsum("ka,ab,kb->k", q, g_res, q.conj()))
             quad_xc = np.real(np.einsum("ka,ab,kb->k", q, g_xc, q.conj()))
             extra[m, :, i] = (quad_res + 2.0 * alpha * quad_xc) / n**2
@@ -262,7 +260,7 @@ def _build_state(
     n = profiles[0].n_antennas
     k = len(profiles)
     h_bar = np.column_stack([p.h_bar for p in profiles])
-    r_tildes = [e.r_tilde for e in estimators]
+    r_tildes = np.stack([e.r_tilde for e in estimators])
     if quad_matrix is None:
         quad_matrix = a_matrix
     if refined:
@@ -270,41 +268,42 @@ def _build_state(
         z = 0.5 * (z + z.conj().T)
     else:
         z = np.eye(n)
+    z2 = z @ z
     gram1 = _gram(h_bar, r_tildes, z)
-    gram2 = _gram(h_bar, r_tildes, z @ z)
+    gram2 = _gram(h_bar, r_tildes, z2)
     q = np.linalg.inv(gram1 + np.eye(k) / rho_d)
     q = 0.5 * (q + q.conj().T)
     zxz = z @ quad_matrix @ z
-    t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag(
-        [np.real(np.trace(rt @ zxz)) for rt in r_tildes]
-    )
+    t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag(np.real(_traces(r_tildes, zxz)))
     cross = np.zeros((0, k))
     if cross_covs:
-        cross = np.zeros((len(cross_covs), k))
-        for m, per_cell in enumerate(cross_covs):
-            for i in range(k):
-                # (1/N) tr(Z R_cross Phi_i R_local); gain_i = R_local Phi_i
-                cross[m, i] = (
-                    np.real(np.trace(z @ per_cell[i] @ estimators[i].gain.conj().T)) / n
-                )
+        # cross[m, i] = (1/N) tr(Z R_cross Phi_i R_local) with gain_i =
+        # R_local Phi_i, read as <gain_i, Z R_cross>
+        gains = np.stack([e.gain for e in estimators])
+        cross = np.stack(
+            [
+                np.real(np.sum(gains.conj() * (z @ np.stack(per_cell)), axis=(1, 2))) / n
+                for per_cell in cross_covs
+            ]
+        )
+    contam_second = np.zeros((0, 0))
+    contam_alpha = np.zeros((0, 0))
+    contam_extra = np.zeros((0, 0, 0))
     if refined:
-        q_mean, var_mat, noise_corr, err_corr, contam_second = _second_order_moments(
-            h_bar, r_tildes, z, zxz, q, gram2, t_mat, n,
+        zr = z @ r_tildes
+        q_mean, var_mat, noise_corr, err_corr, second = _second_order_moments(
+            h_bar, r_tildes, z, zr, z2, zxz, q, gram2, t_mat, n,
             rho_d=rho_d if cross_gains else None,
         )
+        if cross_gains:
+            contam_second = second
+            contam_alpha, contam_extra = _contamination_split(
+                h_bar, [p.r_cov for p in profiles], r_tildes, z, zr, q,
+                cross_covs, cross_gains, cross, n,
+            )
     else:
         q_mean, var_mat = q, np.zeros((k, k))
         noise_corr, err_corr = np.zeros(k), np.zeros(k)
-        contam_second = None
-    contam_alpha = np.zeros((0, 0))
-    contam_extra = np.zeros((0, 0, 0))
-    if refined and cross_gains:
-        contam_alpha, contam_extra = _contamination_split(
-            h_bar, [p.r_cov for p in profiles], r_tildes, z, q,
-            cross_covs, cross_gains, cross, n,
-        )
-    if contam_second is None:
-        contam_second = np.zeros((0, 0))
     return AsymptoticState(
         q_matrix=q,
         rho_d=rho_d,
@@ -546,5 +545,6 @@ def pilot_contamination_term(
     for ell, p in enumerate(profiles_same_pilot):
         if ell == local_index:
             continue
-        total += np.real(np.trace(p.r_cov @ state.gain.conj().T)) / n
+        # tr(R gain^H) is the elementwise inner product <gain, R>
+        total += np.real(np.vdot(state.gain, p.r_cov)) / n
     return float(total)

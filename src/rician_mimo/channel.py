@@ -84,31 +84,29 @@ def pathloss(distance: float, alpha: float) -> float:
     return float(distance) ** (-alpha)
 
 
-def _clamped_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian matrix square root with eigenvalues clamped at zero.
-
-    Cholesky is deliberately avoided: quadrature-built correlation matrices
-    are often numerically semi-definite.
-    """
-    eigval, eigvec = np.linalg.eigh(mat)
-    scale = max(eigval[-1], 1.0)
-    if eigval[0] < -PSD_EPS * scale:
-        raise ChannelModelError(f"matrix is not PSD: min eigenvalue {eigval[0]:.3e}")
-    return (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.conj().T
-
-
 @dataclass
 class UserLinkProfile:
-    """Second-order statistics of one (BS, cell, user) link."""
+    """Second-order statistics of one (BS, cell, user) link.
+
+    `theta_eig` is `np.linalg.eigh(theta)`; when omitted it is computed here.
+    Links that share one correlation matrix can share one decomposition.
+    The covariance R is a positive multiple of theta, so its eigenvectors
+    are theta's and its eigenvalues (`r_eigvals`) are theta's scaled, clamped
+    at zero because quadrature-built correlation matrices are often
+    numerically semi-definite.  The PSD check, R^{1/2}, the training
+    eigenvalues and the single-cell estimator all read this one
+    decomposition.
+    """
 
     beta: float
     kappa: float
     theta: np.ndarray
     los_dir: np.ndarray
     is_local: bool = True
+    theta_eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     r_cov: np.ndarray = field(init=False)
     h_bar: np.ndarray = field(init=False)
-    _sqrt_r: np.ndarray | None = field(default=None, init=False, repr=False)
+    r_eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -118,27 +116,36 @@ class UserLinkProfile:
         n = self.theta.shape[0]
         if self.theta.shape != (n, n) or self.los_dir.shape != (n,):
             raise ChannelModelError("theta must be N x N and los_dir length N")
-        ev = np.linalg.eigvalsh(self.theta)
+        if self.theta_eig is None:
+            self.theta_eig = np.linalg.eigh(self.theta)
+        ev = self.theta_eig[0]
         if ev[0] < -PSD_EPS * max(ev[-1], 1.0):
             raise ChannelModelError(f"theta is not PSD: min eigenvalue {ev[0]:.3e}")
         if self.is_local:
             # kappa splits power between scattered and specular parts
-            self.r_cov = (self.beta / (1.0 + self.kappa)) * self.theta
+            scale = self.beta / (1.0 + self.kappa)
             self.h_bar = math.sqrt(self.beta * self.kappa / (1.0 + self.kappa)) * self.los_dir
         else:
             # inter-cell links are pure scattered fading
-            self.r_cov = self.beta * self.theta
+            scale = self.beta
             self.h_bar = np.zeros(n, dtype=complex)
+        self.r_cov = scale * self.theta
+        self.r_eigvals = scale * np.clip(ev, 0.0, None)
 
     @property
     def n_antennas(self) -> int:
         return self.theta.shape[0]
 
     @property
+    def eigvecs(self) -> np.ndarray:
+        """Unitary U with R = U diag(r_eigvals) U^H (up to the clamp)."""
+        return self.theta_eig[1]
+
+    @property
     def sqrt_r(self) -> np.ndarray:
-        if self._sqrt_r is None:
-            self._sqrt_r = _clamped_sqrt(self.r_cov)
-        return self._sqrt_r
+        """Hermitian R^{1/2}, rebuilt from the eigenpair on each access."""
+        u = self.eigvecs
+        return (u * np.sqrt(self.r_eigvals)) @ u.conj().T
 
 
 def build_profile(
@@ -147,8 +154,11 @@ def build_profile(
     theta: np.ndarray,
     los_dir: np.ndarray,
     is_local: bool = True,
+    theta_eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> UserLinkProfile:
-    return UserLinkProfile(beta=beta, kappa=kappa, theta=theta, los_dir=los_dir, is_local=is_local)
+    return UserLinkProfile(
+        beta=beta, kappa=kappa, theta=theta, los_dir=los_dir, is_local=is_local, theta_eig=theta_eig
+    )
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

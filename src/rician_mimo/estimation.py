@@ -1,10 +1,12 @@
 """LMMSE channel estimation from pilot observations.
 
-Single-cell estimation inverts Phi = (R + I/(tau*rho_tr))^{-1}; the
-multi-cell variant sums the covariances of every same-pilot link, which is
-what creates pilot contamination.  All matrices that the Monte Carlo loop
-needs per draw (gains, error covariances) are precomputed here, so the
-per-trial work is matrix-vector only (`lmmse_estimate`).
+Single-cell estimation inverts Phi = (R + I/(tau*rho_tr))^{-1}, which shares
+R's eigenvectors, so every estimator matrix is U diag(f(lam)) U^H of the
+link's cached eigenpair; the multi-cell variant sums the covariances of every
+same-pilot link, which is what creates pilot contamination.  All matrices
+that the Monte Carlo loop needs per draw (gains, error covariances) are
+precomputed here, so the per-trial work is matrix-vector only
+(`lmmse_estimate`).
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ class EstimatorState:
     local_index: int
     h_bar: np.ndarray
     tau_rho: float
-    phi: np.ndarray
-    gain: np.ndarray  # R_local @ phi
+    gain: np.ndarray  # R_local @ Phi
     r_tilde: np.ndarray
     err_cov: np.ndarray
     cross_gains: dict[int, np.ndarray] = field(default_factory=dict)
@@ -38,7 +39,13 @@ class EstimatorState:
 
     @property
     def n_antennas(self) -> int:
-        return self.phi.shape[0]
+        return self.gain.shape[0]
+
+
+def _from_spectrum(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Hermitian U diag(values) U^H for real values."""
+    mat = (u * values) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
 
 
 def build_estimator_multicell(
@@ -50,7 +57,10 @@ def build_estimator_multicell(
     """LMMSE estimator of the local link when all cells reuse the pilot.
 
     `profiles[l]` is the link from the same-pilot user of cell l to this BS;
-    `profiles[local_index]` is the served user.
+    `profiles[local_index]` is the served user.  With a single link no N x N
+    system is solved: with s = 1/(tau*rho_tr) the gain and R_tilde have
+    eigenvalues lam/(lam+s) and lam^2/(lam+s), and the error covariance
+    R - R_tilde equals s * gain.
     """
     tau_rho = tau * rho_tr
     if tau_rho <= 0:
@@ -58,10 +68,22 @@ def build_estimator_multicell(
     n = profiles[0].n_antennas
     if any(p.n_antennas != n for p in profiles):
         raise ValueError("all same-pilot profiles must share the antenna dimension")
+    local = profiles[local_index]
+    if len(profiles) == 1:
+        lam, u = local.r_eigvals, local.eigvecs
+        shrink = lam / (lam + 1.0 / tau_rho)
+        gain = _from_spectrum(u, shrink)
+        return EstimatorState(
+            local_index=local_index,
+            h_bar=local.h_bar,
+            tau_rho=tau_rho,
+            gain=gain,
+            r_tilde=_from_spectrum(u, lam * shrink),
+            err_cov=gain / tau_rho,
+        )
     obs_cov = sum(p.r_cov for p in profiles) + (1.0 / tau_rho) * np.eye(n)
     phi = np.linalg.inv(obs_cov)
     phi = 0.5 * (phi + phi.conj().T)
-    local = profiles[local_index]
     gain = local.r_cov @ phi
     r_tilde = gain @ local.r_cov
     r_tilde = 0.5 * (r_tilde + r_tilde.conj().T)
@@ -69,7 +91,6 @@ def build_estimator_multicell(
         local_index=local_index,
         h_bar=local.h_bar,
         tau_rho=tau_rho,
-        phi=phi,
         gain=gain,
         r_tilde=r_tilde,
         err_cov=local.r_cov - r_tilde,

@@ -170,12 +170,16 @@ def _one_ring_for_angle(theta_k: float, n: int) -> np.ndarray:
     return one_ring_correlation(lo, hi, n)
 
 
-def _correlation(spec: ScenarioSpec, theta_k: float) -> np.ndarray:
+def _shared_correlation(spec: ScenarioSpec):
+    """(theta, eigh(theta)) of the families whose theta is the same for every
+    link, so one decomposition serves the whole scenario; None for one-ring."""
     if spec.correlation == "one_ring":
-        return _one_ring_for_angle(theta_k, spec.n)
+        return None
     if spec.correlation == "exponential":
-        return exponential_correlation(spec.corr_rho, spec.n)
-    return np.eye(spec.n, dtype=complex)
+        theta = exponential_correlation(spec.corr_rho, spec.n)
+    else:
+        theta = np.eye(spec.n, dtype=complex)
+    return theta, np.linalg.eigh(theta)
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
@@ -191,6 +195,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
     kappa_u = rng.uniform(0.0, 1.0, size=(spec.l, spec.k))
     kappas = kappa_u * spec.kappa_max
     edge_loss = pathloss(spec.radius_m, spec.alpha)
+    shared = _shared_correlation(spec)
     profiles: list[list[list[UserLinkProfile]]] = []
     for j in range(spec.l):
         per_bs = []
@@ -200,13 +205,18 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
                 dist = geometry.distance(j, ell, k)
                 beta = pathloss(dist, spec.alpha) / edge_loss
                 theta_k = geometry.arrival_angle(j, ell, k)
-                corr = _correlation(spec, theta_k)
+                if shared is None:
+                    corr, corr_eig = _one_ring_for_angle(theta_k, spec.n), None
+                else:
+                    corr, corr_eig = shared
                 if spec.los == "dft":
                     los = dft_steering(k, spec.n)
                 else:
                     los = los_steering(theta_k, spec.n)
                 per_cell.append(
-                    build_profile(beta, kappas[ell, k], corr, los, is_local=(j == ell))
+                    build_profile(
+                        beta, kappas[ell, k], corr, los, is_local=(j == ell), theta_eig=corr_eig
+                    )
                 )
             per_bs.append(per_cell)
         profiles.append(per_bs)

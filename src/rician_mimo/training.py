@@ -47,10 +47,9 @@ class TrainingCurve:
         self.rho_tr = config.snr_training
         h_bar = np.column_stack([p.h_bar for p in profiles])
         self.gram = h_bar.conj().T @ h_bar / self.n
-        # eigenvalues of each user's covariance; every tau-dependent trace is
-        # a scalar function of these
-        self.eigs = np.stack([np.linalg.eigvalsh(p.r_cov) for p in profiles])
-        self.eigs = np.clip(self.eigs, 0.0, None)
+        # eigenvalues of each user's covariance, cached on the profile; every
+        # tau-dependent trace is a scalar function of these
+        self.eigs = np.stack([p.r_eigvals for p in profiles])
 
     def _q_matrix(self, tau: float) -> np.ndarray:
         s = 1.0 / (tau * self.rho_tr)

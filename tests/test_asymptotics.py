@@ -24,6 +24,7 @@ from rician_mimo.channel import (
     one_ring_correlation,
 )
 from rician_mimo.config import SystemConfig
+from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.estimation import build_estimator_multicell, build_estimator_singlecell
 from rician_mimo.spectral_efficiency import se_stat_singlecell
 
@@ -154,6 +155,154 @@ def test_refined_state_carries_moment_fields():
     assert np.all(np.diag(refined.var_mat) >= 0)
     assert np.array_equal(plain.var_mat, np.zeros((k, k)))
     assert np.array_equal(plain.q_mean, plain.q_matrix)
+
+
+# ---------------------------------------------------------------------------
+# trace-only refined moments against the per-pair trace formulas
+
+
+def _tr(a, b):
+    return np.trace(a @ b)
+
+
+def _oracle_moments(h_bar, r_tildes, z, zxz, q, gram2, t_bar, n, rho_d):
+    """Refined fluctuation moments by the per-pair formulas: one
+    einsum("ab,ba->") or np.trace(a @ b) per trace, N x N products throughout."""
+    k = len(r_tildes)
+    zr = [z @ rt for rt in r_tildes]
+    t_t = np.array([[np.real(np.einsum("ab,ba->", zr[i], zr[j])) for j in range(k)] for i in range(k)])
+    w_mats = [h_bar.conj().T @ (zr_j @ z) @ h_bar for zr_j in zr]
+    q_diag = np.real(np.diag(q))
+    p_mat = np.abs(q) ** 2
+    w_sum = sum(q_diag[a] * w_mats[a] for a in range(k))
+    m_mat = w_sum + np.diag(t_t @ q_diag + np.array([np.real(_tr(wm, q)) for wm in w_mats]))
+    qm = q + q @ m_mat @ q / n**2
+    qm = 0.5 * (qm + qm.conj().T)
+    pm_mat = np.abs(qm) ** 2
+    w_left = np.column_stack([np.real(np.diag(qm.conj().T @ wm @ qm)) for wm in w_mats])
+    w_right = np.column_stack([np.real(np.diag(q.conj().T @ wm @ q)) for wm in w_mats])
+    var_mat = (pm_mat @ t_t @ p_mat + w_left @ p_mat + (w_right @ pm_mat).T) / n**2
+    var_mat = 0.5 * (var_mat + var_mat.T)
+
+    def quad_shift(b_weight, g_bar):
+        u_vec = np.real(np.diag(q @ g_bar @ q))
+        s_vec = np.array([np.real(_tr(g_bar @ q @ wm, q)) for wm in w_mats])
+        b_vec = (pm_mat @ (t_t @ u_vec) + w_left @ u_vec + pm_mat @ s_vec) / n**2
+        bzr = [b_weight @ rt for rt in r_tildes]
+        t1b = np.array([[np.real(np.einsum("ab,ba->", zr[a], bzr[i])) for i in range(k)] for a in range(k)])
+        w1b = [h_bar.conj().T @ (zr_a @ b_weight) @ h_bar for zr_a in zr]
+        m1b = sum(q_diag[a] * w1b[a] for a in range(k)) + np.diag(
+            t1b.T @ q_diag + np.array([np.conj(_tr(wm, q)) for wm in w1b])
+        )
+        return b_vec - 2.0 * np.real(np.diag(qm.conj().T @ m1b @ qm)) / n**2
+
+    noise_corr = quad_shift(z @ z, gram2)
+    err_corr = quad_shift(zxz, t_bar / n)
+    if rho_d is None:
+        return qm, var_mat, noise_corr, err_corr, np.zeros((0, 0))
+    s0 = h_bar.conj().T @ z @ h_bar
+    y_mat = q @ s0
+    mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
+    zv = z @ ((h_bar - h_bar @ (y_mat / n)) / n)
+    zhq = z @ h_bar @ q
+    vrv = np.stack([np.real(np.diag(zv.conj().T @ rt @ zv)) for rt in r_tildes])
+    vrhq = np.stack([np.diag(zv.conj().T @ rt @ zhq) for rt in r_tildes])
+    qwq = np.stack([np.real(np.diag(q @ wm @ q)) for wm in w_mats])
+    ab = np.abs(y_mat) ** 2
+    qyc = q * y_mat.conj()
+    var_psi = p_mat @ vrv + (qwq.T @ ab + p_mat @ (t_t @ ab)) / n**4
+    cov_qpsi = -(p_mat @ vrhq) / n**2 + (qwq.T @ qyc + p_mat @ (t_t @ qyc)) / n**3
+    mean_t = np.eye(k) - qm / rho_d - mu_psi
+    contam = np.abs(mean_t) ** 2 + var_mat / rho_d**2 + var_psi + (2.0 / rho_d) * np.real(cov_qpsi)
+    return qm, var_mat, noise_corr, err_corr, contam
+
+
+def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
+    """Every refined field of build_q_{single,multi}cell by the per-pair formulas."""
+    local = profiles_at_bs[bs]
+    n, k = local[0].n_antennas, len(local)
+    others = [ell for ell in range(len(profiles_at_bs)) if ell != bs]
+    err_sum = sum(e.err_cov for e in estimators)
+    a_mat = err_sum + sum(profiles_at_bs[ell][i].r_cov for ell in others for i in range(k))
+    quad = err_sum + sum(estimators[i].cond_covs[ell] for ell in others for i in range(k))
+    h_bar = np.column_stack([p.h_bar for p in local])
+    r_tildes = [e.r_tilde for e in estimators]
+    z = np.linalg.inv(np.eye(n) + (rho_d / n) * a_mat)
+    z = 0.5 * (z + z.conj().T)
+
+    def gram(weight):
+        g = h_bar.conj().T @ weight @ h_bar + np.diag([np.real(_tr(rt, weight)) for rt in r_tildes])
+        return 0.5 * (g + g.conj().T) / n
+
+    q = np.linalg.inv(gram(z) + np.eye(k) / rho_d)
+    q = 0.5 * (q + q.conj().T)
+    zxz = z @ quad @ z
+    t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag([np.real(_tr(rt, zxz)) for rt in r_tildes])
+    cross = np.array(
+        [
+            [np.real(np.trace(z @ profiles_at_bs[ell][i].r_cov @ estimators[i].gain.conj().T)) / n for i in range(k)]
+            for ell in others
+        ]
+    ).reshape(len(others), k)
+    moments = _oracle_moments(
+        h_bar, r_tildes, z, zxz, q, gram(z @ z), t_mat, n, rho_d if others else None
+    )
+    extra = np.zeros((len(others), k, k))
+    alphas = np.zeros((len(others), k))
+    for m, ell in enumerate(others):
+        for i in range(k):
+            alpha = n * cross[m, i] / np.real(_tr(z, r_tildes[i]))
+            alphas[m, i] = alpha
+            c_mat = estimators[i].cross_gains[ell]
+            cr = c_mat @ local[i].r_cov
+            sigma_m = c_mat @ profiles_at_bs[ell][i].r_cov
+            resid = sigma_m - alpha * (cr + cr.conj().T) + alpha**2 * r_tildes[i]
+            x_c = cr - alpha * r_tildes[i]
+            scale = np.abs(sigma_m).max() + np.abs(alpha**2 * r_tildes[i]).max()
+            if max(np.abs(resid).max(), np.abs(x_c).max()) <= 1e-10 * scale:
+                continue  # matched correlation family: no remainder
+            w_res = z @ resid @ z
+            w_xc = z @ x_c.conj().T @ z
+            g_res = h_bar.conj().T @ w_res @ h_bar + np.diag([np.real(_tr(rt, w_res)) for rt in r_tildes])
+            g_xc = h_bar.conj().T @ w_xc @ h_bar + np.diag([_tr(rt, w_xc) for rt in r_tildes])
+            quad_res = np.real(np.diag(q @ g_res @ q.conj().T))
+            quad_xc = np.real(np.diag(q @ g_xc @ q.conj().T))
+            extra[m, :, i] = (quad_res + 2.0 * alpha * quad_xc) / n**2
+    fields = dict(zip(("q_mean", "var_mat", "noise_corr", "err_corr", "contam_second"), moments))
+    fields["cross_traces"] = cross
+    if others:
+        fields.update(contam_alpha=alphas, contam_extra=extra)
+    return fields
+
+
+@pytest.mark.parametrize("correlation", ["one_ring", "exponential"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
+    cells = 1 if layout == "single_cell" else 3
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=12, k=3, t=50, correlation=correlation,
+        placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
+    )
+    scenario = build_scenario(spec)
+    rho = 10.0
+    for bs in range(cells):
+        ests = [
+            build_estimator_multicell([scenario.profiles[bs][ell][i] for ell in range(cells)], bs, 3, rho)
+            for i in range(3)
+        ]
+        if cells == 1:
+            state = build_q_singlecell(scenario.local_profiles(0), ests, rho, refined=True)
+        else:
+            state = build_q_multicell(scenario.profiles[bs], ests, bs, rho, refined=True)
+        oracle = _oracle_state(scenario.profiles[bs], ests, bs, rho)
+        if cells > 1 and correlation == "one_ring":
+            # mismatched cross covariances: the quadratic remainder is live
+            assert np.abs(oracle["contam_extra"]).max() > 0
+        for name, expected in oracle.items():
+            got = getattr(state, name)
+            assert got.shape == expected.shape, name
+            scale = max(np.linalg.norm(expected), 1e-300)
+            assert np.linalg.norm(got - expected) <= 1e-10 * scale, name
 
 
 # ---------------------------------------------------------------------------

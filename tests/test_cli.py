@@ -273,3 +273,32 @@ def test_no_scipy_linalg_in_compute_path(scenario_file, tmp_path, capsys, monkey
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert parse_csv(out)
+
+
+def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, capsys, monkeypatch):
+    # the PSD check, R^{1/2}, the tau* eigenvalues and the single-cell
+    # estimator all read the eigenpair each profile takes of its theta
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    optimal = tmp_path / "optimal.cfg"
+    optimal.write_text(SCENARIO_TEXT + "tau_mode = optimal\n")
+    code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(optimal))
+    assert code == 0 and parse_csv(out)
+    # exponential: one theta shared by every link of the scenario
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+    calls.update(eigh=0, eigvalsh=0)
+    one_ring = tmp_path / "one_ring.cfg"
+    one_ring.write_text(SCENARIO_TEXT.replace("exponential", "one_ring"))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(one_ring), "--trials", "2")
+    assert code == 0 and parse_csv(out)
+    # one per link (k = 3), plus one regularizer per (tau*rho_tr key, BS):
+    # two SNR points give two keys
+    assert calls == {"eigh": 3 + 2, "eigvalsh": 0}

@@ -84,6 +84,40 @@ def test_rejects_mismatched_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# spectral single-cell estimator against the N x N inverse
+
+
+@pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "theta",
+    [
+        one_ring_correlation(-math.pi, -math.pi + 0.3, 24),  # 18 of 24 eigenvalues < 1e-12 of the top
+        exponential_correlation(0.7, 24),
+        np.eye(24, dtype=complex),
+    ],
+    ids=["one_ring", "exponential", "identity"],
+)
+def test_spectral_singlecell_matches_inverse(theta, tau_rho):
+    p = build_profile(1.3, 0.8, theta, los_steering(0.3, 24))
+    state = build_estimator_singlecell(p, 1, tau_rho)
+    r = p.r_cov
+    s = 1.0 / tau_rho
+    gain = r @ np.linalg.inv(r + s * np.eye(24))
+    # R - R Phi R = s R Phi: the error covariance without cancellation
+    expected = {"gain": gain, "r_tilde": gain @ r, "err_cov": s * gain}
+    # relative condition number of R -> R (R + sI)^{-1}; on a numerically
+    # rank-deficient R with tiny s the inverse-based reference itself is
+    # only good to about eps * cond
+    lam = np.linalg.eigvalsh(r)
+    cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
+    for name, ref in expected.items():
+        got = getattr(state, name)
+        assert np.linalg.norm(got - ref) <= 1e-12 * cond * np.linalg.norm(ref), name
+    ev_err = np.linalg.eigvalsh(state.err_cov)
+    assert ev_err[0] >= -1e-14 * ev_err[-1]
+
+
+# ---------------------------------------------------------------------------
 # statistical identities, checked empirically at 1e5 draws
 # (tolerance 4/sqrt(draws) * ||R||_F on Frobenius norms of covariance errors)
 
