@@ -40,7 +40,6 @@ from .config import ConfigError, SystemConfig
 from .estimation import (
     EstimatorState,
     build_estimator_multicell,
-    build_estimator_singlecell,
     lmmse_estimate,
 )
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import UserLinkProfile
 from .combining import statistical_combiner
 from .config import SystemConfig
-from .estimation import EstimatorState
+from .estimation import EstimatorState, regularizer_sums
 
 
 @dataclass
@@ -266,26 +266,26 @@ def _build_state(
     if refined:
         z = np.linalg.inv(np.eye(n) + (rho_d / n) * a_matrix)
         z = 0.5 * (z + z.conj().T)
+        z2 = z @ z
+        zxz = z @ quad_matrix @ z
     else:
-        z = np.eye(n)
-    z2 = z @ z
+        # Z = I: every product with it is skipped
+        z = z2 = np.eye(n)
+        zxz = quad_matrix
     gram1 = _gram(h_bar, r_tildes, z)
     gram2 = _gram(h_bar, r_tildes, z2)
     q = np.linalg.inv(gram1 + np.eye(k) / rho_d)
     q = 0.5 * (q + q.conj().T)
-    zxz = z @ quad_matrix @ z
     t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag(np.real(_traces(r_tildes, zxz)))
     cross = np.zeros((0, k))
     if cross_covs:
         # cross[m, i] = (1/N) tr(Z R_cross Phi_i R_local) with gain_i =
         # R_local Phi_i, read as <gain_i, Z R_cross>
         gains = np.stack([e.gain for e in estimators])
-        cross = np.stack(
-            [
-                np.real(np.sum(gains.conj() * (z @ np.stack(per_cell)), axis=(1, 2))) / n
-                for per_cell in cross_covs
-            ]
-        )
+        covs = [np.stack(per_cell) for per_cell in cross_covs]
+        if refined:
+            covs = [z @ c for c in covs]
+        cross = np.stack([np.real(np.sum(gains.conj() * c, axis=(1, 2))) / n for c in covs])
     contam_second = np.zeros((0, 0))
     contam_alpha = np.zeros((0, 0))
     contam_extra = np.zeros((0, 0, 0))
@@ -331,7 +331,7 @@ def build_q_singlecell(
     The regularizer is the sum of estimation-error covariances, and the
     quadratic term covers exactly those errors.
     """
-    a_matrix = sum(e.err_cov for e in estimators)
+    a_matrix, _ = regularizer_sums(estimators)
     return _build_state(profiles, estimators, rho_d, a_matrix, refined)
 
 
@@ -353,19 +353,14 @@ def build_q_multicell(
     local = profiles_at_bs[local_index]
     k = len(local)
     others = [ell for ell in range(len(profiles_at_bs)) if ell != local_index]
-    a_matrix = sum(e.err_cov for e in estimators)
-    for ell in others:
-        for i in range(k):
-            a_matrix = a_matrix + profiles_at_bs[ell][i].r_cov
     cross_covs = [[profiles_at_bs[ell][i].r_cov for i in range(k)] for ell in others]
-    cross_gains = [[estimators[i].cross_gains[ell] for i in range(k)] for ell in others]
+    cross_gains = None  # only the refined contamination split reads them
+    if refined:
+        cross_gains = [[estimators[i].cross_gains[ell] for i in range(k)] for ell in others]
     # the quadratic keeps only the conditional covariances of the
     # contaminating links; their conditional-mean power is carried by the
     # dedicated contamination model, matching the Monte Carlo split
-    quad_matrix = sum(e.err_cov for e in estimators)
-    for ell in others:
-        for i in range(k):
-            quad_matrix = quad_matrix + estimators[i].cond_covs[ell]
+    a_matrix, quad_matrix = regularizer_sums(estimators)
     return _build_state(
         local, estimators, rho_d, a_matrix, refined,
         cross_covs, cross_gains, quad_matrix,

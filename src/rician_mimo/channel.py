@@ -37,6 +37,11 @@ def one_ring_correlation(
     *(v-u)*cos(theta)) dtheta over [theta_min, theta_max].  Evaluated with a
     fixed 2048-point Gauss-Legendre rule, which resolves the oscillatory
     integrand to well below 1e-10 for the antenna counts used here.
+
+    The lag d = b*m + r (b ~ sqrt(n)) factors each node's exponential into
+    exp(j*x*b)^m * exp(j*x)^r, so the (n, Q) table is two rows of
+    exponentials, O(sqrt(n)) rows of their integer powers and one
+    (n/b, Q) @ (Q, b) product.
     """
     if n < 1:
         raise ChannelModelError(f"n must be >= 1, got {n}")
@@ -44,11 +49,13 @@ def one_ring_correlation(
         raise ChannelModelError("degenerate angular window: theta_max must exceed theta_min")
     half = 0.5 * (theta_max - theta_min)
     mid = 0.5 * (theta_max + theta_min)
-    cos_t = np.cos(mid + half * _GL_NODES)
+    phase = 2.0 * np.pi * spacing_ratio * np.cos(mid + half * _GL_NODES)
     w = _GL_WEIGHTS * (half / (theta_max - theta_min))
-    d = np.arange(n)
-    # first_row[d] = sum_q w_q exp(j*2*pi*spacing_ratio*d*cos(theta_q))
-    first_row = np.exp(1j * 2.0 * np.pi * spacing_ratio * np.outer(d, cos_t)) @ w
+    b = math.isqrt(n - 1) + 1
+    coarse = np.power(np.exp(1j * b * phase), np.arange(-(-n // b))[:, None])
+    fine = np.power(np.exp(1j * phase), np.arange(b)[:, None]) * w
+    # first_row[b*m + r] = sum_q w_q exp(j*phase_q*(b*m + r))
+    first_row = (coarse @ fine.T).ravel()[:n]
     theta = toeplitz(np.conj(first_row), first_row)
     # force exact Hermitian symmetry against quadrature round-off
     theta = 0.5 * (theta + theta.conj().T)
@@ -107,6 +114,8 @@ class UserLinkProfile:
     r_cov: np.ndarray = field(init=False)
     h_bar: np.ndarray = field(init=False)
     r_eigvals: np.ndarray = field(init=False, repr=False)
+    # memo of `estimation.same_pilot_spectrum` for the groups led by this link
+    pilot_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta <= 0:

@@ -1,51 +1,132 @@
 """LMMSE channel estimation from pilot observations.
 
-Single-cell estimation inverts Phi = (R + I/(tau*rho_tr))^{-1}, which shares
-R's eigenvectors, so every estimator matrix is U diag(f(lam)) U^H of the
-link's cached eigenpair; the multi-cell variant sums the covariances of every
-same-pilot link, which is what creates pilot contamination.  All matrices
-that the Monte Carlo loop needs per draw (gains, error covariances) are
-precomputed here, so the per-trial work is matrix-vector only
-(`lmmse_estimate`).
+At one BS the pilot of user k is reused by user k of every cell, so the
+despread observation has covariance S + sI with the same-pilot sum
+S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
+through S.  One `eigh` of S (`same_pilot_spectrum`, kept on the group's
+links, so once per scenario) gives Phi = (S + sI)^{-1} = U diag(f) U^H with
+f = 1/(mu + s) for every training key, and with P_l = R_l U every estimator
+matrix is a product P_l diag(f) (.)^H: no N x N inverse is taken.  A single
+link reuses its profile's eigenpair (S = R, P = U diag(lam)), so the single-
+and multi-cell estimators are one path.  The dense matrices are formed only
+when a caller reads them; the Monte Carlo loop works on U, P and f directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import UserLinkProfile
 
 
+@dataclass(frozen=True)
+class PilotSpectrum:
+    """Eigendecomposition S = U diag(mu) U^H of one same-pilot sum.
+
+    `proj[l]` is R_l U for the l-th entry of `links`.  The eigenvalues are
+    clamped at zero, like each link's own.
+    """
+
+    links: tuple[UserLinkProfile, ...]
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    proj: np.ndarray  # (L, N, N)
+
+
+def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
+    """Spectrum of the same-pilot links `profiles`, computed on first use.
+
+    It is memoized on the first link under the ids of the group; the memo
+    holds the links themselves, so those ids cannot be reused while it lives.
+    """
+    key = tuple(map(id, profiles))
+    memo = profiles[0].pilot_spectra
+    if key not in memo:
+        if len(profiles) == 1:
+            mu, u = profiles[0].r_eigvals, profiles[0].eigvecs
+            proj = (u * mu)[None]
+        else:
+            mu, u = np.linalg.eigh(sum(p.r_cov for p in profiles))
+            mu = np.clip(mu, 0.0, None)
+            proj = np.stack([p.r_cov @ u for p in profiles])
+        memo[key] = PilotSpectrum(tuple(profiles), mu, u, proj)
+    return memo[key]
+
+
+def _hermitian(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
+
+
 @dataclass
 class EstimatorState:
-    """Precomputed matrices for one (BS, pilot) pair.
+    """LMMSE estimator of one (BS, pilot) pair at one training key.
 
-    For the single-cell case `cross_gains`/`cond_covs` are empty.  In the
-    multi-cell case they hold, for every same-pilot interfering cell l, the
-    matrices R_{jlk} Phi_{jk} and R_{jlk} - R_{jlk} Phi_{jk} R_{jlk} used for
-    the conditional interference statistics given the pilot observation.
+    `shrink` is f = 1/(mu + 1/(tau*rho_tr)) on the group's spectrum.  The
+    dense matrices are derived on first access: the local gain R_local Phi,
+    the estimate covariance R_tilde, the error covariance, and for every
+    same-pilot interfering cell l the cross gain R_l Phi and the conditional
+    covariance R_l - R_l Phi R_l used for the conditional interference
+    statistics given the pilot observation (both empty for a single link).
     """
 
     local_index: int
-    h_bar: np.ndarray
+    spectrum: PilotSpectrum
     tau_rho: float
-    gain: np.ndarray  # R_local @ Phi
-    r_tilde: np.ndarray
-    err_cov: np.ndarray
-    cross_gains: dict[int, np.ndarray] = field(default_factory=dict)
-    cond_covs: dict[int, np.ndarray] = field(default_factory=dict)
+    shrink: np.ndarray
+
+    @property
+    def h_bar(self) -> np.ndarray:
+        return self.spectrum.links[self.local_index].h_bar
 
     @property
     def n_antennas(self) -> int:
-        return self.gain.shape[0]
+        return len(self.shrink)
 
+    @property
+    def others(self) -> list[int]:
+        """Positions of the same-pilot interfering links."""
+        return [ell for ell in range(len(self.spectrum.links)) if ell != self.local_index]
 
-def _from_spectrum(u: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Hermitian U diag(values) U^H for real values."""
-    mat = (u * values) @ u.conj().T
-    return 0.5 * (mat + mat.conj().T)
+    def weighted(self, ell: int) -> np.ndarray:
+        """P_l diag(f)."""
+        return self.spectrum.proj[ell] * self.shrink
+
+    def complement(self, ell: int) -> np.ndarray:
+        """W_l = (S - R_l + sI) U, summed over the other links so that
+        R_l - R_l Phi R_l = P_l diag(f) W_l^H involves no cancellation."""
+        sp = self.spectrum
+        rest = (sp.proj[m] for m in range(len(sp.links)) if m != ell)
+        return sum(rest, sp.eigvecs / self.tau_rho)
+
+    def _times_phi(self, ell: int) -> np.ndarray:
+        return self.weighted(ell) @ self.spectrum.eigvecs.conj().T
+
+    def _conditional_cov(self, ell: int) -> np.ndarray:
+        return _hermitian(self.weighted(ell) @ self.complement(ell).conj().T)
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        return self._times_phi(self.local_index)
+
+    @cached_property
+    def r_tilde(self) -> np.ndarray:
+        p = self.spectrum.proj[self.local_index]
+        return _hermitian(self.weighted(self.local_index) @ p.conj().T)
+
+    @cached_property
+    def err_cov(self) -> np.ndarray:
+        return self._conditional_cov(self.local_index)
+
+    @cached_property
+    def cross_gains(self) -> dict[int, np.ndarray]:
+        return {ell: self._times_phi(ell) for ell in self.others}
+
+    @cached_property
+    def cond_covs(self) -> dict[int, np.ndarray]:
+        return {ell: self._conditional_cov(ell) for ell in self.others}
 
 
 def build_estimator_multicell(
@@ -57,10 +138,8 @@ def build_estimator_multicell(
     """LMMSE estimator of the local link when all cells reuse the pilot.
 
     `profiles[l]` is the link from the same-pilot user of cell l to this BS;
-    `profiles[local_index]` is the served user.  With a single link no N x N
-    system is solved: with s = 1/(tau*rho_tr) the gain and R_tilde have
-    eigenvalues lam/(lam+s) and lam^2/(lam+s), and the error covariance
-    R - R_tilde equals s * gain.
+    `profiles[local_index]` is the served user.  A single link is the
+    single-cell estimator.
     """
     tau_rho = tau * rho_tr
     if tau_rho <= 0:
@@ -68,45 +147,36 @@ def build_estimator_multicell(
     n = profiles[0].n_antennas
     if any(p.n_antennas != n for p in profiles):
         raise ValueError("all same-pilot profiles must share the antenna dimension")
-    local = profiles[local_index]
-    if len(profiles) == 1:
-        lam, u = local.r_eigvals, local.eigvecs
-        shrink = lam / (lam + 1.0 / tau_rho)
-        gain = _from_spectrum(u, shrink)
-        return EstimatorState(
-            local_index=local_index,
-            h_bar=local.h_bar,
-            tau_rho=tau_rho,
-            gain=gain,
-            r_tilde=_from_spectrum(u, lam * shrink),
-            err_cov=gain / tau_rho,
-        )
-    obs_cov = sum(p.r_cov for p in profiles) + (1.0 / tau_rho) * np.eye(n)
-    phi = np.linalg.inv(obs_cov)
-    phi = 0.5 * (phi + phi.conj().T)
-    gain = local.r_cov @ phi
-    r_tilde = gain @ local.r_cov
-    r_tilde = 0.5 * (r_tilde + r_tilde.conj().T)
-    state = EstimatorState(
+    spectrum = same_pilot_spectrum(profiles)
+    return EstimatorState(
         local_index=local_index,
-        h_bar=local.h_bar,
+        spectrum=spectrum,
         tau_rho=tau_rho,
-        gain=gain,
-        r_tilde=r_tilde,
-        err_cov=local.r_cov - r_tilde,
+        shrink=1.0 / (spectrum.eigvals + 1.0 / tau_rho),
     )
-    for ell, p in enumerate(profiles):
-        if ell == local_index:
-            continue
-        cg = p.r_cov @ phi
-        state.cross_gains[ell] = cg
-        cc = p.r_cov - cg @ p.r_cov
-        state.cond_covs[ell] = 0.5 * (cc + cc.conj().T)
-    return state
 
 
-def build_estimator_singlecell(profile: UserLinkProfile, tau: float, rho_tr: float) -> EstimatorState:
-    return build_estimator_multicell([profile], 0, tau, rho_tr)
+def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the K estimators of one BS at one training key.
+
+    A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
+    regularizer; B = sum_k err_k + sum_{l != j, k} cond_lk is the error and
+    conditional interference covariance of the Monte Carlo SINR and the
+    DE's quadratic term.  Each cell's sum over k of P_lk diag(f_k) W_lk^H
+    (see `EstimatorState.complement`) is one (N, K*N) @ (K*N, N) product.
+    """
+    first = states[0]
+    n = first.n_antennas
+
+    def cell_sum(ell: int) -> np.ndarray:
+        left = np.stack([s.weighted(ell) for s in states], axis=1).reshape(n, -1)
+        right = np.stack([s.complement(ell) for s in states], axis=1).reshape(n, -1)
+        return left @ right.conj().T
+
+    err = cell_sum(first.local_index)
+    a_mat = err + sum(s.spectrum.links[ell].r_cov for s in states for ell in first.others)
+    b_mat = err + sum(cell_sum(ell) for ell in first.others)
+    return _hermitian(a_mat), _hermitian(b_mat)
 
 
 def lmmse_estimate(

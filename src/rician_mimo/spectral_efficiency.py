@@ -21,7 +21,7 @@ import numpy as np
 from .channel import UserLinkProfile, standard_complex_normal
 from .combining import conventional_combiner, statistical_combiner
 from .config import SystemConfig
-from .estimation import build_estimator_multicell, lmmse_estimate
+from .estimation import build_estimator_multicell, regularizer_sums, same_pilot_spectrum
 
 Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
 
@@ -56,7 +56,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 class _ScenarioArrays:
-    """Stacked per-link statistics for fast per-trial sampling."""
+    """Key-independent stacks for the per-trial sampling and estimation.
+
+    Per BS j: R^{1/2} and LoS means of every link, and from the same-pilot
+    spectrum of each user k the rotation U_jk^H and the projections
+    P_jlk = R_jlk U_jk, stacked (K, N, N) per cell.
+    """
 
     def __init__(self, profiles: Profiles):
         self.L = len(profiles)
@@ -68,17 +73,23 @@ class _ScenarioArrays:
         self.h_bar = [
             [np.stack([p.h_bar for p in cell]) for cell in bs] for bs in profiles
         ]
+        self.rot = []
+        self.proj = []
+        for bs in profiles:
+            spectra = [same_pilot_spectrum([cell[k] for cell in bs]) for k in range(self.K)]
+            self.rot.append(np.stack([sp.eigvecs.conj().T for sp in spectra]))
+            self.proj.append(np.stack([sp.proj for sp in spectra], axis=1))
 
 
 class _EstimatorArrays:
-    """Stacked estimator matrices for one (tau, rho_tr) pair."""
+    """Per-BS shrinkage vectors f, regularizer eigenpair and B of one
+    (tau, rho_tr) key."""
 
     def __init__(self, profiles: Profiles, tau: int, rho_tr: float):
         L = len(profiles)
         K = len(profiles[0][0])
         self.tau_rho = tau * rho_tr
-        self.gain = []  # per bs: (K, N, N) local estimation gains
-        self.cross_gain = []  # per bs: dict cell -> (K, N, N)
+        self.shrink = []  # per bs: (K, N)
         self.a_eig = []  # per bs: eigh of the combiner regularizer
         self.b_mat = []  # per bs: conditional error + interference covariance
         for j in range(L):
@@ -86,22 +97,10 @@ class _EstimatorArrays:
                 build_estimator_multicell([profiles[j][ell][k] for ell in range(L)], j, tau, rho_tr)
                 for k in range(K)
             ]
-            self.gain.append(np.stack([s.gain for s in states]))
-            cross = {
-                ell: np.stack([states[k].cross_gains[ell] for k in range(K)])
-                for ell in range(L)
-                if ell != j
-            }
-            self.cross_gain.append(cross)
-            err_sum = sum(s.err_cov for s in states)
-            inter_r = sum(
-                profiles[j][ell][k].r_cov for ell in range(L) if ell != j for k in range(K)
-            )
-            cond_sum = sum(
-                states[k].cond_covs[ell] for ell in range(L) if ell != j for k in range(K)
-            )
-            self.a_eig.append(np.linalg.eigh(err_sum + (inter_r if L > 1 else 0.0)))
-            self.b_mat.append(err_sum + (cond_sum if L > 1 else 0.0))
+            a_mat, b_mat = regularizer_sums(states)
+            self.shrink.append(np.stack([s.shrink for s in states]))
+            self.a_eig.append(np.linalg.eigh(a_mat))
+            self.b_mat.append(b_mat)
 
 
 def mc_log_moments(
@@ -118,38 +117,36 @@ def mc_log_moments(
     depends only on the seed and the trial range.
     """
     arr = _ScenarioArrays(profiles)
-    keys = dict.fromkeys((pt.tau, pt.rho_tr) for pt in points)
-    est_cache = {key: _EstimatorArrays(profiles, *key) for key in keys}
+    keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
+    ests = [_EstimatorArrays(profiles, *key) for key in keys]
+    key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
     L, K, N = arr.L, arr.K, arr.N
     logs = np.zeros((len(points), L, trial_count, K))
     for idx in range(trial_count):
         rng = _trial_rng(seed, trial_start + idx)
         z = [[standard_complex_normal(rng, K, N) for _ in range(L)] for _ in range(L)]
         w = [standard_complex_normal(rng, K, N) for _ in range(L)]
-        h = [
-            [
+        # per BS, the local estimate and the interferers' conditional means
+        # P_jlk diag(f) U_jk^H (y - h_bar) for every key at once: y - h_bar
+        # is the channel part plus w / sqrt(tau*rho_tr), so one rotation of
+        # each part serves every key
+        fits = []
+        for j in range(L):
+            channel = sum(
                 np.matmul(arr.sqrt_r[j][ell], z[j][ell][..., None])[..., 0] + arr.h_bar[j][ell]
                 for ell in range(L)
-            ]
-            for j in range(L)
-        ]
-        # estimates and conditional interference means per (tau, rho_tr) group
-        per_key = {
-            key: [
-                lmmse_estimate(
-                    est.gain[j],
-                    est.cross_gain[j],
-                    arr.h_bar[j][j],
-                    sum(h[j][ell] for ell in range(L)) + w[j] / math.sqrt(est.tau_rho),
-                )
-                for j in range(L)
-            ]
-            for key, est in est_cache.items()
-        }
+            ) - arr.h_bar[j][j]
+            rot = np.matmul(arr.rot[j], np.stack([channel, w[j]], axis=-1))
+            x = np.stack(
+                [e.shrink[j] * (rot[..., 0] + rot[..., 1] / math.sqrt(e.tau_rho)) for e in ests],
+                axis=-1,
+            )
+            fits.append(np.matmul(arr.proj[j], x))  # (L, K, N, keys)
         for p_idx, pt in enumerate(points):
-            est = est_cache[(pt.tau, pt.rho_tr)]
-            for j, (h_hat, cond_mean) in enumerate(per_key[(pt.tau, pt.rho_tr)]):
-                hh = h_hat.T  # (N, K)
+            q = key_of[p_idx]
+            est = ests[q]
+            for j in range(L):
+                hh = (arr.h_bar[j][j] + fits[j][j, ..., q]).T  # (N, K)
                 comb = conventional_combiner(hh, est.a_eig[j], pt.rho_d)
                 g = comb.vectors
                 gh = g.conj().T
@@ -158,8 +155,9 @@ def mc_log_moments(
                 intra = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
                 err = np.real(np.sum(g.conj() * (est.b_mat[j] @ g), axis=0))
                 inter = np.zeros(K)
-                for means in cond_mean.values():
-                    inter += np.sum(np.abs(gh @ means.T) ** 2, axis=1)
+                for ell in range(L):
+                    if ell != j:
+                        inter += np.sum(np.abs(gh @ fits[j][ell, ..., q].T) ** 2, axis=1)
                 noise = (N / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
                 sinr = sig / (intra + err + inter + noise)
                 logs[p_idx, j, idx] = np.log1p(sinr)

@@ -25,7 +25,7 @@ from rician_mimo.channel import (
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
-from rician_mimo.estimation import build_estimator_multicell, build_estimator_singlecell
+from rician_mimo.estimation import build_estimator_multicell
 from rician_mimo.spectral_efficiency import se_stat_singlecell
 
 
@@ -49,7 +49,7 @@ def dft_profiles(n, k, beta=1.0, kappa=2.0):
 
 
 def estimators_for(profiles, tau, rho_tr):
-    return [build_estimator_singlecell(p, tau, rho_tr) for p in profiles]
+    return [build_estimator_multicell([p], 0, tau, rho_tr) for p in profiles]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_plain_q_scalar_closed_form():
     # K = 1, Rayleigh, R = c I: Q = 1 / (r_tilde_scalar + 1/rho)
     n, c, tau, rho = 16, 0.8, 4, 3.0
     p = build_profile(c, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n))
-    est = build_estimator_singlecell(p, tau, rho)
+    est = build_estimator_multicell([p], 0, tau, rho)
     state = build_q_singlecell([p], [est], rho, refined=False)
     r_tilde_scalar = c**2 / (c + 1.0 / (tau * rho))
     assert state.q_matrix[0, 0].real == pytest.approx(1.0 / (r_tilde_scalar + 1.0 / rho), rel=1e-12)

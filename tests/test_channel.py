@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 from scipy.special import j0
 
 from rician_mimo.channel import (
@@ -18,6 +19,7 @@ from rician_mimo.channel import (
     pathloss,
     sample_channel,
 )
+from rician_mimo.scenarios import MIN_ANGULAR_SPREAD
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,27 @@ def test_one_ring_against_quadrature_oracle():
     assert theta[0, 1].imag == pytest.approx(im, abs=1e-10)
     # real part is the order-0 Bessel value by the cosine-kernel identity
     assert theta[0, 1].real == pytest.approx(j0(math.pi), abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def legendre_2048():
+    return np.polynomial.legendre.leggauss(2048)
+
+
+@pytest.mark.parametrize("spacing", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 8, 150, 151])
+def test_one_ring_matches_direct_exponential_quadrature(legendre_2048, n, spacing):
+    # the same 2048-node rule with one exponential per (lag, node)
+    nodes, weights = legendre_2048
+    windows = [(-math.pi, MIN_ANGULAR_SPREAD), (-math.pi, 0.3), (-2.0, 1.5), (-math.pi, math.pi - 1e-3)]
+    for lo, width in windows:
+        hi = lo + width
+        cos_t = np.cos(0.5 * (hi + lo) + 0.5 * width * nodes)
+        row = np.exp(2j * np.pi * spacing * np.outer(np.arange(n), cos_t)) @ (0.5 * weights)
+        expected = toeplitz(np.conj(row), row)
+        np.fill_diagonal(expected, 1.0)
+        got = one_ring_correlation(lo, hi, n, spacing)
+        assert np.max(np.abs(got - expected)) <= 1e-13, (lo, width)
 
 
 def test_one_ring_degenerate_window_rejected():

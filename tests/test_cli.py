@@ -302,3 +302,40 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     # one per link (k = 3), plus one regularizer per (tau*rho_tr key, BS):
     # two SNR points give two keys
     assert calls == {"eigh": 3 + 2, "eigvalsh": 0}
+
+
+def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):
+    # one eigh per same-pilot sum serves every training key and both the
+    # Monte Carlo and the DE callers; no N x N inverse remains
+    n, k, cells, points = 8, 2, 3, 2
+    calls = {"eigh": 0, "inv": []}
+    original_eigh, original_inv = np.linalg.eigh, np.linalg.inv
+
+    def eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return original_eigh(*args, **kwargs)
+
+    def inv(a, *args, **kwargs):
+        calls["inv"].append(np.shape(a))
+        return original_inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    scenario = tmp_path / "three_ring.cfg"
+    scenario.write_text(
+        SCENARIO_TEXT.replace("n = 16", f"n = {n}").replace("k = 3", f"k = {k}")
+        .replace("exponential", "one_ring")
+        + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    )
+    links, sums = cells * cells * k, cells * k
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
+    assert code == 0 and parse_csv(out)
+    # plus one regularizer per (tau*rho_tr key, BS): two SNR points give two keys
+    assert calls == {"eigh": links + sums + points * cells, "inv": []}
+
+    calls.update(eigh=0, inv=[])
+    code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(scenario))
+    assert code == 0 and parse_csv(out)
+    # the plain DE of one-ring scenarios inverts only its K x K Q matrix,
+    # once per (SNR point, BS)
+    assert calls == {"eigh": links + sums, "inv": [(k, k)] * (points * cells)}

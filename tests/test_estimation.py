@@ -14,8 +14,9 @@ from rician_mimo.channel import (
 )
 from rician_mimo.estimation import (
     build_estimator_multicell,
-    build_estimator_singlecell,
     lmmse_estimate,
+    regularizer_sums,
+    same_pilot_spectrum,
 )
 
 
@@ -37,7 +38,7 @@ def test_singlecell_identity_closed_form():
     # R = c*I gives r_tilde = c^2 / (c + 1/(tau*rho)) * I
     c, tau, rho = 0.7, 8, 2.0
     p = scaled_identity_profile(c, 5)
-    st_ = build_estimator_singlecell(p, tau, rho)
+    st_ = build_estimator_multicell([p], 0, tau, rho)
     expected = c**2 / (c + 1.0 / (tau * rho))
     assert np.allclose(st_.r_tilde, expected * np.eye(5), atol=1e-12)
     assert np.allclose(st_.err_cov, (c - expected) * np.eye(5), atol=1e-12)
@@ -59,18 +60,18 @@ def test_multicell_identity_closed_form():
 def test_estimate_quality_improves_with_pilot_power():
     c, n = 1.0, 6
     p = scaled_identity_profile(c, n)
-    weak = build_estimator_singlecell(p, 4, 0.1)
-    strong = build_estimator_singlecell(p, 4, 100.0)
+    weak = build_estimator_multicell([p], 0, 4, 0.1)
+    strong = build_estimator_multicell([p], 0, 4, 100.0)
     assert np.trace(strong.err_cov).real < np.trace(weak.err_cov).real
     # infinite pilot power recovers the channel: err_cov -> 0
-    perfect = build_estimator_singlecell(p, 4, 1e12)
+    perfect = build_estimator_multicell([p], 0, 4, 1e12)
     assert np.linalg.norm(perfect.err_cov) < 1e-9
 
 
 def test_rejects_nonpositive_pilot_energy():
     p = scaled_identity_profile(1.0, 3)
     with pytest.raises(ValueError):
-        build_estimator_singlecell(p, 0, 1.0)
+        build_estimator_multicell([p], 0, 0, 1.0)
 
 
 def test_rejects_mismatched_dimensions():
@@ -99,7 +100,7 @@ def test_rejects_mismatched_dimensions():
 )
 def test_spectral_singlecell_matches_inverse(theta, tau_rho):
     p = build_profile(1.3, 0.8, theta, los_steering(0.3, 24))
-    state = build_estimator_singlecell(p, 1, tau_rho)
+    state = build_estimator_multicell([p], 0, 1, tau_rho)
     r = p.r_cov
     s = 1.0 / tau_rho
     gain = r @ np.linalg.inv(r + s * np.eye(24))
@@ -115,6 +116,84 @@ def test_spectral_singlecell_matches_inverse(theta, tau_rho):
         assert np.linalg.norm(got - ref) <= 1e-12 * cond * np.linalg.norm(ref), name
     ev_err = np.linalg.eigvalsh(state.err_cov)
     assert ev_err[0] >= -1e-14 * ev_err[-1]
+
+
+def _three_cell_links(n, user):
+    # same-pilot links at one BS: local, then two interferers; the narrow
+    # windows leave most of theta's eigenvalues below 1e-12 of the top
+    windows = [(-math.pi, -math.pi + 0.3 + 0.2 * user), (-math.pi, -1.0), (-2.5, -2.3)]
+    powers = [(40.0, 1.5), (0.8, 0.0), (0.5, 0.0)]  # (beta, kappa)
+    return [
+        build_profile(
+            beta, kappa, one_ring_correlation(lo, hi, n), los_steering(0.3 + user, n),
+            is_local=(ell == 0),
+        )
+        for ell, ((lo, hi), (beta, kappa)) in enumerate(zip(windows, powers))
+    ]
+
+
+@pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
+def test_spectral_multicell_matches_inverse(tau_rho):
+    n = 24
+    links = _three_cell_links(n, 0)
+    ev = np.linalg.eigvalsh(links[0].theta)
+    assert np.sum(ev < 1e-12 * ev[-1]) >= n // 2
+    s = 1.0 / tau_rho
+    obs = sum(p.r_cov for p in links) + s * np.eye(n)
+    phi = np.linalg.inv(obs)
+    # condition of the inverse-based reference, as in the single-cell test
+    lam = np.linalg.eigvalsh(obs - s * np.eye(n))
+    cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
+    for local in range(3):
+        state = build_estimator_multicell(links, local, 1, tau_rho)
+        r = links[local].r_cov
+        # the spectral gain solves G (S + sI) = R to rounding, with no
+        # inverse: within the backward-error scale n*eps*|G||S + sI| for
+        # every link, and within 1e-12 |R| for the dominant served link (the
+        # inverse misses both by orders of magnitude at tau*rho = 1e6)
+        residual = np.linalg.norm(state.gain @ obs - r)
+        eps = np.finfo(float).eps
+        assert residual <= n * eps * np.linalg.norm(state.gain) * np.linalg.norm(obs, 2)
+        if local == 0:
+            assert residual <= 1e-12 * np.linalg.norm(r)
+        checks = [
+            ("gain", state.gain, r @ phi),
+            ("r_tilde", state.r_tilde, r @ phi @ r),
+            ("err_cov", state.err_cov, r - r @ phi @ r),
+        ]
+        for ell in state.others:
+            rx = links[ell].r_cov
+            checks.append((f"cross_gains[{ell}]", state.cross_gains[ell], rx @ phi))
+            checks.append((f"cond_covs[{ell}]", state.cond_covs[ell], rx - rx @ phi @ rx))
+        for name, got, ref in checks:
+            scale = np.linalg.norm(ref) + np.linalg.norm(r)
+            assert np.linalg.norm(got - ref) <= 1e-12 * cond * scale, name
+
+
+@pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
+def test_regularizer_sums_match_dense_state_sums(tau_rho):
+    n, k = 24, 3
+    groups = [_three_cell_links(n, u) for u in range(k)]
+    for local in range(3):
+        states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
+        a_mat, b_mat = regularizer_sums(states)
+        others = [ell for ell in range(3) if ell != local]
+        err = sum(s.err_cov for s in states)
+        a_ref = err + sum(links[ell].r_cov for links in groups for ell in others)
+        b_ref = err + sum(s.cond_covs[ell] for s in states for ell in others)
+        for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
+            assert np.max(np.abs(got - got.conj().T)) == 0.0
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_same_pilot_spectrum_is_shared_across_keys():
+    links = _three_cell_links(8, 0)
+    first = build_estimator_multicell(links, 0, 4, 0.5)
+    second = build_estimator_multicell(links, 2, 10, 3.0)
+    assert first.spectrum is second.spectrum is same_pilot_spectrum(links)
+    # a single link reuses the profile's own eigenpair
+    alone = same_pilot_spectrum(links[:1])
+    assert alone.eigvecs is links[0].eigvecs and alone.eigvals is links[0].r_eigvals
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +325,7 @@ def test_estimate_multicell_returns_all_interferers():
 def test_error_covariance_psd_and_dominated(c, tau, rho, kappa):
     n = 4
     p = build_profile(c, kappa, exponential_correlation(0.4, n), los_steering(0.2, n))
-    st_ = build_estimator_singlecell(p, tau, rho)
+    st_ = build_estimator_multicell([p], 0, tau, rho)
     ev_err = np.linalg.eigvalsh(st_.err_cov)
     ev_til = np.linalg.eigvalsh(st_.r_tilde)
     assert ev_err[0] > -1e-10
@@ -260,7 +339,7 @@ def test_error_covariance_psd_and_dominated(c, tau, rho, kappa):
 def test_contamination_never_helps(c_local, c_inter):
     n = 3
     tau, rho = 6, 1.0
-    clean = build_estimator_singlecell(scaled_identity_profile(c_local, n), tau, rho)
+    clean = build_estimator_multicell([scaled_identity_profile(c_local, n)], 0, tau, rho)
     contaminated = build_estimator_multicell(
         [
             scaled_identity_profile(c_local, n),

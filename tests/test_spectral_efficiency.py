@@ -160,6 +160,54 @@ def test_mc_common_random_numbers_across_point_subsets():
     assert np.array_equal(both[1][0].per_user_se, solo[0][0].per_user_se)
 
 
+@pytest.mark.parametrize("cells", [1, 3])
+def test_mc_log_moments_match_dense_replay(cells):
+    # replay the kernel's draws (per-trial SeedSequence, z then w) through
+    # dense inverse-based estimators and an N x N solve for the combiner
+    n, k, seed, trials = 8, 2, 7, 3
+    profiles = tiny_profiles(n=n, k=k, l=cells, seed=4)
+    points = [MCPoint(2, 1.0, 1.0), MCPoint(2, 30.0, 30.0), MCPoint(3, 30.0, 0.5)]
+    sums, sumsqs = mc_log_moments(profiles, points, seed, 0, trials)
+    logs = np.zeros((len(points), cells, trials, k))
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        z = [[standard_complex_normal(rng, k, n) for _ in range(cells)] for _ in range(cells)]
+        w = [standard_complex_normal(rng, k, n) for _ in range(cells)]
+        for p_idx, pt in enumerate(points):
+            s = 1.0 / (pt.tau * pt.rho_tr)
+            for j in range(cells):
+                links = profiles[j]
+                h_hat = np.zeros((n, k), dtype=complex)
+                a_mat = np.zeros((n, n), dtype=complex)
+                b_mat = np.zeros((n, n), dtype=complex)
+                means = []
+                for u in range(k):
+                    covs = [links[ell][u].r_cov for ell in range(cells)]
+                    phi = np.linalg.inv(sum(covs) + s * np.eye(n))
+                    y = math.sqrt(s) * w[j][u] + sum(
+                        links[ell][u].h_bar + links[ell][u].sqrt_r @ z[j][ell][u]
+                        for ell in range(cells)
+                    )
+                    h_hat[:, u] = links[j][u].h_bar + covs[j] @ phi @ (y - links[j][u].h_bar)
+                    for ell in range(cells):
+                        cond = covs[ell] - covs[ell] @ phi @ covs[ell]
+                        b_mat += cond
+                        a_mat += cond if ell == j else covs[ell]
+                        if ell != j:
+                            means.append(covs[ell] @ phi @ (y - links[j][u].h_bar))
+                reg = h_hat @ h_hat.conj().T + a_mat + (n / pt.rho_d) * np.eye(n)
+                g = np.linalg.solve(reg, h_hat)
+                p_mat = g.conj().T @ h_hat
+                sig = np.abs(np.diag(p_mat)) ** 2
+                den = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
+                den += np.real(np.sum(g.conj() * (b_mat @ g), axis=0))
+                den += sum(np.abs(g.conj().T @ m) ** 2 for m in means)
+                den += (n / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
+                logs[p_idx, j, t] = np.log1p(sig / den)
+    assert np.allclose(sums, logs.sum(axis=2), rtol=1e-12, atol=0)
+    assert np.allclose(sumsqs, (logs**2).sum(axis=2), rtol=1e-12, atol=0)
+
+
 def test_mc_trial_chunks_are_contiguous():
     profiles = tiny_profiles(seed=5)
     s1, q1 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 6)
