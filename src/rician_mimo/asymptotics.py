@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import UserLinkProfile
+from .channel import UserLinkProfile, antenna_image
 from .combining import statistical_combiner
 from .config import SystemConfig
 from .estimation import EstimatorState, regularizer_sums
@@ -278,14 +278,22 @@ def _build_state(
     q = 0.5 * (q + q.conj().T)
     t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag(np.real(_traces(r_tildes, zxz)))
     cross = np.zeros((0, k))
-    if cross_covs:
+    if cross_covs and refined:
         # cross[m, i] = (1/N) tr(Z R_cross Phi_i R_local) with gain_i =
         # R_local Phi_i, read as <gain_i, Z R_cross>
         gains = np.stack([e.gain for e in estimators])
-        covs = [np.stack(per_cell) for per_cell in cross_covs]
-        if refined:
-            covs = [z @ c for c in covs]
+        covs = [z @ np.stack(per_cell) for per_cell in cross_covs]
         cross = np.stack([np.real(np.sum(gains.conj() * c, axis=(1, 2))) / n for c in covs])
+    elif cross_covs:
+        # Z = I: tr(R_x Phi_i R_i) = sum_c f_c <P_i[:, c], P_x[:, c]> on the
+        # real spectrum of the same-pilot sum, an N^2 sum per pair
+        local = estimators[0].local_index
+        cross = np.array(
+            [
+                [np.sum(e.weighted(ell) * e.spectrum.proj[local]) / n for e in estimators]
+                for ell in estimators[0].others
+            ]
+        )
     contam_second = np.zeros((0, 0))
     contam_alpha = np.zeros((0, 0))
     contam_extra = np.zeros((0, 0, 0))
@@ -331,8 +339,8 @@ def build_q_singlecell(
     The regularizer is the sum of estimation-error covariances, and the
     quadratic term covers exactly those errors.
     """
-    a_matrix, _ = regularizer_sums(estimators)
-    return _build_state(profiles, estimators, rho_d, a_matrix, refined)
+    a_image, _ = regularizer_sums(estimators)
+    return _build_state(profiles, estimators, rho_d, antenna_image(a_image), refined)
 
 
 def build_q_multicell(
@@ -360,7 +368,7 @@ def build_q_multicell(
     # the quadratic keeps only the conditional covariances of the
     # contaminating links; their conditional-mean power is carried by the
     # dedicated contamination model, matching the Monte Carlo split
-    a_matrix, quad_matrix = regularizer_sums(estimators)
+    a_matrix, quad_matrix = map(antenna_image, regularizer_sums(estimators))
     return _build_state(
         local, estimators, rho_d, a_matrix, refined,
         cross_covs, cross_gains, quad_matrix,

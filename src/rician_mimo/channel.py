@@ -4,6 +4,15 @@ A link (BS, cell, user) is described by a `UserLinkProfile` holding the
 large-scale gain, Rician factor, spatial correlation and LoS direction.
 Realizations are drawn as h = h_bar + R^{1/2} z with z standard complex
 Gaussian.
+
+Every correlation family here is Hermitian Toeplitz, hence centro-Hermitian
+(J Theta J = conj(Theta) with J the flip), and sums, products and inverses
+of such matrices stay centro-Hermitian.  One fixed sparse unitary Q maps all
+of them to real symmetric images Q^H Theta Q (Lee, Linear Algebra Appl. 29,
+1980), so the set-up decomposes and multiplies real N x N matrices.  For
+N = 2m, Q = [[I, iJ], [J, -iI]] / sqrt(2); odd N adds a middle row and
+column with entry 1.  `real_image`, `antenna_image` and `real_basis` apply
+Q by slicing and flipping, never as a dense product.
 """
 
 from __future__ import annotations
@@ -18,11 +27,74 @@ from scipy.linalg import toeplitz
 # eigenvalue) mean the matrix is genuinely indefinite, not just noisy.
 PSD_EPS = 1e-10
 
+# imaginary part allowed in a real image, relative to the largest entry
+REAL_IMAGE_TOL = 1e-12
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(2048)
+_HALF = math.sqrt(0.5)
 
 
 class ChannelModelError(ValueError):
     pass
+
+
+def _apply_q(x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Q v, or Q^H v when `adjoint`, for every vector v along the last axis."""
+    n = x.shape[-1]
+    m = n // 2
+    top, bot = x[..., :m], x[..., n - m :]
+    out = np.empty(x.shape, dtype=complex)
+    if adjoint:
+        out[..., :m] = (top + bot[..., ::-1]) * _HALF
+        out[..., n - m :] = (bot - top[..., ::-1]) * (1j * _HALF)
+    else:
+        out[..., :m] = (top + 1j * bot[..., ::-1]) * _HALF
+        out[..., n - m :] = (top[..., ::-1] - 1j * bot) * _HALF
+    if n % 2:
+        out[..., m] = x[..., m]
+    return out
+
+
+def real_basis(x: np.ndarray) -> np.ndarray:
+    """Q^H x for every vector x along the last axis (complex)."""
+    return _apply_q(x, adjoint=True)
+
+
+def real_image(theta: np.ndarray) -> np.ndarray:
+    """The real symmetric image Q^H Theta Q of a centro-Hermitian Theta.
+
+    A Theta whose image is not real (it is not centro-Hermitian, e.g. not
+    Toeplitz) raises `ChannelModelError`.
+    """
+    # Q^H Theta, then (Q^H Theta) Q = conj(conj(.) conj(Q)) row by row
+    left = _apply_q(theta.T, adjoint=True).T
+    image = np.conj(_apply_q(np.conj(left), adjoint=True))
+    if np.abs(image.imag).max() > REAL_IMAGE_TOL * np.abs(theta).max():
+        raise ChannelModelError("correlation matrix is not centro-Hermitian: its image is not real")
+    return np.ascontiguousarray(image.real)
+
+
+def antenna_image(x: np.ndarray) -> np.ndarray:
+    """Q X Q^H: a real image mapped back to the antenna basis (complex)."""
+    left = _apply_q(x.T, adjoint=False).T
+    return np.conj(_apply_q(np.conj(left), adjoint=False))
+
+
+def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x (matrices on the last two axes) for a real a and a complex x.
+
+    numpy would copy a to complex on every call; viewing x as interleaved
+    real and imaginary columns makes it one real product instead.  Other
+    dtype pairs multiply as they are.
+    """
+    if np.iscomplexobj(a) or not np.iscomplexobj(x):
+        return np.matmul(a, x)
+    return np.matmul(a, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+
+
+def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigenpair (lam, V) of Theta's image: Theta = Q V diag(lam) V^T Q^H."""
+    return np.linalg.eigh(real_image(theta))
 
 
 def one_ring_correlation(
@@ -95,14 +167,15 @@ def pathloss(distance: float, alpha: float) -> float:
 class UserLinkProfile:
     """Second-order statistics of one (BS, cell, user) link.
 
-    `theta_eig` is `np.linalg.eigh(theta)`; when omitted it is computed here.
-    Links that share one correlation matrix can share one decomposition.
-    The covariance R is a positive multiple of theta, so its eigenvectors
-    are theta's and its eigenvalues (`r_eigvals`) are theta's scaled, clamped
-    at zero because quadrature-built correlation matrices are often
-    numerically semi-definite.  The PSD check, R^{1/2}, the training
-    eigenvalues and the single-cell estimator all read this one
-    decomposition.
+    `theta`, `r_cov`, `h_bar` and `sqrt_r` are in the antenna basis.
+    `theta_eig` is `theta_spectrum(theta)`, the real eigenpair of theta's
+    real image; when omitted it is computed here.  Links that share one
+    correlation matrix can share one decomposition.  The covariance R is a
+    positive multiple of theta, so its eigenvectors are theta's and its
+    eigenvalues (`r_eigvals`) are theta's scaled, clamped at zero because
+    quadrature-built correlation matrices are often numerically
+    semi-definite.  The PSD check, R^{1/2}, the training eigenvalues and the
+    single-cell estimator all read this one decomposition.
     """
 
     beta: float
@@ -126,7 +199,7 @@ class UserLinkProfile:
         if self.theta.shape != (n, n) or self.los_dir.shape != (n,):
             raise ChannelModelError("theta must be N x N and los_dir length N")
         if self.theta_eig is None:
-            self.theta_eig = np.linalg.eigh(self.theta)
+            self.theta_eig = theta_spectrum(self.theta)
         ev = self.theta_eig[0]
         if ev[0] < -PSD_EPS * max(ev[-1], 1.0):
             raise ChannelModelError(f"theta is not PSD: min eigenvalue {ev[0]:.3e}")
@@ -147,14 +220,19 @@ class UserLinkProfile:
 
     @property
     def eigvecs(self) -> np.ndarray:
-        """Unitary U with R = U diag(r_eigvals) U^H (up to the clamp)."""
+        """Real orthogonal V with Q^H R Q = V diag(r_eigvals) V^T (up to the clamp)."""
         return self.theta_eig[1]
+
+    @property
+    def sqrt_r_image(self) -> np.ndarray:
+        """Q^H R^{1/2} Q, the real image of `sqrt_r`."""
+        v = self.eigvecs
+        return (v * np.sqrt(self.r_eigvals)) @ v.T
 
     @property
     def sqrt_r(self) -> np.ndarray:
         """Hermitian R^{1/2}, rebuilt from the eigenpair on each access."""
-        u = self.eigvecs
-        return (u * np.sqrt(self.r_eigvals)) @ u.conj().T
+        return antenna_image(self.sqrt_r_image)
 
 
 def build_profile(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserLinkProfile
+from .channel import UserLinkProfile, real_matmul
 
 
 @dataclass
@@ -43,14 +43,18 @@ def conventional_combiner(
         G = U (D X) (I_K + X^H D X)^{-1},
 
     an N x K rotation plus one K x K solve; no N x N system is formed.
+    Any orthonormal basis works as long as A and the estimates share it:
+    the Monte Carlo passes the real eigenpair of A's real image
+    (`channel.real_image`) with the estimates in the real basis, and gets
+    G in that basis.  A real U is applied without a complex copy.
     """
     lam, u = regularizer_eig
     n, k = estimates.shape
-    x = u.conj().T @ estimates
+    x = real_matmul(u.conj().T, estimates)
     dx = x / (lam + n / rho_d)[:, None]
     gram = np.eye(k) + x.conj().T @ dx
     # (D X) gram^{-1}, transposed into a left solve
-    vectors = u @ np.linalg.solve(gram.T, dx.T).T
+    vectors = real_matmul(u, np.linalg.solve(gram.T, dx.T).T)
     return CombinerSet(vectors=vectors)
 
 

@@ -3,37 +3,43 @@
 At one BS the pilot of user k is reused by user k of every cell, so the
 despread observation has covariance S + sI with the same-pilot sum
 S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
-through S.  One `eigh` of S (`same_pilot_spectrum`, kept on the group's
-links, so once per scenario) gives Phi = (S + sI)^{-1} = U diag(f) U^H with
-f = 1/(mu + s) for every training key, and with P_l = R_l U every estimator
-matrix is a product P_l diag(f) (.)^H: no N x N inverse is taken.  A single
-link reuses its profile's eigenpair (S = R, P = U diag(lam)), so the single-
-and multi-cell estimators are one path.  The dense matrices are formed only
-when a caller reads them; the Monte Carlo loop works on U, P and f directly.
+through S.  Every covariance is centro-Hermitian, so the estimator works on
+the real images Q^H R Q of `channel.real_image`.  One real `eigh` of the
+image of S (`same_pilot_spectrum`, kept on the group's links, so once per
+scenario) gives Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every
+training key, and with the real projections P_l = (Q^H R_l Q) V every
+estimator matrix is the image of a real product P_l diag(f) (.)^T: no
+N x N inverse and no complex N x N product is taken.  A single link reuses
+its profile's eigenpair (S = R, P = V diag(lam)), so the single- and
+multi-cell estimators are one path.  The dense antenna-basis matrices are
+formed only when a caller reads them; the Monte Carlo loop and
+`regularizer_sums` stay in the real basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .channel import UserLinkProfile
+from .channel import UserLinkProfile, antenna_image, real_image
 
 
 @dataclass(frozen=True)
 class PilotSpectrum:
-    """Eigendecomposition S = U diag(mu) U^H of one same-pilot sum.
+    """Real eigendecomposition Q^H S Q = V diag(mu) V^T of one same-pilot sum.
 
-    `proj[l]` is R_l U for the l-th entry of `links`.  The eigenvalues are
-    clamped at zero, like each link's own.
+    `proj[l]` is (Q^H R_l Q) V for the l-th entry of `links`.  The
+    eigenvalues are clamped at zero, like each link's own.
     """
 
     links: tuple[UserLinkProfile, ...]
     eigvals: np.ndarray
     eigvecs: np.ndarray
     proj: np.ndarray  # (L, N, N)
+    # memo of `pilot_stacks` for the BSs whose first user this spectrum serves
+    stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
@@ -46,18 +52,54 @@ def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
     memo = profiles[0].pilot_spectra
     if key not in memo:
         if len(profiles) == 1:
-            mu, u = profiles[0].r_eigvals, profiles[0].eigvecs
-            proj = (u * mu)[None]
+            mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
+            proj = (v * mu)[None]
         else:
-            mu, u = np.linalg.eigh(sum(p.r_cov for p in profiles))
+            images = [real_image(p.r_cov) for p in profiles]
+            mu, v = np.linalg.eigh(sum(images))
             mu = np.clip(mu, 0.0, None)
-            proj = np.stack([p.r_cov @ u for p in profiles])
-        memo[key] = PilotSpectrum(tuple(profiles), mu, u, proj)
+            proj = np.stack([r @ v for r in images])
+        memo[key] = PilotSpectrum(tuple(profiles), mu, v, proj)
     return memo[key]
 
 
-def _hermitian(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+class PilotStacks:
+    """The K same-pilot spectra of one BS stacked for every training key.
+
+    `proj_t[l, k]` is P_lk^T, `rest_t[l, k]` is (sum_{m != l} P_mk)^T (the
+    scalar 0 for a single cell), `vecs_t[k]` is V_k^T and `inter` is the
+    image of sum_{l != j, k} R_lk.  None of them depends on the key.
+    """
+
+    def __init__(self, spectra: list[PilotSpectrum], local_index: int):
+        # held so that the ids keying `pilot_stacks` stay unique
+        self.spectra = tuple(spectra)
+        cells, n = spectra[0].proj.shape[:2]
+        # C order, so that every (K, N, N) slice reshapes to (K*N, N) in place
+        self.proj_t = np.empty((cells, len(spectra), n, n))
+        self.vecs_t = np.empty((len(spectra), n, n))
+        for k, sp in enumerate(spectra):
+            self.proj_t[:, k] = sp.proj.transpose(0, 2, 1)
+            self.vecs_t[k] = sp.eigvecs.T
+        self.rest_t = [
+            sum((self.proj_t[m] for m in range(cells) if m != ell), 0) for ell in range(cells)
+        ]
+        inter = [p.r_cov for sp in spectra for ell, p in enumerate(sp.links) if ell != local_index]
+        self.inter = real_image(sum(inter)) if inter else 0.0
+
+
+def pilot_stacks(spectra: list[PilotSpectrum], local_index: int) -> PilotStacks:
+    """`PilotStacks` of the spectra of one BS, memoized on the first one."""
+    key = (tuple(map(id, spectra)), local_index)
+    memo = spectra[0].stacks
+    if key not in memo:
+        memo[key] = PilotStacks(spectra, local_index)
+    return memo[key]
+
+
+def _symmetric(mat: np.ndarray) -> np.ndarray:
+    # the antenna image of an exactly symmetric matrix is exactly Hermitian
+    return 0.5 * (mat + mat.T)
 
 
 @dataclass
@@ -65,11 +107,12 @@ class EstimatorState:
     """LMMSE estimator of one (BS, pilot) pair at one training key.
 
     `shrink` is f = 1/(mu + 1/(tau*rho_tr)) on the group's spectrum.  The
-    dense matrices are derived on first access: the local gain R_local Phi,
-    the estimate covariance R_tilde, the error covariance, and for every
-    same-pilot interfering cell l the cross gain R_l Phi and the conditional
-    covariance R_l - R_l Phi R_l used for the conditional interference
-    statistics given the pilot observation (both empty for a single link).
+    dense antenna-basis matrices are derived on first access: the local gain
+    R_local Phi, the estimate covariance R_tilde, the error covariance, and
+    for every same-pilot interfering cell l the cross gain R_l Phi and the
+    conditional covariance R_l - R_l Phi R_l used for the conditional
+    interference statistics given the pilot observation (both empty for a
+    single link).
     """
 
     local_index: int
@@ -94,18 +137,19 @@ class EstimatorState:
         """P_l diag(f)."""
         return self.spectrum.proj[ell] * self.shrink
 
-    def complement(self, ell: int) -> np.ndarray:
-        """W_l = (S - R_l + sI) U, summed over the other links so that
-        R_l - R_l Phi R_l = P_l diag(f) W_l^H involves no cancellation."""
+    def _complement(self, ell: int) -> np.ndarray:
+        """W_l = (S - R_l + sI) V in the real basis, summed over the other
+        links so that R_l - R_l Phi R_l = P_l diag(f) W_l^T involves no
+        cancellation."""
         sp = self.spectrum
         rest = (sp.proj[m] for m in range(len(sp.links)) if m != ell)
         return sum(rest, sp.eigvecs / self.tau_rho)
 
     def _times_phi(self, ell: int) -> np.ndarray:
-        return self.weighted(ell) @ self.spectrum.eigvecs.conj().T
+        return antenna_image(self.weighted(ell) @ self.spectrum.eigvecs.T)
 
     def _conditional_cov(self, ell: int) -> np.ndarray:
-        return _hermitian(self.weighted(ell) @ self.complement(ell).conj().T)
+        return antenna_image(_symmetric(self.weighted(ell) @ self._complement(ell).T))
 
     @cached_property
     def gain(self) -> np.ndarray:
@@ -114,7 +158,7 @@ class EstimatorState:
     @cached_property
     def r_tilde(self) -> np.ndarray:
         p = self.spectrum.proj[self.local_index]
-        return _hermitian(self.weighted(self.local_index) @ p.conj().T)
+        return antenna_image(_symmetric(self.weighted(self.local_index) @ p.T))
 
     @cached_property
     def err_cov(self) -> np.ndarray:
@@ -157,26 +201,30 @@ def build_estimator_multicell(
 
 
 def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the K estimators of one BS at one training key.
+    """Real images of (A, B) for the K estimators of one BS at one key.
 
     A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
     regularizer; B = sum_k err_k + sum_{l != j, k} cond_lk is the error and
     conditional interference covariance of the Monte Carlo SINR and the
-    DE's quadratic term.  Each cell's sum over k of P_lk diag(f_k) W_lk^H
-    (see `EstimatorState.complement`) is one (N, K*N) @ (K*N, N) product.
+    DE's quadratic term.  Each cell's sum over k of P_lk diag(f_k) W_lk^T
+    (see `EstimatorState._complement`) is one real (N, K*N) @ (K*N, N)
+    product of the key-independent `pilot_stacks`, scaled by f and shifted
+    by s V_k; `channel.antenna_image` maps the results back.
     """
     first = states[0]
+    stacks = pilot_stacks([s.spectrum for s in states], first.local_index)
     n = first.n_antennas
+    shrink = np.stack([s.shrink for s in states])[..., None]
+    shift = stacks.vecs_t / first.tau_rho
 
     def cell_sum(ell: int) -> np.ndarray:
-        left = np.stack([s.weighted(ell) for s in states], axis=1).reshape(n, -1)
-        right = np.stack([s.complement(ell) for s in states], axis=1).reshape(n, -1)
-        return left @ right.conj().T
+        left = (stacks.proj_t[ell] * shrink).reshape(-1, n)
+        right = (stacks.rest_t[ell] + shift).reshape(-1, n)
+        return left.T @ right
 
     err = cell_sum(first.local_index)
-    a_mat = err + sum(s.spectrum.links[ell].r_cov for s in states for ell in first.others)
     b_mat = err + sum(cell_sum(ell) for ell in first.others)
-    return _hermitian(a_mat), _hermitian(b_mat)
+    return _symmetric(err + stacks.inter), _symmetric(b_mat)
 
 
 def lmmse_estimate(

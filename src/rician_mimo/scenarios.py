@@ -27,6 +27,7 @@ from .channel import (
     los_steering,
     one_ring_correlation,
     pathloss,
+    theta_spectrum,
 )
 from .config import ConfigError, SystemConfig
 
@@ -171,15 +172,16 @@ def _one_ring_for_angle(theta_k: float, n: int) -> np.ndarray:
 
 
 def _shared_correlation(spec: ScenarioSpec):
-    """(theta, eigh(theta)) of the families whose theta is the same for every
-    link, so one decomposition serves the whole scenario; None for one-ring."""
+    """(theta, theta_spectrum(theta)) of the families whose theta is the same
+    for every link, so one decomposition serves the whole scenario; None for
+    one-ring."""
     if spec.correlation == "one_ring":
         return None
     if spec.correlation == "exponential":
         theta = exponential_correlation(spec.corr_rho, spec.n)
     else:
         theta = np.eye(spec.n, dtype=complex)
-    return theta, np.linalg.eigh(theta)
+    return theta, theta_spectrum(theta)
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:

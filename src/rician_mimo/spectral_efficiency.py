@@ -18,10 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserLinkProfile, standard_complex_normal
+from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
 from .combining import conventional_combiner, statistical_combiner
 from .config import SystemConfig
-from .estimation import build_estimator_multicell, regularizer_sums, same_pilot_spectrum
+from .estimation import (
+    build_estimator_multicell,
+    pilot_stacks,
+    regularizer_sums,
+    same_pilot_spectrum,
+)
 
 Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
 
@@ -56,42 +61,39 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 class _ScenarioArrays:
-    """Key-independent stacks for the per-trial sampling and estimation.
+    """Key-independent real-basis stacks for the per-trial sampling and
+    estimation.
 
-    Per BS j: R^{1/2} and LoS means of every link, and from the same-pilot
-    spectrum of each user k the rotation U_jk^H and the projections
-    P_jlk = R_jlk U_jk, stacked (K, N, N) per cell.
+    Per BS j: the images Q^H R^{1/2} Q of every link, stacked (L, K, N, N);
+    the LoS means Q^H h_bar of the local links and the sum of the other
+    cells', (K, N) each; and the `PilotStacks` of the K same-pilot spectra.
     """
 
     def __init__(self, profiles: Profiles):
         self.L = len(profiles)
         self.K = len(profiles[0][0])
         self.N = profiles[0][0][0].n_antennas
-        self.sqrt_r = [
-            [np.stack([p.sqrt_r for p in cell]) for cell in bs] for bs in profiles
-        ]
-        self.h_bar = [
-            [np.stack([p.h_bar for p in cell]) for cell in bs] for bs in profiles
-        ]
-        self.rot = []
-        self.proj = []
-        for bs in profiles:
+        self.sqrt_r, self.h_bar, self.los_rest, self.stacks = [], [], [], []
+        for j, bs in enumerate(profiles):
+            self.sqrt_r.append(np.array([[p.sqrt_r_image for p in cell] for cell in bs]))
+            los = real_basis(np.array([[p.h_bar for p in cell] for cell in bs]))
+            self.h_bar.append(los[j])
+            self.los_rest.append(sum((los[ell] for ell in range(self.L) if ell != j), 0))
             spectra = [same_pilot_spectrum([cell[k] for cell in bs]) for k in range(self.K)]
-            self.rot.append(np.stack([sp.eigvecs.conj().T for sp in spectra]))
-            self.proj.append(np.stack([sp.proj for sp in spectra], axis=1))
+            self.stacks.append(pilot_stacks(spectra, j))
 
 
 class _EstimatorArrays:
-    """Per-BS shrinkage vectors f, regularizer eigenpair and B of one
-    (tau, rho_tr) key."""
+    """Per-BS shrinkage vectors f, and the real regularizer eigenpair and
+    image of B, of one (tau, rho_tr) key."""
 
     def __init__(self, profiles: Profiles, tau: int, rho_tr: float):
         L = len(profiles)
         K = len(profiles[0][0])
         self.tau_rho = tau * rho_tr
         self.shrink = []  # per bs: (K, N)
-        self.a_eig = []  # per bs: eigh of the combiner regularizer
-        self.b_mat = []  # per bs: conditional error + interference covariance
+        self.a_eig = []  # per bs: eigh of the combiner regularizer's image
+        self.b_mat = []  # per bs: image of the error + interference covariance
         for j in range(L):
             states = [
                 build_estimator_multicell([profiles[j][ell][k] for ell in range(L)], j, tau, rho_tr)
@@ -110,11 +112,18 @@ def mc_log_moments(
     trial_start: int,
     trial_count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum of squares of log(1+SINR) over a contiguous trial range.
+    """Mean and centered sum of squares M2 of log(1+SINR) over a contiguous
+    trial range, each (points, L, K).
 
-    Each trial is seeded from (seed, trial index) alone, and the sums are
-    reduced over the fixed trial chunks of `_chunk_ranges`, so the result
-    depends only on the seed and the trial range.
+    Each trial is seeded from (seed, trial index) alone.  Every chunk of
+    `_chunk_ranges` gives its own (count, mean, M2), and the chunks are
+    merged pairwise in that order (Chan, Golub & LeVeque, 1983), so the
+    result depends only on the seed and the trial range and the variance
+    is never a difference of large sums.
+
+    The draws z and w are rotated into the real basis once per trial; the
+    estimates, the combiner and the SINR terms, all invariant under the
+    unitary Q, are evaluated there.
     """
     arr = _ScenarioArrays(profiles)
     keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
@@ -127,33 +136,32 @@ def mc_log_moments(
         z = [[standard_complex_normal(rng, K, N) for _ in range(L)] for _ in range(L)]
         w = [standard_complex_normal(rng, K, N) for _ in range(L)]
         # per BS, the local estimate and the interferers' conditional means
-        # P_jlk diag(f) U_jk^H (y - h_bar) for every key at once: y - h_bar
+        # P_jlk diag(f) V_jk^T (y - h_bar) for every key at once: y - h_bar
         # is the channel part plus w / sqrt(tau*rho_tr), so one rotation of
         # each part serves every key
         fits = []
         for j in range(L):
-            channel = sum(
-                np.matmul(arr.sqrt_r[j][ell], z[j][ell][..., None])[..., 0] + arr.h_bar[j][ell]
-                for ell in range(L)
-            ) - arr.h_bar[j][j]
-            rot = np.matmul(arr.rot[j], np.stack([channel, w[j]], axis=-1))
+            stacks = arr.stacks[j]
+            scattered = real_matmul(arr.sqrt_r[j], real_basis(np.array(z[j]))[..., None])
+            channel = arr.los_rest[j] + np.sum(scattered[..., 0], axis=0)
+            rot = real_matmul(stacks.vecs_t, np.stack([channel, real_basis(w[j])], axis=-1))
             x = np.stack(
                 [e.shrink[j] * (rot[..., 0] + rot[..., 1] / math.sqrt(e.tau_rho)) for e in ests],
                 axis=-1,
             )
-            fits.append(np.matmul(arr.proj[j], x))  # (L, K, N, keys)
+            fits.append(real_matmul(stacks.proj_t.transpose(0, 1, 3, 2), x))  # (L, K, N, keys)
         for p_idx, pt in enumerate(points):
             q = key_of[p_idx]
             est = ests[q]
             for j in range(L):
-                hh = (arr.h_bar[j][j] + fits[j][j, ..., q]).T  # (N, K)
+                hh = (arr.h_bar[j] + fits[j][j, ..., q]).T  # (N, K)
                 comb = conventional_combiner(hh, est.a_eig[j], pt.rho_d)
                 g = comb.vectors
                 gh = g.conj().T
                 p_mat = gh @ hh  # p[k, i] = g_k^H h_hat_i
                 sig = np.abs(np.diag(p_mat)) ** 2
                 intra = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
-                err = np.real(np.sum(g.conj() * (est.b_mat[j] @ g), axis=0))
+                err = np.real(np.sum(g.conj() * real_matmul(est.b_mat[j], g), axis=0))
                 inter = np.zeros(K)
                 for ell in range(L):
                     if ell != j:
@@ -161,11 +169,24 @@ def mc_log_moments(
                 noise = (N / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
                 sinr = sig / (intra + err + inter + noise)
                 logs[p_idx, j, idx] = np.log1p(sinr)
-    squares = logs**2
-    chunks = _chunk_ranges(trial_count)
-    sums = sum(np.sum(logs[:, :, start : start + count], axis=2) for start, count in chunks)
-    sumsqs = sum(np.sum(squares[:, :, start : start + count], axis=2) for start, count in chunks)
-    return sums, sumsqs
+    parts = []
+    for start, count in _chunk_ranges(trial_count):
+        chunk = logs[:, :, start : start + count]
+        mean = np.mean(chunk, axis=2)
+        parts.append((count, mean, np.sum((chunk - mean[:, :, None]) ** 2, axis=2)))
+    while len(parts) > 1:
+        merged = [_merge_moments(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[2 * len(merged) :]
+    _, mean, m2 = parts[0]
+    return mean, m2
+
+
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """(count, mean, M2) of the union of two disjoint sets of samples."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
 
 
 def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
@@ -200,18 +221,14 @@ def conventional_mc(
         raise ValueError("trials must be >= 1")
     L = len(profiles)
     K = len(profiles[0][0])
-    sums, sumsqs = mc_log_moments(profiles, points, seed, 0, trials)
+    mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
     out = []
     for p_idx, pt in enumerate(points):
         prelog = 1.0 - pt.tau / coherence_len
         per_bs = []
         for j in range(L):
-            mean = sums[p_idx, j] / trials
-            if trials > 1:
-                var = np.maximum(sumsqs[p_idx, j] - trials * mean**2, 0.0) / (trials - 1)
-            else:
-                var = np.zeros(K)
-            se = prelog * mean * log_scale
+            var = m2[p_idx, j] / (trials - 1) if trials > 1 else np.zeros(K)
+            se = prelog * mean[p_idx, j] * log_scale
             stderr = prelog * np.sqrt(var / trials) * log_scale
             per_bs.append(
                 SEReport(

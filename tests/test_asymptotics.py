@@ -305,6 +305,50 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
             assert np.linalg.norm(got - expected) <= 1e-10 * scale, name
 
 
+@pytest.mark.parametrize("correlation", ["one_ring", "exponential"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
+    # Z = I: the cross traces come from the real same-pilot spectrum, not
+    # from dense gains; every field against the per-pair dense formulas
+    cells = 1 if layout == "single_cell" else 3
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=12, k=3, t=50, correlation=correlation,
+        placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
+    )
+    scenario = build_scenario(spec)
+    n, k, rho = 12, 3, 10.0
+    for bs in range(cells):
+        links = scenario.profiles[bs]
+        ests = [build_estimator_multicell([links[ell][i] for ell in range(cells)], bs, 3, rho) for i in range(k)]
+        if cells == 1:
+            state = build_q_singlecell(scenario.local_profiles(0), ests, rho, refined=False)
+        else:
+            state = build_q_multicell(links, ests, bs, rho, refined=False)
+        others = [ell for ell in range(cells) if ell != bs]
+        err_sum = sum(e.err_cov for e in ests)
+        quad = err_sum + sum(ests[i].cond_covs[ell] for ell in others for i in range(k))
+        h_bar = np.column_stack([p.h_bar for p in links[bs]])
+        gram = h_bar.conj().T @ h_bar + np.diag([np.real(np.trace(e.r_tilde)) for e in ests])
+        gram = 0.5 * (gram + gram.conj().T) / n
+        q = np.linalg.inv(gram + np.eye(k) / rho)
+        t_mat = h_bar.conj().T @ quad @ h_bar + np.diag([np.real(_tr(e.r_tilde, quad)) for e in ests])
+        phis = [
+            np.linalg.inv(sum(links[ell][i].r_cov for ell in range(cells)) + np.eye(n) / (3 * rho))
+            for i in range(k)
+        ]
+        cross = np.array(
+            [
+                [np.real(_tr(links[ell][i].r_cov @ phis[i], links[bs][i].r_cov)) / n for i in range(k)]
+                for ell in others
+            ]
+        ).reshape(len(others), k)
+        expected = {"q_matrix": q, "gram2": gram, "t_matrix": t_mat, "cross_traces": cross}
+        for name, ref in expected.items():
+            got = getattr(state, name)
+            assert got.shape == ref.shape, name
+            assert np.linalg.norm(got - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300), name
+
+
 # ---------------------------------------------------------------------------
 # statistical-combining equivalents
 

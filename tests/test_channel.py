@@ -10,6 +10,7 @@ from scipy.special import j0
 
 from rician_mimo.channel import (
     ChannelModelError,
+    antenna_image,
     build_profile,
     dft_steering,
     drop_users,
@@ -17,6 +18,8 @@ from rician_mimo.channel import (
     los_steering,
     one_ring_correlation,
     pathloss,
+    real_basis,
+    real_image,
     sample_channel,
 )
 from rician_mimo.scenarios import MIN_ANGULAR_SPREAD
@@ -159,6 +162,44 @@ def test_pathloss_values():
 def test_pathloss_rejects_nonpositive():
     with pytest.raises(ChannelModelError):
         pathloss(0.0, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# real basis of centro-Hermitian matrices
+
+
+def _correlation(family, n):
+    if family == "one_ring":
+        return one_ring_correlation(-math.pi, -2.0, n)
+    if family == "exponential":
+        return exponential_correlation(0.6 * np.exp(0.7j), n)
+    return np.eye(n, dtype=complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 150, 151])
+@pytest.mark.parametrize("family", ["one_ring", "exponential", "identity"])
+def test_real_image_of_every_correlation_family(family, n):
+    theta = _correlation(family, n)
+    scale = np.abs(theta).max()
+    # Q^H Theta Q from the vector map alone: Q^H Theta, then times Q
+    left = real_basis(theta.T).T
+    image = np.conj(real_basis(np.conj(left)))
+    assert np.abs(image.imag).max() <= 1e-15 * scale
+    real = real_image(theta)
+    assert real.dtype == np.float64 and np.array_equal(real, image.real)
+    assert np.abs(antenna_image(real) - theta).max() <= 1e-15 * scale
+    lam = np.linalg.eigvalsh(theta)
+    assert np.abs(np.linalg.eigvalsh(real) - lam).max() <= 1e-13 * lam[-1]
+
+
+def test_real_image_rejects_hermitian_non_toeplitz():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    theta = a @ a.conj().T / 6  # Hermitian PSD, not centro-Hermitian
+    with pytest.raises(ChannelModelError):
+        real_image(theta)
+    with pytest.raises(ChannelModelError):
+        build_profile(1.0, 1.0, theta, los_steering(0.0, 6))
 
 
 # ---------------------------------------------------------------------------

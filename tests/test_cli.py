@@ -279,12 +279,14 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     # the PSD check, R^{1/2}, the tau* eigenvalues and the single-cell
     # estimator all read the eigenpair each profile takes of its theta
     calls = {"eigh": 0, "eigvalsh": 0}
+    dtypes = set()
     for name in calls:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(a, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            dtypes.add(np.asarray(a).dtype)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     optimal = tmp_path / "optimal.cfg"
@@ -293,6 +295,8 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     assert code == 0 and parse_csv(out)
     # exponential: one theta shared by every link of the scenario
     assert calls == {"eigh": 1, "eigvalsh": 0}
+    # every decomposition runs on a real image, none on a complex matrix
+    assert dtypes == {np.dtype(np.float64)}
 
     calls.update(eigh=0, eigvalsh=0)
     one_ring = tmp_path / "one_ring.cfg"
@@ -302,6 +306,7 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     # one per link (k = 3), plus one regularizer per (tau*rho_tr key, BS):
     # two SNR points give two keys
     assert calls == {"eigh": 3 + 2, "eigvalsh": 0}
+    assert dtypes == {np.dtype(np.float64)}
 
 
 def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):
@@ -309,11 +314,13 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     # Monte Carlo and the DE callers; no N x N inverse remains
     n, k, cells, points = 8, 2, 3, 2
     calls = {"eigh": 0, "inv": []}
+    dtypes = set()
     original_eigh, original_inv = np.linalg.eigh, np.linalg.inv
 
-    def eigh(*args, **kwargs):
+    def eigh(a, *args, **kwargs):
         calls["eigh"] += 1
-        return original_eigh(*args, **kwargs)
+        dtypes.add(np.asarray(a).dtype)
+        return original_eigh(a, *args, **kwargs)
 
     def inv(a, *args, **kwargs):
         calls["inv"].append(np.shape(a))
@@ -332,6 +339,8 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     assert code == 0 and parse_csv(out)
     # plus one regularizer per (tau*rho_tr key, BS): two SNR points give two keys
     assert calls == {"eigh": links + sums + points * cells, "inv": []}
+    # links, same-pilot sums and regularizers are all real images
+    assert dtypes == {np.dtype(np.float64)}
 
     calls.update(eigh=0, inv=[])
     code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(scenario))
@@ -339,3 +348,4 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     # the plain DE of one-ring scenarios inverts only its K x K Q matrix,
     # once per (SNR point, BS)
     assert calls == {"eigh": links + sums, "inv": [(k, k)] * (points * cells)}
+    assert dtypes == {np.dtype(np.float64)}

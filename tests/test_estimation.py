@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rician_mimo.channel import (
+    antenna_image,
     build_profile,
     exponential_correlation,
     los_steering,
@@ -176,12 +177,16 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
     groups = [_three_cell_links(n, u) for u in range(k)]
     for local in range(3):
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
-        a_mat, b_mat = regularizer_sums(states)
+        a_img, b_img = regularizer_sums(states)
         others = [ell for ell in range(3) if ell != local]
         err = sum(s.err_cov for s in states)
         a_ref = err + sum(links[ell].r_cov for links in groups for ell in others)
         b_ref = err + sum(s.cond_covs[ell] for s in states for ell in others)
-        for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
+        for img, ref in ((a_img, a_ref), (b_img, b_ref)):
+            # real symmetric images, mapped back for the dense comparison
+            assert img.dtype == np.float64
+            assert np.max(np.abs(img - img.T)) == 0.0
+            got = antenna_image(img)
             assert np.max(np.abs(got - got.conj().T)) == 0.0
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from rician_mimo.channel import (
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
 from rician_mimo.estimation import build_estimator_multicell, lmmse_estimate
+from rician_mimo.presets import preset_specs
+from rician_mimo.scenarios import build_scenario
 from rician_mimo.spectral_efficiency import (
     MCPoint,
     SEReport,
@@ -160,14 +164,23 @@ def test_mc_common_random_numbers_across_point_subsets():
     assert np.array_equal(both[1][0].per_user_se, solo[0][0].per_user_se)
 
 
-@pytest.mark.parametrize("cells", [1, 3])
-def test_mc_log_moments_match_dense_replay(cells):
+@pytest.mark.parametrize(
+    "cells, n",
+    [
+        pytest.param(1, 8, id="1"),
+        pytest.param(3, 8, id="3"),
+        # odd N: the real basis has a middle row of its own
+        pytest.param(1, 7, id="1-odd_n"),
+        pytest.param(3, 7, id="3-odd_n"),
+    ],
+)
+def test_mc_log_moments_match_dense_replay(cells, n):
     # replay the kernel's draws (per-trial SeedSequence, z then w) through
     # dense inverse-based estimators and an N x N solve for the combiner
-    n, k, seed, trials = 8, 2, 7, 3
+    k, seed, trials = 2, 7, 3
     profiles = tiny_profiles(n=n, k=k, l=cells, seed=4)
     points = [MCPoint(2, 1.0, 1.0), MCPoint(2, 30.0, 30.0), MCPoint(3, 30.0, 0.5)]
-    sums, sumsqs = mc_log_moments(profiles, points, seed, 0, trials)
+    mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
     logs = np.zeros((len(points), cells, trials, k))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
@@ -204,17 +217,38 @@ def test_mc_log_moments_match_dense_replay(cells):
                 den += sum(np.abs(g.conj().T @ m) ** 2 for m in means)
                 den += (n / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
                 logs[p_idx, j, t] = np.log1p(sig / den)
-    assert np.allclose(sums, logs.sum(axis=2), rtol=1e-12, atol=0)
-    assert np.allclose(sumsqs, (logs**2).sum(axis=2), rtol=1e-12, atol=0)
+    assert np.allclose(mean, logs.mean(axis=2), rtol=1e-12, atol=0)
+    centered = logs - logs.mean(axis=2, keepdims=True)
+    assert np.allclose(m2, (centered**2).sum(axis=2), rtol=1e-12, atol=0)
 
 
 def test_mc_trial_chunks_are_contiguous():
     profiles = tiny_profiles(seed=5)
-    s1, q1 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 6)
-    s2a, q2a = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 3)
-    s2b, q2b = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 3, 3)
-    assert np.allclose(s1, s2a + s2b)
-    assert np.allclose(q1, q2a + q2b)
+    m1, q1 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 6)
+    m2a, q2a = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 3)
+    m2b, q2b = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 3, 3)
+    # two halves of three trials each merge into the six-trial moments
+    assert np.allclose(m1, (m2a + m2b) / 2)
+    assert np.allclose(q1, q2a + q2b + (m2b - m2a) ** 2 * (3 * 3 / 6))
+
+
+def test_mc_stderr_matches_exact_rational_recomputation():
+    # fig2a-style row (N=150, K=20, one-ring, kappa_max 0.5, two trials):
+    # each single-trial call returns that trial's log exactly, so the
+    # standard error can be recomputed in rational arithmetic
+    spec = dataclasses.replace(preset_specs("fig2a")[0], trials=2)
+    profiles = build_scenario(spec).profiles
+    points = [MCPoint(spec.k, 10.0 ** (db / 10.0), 10.0 ** (db / 10.0)) for db in (-10.0, 10.0, 30.0)]
+    reports = conventional_mc(profiles, points, spec.t, 2, spec.seed)
+    logs = [mc_log_moments(profiles, points, spec.seed, t, 1)[0] for t in range(2)]
+    for p_idx, per_bs in enumerate(reports):
+        rep = per_bs[0]
+        for k in range(spec.k):
+            x = [Fraction(float(log[p_idx, 0, k])) for log in logs]
+            mean = sum(x) / 2
+            var = sum((v - mean) ** 2 for v in x)  # 1/(trials - 1) = 1
+            exact = rep.prelog * math.sqrt(var / 2)
+            assert abs(rep.se_stderr[k] - exact) <= 1e-12 * exact
 
 
 def test_mc_prelog_and_scheme_labels():
