@@ -11,6 +11,9 @@ which stays accurate at finite N even when the regularizer dominates the
 noise loading.  The plain mode replaces Z by I, the additional large-antenna
 simplification used in the published closed forms; both modes coincide as N
 grows.
+
+The statistical-combining equivalents need no Q: they read the K x K LoS
+resolvent `combining.los_resolvent`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import UserLinkProfile, antenna_image
-from .combining import statistical_combiner
+from .combining import los_resolvent, statistical_resolvent
 from .config import SystemConfig
 from .estimation import EstimatorState, regularizer_sums
 
@@ -490,46 +493,29 @@ def se_conv_multicell_de(
     )
 
 
-def _los_quadratic(profiles: list[UserLinkProfile], rho_d: float) -> np.ndarray:
-    """h_bar_k^H (Hbar_k Hbar_k^H + (N/rho_d) I)^{-1} h_bar_k for every k."""
-    n = profiles[0].n_antennas
-    h_bar = np.column_stack([p.h_bar for p in profiles])
-    mat = h_bar @ h_bar.conj().T + (n / rho_d) * np.eye(n)
-    solved = np.linalg.solve(mat, h_bar)
-    quad = np.real(np.sum(h_bar.conj() * solved, axis=0))
-    # removing column k is a rank-1 downdate of the inverted matrix
-    return quad / (1.0 - quad)
-
-
 def se_stat_singlecell_de(
     profiles: list[UserLinkProfile],
     config: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Statistical-combining equivalents: (full quotient, simplified form).
+    """Statistical-combining equivalents: (full form, LoS-only form).
 
-    The full form evaluates the SINR quotient at the statistical combiner;
-    the simplified form drops the vanishing scattered-interference term.
+    The full form is the exact SE of `se_stat_singlecell`, log(1 + c_k/m_k)
+    of `combining.statistical_resolvent`; the LoS-only form is
+    `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
-    n = config.n_antennas
-    rho = config.snr_data
-    scale = config.log_scale
-    comb = statistical_combiner(profiles, rho)
-    g = comb.vectors
-    h_bar = np.column_stack([p.h_bar for p in profiles])
-    r_sum = sum(p.r_cov for p in profiles)
-    num = np.abs(np.sum(g.conj() * h_bar, axis=0)) ** 2 / n
-    base = r_sum / n + h_bar @ h_bar.conj().T / n + np.eye(n) / rho
-    quad = np.real(np.sum(g.conj() * (base @ g), axis=0))
-    own = np.abs(np.sum(g.conj() * h_bar, axis=0)) ** 2 / n
-    den = quad - own
-    full = np.where(den > 0, np.log1p(num / np.where(den > 0, den, 1.0)), 0.0) * scale
-    simplified = np.log1p(_los_quadratic(profiles, rho)) * scale
-    return full, simplified
+    m, c, _ = statistical_resolvent(profiles, config.snr_data)
+    return np.log1p(c / m) * config.log_scale, se_stat_multicell_de(profiles, config)
 
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:
-    """Multi-cell statistical equivalent; depends on local statistics only."""
-    return np.log1p(_los_quadratic(local_profiles, config.snr_data)) * config.log_scale
+    """Multi-cell statistical equivalent; depends on local statistics only.
+
+    The LoS-only resolvent: C = (N/rho_d) I, so X = (rho_d/N) Hbar and
+    P = (rho_d/N) Hbar^H Hbar, with no N x N work.
+    """
+    h_bar = np.column_stack([p.h_bar for p in local_profiles])
+    m, c, _ = los_resolvent(h_bar, (config.snr_data / config.n_antennas) * h_bar)
+    return np.log1p(c / m) * config.log_scale
 
 
 def pilot_contamination_term(

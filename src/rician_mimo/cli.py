@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError
-from .presets import PRESET_IDS, run_preset
+from .presets import PRESET_IDS, run_preset, tau_star_rows
 from .results import ResultRow, emit_results, render_csv, render_json
 from .scenarios import (
     ScenarioSpec,
@@ -32,7 +32,6 @@ from .scenarios import (
     parse_snr_range,
 )
 from .sweeps import MODES, SWEEP_AXES, run_sweep
-from .training import solve_tau_star
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -148,26 +147,7 @@ def _cmd_simulate(args, mode: str) -> int:
 
 def _cmd_optimize_tau(args) -> int:
     spec = _load_spec(args)
-    scenario = build_scenario(spec)
-    rows = []
-    for snr in spec.snr_grid_db:
-        config = spec.system_config(snr)
-        sol = solve_tau_star(scenario.local_profiles(0), config)
-        rows.append(
-            ResultRow(
-                scenario_id=spec.scenario_id,
-                scheme="tau_star",
-                snr_db=float(snr),
-                user_id=0,
-                se_value=float(sol.avg_se_at_star),
-                se_stderr=None,
-                se_de=float(sol.tau_continuous),
-                tau_used=sol.tau_star,
-                prelog=1.0 - sol.tau_star / spec.t,
-                seed=spec.seed,
-            )
-        )
-    _emit(rows, args)
+    _emit(tau_star_rows(build_scenario(spec), spec.seed), args)
     return EXIT_OK
 
 

@@ -97,6 +97,31 @@ def preset_specs(figure_id: str) -> list[ScenarioSpec]:
     raise ConfigError(f"unknown preset {figure_id!r}; choose from {PRESET_IDS}")
 
 
+def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
+    """One `tau_star` row per SNR point of the scenario: the optimal training
+    length of cell 0, its average SE and the continuous root (as `se_de`).
+    `seed` fills the seed column only; tau* involves no draws."""
+    spec = scenario.spec
+    rows = []
+    for snr in spec.snr_grid_db:
+        sol = solve_tau_star(scenario.local_profiles(0), spec.system_config(snr))
+        rows.append(
+            ResultRow(
+                scenario_id=spec.scenario_id,
+                scheme="tau_star",
+                snr_db=float(snr),
+                user_id=0,
+                se_value=float(sol.avg_se_at_star),
+                se_stderr=None,
+                se_de=float(sol.tau_continuous),
+                tau_used=sol.tau_star,
+                prelog=1.0 - sol.tau_star / spec.t,
+                seed=seed,
+            )
+        )
+    return rows
+
+
 def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...], bs: int = 0):
     """Average (over users of one BS) DE SE per scheme over an SNR grid."""
     conv = []
@@ -142,12 +167,8 @@ def preset_summary(figure_id: str) -> dict:
     if figure_id == "fig1b":
         table = {}
         for spec in preset_specs("fig1b"):
-            scenario = build_scenario(spec)
-            stars = {}
-            for snr in spec.snr_grid_db:
-                config = spec.system_config(snr)
-                stars[f"{snr:g}"] = solve_tau_star(scenario.local_profiles(0), config).tau_star
-            table[spec.scenario_id] = stars
+            rows = tau_star_rows(build_scenario(spec), spec.seed)
+            table[spec.scenario_id] = {f"{row.snr_db:g}": row.tau_used for row in rows}
         summary["tau_star_by_snr"] = table
         return summary
     if figure_id in ("fig2a", "fig2b", "fig4a", "fig4b"):
@@ -182,32 +203,13 @@ def run_preset(
 ) -> tuple[list[ResultRow], dict]:
     """Run one preset end to end; returns (result rows, qualitative summary)."""
     rows: list[ResultRow] = []
-    if figure_id == "fig1b":
-        for spec in preset_specs("fig1b"):
-            scenario = build_scenario(spec)
-            use_seed = spec.seed if seed is None else seed
-            for snr in spec.snr_grid_db:
-                config = spec.system_config(snr)
-                sol = solve_tau_star(scenario.local_profiles(0), config)
-                rows.append(
-                    ResultRow(
-                        scenario_id=spec.scenario_id,
-                        scheme="tau_star",
-                        snr_db=float(snr),
-                        user_id=0,
-                        se_value=float(sol.avg_se_at_star),
-                        se_stderr=None,
-                        se_de=None,
-                        tau_used=sol.tau_star,
-                        prelog=1.0 - sol.tau_star / spec.t,
-                        seed=use_seed,
-                    )
-                )
-        return rows, preset_summary(figure_id)
     for spec in preset_specs(figure_id):
         scenario = build_scenario(spec)
         use_trials = spec.trials if trials is None else trials
         use_seed = spec.seed if seed is None else seed
+        if figure_id == "fig1b":
+            rows.extend(tau_star_rows(scenario, use_seed))
+            continue
         schemes = ("conv",) if figure_id == "fig1a" else ("conv", "stat")
         rows.extend(
             _rows_for_scenario(scenario, schemes, "both", use_trials, use_seed)

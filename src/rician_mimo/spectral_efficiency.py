@@ -3,8 +3,8 @@
 Conventional combining is evaluated by Monte Carlo over channel draws with
 the interference, estimation-error and noise terms computed as closed-form
 conditional expectations given the estimates (no nested Monte Carlo).
-Statistical combining needs no draws at all: its combiner and the SINR
-expectations are deterministic functions of the long-term statistics.
+Statistical combining needs no draws at all: its combiner and SINR
+expectations come from one K x K LoS resolvent (`combining.los_resolvent`).
 
 Draws are seeded per trial from (master seed, trial index), so any subset of
 SNR/tau points re-evaluated with the same seed sees identical channels
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
-from .combining import conventional_combiner, statistical_combiner
+from .combining import conventional_combiner, statistical_resolvent
 from .config import SystemConfig
 from .estimation import (
     build_estimator_multicell,
@@ -244,56 +244,35 @@ def conventional_mc(
     return out
 
 
-def _stat_report(
-    local: list[UserLinkProfile],
-    interference_cov: np.ndarray,
-    rho_d: float,
-    scheme: str,
-    log_scale: float,
-) -> SEReport:
-    n = local[0].n_antennas
-    comb = statistical_combiner(local, rho_d)
-    g = comb.vectors
-    h_bar = np.column_stack([p.h_bar for p in local])
-    num = np.abs(np.sum(g.conj() * h_bar, axis=0)) ** 2
-    base = interference_cov + (n / rho_d) * np.eye(n)
-    quad = np.real(np.sum(g.conj() * (base @ g), axis=0))
-    own = np.abs(np.sum(g.conj() * h_bar, axis=0)) ** 2  # g_k^H h_bar_k h_bar_k^H g_k
-    den = quad - own
-    sinr = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    se = np.log1p(sinr) * log_scale
-    return SEReport(
-        per_user_se=se,
-        se_stderr=np.zeros_like(se),
-        scheme=scheme,
-        trials=0,
-        seed=0,
-        prelog=1.0,
-    )
-
-
 def se_stat_singlecell(profiles: list[UserLinkProfile], config: SystemConfig) -> SEReport:
     """Exact SE of single-cell statistical combining (no Monte Carlo needed).
 
-    Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user; the served
-    user's LoS outer product is excluded from the interference.
+    Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user, with the served
+    user's LoS outer product excluded from the interference; the SINR is
+    c_k / m_k of `combining.statistical_resolvent`.
     """
-    h_bar = np.column_stack([p.h_bar for p in profiles])
-    cov = sum(p.r_cov for p in profiles) + h_bar @ h_bar.conj().T
-    return _stat_report(profiles, cov, config.snr_data, "stat_single", config.log_scale)
+    m, c, _ = statistical_resolvent(profiles, config.snr_data)
+    se = np.log1p(c / m) * config.log_scale
+    return SEReport(se, np.zeros_like(se), "stat_single", trials=0, seed=0, prelog=1.0)
 
 
 def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport]:
-    """Exact SE of statistical combining under full inter-cell interference."""
-    L = len(profiles)
+    """Exact SE of statistical combining under full inter-cell interference.
+
+    The combiner u_k of `combining.statistical_resolvent` sees local statistics
+    only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
+    SINR_k = c_k^2 / (c_k m_k + u_k^H R_out u_k).
+    """
     reports = []
-    for j in range(L):
-        links = [p for cell in profiles[j] for p in cell]
-        h_bar = np.column_stack([p.h_bar for p in links])
-        cov = sum(p.r_cov for p in links) + h_bar @ h_bar.conj().T
-        rep = _stat_report(
-            profiles[j][j], cov, config.snr_data,
-            "stat_single" if L == 1 else "stat_multi", config.log_scale,
-        )
-        reports.append(rep)
+    for j, bs in enumerate(profiles):
+        m, c, u = statistical_resolvent(bs[j], config.snr_data)
+        out_links = (p.r_cov for ell, cell in enumerate(bs) if ell != j for p in cell)
+        r_out = sum(out_links, np.zeros((len(u), len(u))))
+        den = c * m + np.real(np.sum(u.conj() * (r_out @ u), axis=0))
+        # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
+        # select on that exact zero, not on the sign of a computed denominator
+        sinr = np.divide(c * c, den, out=np.zeros_like(c), where=c != 0)
+        se = np.log1p(sinr) * config.log_scale
+        scheme = "stat_single" if len(profiles) == 1 else "stat_multi"
+        reports.append(SEReport(se, np.zeros_like(se), scheme, trials=0, seed=0, prelog=1.0))
     return reports

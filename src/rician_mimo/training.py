@@ -198,6 +198,6 @@ def kappa_threshold(profile: UserLinkProfile, config: SystemConfig) -> float:
     Returns (tr Theta / N) * (T - K) / K where Theta is the unit-diagonal
     correlation part of the user's covariance.
     """
-    theta_trace = np.real(np.trace(profile.r_cov)) * (1.0 + profile.kappa) / profile.beta
+    theta_trace = np.real(np.trace(profile.theta))
     t, k = config.coherence_len, config.n_users
     return float(theta_trace / profile.n_antennas * (t - k) / k)

@@ -375,7 +375,7 @@ def test_stat_full_form_equals_exact_expression():
 
 
 def test_stat_simplified_rank_one_downdate():
-    # the Sherman-Morrison shortcut equals the direct leave-one-out quadratic
+    # the LoS-only resolvent form c_k / m_k equals the direct leave-one-out quadratic
     n, k = 16, 4
     profiles = dft_profiles(n, k, kappa=3.0)
     rho = 2.0

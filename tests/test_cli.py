@@ -8,7 +8,9 @@ import scipy.linalg
 
 import rician_mimo
 from rician_mimo import cli
+from rician_mimo.presets import preset_specs, run_preset
 from rician_mimo.results import FIELD_NAMES, parse_csv
+from rician_mimo.scenarios import serialize_scenario
 
 SCENARIO_TEXT = """\
 # small test scenario
@@ -80,6 +82,21 @@ def test_optimize_tau(scenario_file, capsys):
     rows = parse_csv(out)
     assert all(r.scheme == "tau_star" for r in rows)
     assert all(3 <= r.tau_used < 50 for r in rows)
+
+
+def test_optimize_tau_rows_match_fig1b_preset(tmp_path, capsys):
+    # one row builder serves both commands: the first fig1b scenario written
+    # to a file gives optimize-tau exactly the preset's rows
+    spec = preset_specs("fig1b")[0]
+    path = tmp_path / "fig1b.cfg"
+    path.write_text(serialize_scenario(spec))
+    code, out, _ = run_cli(capsys, "optimize-tau", "--scenario", str(path))
+    assert code == 0
+    preset_rows, _ = run_preset("fig1b")
+    expected = [r for r in preset_rows if r.scenario_id == spec.scenario_id]
+    assert len(expected) == len(spec.snr_grid_db)
+    assert parse_csv(out) == expected
+    assert all(r.se_de is not None for r in expected)
 
 
 def test_sweep_axis_values(scenario_file, capsys):
@@ -337,15 +354,16 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     links, sums = cells * cells * k, cells * k
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
     assert code == 0 and parse_csv(out)
-    # plus one regularizer per (tau*rho_tr key, BS): two SNR points give two keys
-    assert calls == {"eigh": links + sums + points * cells, "inv": []}
+    # plus one regularizer per (tau*rho_tr key, BS): two SNR points give two keys;
+    # the only inverse is the statistical K x K LoS resolvent, per (SNR point, BS)
+    assert calls == {"eigh": links + sums + points * cells, "inv": [(k, k)] * (points * cells)}
     # links, same-pilot sums and regularizers are all real images
     assert dtypes == {np.dtype(np.float64)}
 
     calls.update(eigh=0, inv=[])
     code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(scenario))
     assert code == 0 and parse_csv(out)
-    # the plain DE of one-ring scenarios inverts only its K x K Q matrix,
-    # once per (SNR point, BS)
-    assert calls == {"eigh": links + sums, "inv": [(k, k)] * (points * cells)}
+    # the plain DE of one-ring scenarios inverts only its K x K Q matrix and
+    # the statistical DE its K x K LoS resolvent, each once per (SNR point, BS)
+    assert calls == {"eigh": links + sums, "inv": [(k, k)] * (2 * points * cells)}
     assert dtypes == {np.dtype(np.float64)}

@@ -135,8 +135,8 @@ def make_profiles(n, k, kappas, seed=0):
 
 
 def test_statistical_matches_direct_per_user_inverse():
-    # Sherman-Morrison shortcut equals the per-user matrix inverse that
-    # excludes the served user's own LoS outer product
+    # the LoS-resolvent columns u_k / m_k equal the per-user matrix inverse
+    # that excludes the served user's own LoS outer product
     n, k = 16, 4
     profiles = make_profiles(n, k, [2.0, 1.0, 3.0, 0.5], seed=1)
     rho = 5.0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
     build_profile,
     exponential_correlation,
@@ -290,6 +291,89 @@ def test_log_base_scaling():
 
 # ---------------------------------------------------------------------------
 # statistical combining SE is an exact expectation
+
+
+ORACLE_KAPPAS = (0.0, 1e-9, 1e-4, 0.5, 10.0)
+
+
+def oracle_profiles(cells, n=16, seed=41):
+    """profiles[bs][cell][user]; local user u has Rician factor ORACLE_KAPPAS[u]."""
+    rng = np.random.default_rng(seed)
+    return [
+        [
+            [
+                build_profile(
+                    rng.uniform(0.5, 1.5) if ell == j else rng.uniform(0.05, 0.3),
+                    kappa,
+                    one_ring_correlation(rng.uniform(-math.pi, -1.0), rng.uniform(0.0, 1.0), n),
+                    los_steering(rng.uniform(-1.0, 1.0), n),
+                    is_local=(ell == j),
+                )
+                for kappa in ORACLE_KAPPAS
+            ]
+            for ell in range(cells)
+        ]
+        for j in range(cells)
+    ]
+
+
+def leave_one_out_sinrs(bs, j, rho_d, scattered=True):
+    """Direct per-user solves at BS j: g_k = C_k^{-1} h_bar_k with
+    C_k = sum_local R + Hbar_k Hbar_k^H + (N/rho_d) I (Hbar_k drops column k).
+    Returns the single-cell SINR h_bar_k^H g_k and the multi-cell SINR
+    |g_k^H h_bar_k|^2 / g_k^H (C_k + R_out) g_k; NaN where h_bar_k = 0."""
+    local = bs[j]
+    n = local[0].n_antennas
+    h_bar = np.column_stack([p.h_bar for p in local])
+    r_local = sum(p.r_cov for p in local) if scattered else 0.0
+    r_out = sum((p.r_cov for ell, cell in enumerate(bs) if ell != j for p in cell), 0.0)
+    single, multi = np.full(len(local), np.nan), np.full(len(local), np.nan)
+    for k in range(len(local)):
+        if not np.any(h_bar[:, k]):
+            continue
+        others = np.delete(h_bar, k, axis=1)
+        c_k = r_local + others @ others.conj().T + (n / rho_d) * np.eye(n)
+        g = np.linalg.solve(c_k, h_bar[:, k])
+        single[k] = np.real(h_bar[:, k].conj() @ g)
+        multi[k] = abs(g.conj() @ h_bar[:, k]) ** 2 / np.real(g.conj() @ (c_k + r_out) @ g)
+    return single, multi
+
+
+def assert_matches_oracle(se, sinr):
+    # kappa = 0 users are exactly +0.0; every other user within 1e-12
+    zero = np.isnan(sinr)
+    assert np.all(se[zero] == 0.0) and not np.any(np.signbit(se))
+    assert np.allclose(se[~zero], np.log1p(sinr[~zero]), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rho_d", [0.1, 1e4])
+@pytest.mark.parametrize("cells", [1, 3])
+def test_stat_core_matches_leave_one_out_oracle(cells, rho_d):
+    n, k = 16, len(ORACLE_KAPPAS)
+    profiles = oracle_profiles(cells, n)
+    cfg = make_config(
+        n_antennas=n, n_users=k, n_cells=cells, training_len=k, snr_data=rho_d, log_base="natural"
+    )
+    multi = se_stat_multicell(profiles, cfg)
+    for j, bs in enumerate(profiles):
+        single, multi_sinr = leave_one_out_sinrs(bs, j, rho_d)
+        assert_matches_oracle(se_stat_singlecell(bs[j], cfg).per_user_se, single)
+        assert_matches_oracle(multi[j].per_user_se, multi_sinr)
+        full, los_only = se_stat_singlecell_de(bs[j], cfg)
+        assert_matches_oracle(full, single)
+        assert_matches_oracle(los_only, leave_one_out_sinrs(bs, j, rho_d, scattered=False)[0])
+
+
+def test_stat_los_only_form_finite_at_160_db():
+    # the LoS resolvent never divides by 1 - h_bar^H (...)^{-1} h_bar, which
+    # rounds to 0 when the noise loading vanishes against the LoS gram
+    n, k = 16, len(ORACLE_KAPPAS)
+    local = oracle_profiles(1, n)[0][0]
+    cfg = make_config(n_antennas=n, n_users=k, n_cells=1, training_len=k, snr_data=1e16)
+    _, los_only = se_stat_singlecell_de(local, cfg)
+    assert np.all(np.isfinite(los_only))
+    assert los_only[0] == 0.0 and not np.signbit(los_only[0])
+    assert np.all(los_only[1:] > 0.0)
 
 
 def test_stat_singlecell_matches_empirical_average():

@@ -220,3 +220,15 @@ def test_kappa_threshold_scales_with_frame():
     short = kappa_threshold(p, make_config(k=10, t=100))
     long = kappa_threshold(p, make_config(k=10, t=1000))
     assert long > short
+
+
+def test_kappa_threshold_ignores_link_locality():
+    # theta is the same for a non-local link (R = beta theta) and its local
+    # twin (R = beta theta / (1 + kappa)), and so is the threshold
+    n = 16
+    theta = exponential_correlation(0.3, n)
+    local = build_profile(2.0, 1.0, theta, los_steering(0.1, n))
+    remote = build_profile(2.0, 1.0, theta, los_steering(0.1, n), is_local=False)
+    cfg = make_config(k=10, t=250)
+    assert kappa_threshold(remote, cfg) == pytest.approx(kappa_threshold(local, cfg), rel=1e-12)
+    assert kappa_threshold(local, cfg) == pytest.approx((250 - 10) / 10, rel=1e-12)
