@@ -29,7 +29,6 @@ from .channel import (
     los_steering,
     one_ring_correlation,
     pathloss,
-    sample_channel,
 )
 from .combining import (
     CombinerSet,
@@ -37,11 +36,7 @@ from .combining import (
     statistical_combiner,
 )
 from .config import ConfigError, SystemConfig
-from .estimation import (
-    EstimatorState,
-    build_estimator_multicell,
-    lmmse_estimate,
-)
+from .estimation import EstimatorState, build_estimator_multicell
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 from .results import ResultRow, emit_results
 from .scenarios import Scenario, ScenarioSpec, build_scenario, parse_scenario, serialize_scenario

@@ -6,6 +6,12 @@ resolvent rewrite of the combiner: with A the combiner's regularizer and
 Z = (I + (rho_d/N) A)^{-1}, all SINR terms are functions of the K x K matrix
 Q = ((1/N) E[Hhat^H Z Hhat] + (1/rho_d) I)^{-1}.
 
+Everything is evaluated in the estimator's real basis (`estimation`): the
+estimate covariances R_tilde_i, the regularizer sums A and B and Z are real
+images, Hbar is rotated by Q^H once, and every trace and LoS form is
+invariant under the unitary Q, so no operand is mapped back to the antenna
+basis.
+
 Two evaluation modes are supported.  The refined mode (default) keeps Z,
 which stays accurate at finite N even when the regularizer dominates the
 noise loading.  The plain mode replaces Z by I, the additional large-antenna
@@ -22,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import UserLinkProfile, antenna_image
+from .channel import UserLinkProfile, real_basis, real_matmul
 from .combining import los_resolvent, statistical_resolvent
 from .config import SystemConfig
-from .estimation import EstimatorState, regularizer_sums
+from .estimation import EstimatorState, build_estimator_multicell, regularizer_sums
 
 
 @dataclass
@@ -77,10 +83,16 @@ def _pair_traces(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _gram(h_bar: np.ndarray, r_tildes: np.ndarray, weight: np.ndarray) -> np.ndarray:
     n = h_bar.shape[0]
-    g = h_bar.conj().T @ weight @ h_bar
-    g = g + np.diag(np.real(_traces(r_tildes, weight)))
+    g = h_bar.conj().T @ real_matmul(weight, h_bar)
+    g = g + np.diag(_traces(r_tildes, weight))
     g = g / n
     return 0.5 * (g + g.conj().T)
+
+
+def _phi_trace(estimator: EstimatorState, ell: int, zp: np.ndarray) -> float:
+    """tr(Z R_l Phi R_i) on the same-pilot spectrum: sum_c f_c <(Z P_i)[:, c],
+    P_l[:, c]> for zp = Z P_i (P_i itself when Z = I), an N^2 sum."""
+    return float(np.sum(estimator.weighted(ell) * zp))
 
 
 def _second_order_moments(
@@ -111,8 +123,8 @@ def _second_order_moments(
     t_t = np.real(_pair_traces(zr, zr))
     t_t = 0.5 * (t_t + t_t.T)
     # Z is Hermitian, so Hbar^H Z is the K x N projection (Z Hbar)^H
-    zh = z @ h_bar
-    w_mats = zh.conj().T @ (r_tildes @ zh)  # (K, K, K): Hbar^H Z Rt_m Z Hbar
+    zh = real_matmul(z, h_bar)
+    w_mats = zh.conj().T @ real_matmul(r_tildes, zh)  # (K, K, K): Hbar^H Z Rt_m Z Hbar
     q_diag = np.real(np.diag(q))
     p_mat = np.abs(q) ** 2  # symmetric since q is Hermitian
     # E[Delta Q Delta] and the resolvent mean shift Q E[.] Q
@@ -144,7 +156,7 @@ def _second_order_moments(
         # anticorrelation between Qtilde and the fluctuation of G_B itself:
         # t1b[a, i] = tr(Z Rt_a B Rt_i), w1b[a] = Hbar^H Z Rt_a B Hbar
         t1b = np.real(_pair_traces(zr, b_weight @ r_tildes))
-        w1b_mats = zh.conj().T @ (r_tildes @ (b_weight @ h_bar))
+        w1b_mats = zh.conj().T @ real_matmul(r_tildes, real_matmul(b_weight, h_bar))
         m1b = sum(q_diag[a] * w1b_mats[a] for a in range(k)) + np.diag(
             t1b.T @ q_diag + np.conj(np.einsum("mab,ba->m", w1b_mats, q))
         )
@@ -170,13 +182,13 @@ def _second_order_moments(
         y_mat = q @ s0
         mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
         v_mat = (h_bar - h_bar @ (y_mat / n)) / n
-        zv = z @ v_mat
+        zv = real_matmul(z, v_mat)
         # vrv[m, i] = zv_i^H Rt_m zv_i, vrhq[m, i] = zv_i^H Rt_m (Z Hbar Q)_i
-        vrv = np.real(np.sum(zv.conj() * (r_tildes @ zv), axis=1))
+        vrv = np.real(np.sum(zv.conj() * real_matmul(r_tildes, zv), axis=1))
         qwq = np.real(np.einsum("kb,mbc,ck->mk", q, w_mats, q))
         ab = np.abs(y_mat) ** 2
         var_psi = p_mat @ vrv + (qwq.T @ ab + p_mat @ (t_t @ ab)) / n**4
-        vrhq = np.sum(zv.conj() * (r_tildes @ (zh @ q)), axis=1)
+        vrhq = np.sum(zv.conj() * real_matmul(r_tildes, zh @ q), axis=1)
         qyc = q * y_mat.conj()
         cov_qpsi = -(p_mat @ vrhq) / n**2 + (
             qwq.T @ qyc + p_mat @ (t_t @ qyc)
@@ -193,13 +205,11 @@ def _second_order_moments(
 
 def _contamination_split(
     h_bar: np.ndarray,
-    local_covs: list[np.ndarray],
+    estimators: list[EstimatorState],
     r_tildes: np.ndarray,
     z: np.ndarray,
     zr: np.ndarray,
     q: np.ndarray,
-    cross_covs: list[list[np.ndarray]],
-    cross_gains: list[list[np.ndarray]],
     cross_traces: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,42 +218,40 @@ def _contamination_split(
     The conditional mean m_{mi} of the contaminating link is jointly Gaussian
     with the local estimate fluctuation e_i, so m = alpha e_i + r with
     E[r e_i^H] choosing alpha = tr(Z C_i R_i) / tr(Z Rtilde_i), which makes
-    the resolvent-projected remainder mean-free.  When the cross covariance
-    is proportional to the local one (matched correlation families) the
-    remainder vanishes identically; otherwise its power and its correlation
-    with the exact part are kept at quadratic order.
+    the resolvent-projected remainder mean-free.  On the same-pilot spectrum,
+    with D = P_x - alpha P_i, the remainder has covariance D diag(f) D^T and
+    cross covariance D diag(f) P_i^T with e_i.  When the cross covariance is
+    proportional to the local one (matched correlation families) D vanishes;
+    otherwise the remainder's power and its correlation with the exact part
+    are kept at quadratic order.
     """
     k = len(r_tildes)
-    m_cells = len(cross_gains)
-    alphas = np.zeros((m_cells, k))
-    extra = np.zeros((m_cells, k, k))
-    tr_zrt = np.real(_traces(r_tildes, z))
-    zh = z @ h_bar
-    for m in range(m_cells):
-        for i in range(k):
+    local = estimators[0].local_index
+    others = estimators[0].others
+    alphas = np.zeros((len(others), k))
+    extra = np.zeros((len(others), k, k))
+    tr_zrt = _traces(r_tildes, z)
+    zh = real_matmul(z, h_bar)
+    for m, ell in enumerate(others):
+        for i, e in enumerate(estimators):
             if tr_zrt[i] <= 1e-12 * n:
                 alpha = 0.0
             else:
                 alpha = n * cross_traces[m, i] / tr_zrt[i]
             alphas[m, i] = alpha
-            c_mat = cross_gains[m][i]
-            cr = c_mat @ local_covs[i]
-            sigma_m = c_mat @ cross_covs[m][i]  # C Phi^{-1} C^H = R_x Phi R_x
-            resid = sigma_m - alpha * (cr + cr.conj().T) + alpha**2 * r_tildes[i]
-            x_c = cr - alpha * r_tildes[i]
-            scale = np.abs(sigma_m).max() + np.abs(alpha**2 * r_tildes[i]).max()
-            if scale <= 0 or (
-                np.abs(resid).max() <= 1e-10 * scale
-                and np.abs(x_c).max() <= 1e-10 * scale
-            ):
+            p_x, p_i = e.spectrum.proj[ell], e.spectrum.proj[local]
+            d = p_x - alpha * p_i
+            if np.abs(d).max() <= 1e-10 * np.abs(p_x).max():
                 continue
+            d_f = d * e.shrink
+            resid = d_f @ d.T
+            x_ct = p_i @ d_f.T  # the transpose of D diag(f) P_i^T
             # quadratic remainder and its correlation with the exact part,
             # both at leading (deterministic-resolvent) order: the grams of
-            # Z M Z for M = resid and x_c^H, with tr(Rt_j Z M Z) read as
+            # Z M Z for M = resid and x_c^T, with tr(Rt_j Z M Z) read as
             # tr((Z Rt_j)(Z M))
-            x_ch = x_c.conj().T
-            g_res = zh.conj().T @ resid @ zh + np.diag(np.real(_traces(zr, z @ resid)))
-            g_xc = zh.conj().T @ x_ch @ zh + np.diag(_traces(zr, z @ x_ch))
+            g_res = zh.conj().T @ real_matmul(resid, zh) + np.diag(_traces(zr, z @ resid))
+            g_xc = zh.conj().T @ real_matmul(x_ct, zh) + np.diag(_traces(zr, z @ x_ct))
             quad_res = np.real(np.einsum("ka,ab,kb->k", q, g_res, q.conj()))
             quad_xc = np.real(np.einsum("ka,ab,kb->k", q, g_xc, q.conj()))
             extra[m, :, i] = (quad_res + 2.0 * alpha * quad_xc) / n**2
@@ -254,21 +262,24 @@ def _build_state(
     profiles: list[UserLinkProfile],
     estimators: list[EstimatorState],
     rho_d: float,
-    a_matrix: np.ndarray,
     refined: bool,
-    cross_covs: list[list[np.ndarray]] | None = None,
-    cross_gains: list[list[np.ndarray]] | None = None,
-    quad_matrix: np.ndarray | None = None,
 ) -> AsymptoticState:
+    """The state of one BS from its local links and its K estimators.
+
+    The regularizer A and the quadratic-term matrix B are the real images of
+    `regularizer_sums` (B = A in a single cell); the estimators' other
+    same-pilot links are the contaminating ones.
+    """
     n = profiles[0].n_antennas
     k = len(profiles)
-    h_bar = np.column_stack([p.h_bar for p in profiles])
+    h_bar = real_basis(np.array([p.h_bar for p in profiles])).T
     r_tildes = np.stack([e.r_tilde for e in estimators])
-    if quad_matrix is None:
-        quad_matrix = a_matrix
+    a_matrix, quad_matrix = regularizer_sums(estimators)
+    local = estimators[0].local_index
+    others = estimators[0].others
     if refined:
         z = np.linalg.inv(np.eye(n) + (rho_d / n) * a_matrix)
-        z = 0.5 * (z + z.conj().T)
+        z = 0.5 * (z + z.T)
         z2 = z @ z
         zxz = z @ quad_matrix @ z
     else:
@@ -279,24 +290,14 @@ def _build_state(
     gram2 = _gram(h_bar, r_tildes, z2)
     q = np.linalg.inv(gram1 + np.eye(k) / rho_d)
     q = 0.5 * (q + q.conj().T)
-    t_mat = h_bar.conj().T @ zxz @ h_bar + np.diag(np.real(_traces(r_tildes, zxz)))
-    cross = np.zeros((0, k))
-    if cross_covs and refined:
-        # cross[m, i] = (1/N) tr(Z R_cross Phi_i R_local) with gain_i =
-        # R_local Phi_i, read as <gain_i, Z R_cross>
-        gains = np.stack([e.gain for e in estimators])
-        covs = [z @ np.stack(per_cell) for per_cell in cross_covs]
-        cross = np.stack([np.real(np.sum(gains.conj() * c, axis=(1, 2))) / n for c in covs])
-    elif cross_covs:
-        # Z = I: tr(R_x Phi_i R_i) = sum_c f_c <P_i[:, c], P_x[:, c]> on the
-        # real spectrum of the same-pilot sum, an N^2 sum per pair
-        local = estimators[0].local_index
-        cross = np.array(
-            [
-                [np.sum(e.weighted(ell) * e.spectrum.proj[local]) / n for e in estimators]
-                for ell in estimators[0].others
-            ]
-        )
+    t_mat = h_bar.conj().T @ real_matmul(zxz, h_bar) + np.diag(_traces(r_tildes, zxz))
+    # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
+    cross = np.zeros((len(others), k))
+    for i, e in enumerate(estimators if others else ()):
+        p_i = e.spectrum.proj[local]
+        zp = z @ p_i if refined else p_i
+        for m, ell in enumerate(others):
+            cross[m, i] = _phi_trace(e, ell, zp) / n
     contam_second = np.zeros((0, 0))
     contam_alpha = np.zeros((0, 0))
     contam_extra = np.zeros((0, 0, 0))
@@ -304,13 +305,12 @@ def _build_state(
         zr = z @ r_tildes
         q_mean, var_mat, noise_corr, err_corr, second = _second_order_moments(
             h_bar, r_tildes, z, zr, z2, zxz, q, gram2, t_mat, n,
-            rho_d=rho_d if cross_gains else None,
+            rho_d=rho_d if others else None,
         )
-        if cross_gains:
+        if others:
             contam_second = second
             contam_alpha, contam_extra = _contamination_split(
-                h_bar, [p.r_cov for p in profiles], r_tildes, z, zr, q,
-                cross_covs, cross_gains, cross, n,
+                h_bar, estimators, r_tildes, z, zr, q, cross, n
             )
     else:
         q_mean, var_mat = q, np.zeros((k, k))
@@ -342,8 +342,7 @@ def build_q_singlecell(
     The regularizer is the sum of estimation-error covariances, and the
     quadratic term covers exactly those errors.
     """
-    a_image, _ = regularizer_sums(estimators)
-    return _build_state(profiles, estimators, rho_d, antenna_image(a_image), refined)
+    return _build_state(profiles, estimators, rho_d, refined)
 
 
 def build_q_multicell(
@@ -356,26 +355,14 @@ def build_q_multicell(
     """State for BS j of a multi-cell system, with contamination traces.
 
     `profiles_at_bs[ell][i]` is the link from user i of cell ell to this BS;
-    `estimators[i]` is the multi-cell estimator of pilot i at this BS.  The
-    regularizer adds the inter-cell covariances, which also account for the
-    conditional covariance and conditional-mean fluctuations of the
-    contaminating links in the quadratic term.
+    `estimators[i]` is the multi-cell estimator of pilot i at this BS, whose
+    same-pilot spectrum carries every contaminating link.  The regularizer
+    adds the inter-cell covariances.  The quadratic term keeps only the
+    conditional covariances of the contaminating links; their
+    conditional-mean power is carried by the dedicated contamination model,
+    matching the Monte Carlo split.
     """
-    local = profiles_at_bs[local_index]
-    k = len(local)
-    others = [ell for ell in range(len(profiles_at_bs)) if ell != local_index]
-    cross_covs = [[profiles_at_bs[ell][i].r_cov for i in range(k)] for ell in others]
-    cross_gains = None  # only the refined contamination split reads them
-    if refined:
-        cross_gains = [[estimators[i].cross_gains[ell] for i in range(k)] for ell in others]
-    # the quadratic keeps only the conditional covariances of the
-    # contaminating links; their conditional-mean power is carried by the
-    # dedicated contamination model, matching the Monte Carlo split
-    a_matrix, quad_matrix = map(antenna_image, regularizer_sums(estimators))
-    return _build_state(
-        local, estimators, rho_d, a_matrix, refined,
-        cross_covs, cross_gains, quad_matrix,
-    )
+    return _build_state(profiles_at_bs[local_index], estimators, rho_d, refined)
 
 
 def _common_terms(state: AsymptoticState):
@@ -433,7 +420,10 @@ def se_conv_favorable(
     """Favorable-propagation corollary: interference-free conventional SE."""
     n = config.n_antennas
     rho = config.snr_data
-    traces = np.array([np.real(np.trace(e.r_tilde)) for e in estimators])
+    # tr(R_tilde_i) = sum_c f_c |P_i[:, c]|^2
+    traces = np.array(
+        [_phi_trace(e, e.local_index, e.spectrum.proj[e.local_index]) for e in estimators]
+    )
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
     return config.prelog * np.log1p(rho / n * (traces + norms)) * config.log_scale
 
@@ -526,14 +516,7 @@ def pilot_contamination_term(
 ) -> float:
     """f(kappa) = (1/N) tr(sum_{l != j} R_{jlk} Phi_{jk} R_{jjk}); nonnegative,
     nonincreasing in the local Rician factor."""
-    from .estimation import build_estimator_multicell
-
     state = build_estimator_multicell(profiles_same_pilot, local_index, tau, rho_tr)
-    n = state.n_antennas
-    total = 0.0
-    for ell, p in enumerate(profiles_same_pilot):
-        if ell == local_index:
-            continue
-        # tr(R gain^H) is the elementwise inner product <gain, R>
-        total += np.real(np.vdot(state.gain, p.r_cov)) / n
-    return float(total)
+    p_local = state.spectrum.proj[local_index]
+    total = sum(_phi_trace(state, ell, p_local) for ell in state.others)
+    return float(total / state.n_antennas)

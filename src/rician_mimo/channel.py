@@ -1,9 +1,9 @@
-"""Per-link channel statistics and channel realizations.
+"""Per-link channel statistics.
 
 A link (BS, cell, user) is described by a `UserLinkProfile` holding the
 large-scale gain, Rician factor, spatial correlation and LoS direction.
-Realizations are drawn as h = h_bar + R^{1/2} z with z standard complex
-Gaussian.
+Realizations are h = h_bar + R^{1/2} z with z standard complex Gaussian
+(`standard_complex_normal`); the Monte Carlo draws them in the real basis.
 
 Every correlation family here is Hermitian Toeplitz, hence centro-Hermitian
 (J Theta J = conj(Theta) with J the flip), and sums, products and inverses
@@ -92,9 +92,12 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigenpair (lam, V) of Theta's image: Theta = Q V diag(lam) V^T Q^H."""
-    return np.linalg.eigh(real_image(theta))
+def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, image): Theta's real image and its real eigenpair,
+    image = V diag(lam) V^T and Theta = Q image Q^H."""
+    image = real_image(theta)
+    lam, v = np.linalg.eigh(image)
+    return lam, v, image
 
 
 def one_ring_correlation(
@@ -168,14 +171,16 @@ class UserLinkProfile:
     """Second-order statistics of one (BS, cell, user) link.
 
     `theta`, `r_cov`, `h_bar` and `sqrt_r` are in the antenna basis.
-    `theta_eig` is `theta_spectrum(theta)`, the real eigenpair of theta's
-    real image; when omitted it is computed here.  Links that share one
-    correlation matrix can share one decomposition.  The covariance R is a
-    positive multiple of theta, so its eigenvectors are theta's and its
-    eigenvalues (`r_eigvals`) are theta's scaled, clamped at zero because
+    `theta_eig` is `theta_spectrum(theta)`, theta's real image and its real
+    eigenpair; when omitted it is computed here.  Links that share one
+    correlation matrix can share one decomposition.  The covariance R is the
+    positive multiple `scale` of theta, so its image is `scale` times theta's
+    (`r_image`), its eigenvectors are theta's and its eigenvalues
+    (`r_eigvals`) are theta's scaled, clamped at zero because
     quadrature-built correlation matrices are often numerically
     semi-definite.  The PSD check, R^{1/2}, the training eigenvalues and the
-    single-cell estimator all read this one decomposition.
+    estimators all read this one decomposition; `r_cov` and `r_image` are
+    formed on each access.
     """
 
     beta: float
@@ -183,8 +188,8 @@ class UserLinkProfile:
     theta: np.ndarray
     los_dir: np.ndarray
     is_local: bool = True
-    theta_eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    r_cov: np.ndarray = field(init=False)
+    theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    scale: float = field(init=False)
     h_bar: np.ndarray = field(init=False)
     r_eigvals: np.ndarray = field(init=False, repr=False)
     # memo of `estimation.same_pilot_spectrum` for the groups led by this link
@@ -205,18 +210,27 @@ class UserLinkProfile:
             raise ChannelModelError(f"theta is not PSD: min eigenvalue {ev[0]:.3e}")
         if self.is_local:
             # kappa splits power between scattered and specular parts
-            scale = self.beta / (1.0 + self.kappa)
+            self.scale = self.beta / (1.0 + self.kappa)
             self.h_bar = math.sqrt(self.beta * self.kappa / (1.0 + self.kappa)) * self.los_dir
         else:
             # inter-cell links are pure scattered fading
-            scale = self.beta
+            self.scale = self.beta
             self.h_bar = np.zeros(n, dtype=complex)
-        self.r_cov = scale * self.theta
-        self.r_eigvals = scale * np.clip(ev, 0.0, None)
+        self.r_eigvals = self.scale * np.clip(ev, 0.0, None)
 
     @property
     def n_antennas(self) -> int:
         return self.theta.shape[0]
+
+    @property
+    def r_cov(self) -> np.ndarray:
+        """The covariance R = scale * theta."""
+        return self.scale * self.theta
+
+    @property
+    def r_image(self) -> np.ndarray:
+        """Q^H R Q, the real image of `r_cov`."""
+        return self.scale * self.theta_eig[2]
 
     @property
     def eigvecs(self) -> np.ndarray:
@@ -241,7 +255,7 @@ def build_profile(
     theta: np.ndarray,
     los_dir: np.ndarray,
     is_local: bool = True,
-    theta_eig: tuple[np.ndarray, np.ndarray] | None = None,
+    theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> UserLinkProfile:
     return UserLinkProfile(
         beta=beta, kappa=kappa, theta=theta, los_dir=los_dir, is_local=is_local, theta_eig=theta_eig
@@ -251,12 +265,6 @@ def build_profile(
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """CN(0, 1) samples: unit variance split evenly between re/im parts."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-
-
-def sample_channel(profile: UserLinkProfile, rng: np.random.Generator) -> np.ndarray:
-    """One realization h = h_bar + R^{1/2} z, z ~ CN(0, I)."""
-    z = standard_complex_normal(rng, profile.n_antennas)
-    return profile.h_bar + profile.sqrt_r @ z
 
 
 @dataclass

@@ -3,17 +3,18 @@
 At one BS the pilot of user k is reused by user k of every cell, so the
 despread observation has covariance S + sI with the same-pilot sum
 S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
-through S.  Every covariance is centro-Hermitian, so the estimator works on
-the real images Q^H R Q of `channel.real_image`.  One real `eigh` of the
-image of S (`same_pilot_spectrum`, kept on the group's links, so once per
-scenario) gives Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every
-training key, and with the real projections P_l = (Q^H R_l Q) V every
-estimator matrix is the image of a real product P_l diag(f) (.)^T: no
-N x N inverse and no complex N x N product is taken.  A single link reuses
-its profile's eigenpair (S = R, P = V diag(lam)), so the single- and
-multi-cell estimators are one path.  The dense antenna-basis matrices are
-formed only when a caller reads them; the Monte Carlo loop and
-`regularizer_sums` stay in the real basis.
+through S.  Every covariance is centro-Hermitian, and the estimator lives
+in one basis, that of the real images Q^H R Q (`channel.real_image`).  One
+real `eigh` of the image of S (`same_pilot_spectrum`, kept on the group's
+links, so once per scenario) gives Phi = Q V diag(f) V^T Q^H with
+f = 1/(mu + s) for every training key.  With the real projections
+P_l = (Q^H R_l Q) V, the estimator is the pair (P_l, f): the gain of link l
+has the image P_l diag(f) V^T and the estimate covariance the image
+P_i diag(f) P_i^T.  No N x N inverse, no complex N x N product and no dense
+antenna-basis estimator matrix is formed; the Monte Carlo,
+`regularizer_sums` and the deterministic equivalents all read these real
+factors.  A single link reuses its profile's eigenpair (S = R,
+P = V diag(lam)), so the single- and multi-cell estimators are one path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import UserLinkProfile, antenna_image, real_image
+from .channel import UserLinkProfile
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
             mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
             proj = (v * mu)[None]
         else:
-            images = [real_image(p.r_cov) for p in profiles]
+            images = [p.r_image for p in profiles]
             mu, v = np.linalg.eigh(sum(images))
             mu = np.clip(mu, 0.0, None)
             proj = np.stack([r @ v for r in images])
@@ -84,8 +85,8 @@ class PilotStacks:
         self.rest_t = [
             sum((self.proj_t[m] for m in range(cells) if m != ell), 0) for ell in range(cells)
         ]
-        inter = [p.r_cov for sp in spectra for ell, p in enumerate(sp.links) if ell != local_index]
-        self.inter = real_image(sum(inter)) if inter else 0.0
+        links = (p for sp in spectra for ell, p in enumerate(sp.links) if ell != local_index)
+        self.inter = sum((p.r_image for p in links), 0.0)
 
 
 def pilot_stacks(spectra: list[PilotSpectrum], local_index: int) -> PilotStacks:
@@ -98,7 +99,6 @@ def pilot_stacks(spectra: list[PilotSpectrum], local_index: int) -> PilotStacks:
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
-    # the antenna image of an exactly symmetric matrix is exactly Hermitian
     return 0.5 * (mat + mat.T)
 
 
@@ -107,22 +107,15 @@ class EstimatorState:
     """LMMSE estimator of one (BS, pilot) pair at one training key.
 
     `shrink` is f = 1/(mu + 1/(tau*rho_tr)) on the group's spectrum.  The
-    dense antenna-basis matrices are derived on first access: the local gain
-    R_local Phi, the estimate covariance R_tilde, the error covariance, and
-    for every same-pilot interfering cell l the cross gain R_l Phi and the
-    conditional covariance R_l - R_l Phi R_l used for the conditional
-    interference statistics given the pilot observation (both empty for a
-    single link).
+    gain R_l Phi of same-pilot link l has the image `weighted(l)` V^T, and
+    `r_tilde` is the real image of the local estimate covariance
+    R_tilde = R_local Phi R_local.
     """
 
     local_index: int
     spectrum: PilotSpectrum
     tau_rho: float
     shrink: np.ndarray
-
-    @property
-    def h_bar(self) -> np.ndarray:
-        return self.spectrum.links[self.local_index].h_bar
 
     @property
     def n_antennas(self) -> int:
@@ -137,40 +130,11 @@ class EstimatorState:
         """P_l diag(f)."""
         return self.spectrum.proj[ell] * self.shrink
 
-    def _complement(self, ell: int) -> np.ndarray:
-        """W_l = (S - R_l + sI) V in the real basis, summed over the other
-        links so that R_l - R_l Phi R_l = P_l diag(f) W_l^T involves no
-        cancellation."""
-        sp = self.spectrum
-        rest = (sp.proj[m] for m in range(len(sp.links)) if m != ell)
-        return sum(rest, sp.eigvecs / self.tau_rho)
-
-    def _times_phi(self, ell: int) -> np.ndarray:
-        return antenna_image(self.weighted(ell) @ self.spectrum.eigvecs.T)
-
-    def _conditional_cov(self, ell: int) -> np.ndarray:
-        return antenna_image(_symmetric(self.weighted(ell) @ self._complement(ell).T))
-
-    @cached_property
-    def gain(self) -> np.ndarray:
-        return self._times_phi(self.local_index)
-
     @cached_property
     def r_tilde(self) -> np.ndarray:
+        """P_i diag(f) P_i^T, the real image of R_tilde."""
         p = self.spectrum.proj[self.local_index]
-        return antenna_image(_symmetric(self.weighted(self.local_index) @ p.T))
-
-    @cached_property
-    def err_cov(self) -> np.ndarray:
-        return self._conditional_cov(self.local_index)
-
-    @cached_property
-    def cross_gains(self) -> dict[int, np.ndarray]:
-        return {ell: self._times_phi(ell) for ell in self.others}
-
-    @cached_property
-    def cond_covs(self) -> dict[int, np.ndarray]:
-        return {ell: self._conditional_cov(ell) for ell in self.others}
+        return _symmetric(self.weighted(self.local_index) @ p.T)
 
 
 def build_estimator_multicell(
@@ -206,10 +170,11 @@ def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarr
     A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
     regularizer; B = sum_k err_k + sum_{l != j, k} cond_lk is the error and
     conditional interference covariance of the Monte Carlo SINR and the
-    DE's quadratic term.  Each cell's sum over k of P_lk diag(f_k) W_lk^T
-    (see `EstimatorState._complement`) is one real (N, K*N) @ (K*N, N)
-    product of the key-independent `pilot_stacks`, scaled by f and shifted
-    by s V_k; `channel.antenna_image` maps the results back.
+    DE's quadratic term.  The error (or conditional) covariance of link l,
+    R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
+    involves no cancellation.  Each cell's sum over k of these is one real
+    (N, K*N) @ (K*N, N) product of the key-independent `pilot_stacks`,
+    scaled by f and shifted by s V_k.
     """
     first = states[0]
     stacks = pilot_stacks([s.spectrum for s in states], first.local_index)
@@ -226,21 +191,3 @@ def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarr
     b_mat = err + sum(cell_sum(ell) for ell in first.others)
     return _symmetric(err + stacks.inter), _symmetric(b_mat)
 
-
-def lmmse_estimate(
-    gain: np.ndarray,
-    cross_gains: dict[int, np.ndarray],
-    h_bar: np.ndarray,
-    y: np.ndarray,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """LMMSE estimate of the local link and the interferers' conditional means.
-
-    `y` is the despread pilot observation: the sum of the same-pilot channels
-    plus the pilot noise scaled by 1/sqrt(tau*rho_tr).  Operands may be
-    stacked on leading axes, e.g. one (N, N) gain against (draws, N)
-    observations, or (K, N, N) gains against (K, N) observations.
-    """
-    centered = y - h_bar
-    h_hat = h_bar + np.matmul(gain, centered[..., None])[..., 0]
-    means = {ell: np.matmul(cg, centered[..., None])[..., 0] for ell, cg in cross_gains.items()}
-    return h_hat, means

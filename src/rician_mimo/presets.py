@@ -165,12 +165,7 @@ def preset_summary(figure_id: str) -> dict:
         summary["avg_conv_se_by_tau_setting"] = per_kmax
         return summary
     if figure_id == "fig1b":
-        table = {}
-        for spec in preset_specs("fig1b"):
-            rows = tau_star_rows(build_scenario(spec), spec.seed)
-            table[spec.scenario_id] = {f"{row.snr_db:g}": row.tau_used for row in rows}
-        summary["tau_star_by_snr"] = table
-        return summary
+        return run_preset(figure_id)[1]
     if figure_id in ("fig2a", "fig2b", "fig4a", "fig4b"):
         crossings = {}
         for spec in preset_specs(figure_id):
@@ -202,6 +197,10 @@ def run_preset(
     seed: int | None = None,
 ) -> tuple[list[ResultRow], dict]:
     """Run one preset end to end; returns (result rows, qualitative summary)."""
+    if seed is not None and seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if trials is not None and trials < 1:
+        raise ConfigError("trials must be >= 1")
     rows: list[ResultRow] = []
     for spec in preset_specs(figure_id):
         scenario = build_scenario(spec)
@@ -219,4 +218,10 @@ def run_preset(
             rows.extend(
                 _rows_for_scenario(single, schemes, "both", use_trials, use_seed)
             )
+    if figure_id == "fig1b":
+        # the summary reads tau* from the rows just built
+        table: dict = {}
+        for row in rows:
+            table.setdefault(row.scenario_id, {})[f"{row.snr_db:g}"] = row.tau_used
+        return rows, {"figure": figure_id, "tau_star_by_snr": table}
     return rows, preset_summary(figure_id)

@@ -82,8 +82,14 @@ class ScenarioSpec:
             raise ConfigError("layout single_cell requires l = 1")
         if self.layout == "three_cell_edge" and self.l != 3:
             raise ConfigError("layout three_cell_edge requires l = 3")
+        if self.radius_m <= 0 or self.alpha <= 0:
+            raise ConfigError("radius_m and alpha must be positive")
+        if self.correlation == "exponential" and abs(self.corr_rho) >= 1:
+            raise ConfigError(f"exponential correlation needs |corr_rho| < 1, got {self.corr_rho}")
         if self.kappa_max < 0:
             raise ConfigError("kappa_max must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.tau_mode == "fixed":

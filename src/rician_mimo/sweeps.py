@@ -19,7 +19,6 @@ from .asymptotics import (
     se_conv_multicell_de,
     se_conv_singlecell_de,
     se_stat_multicell_de,
-    se_stat_singlecell_de,
 )
 from .config import ConfigError
 from .estimation import build_estimator_multicell
@@ -81,10 +80,13 @@ def conv_de_per_bs(scenario: Scenario, config) -> list[np.ndarray]:
 
 
 def stat_de_per_bs(scenario: Scenario, config) -> list[np.ndarray]:
-    """Deterministic-equivalent statistical SE, one array per BS."""
+    """Deterministic-equivalent statistical SE, one array per BS.
+
+    In a single cell it is the full form of `se_stat_singlecell_de`, which is
+    the exact SE of `se_stat_singlecell`.
+    """
     if scenario.n_cells == 1:
-        full, _ = se_stat_singlecell_de(scenario.local_profiles(0), config)
-        return [full]
+        return [se_stat_singlecell(scenario.local_profiles(0), config).per_user_se]
     return [
         se_stat_multicell_de(scenario.local_profiles(bs), config)
         for bs in range(scenario.n_cells)
@@ -124,13 +126,16 @@ def _rows_for_scenario(
                 tau_used, prelog = taus[snr], config.prelog
             else:
                 name = "stat_multi" if multi else "stat_single"
-                de = stat_de_per_bs(scenario, config) if mode in ("de", "both") else None
-                mc = None
+                de = mc = None
                 if mode in ("mc", "both"):
                     if multi:
                         mc = se_stat_multicell(scenario.profiles, config)
                     else:
                         mc = [se_stat_singlecell(scenario.local_profiles(0), config)]
+                if mode in ("de", "both"):
+                    # a single cell's equivalent is its exact SE: reuse it
+                    single = mc is not None and not multi
+                    de = [mc[0].per_user_se] if single else stat_de_per_bs(scenario, config)
                 tau_used, prelog = 0, 1.0
             for bs in range(scenario.n_cells):
                 for u in range(k):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lmmse_oracle import dense_lmmse
 
 from rician_mimo.asymptotics import (
     build_q_multicell,
@@ -217,14 +218,25 @@ def _oracle_moments(h_bar, r_tildes, z, zxz, q, gram2, t_bar, n, rho_d):
     return qm, var_mat, noise_corr, err_corr, contam
 
 
+def _dense_estimators(profiles_at_bs, bs, tau_rho):
+    """`dense_lmmse` of every pilot at BS `bs`: antenna-basis matrices from
+    one N x N inverse each."""
+    cells = len(profiles_at_bs)
+    return [
+        dense_lmmse([profiles_at_bs[ell][i] for ell in range(cells)], bs, tau_rho)
+        for i in range(len(profiles_at_bs[bs]))
+    ]
+
+
 def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
-    """Every refined field of build_q_{single,multi}cell by the per-pair formulas."""
+    """Every refined field of build_q_{single,multi}cell by the per-pair
+    formulas, from the dense `estimators` of `_dense_estimators`."""
     local = profiles_at_bs[bs]
     n, k = local[0].n_antennas, len(local)
     others = [ell for ell in range(len(profiles_at_bs)) if ell != bs]
     err_sum = sum(e.err_cov for e in estimators)
     a_mat = err_sum + sum(profiles_at_bs[ell][i].r_cov for ell in others for i in range(k))
-    quad = err_sum + sum(estimators[i].cond_covs[ell] for ell in others for i in range(k))
+    quad = err_sum + sum(estimators[i].conds[ell] for ell in others for i in range(k))
     h_bar = np.column_stack([p.h_bar for p in local])
     r_tildes = [e.r_tilde for e in estimators]
     z = np.linalg.inv(np.eye(n) + (rho_d / n) * a_mat)
@@ -253,7 +265,7 @@ def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
         for i in range(k):
             alpha = n * cross[m, i] / np.real(_tr(z, r_tildes[i]))
             alphas[m, i] = alpha
-            c_mat = estimators[i].cross_gains[ell]
+            c_mat = estimators[i].gains[ell]
             cr = c_mat @ local[i].r_cov
             sigma_m = c_mat @ profiles_at_bs[ell][i].r_cov
             resid = sigma_m - alpha * (cr + cr.conj().T) + alpha**2 * r_tildes[i]
@@ -294,7 +306,8 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
             state = build_q_singlecell(scenario.local_profiles(0), ests, rho, refined=True)
         else:
             state = build_q_multicell(scenario.profiles[bs], ests, bs, rho, refined=True)
-        oracle = _oracle_state(scenario.profiles[bs], ests, bs, rho)
+        dense = _dense_estimators(scenario.profiles[bs], bs, 3 * rho)
+        oracle = _oracle_state(scenario.profiles[bs], dense, bs, rho)
         if cells > 1 and correlation == "one_ring":
             # mismatched cross covariances: the quadratic remainder is live
             assert np.abs(oracle["contam_extra"]).max() > 0
@@ -325,20 +338,17 @@ def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
         else:
             state = build_q_multicell(links, ests, bs, rho, refined=False)
         others = [ell for ell in range(cells) if ell != bs]
-        err_sum = sum(e.err_cov for e in ests)
-        quad = err_sum + sum(ests[i].cond_covs[ell] for ell in others for i in range(k))
+        dense = _dense_estimators(links, bs, 3 * rho)
+        err_sum = sum(e.err_cov for e in dense)
+        quad = err_sum + sum(dense[i].conds[ell] for ell in others for i in range(k))
         h_bar = np.column_stack([p.h_bar for p in links[bs]])
-        gram = h_bar.conj().T @ h_bar + np.diag([np.real(np.trace(e.r_tilde)) for e in ests])
+        gram = h_bar.conj().T @ h_bar + np.diag([np.real(np.trace(e.r_tilde)) for e in dense])
         gram = 0.5 * (gram + gram.conj().T) / n
         q = np.linalg.inv(gram + np.eye(k) / rho)
-        t_mat = h_bar.conj().T @ quad @ h_bar + np.diag([np.real(_tr(e.r_tilde, quad)) for e in ests])
-        phis = [
-            np.linalg.inv(sum(links[ell][i].r_cov for ell in range(cells)) + np.eye(n) / (3 * rho))
-            for i in range(k)
-        ]
+        t_mat = h_bar.conj().T @ quad @ h_bar + np.diag([np.real(_tr(e.r_tilde, quad)) for e in dense])
         cross = np.array(
             [
-                [np.real(_tr(links[ell][i].r_cov @ phis[i], links[bs][i].r_cov)) / n for i in range(k)]
+                [np.real(_tr(dense[i].gains[ell], links[bs][i].r_cov)) / n for i in range(k)]
                 for ell in others
             ]
         ).reshape(len(others), k)

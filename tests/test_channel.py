@@ -20,7 +20,6 @@ from rician_mimo.channel import (
     pathloss,
     real_basis,
     real_image,
-    sample_channel,
 )
 from rician_mimo.scenarios import MIN_ANGULAR_SPREAD
 
@@ -252,14 +251,6 @@ def test_profile_rejects_indefinite_theta():
 # sampling
 
 
-def test_sample_channel_zero_covariance_returns_mean():
-    n = 4
-    p = build_profile(1.0, 1e12, np.eye(n, dtype=complex), los_steering(0.5, n))
-    rng = np.random.default_rng(0)
-    draw = sample_channel(p, rng)
-    assert np.allclose(draw, p.h_bar, atol=1e-5)
-
-
 def test_sample_channel_moments():
     n = 6
     theta = one_ring_correlation(-math.pi, -1.0, n)
@@ -275,14 +266,6 @@ def test_sample_channel_moments():
     centered = h - p.h_bar[None, :]
     emp_cov = centered.conj().T @ centered / draws
     assert np.linalg.norm(emp_cov.T - p.r_cov) < 5 * np.linalg.norm(p.r_cov) / math.sqrt(draws) * n
-
-
-def test_sample_channel_seeded_determinism():
-    n = 5
-    p = build_profile(1.0, 1.0, np.eye(n, dtype=complex), los_steering(0.2, n))
-    a = sample_channel(p, np.random.default_rng(42))
-    b = sample_channel(p, np.random.default_rng(42))
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import rician_mimo
-from rician_mimo import cli
+from rician_mimo import channel, cli
 from rician_mimo.presets import preset_specs, run_preset
 from rician_mimo.results import FIELD_NAMES, parse_csv
 from rician_mimo.scenarios import serialize_scenario
@@ -207,6 +207,35 @@ def test_exit_numerical_failure(scenario_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "fields, argv",
+    [
+        ({}, ["--seed", "-1"]),
+        ({"seed": "-1"}, []),
+        ({"radius_m": "0"}, []),
+        ({"alpha": "-2.5"}, []),
+        ({"corr_rho": "1.0"}, []),
+    ],
+    ids=["seed-flag", "seed-file", "radius", "alpha", "exponential-rho"],
+)
+def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):
+    # values the channel model cannot use are configuration errors, not
+    # numerical failures
+    bad = tmp_path / "bad.cfg"
+    lines = "".join(f"{key} = {value}\n" for key, value in {"seed": "4", **fields}.items())
+    bad.write_text(SCENARIO_TEXT.replace("seed = 4\n", "") + lines)
+    code, _, err = run_cli(capsys, "asymptotic", "--scenario", str(bad), *argv)
+    assert code == 1
+    assert "configuration error" in err
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--trials", "0"]], ids=["seed", "trials"])
+def test_exit_config_error_bad_preset_override(capsys, override):
+    code, _, err = run_cli(capsys, "reproduce", "--figure", "fig1b", *override)
+    assert code == 1
+    assert "configuration error" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--snr", "a:10:5"],
@@ -367,3 +396,33 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     # the statistical DE its K x K LoS resolvent, each once per (SNR point, BS)
     assert calls == {"eigh": links + sums, "inv": [(k, k)] * (2 * points * cells)}
     assert dtypes == {np.dtype(np.float64)}
+
+
+# ---------------------------------------------------------------------------
+# one basis: the deterministic equivalents never leave the real basis
+
+
+@pytest.mark.parametrize("correlation", ["exponential", "one_ring"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_asymptotic_never_maps_back_to_the_antenna_basis(
+    tmp_path, capsys, monkeypatch, layout, correlation
+):
+    text = SCENARIO_TEXT.replace("n = 16", "n = 8").replace("exponential", correlation)
+    if layout == "three_cell_edge":
+        text += "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(text)
+    plain, guarded = tmp_path / "plain.csv", tmp_path / "guarded.csv"
+    assert cli.main(["asymptotic", "--scenario", str(scenario), "--out", str(plain)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("antenna_image called by the deterministic equivalents")
+
+    original = channel.antenna_image
+    for info in pkgutil.iter_modules(rician_mimo.__path__):
+        module = importlib.import_module(f"rician_mimo.{info.name}")
+        for name, obj in list(vars(module).items()):
+            if obj is original:
+                monkeypatch.setattr(module, name, forbidden)
+    assert cli.main(["asymptotic", "--scenario", str(scenario), "--out", str(guarded)]) == 0
+    assert guarded.read_bytes() == plain.read_bytes()

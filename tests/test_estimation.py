@@ -5,20 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmmse_oracle import dense_lmmse
 from rician_mimo.channel import (
     antenna_image,
     build_profile,
     exponential_correlation,
     los_steering,
     one_ring_correlation,
+    real_basis,
+    real_image,
     standard_complex_normal,
 )
 from rician_mimo.estimation import (
     build_estimator_multicell,
-    lmmse_estimate,
     regularizer_sums,
     same_pilot_spectrum,
 )
+
+
+def _error_image(state):
+    """Real image of a single-cell estimator's error covariance: the
+    regularizer A of one user in a single cell."""
+    return regularizer_sums([state])[0]
+
+
+def _link_images(state):
+    """Real images of R_l Phi and of R_l - R_l Phi R_l for every same-pilot
+    link l, formed link by link from the estimator's real factors:
+    P_l diag(f) V^T and P_l diag(f) W_l^T with W_l = (S - R_l + sI) V."""
+    sp = state.spectrum
+    gains, conds = [], []
+    for ell in range(len(sp.links)):
+        w = sum((sp.proj[m] for m in range(len(sp.links)) if m != ell), sp.eigvecs / state.tau_rho)
+        gains.append(state.weighted(ell) @ sp.eigvecs.T)
+        cond = state.weighted(ell) @ w.T
+        conds.append(0.5 * (cond + cond.T))
+    return gains, conds
 
 
 def scaled_identity_profile(c, n, kappa=0.0, is_local=True):
@@ -36,13 +58,14 @@ def scaled_identity_profile(c, n, kappa=0.0, is_local=True):
 
 
 def test_singlecell_identity_closed_form():
-    # R = c*I gives r_tilde = c^2 / (c + 1/(tau*rho)) * I
+    # R = c*I gives r_tilde = c^2 / (c + 1/(tau*rho)) * I, which is its own
+    # real image
     c, tau, rho = 0.7, 8, 2.0
     p = scaled_identity_profile(c, 5)
     st_ = build_estimator_multicell([p], 0, tau, rho)
     expected = c**2 / (c + 1.0 / (tau * rho))
     assert np.allclose(st_.r_tilde, expected * np.eye(5), atol=1e-12)
-    assert np.allclose(st_.err_cov, (c - expected) * np.eye(5), atol=1e-12)
+    assert np.allclose(_error_image(st_), (c - expected) * np.eye(5), atol=1e-12)
 
 
 def test_multicell_identity_closed_form():
@@ -63,10 +86,10 @@ def test_estimate_quality_improves_with_pilot_power():
     p = scaled_identity_profile(c, n)
     weak = build_estimator_multicell([p], 0, 4, 0.1)
     strong = build_estimator_multicell([p], 0, 4, 100.0)
-    assert np.trace(strong.err_cov).real < np.trace(weak.err_cov).real
-    # infinite pilot power recovers the channel: err_cov -> 0
+    assert np.trace(_error_image(strong)) < np.trace(_error_image(weak))
+    # infinite pilot power recovers the channel: the error covariance -> 0
     perfect = build_estimator_multicell([p], 0, 4, 1e12)
-    assert np.linalg.norm(perfect.err_cov) < 1e-9
+    assert np.linalg.norm(_error_image(perfect)) < 1e-9
 
 
 def test_rejects_nonpositive_pilot_energy():
@@ -86,7 +109,8 @@ def test_rejects_mismatched_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# spectral single-cell estimator against the N x N inverse
+# spectral estimator against the N x N inverse: the real factors production
+# applies, mapped back to the antenna basis, against `dense_lmmse`
 
 
 @pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
@@ -102,20 +126,24 @@ def test_rejects_mismatched_dimensions():
 def test_spectral_singlecell_matches_inverse(theta, tau_rho):
     p = build_profile(1.3, 0.8, theta, los_steering(0.3, 24))
     state = build_estimator_multicell([p], 0, 1, tau_rho)
-    r = p.r_cov
+    oracle = dense_lmmse([p], 0, tau_rho)
     s = 1.0 / tau_rho
-    gain = r @ np.linalg.inv(r + s * np.eye(24))
-    # R - R Phi R = s R Phi: the error covariance without cancellation
-    expected = {"gain": gain, "r_tilde": gain @ r, "err_cov": s * gain}
+    err = _error_image(state)
+    got = {
+        "gain": state.weighted(0) @ state.spectrum.eigvecs.T,
+        "r_tilde": state.r_tilde,
+        "err_cov": err,
+    }
     # relative condition number of R -> R (R + sI)^{-1}; on a numerically
     # rank-deficient R with tiny s the inverse-based reference itself is
     # only good to about eps * cond
-    lam = np.linalg.eigvalsh(r)
+    lam = np.linalg.eigvalsh(p.r_cov)
     cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
-    for name, ref in expected.items():
-        got = getattr(state, name)
-        assert np.linalg.norm(got - ref) <= 1e-12 * cond * np.linalg.norm(ref), name
-    ev_err = np.linalg.eigvalsh(state.err_cov)
+    for name, image in got.items():
+        ref = getattr(oracle, name)
+        error = np.linalg.norm(antenna_image(image) - ref)
+        assert error <= 1e-12 * cond * np.linalg.norm(ref), name
+    ev_err = np.linalg.eigvalsh(err)
     assert ev_err[0] >= -1e-14 * ev_err[-1]
 
 
@@ -141,54 +169,58 @@ def test_spectral_multicell_matches_inverse(tau_rho):
     assert np.sum(ev < 1e-12 * ev[-1]) >= n // 2
     s = 1.0 / tau_rho
     obs = sum(p.r_cov for p in links) + s * np.eye(n)
-    phi = np.linalg.inv(obs)
     # condition of the inverse-based reference, as in the single-cell test
     lam = np.linalg.eigvalsh(obs - s * np.eye(n))
     cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
     for local in range(3):
         state = build_estimator_multicell(links, local, 1, tau_rho)
+        oracle = dense_lmmse(links, local, tau_rho)
+        gains, conds = _link_images(state)
         r = links[local].r_cov
         # the spectral gain solves G (S + sI) = R to rounding, with no
         # inverse: within the backward-error scale n*eps*|G||S + sI| for
         # every link, and within 1e-12 |R| for the dominant served link (the
         # inverse misses both by orders of magnitude at tau*rho = 1e6)
-        residual = np.linalg.norm(state.gain @ obs - r)
+        residual = np.linalg.norm(gains[local] @ real_image(obs) - links[local].r_image)
         eps = np.finfo(float).eps
-        assert residual <= n * eps * np.linalg.norm(state.gain) * np.linalg.norm(obs, 2)
+        assert residual <= n * eps * np.linalg.norm(gains[local]) * np.linalg.norm(obs, 2)
         if local == 0:
             assert residual <= 1e-12 * np.linalg.norm(r)
         checks = [
-            ("gain", state.gain, r @ phi),
-            ("r_tilde", state.r_tilde, r @ phi @ r),
-            ("err_cov", state.err_cov, r - r @ phi @ r),
+            ("gain", gains[local], oracle.gain),
+            ("r_tilde", state.r_tilde, oracle.r_tilde),
+            ("err_cov", conds[local], oracle.err_cov),
         ]
         for ell in state.others:
-            rx = links[ell].r_cov
-            checks.append((f"cross_gains[{ell}]", state.cross_gains[ell], rx @ phi))
-            checks.append((f"cond_covs[{ell}]", state.cond_covs[ell], rx - rx @ phi @ rx))
-        for name, got, ref in checks:
+            checks.append((f"gain[{ell}]", gains[ell], oracle.gains[ell]))
+            checks.append((f"cond[{ell}]", conds[ell], oracle.conds[ell]))
+        for name, image, ref in checks:
             scale = np.linalg.norm(ref) + np.linalg.norm(r)
-            assert np.linalg.norm(got - ref) <= 1e-12 * cond * scale, name
+            assert np.linalg.norm(antenna_image(image) - ref) <= 1e-12 * cond * scale, name
 
 
 @pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
 def test_regularizer_sums_match_dense_state_sums(tau_rho):
+    # the batched stacks against per-state, per-link products of the same
+    # factors
     n, k = 24, 3
     groups = [_three_cell_links(n, u) for u in range(k)]
     for local in range(3):
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
         a_img, b_img = regularizer_sums(states)
         others = [ell for ell in range(3) if ell != local]
-        err = sum(s.err_cov for s in states)
-        a_ref = err + sum(links[ell].r_cov for links in groups for ell in others)
-        b_ref = err + sum(s.cond_covs[ell] for s in states for ell in others)
+        conds = [_link_images(s)[1] for s in states]
+        err = sum(c[local] for c in conds)
+        a_ref = err + sum(links[ell].r_image for links in groups for ell in others)
+        b_ref = err + sum(c[ell] for c in conds for ell in others)
         for img, ref in ((a_img, a_ref), (b_img, b_ref)):
-            # real symmetric images, mapped back for the dense comparison
+            # real symmetric images; an exactly symmetric image maps back to
+            # an exactly Hermitian matrix
             assert img.dtype == np.float64
             assert np.max(np.abs(img - img.T)) == 0.0
             got = antenna_image(img)
             assert np.max(np.abs(got - got.conj().T)) == 0.0
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(img - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_same_pilot_spectrum_is_shared_across_keys():
@@ -232,26 +264,39 @@ def _observe(state, links, rng, draws):
     return sum(links) + noise / math.sqrt(state.tau_rho)
 
 
+def _estimate(state, y):
+    """The local estimate and the interferers' conditional means in the real
+    basis, as the Monte Carlo kernel forms them:
+    Q^H h_bar + P_l diag(f) V^T Q^H (y - h_bar) for every same-pilot link l."""
+    sp = state.spectrum
+    h_bar = sp.links[state.local_index].h_bar
+    coeffs = (real_basis(y - h_bar) @ sp.eigvecs) * state.shrink
+    fits = [coeffs @ sp.proj[ell].T for ell in range(len(sp.links))]
+    h_hat = real_basis(h_bar) + fits[state.local_index]
+    return h_hat, {ell: fits[ell] for ell in state.others}
+
+
 def test_mmse_orthogonality_and_covariance_split():
     draws = 100_000
     rng = np.random.default_rng(2024)
     profiles, state = _draws_setup(multicell=False)
     (h,) = _sample_links(profiles, rng, draws)
     y = _observe(state, [h], rng, draws)
-    h_hat, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
-    err = h - h_hat
+    # everything in the real basis, where the norms are the antenna basis's
+    h_hat, _ = _estimate(state, y)
+    err = real_basis(h) - h_hat
     tol = 4.0 / math.sqrt(draws) * np.linalg.norm(profiles[0].r_cov)
 
     # orthogonality: estimate and error are uncorrelated
     cross = (h_hat - h_hat.mean(0)).conj().T @ err / draws
     assert np.linalg.norm(cross) < tol
 
-    # covariance split: cov(h_hat) = r_tilde and cov(err) = err_cov
-    hc = h_hat - state.h_bar[None, :]
+    # covariance split: cov(h_hat) = R_tilde and cov(err) = R - R_tilde
+    hc = h_hat - real_basis(profiles[0].h_bar)[None, :]
     cov_hat = (hc.conj().T @ hc / draws).T
     assert np.linalg.norm(cov_hat - state.r_tilde) < tol
     cov_err = (err.conj().T @ err / draws).T
-    assert np.linalg.norm(cov_err - state.err_cov) < tol
+    assert np.linalg.norm(cov_err - _error_image(state)) < tol
 
 
 def test_multicell_conditional_interference_moments():
@@ -260,60 +305,19 @@ def test_multicell_conditional_interference_moments():
     profiles, state = _draws_setup(multicell=True)
     links = _sample_links(profiles, rng, draws)
     y = _observe(state, links, rng, draws)
-    _, cond_means = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
+    _, cond_means = _estimate(state, y)
+    _, conds = _link_images(state)
+    y_real = real_basis(y)
     for ell in (1, 2):
-        resid = links[ell] - cond_means[ell]
+        resid = real_basis(links[ell]) - cond_means[ell]
         tol = 4.0 / math.sqrt(draws) * np.linalg.norm(profiles[ell].r_cov)
         # residual is uncorrelated with the observation
-        cross = (y - y.mean(0)).conj().T @ resid / draws
+        cross = (y_real - y_real.mean(0)).conj().T @ resid / draws
         assert np.linalg.norm(cross) < 4.0 / math.sqrt(draws) * np.linalg.norm(
             sum(p.r_cov for p in profiles)
         )
         cov_resid = (resid.conj().T @ resid / draws).T
-        assert np.linalg.norm(cov_resid - state.cond_covs[ell]) < tol
-
-
-# ---------------------------------------------------------------------------
-# the single LMMSE estimation function, per draw and stacked
-
-
-def test_estimate_from_observation_affine():
-    _, state = _draws_setup(multicell=False)
-    y = np.ones(state.n_antennas, dtype=complex)
-    expected = state.h_bar + state.gain @ (y - state.h_bar)
-    h_hat, means = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
-    assert np.allclose(h_hat, expected)
-    assert means == {}
-
-
-def test_estimate_singlecell_matches_manual_path():
-    # one (N, N) gain against a (draws, N) stack equals the per-draw estimates
-    profiles, state = _draws_setup(multicell=False)
-    rng = np.random.default_rng(5)
-    (h,) = _sample_links(profiles, rng, 4)
-    y = _observe(state, [h], rng, 4)
-    stacked, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y)
-    for d in range(4):
-        single, _ = lmmse_estimate(state.gain, state.cross_gains, state.h_bar, y[d])
-        assert np.allclose(stacked[d], single)
-        assert np.allclose(single, state.h_bar + state.gain @ (y[d] - state.h_bar))
-
-
-def test_estimate_multicell_returns_all_interferers():
-    # (K, N, N) gains against (K, N) observations equal the per-user estimates
-    profiles, state = _draws_setup(multicell=True)
-    rng = np.random.default_rng(9)
-    y = _observe(state, _sample_links(profiles, rng, 2), rng, 2)
-    gains = np.stack([state.gain, 2.0 * state.gain])
-    cross = {ell: np.stack([cg, 2.0 * cg]) for ell, cg in state.cross_gains.items()}
-    h_bar = np.stack([state.h_bar, state.h_bar])
-    est, cond = lmmse_estimate(gains, cross, h_bar, y)
-    assert set(cond) == {1, 2}
-    for u, scale in enumerate((1.0, 2.0)):
-        centered = y[u] - state.h_bar
-        assert np.allclose(est[u], state.h_bar + scale * state.gain @ centered)
-        for ell in (1, 2):
-            assert np.allclose(cond[ell][u], scale * state.cross_gains[ell] @ centered)
+        assert np.linalg.norm(cov_resid - conds[ell]) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +335,12 @@ def test_error_covariance_psd_and_dominated(c, tau, rho, kappa):
     n = 4
     p = build_profile(c, kappa, exponential_correlation(0.4, n), los_steering(0.2, n))
     st_ = build_estimator_multicell([p], 0, tau, rho)
-    ev_err = np.linalg.eigvalsh(st_.err_cov)
+    ev_err = np.linalg.eigvalsh(_error_image(st_))
     ev_til = np.linalg.eigvalsh(st_.r_tilde)
     assert ev_err[0] > -1e-10
     assert ev_til[0] > -1e-10
     # estimate covariance never exceeds the prior covariance
-    assert np.linalg.eigvalsh(p.r_cov - st_.r_tilde)[0] > -1e-10
+    assert np.linalg.eigvalsh(p.r_image - st_.r_tilde)[0] > -1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -355,6 +359,6 @@ def test_contamination_never_helps(c_local, c_inter):
         rho,
     )
     assert (
-        np.trace(contaminated.err_cov).real
-        >= np.trace(clean.err_cov).real - 1e-12
+        np.trace(_link_images(contaminated)[1][0])
+        >= np.trace(_link_images(clean)[1][0]) - 1e-12
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from lmmse_oracle import dense_lmmse
 
 from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
@@ -15,7 +16,6 @@ from rician_mimo.channel import (
 )
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
-from rician_mimo.estimation import build_estimator_multicell, lmmse_estimate
 from rician_mimo.presets import preset_specs
 from rician_mimo.scenarios import build_scenario
 from rician_mimo.spectral_efficiency import (
@@ -85,8 +85,7 @@ def test_conditional_denominator_matches_nested_mc():
     rng = np.random.default_rng(123)
 
     states = [
-        build_estimator_multicell([profiles[j][ell][u] for ell in range(l)], j, tau, rho_tr)
-        for u in range(k)
+        dense_lmmse([profiles[j][ell][u] for ell in range(l)], j, tau * rho_tr) for u in range(k)
     ]
     true = [
         [
@@ -100,17 +99,17 @@ def test_conditional_denominator_matches_nested_mc():
     h_hat = np.zeros((n, k), dtype=complex)
     cond = []
     for u in range(k):
-        noise = standard_complex_normal(rng, n) / math.sqrt(states[u].tau_rho)
+        noise = standard_complex_normal(rng, n) / math.sqrt(tau * rho_tr)
         y = sum(true[ell][u] for ell in range(l)) + noise
-        est, cm = lmmse_estimate(states[u].gain, states[u].cross_gains, states[u].h_bar, y)
-        h_hat[:, u] = est
-        cond.append(cm)
+        centered = y - profiles[j][j][u].h_bar
+        h_hat[:, u] = profiles[j][j][u].h_bar + states[u].gain @ centered
+        cond.append({ell: states[u].gains[ell] @ centered for ell in states[u].others})
 
     a_mat = sum(s.err_cov for s in states) + sum(
         profiles[j][ell][u].r_cov for ell in range(l) if ell != j for u in range(k)
     )
     b_mat = sum(s.err_cov for s in states) + sum(
-        states[u].cond_covs[ell] for ell in range(l) if ell != j for u in range(k)
+        states[u].conds[ell] for ell in range(l) if ell != j for u in range(k)
     )
     g = conventional_combiner(h_hat, np.linalg.eigh(a_mat), rho_d).vectors[:, 0]
 
@@ -127,7 +126,7 @@ def test_conditional_denominator_matches_nested_mc():
     draws = 60_000
     sqrt_err = [np.linalg.cholesky(s.err_cov + 1e-12 * np.eye(n)) for s in states]
     sqrt_cond = [
-        {ell: np.linalg.cholesky(s.cond_covs[ell] + 1e-12 * np.eye(n)) for ell in s.cond_covs}
+        {ell: np.linalg.cholesky(s.conds[ell] + 1e-12 * np.eye(n)) for ell in s.others}
         for s in states
     ]
 
