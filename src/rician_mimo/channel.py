@@ -17,6 +17,7 @@ Q by slicing and flipping, never as a dense product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ PSD_EPS = 1e-10
 # imaginary part allowed in a real image, relative to the largest entry
 REAL_IMAGE_TOL = 1e-12
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(2048)
 _HALF = math.sqrt(0.5)
 
 
@@ -100,6 +100,26 @@ def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return lam, v, image
 
 
+@functools.cache
+def _clenshaw_curtis(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes cos(pi*j/q), j = 0..q, and weights on [-1, 1].
+
+    The weights are the DCT-I of the Chebyshev moments 2/(1 - k^2) (even k;
+    odd moments vanish), taken as one length-2q inverse FFT (Waldvogel,
+    BIT 46, 2006).  Both arrays are read-only: every caller shares them.
+    """
+    k = np.arange(0, q + 1, 2)
+    moments = np.zeros(2 * q)
+    moments[: q + 1 : 2] = 2.0 / (1.0 - k * k)
+    moments[q + 1 :] = moments[q - 1 : 0 : -1]
+    weights = 2.0 * np.fft.ifft(moments).real[: q + 1]
+    weights[[0, q]] *= 0.5
+    nodes = np.cos(np.pi / q * np.arange(q + 1))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def one_ring_correlation(
     theta_min: float,
     theta_max: float,
@@ -110,22 +130,34 @@ def one_ring_correlation(
 
     [Theta]_uv = 1/(theta_max - theta_min) * int exp(j*2*pi*spacing_ratio
     *(v-u)*cos(theta)) dtheta over [theta_min, theta_max].  Evaluated with a
-    fixed 2048-point Gauss-Legendre rule, which resolves the oscillatory
-    integrand to well below 1e-10 for the antenna counts used here.
+    Clenshaw-Curtis rule of q + 1 nodes sized to the integrand: at the
+    largest lag n - 1 it oscillates with frequency up to
+    pi*spacing_ratio*(n - 1)*(theta_max - theta_min) on the rule's [-1, 1],
+    and q + 1 is the next power of two at or above 1.25 times that plus 64,
+    but at least 2048.  (A power-of-two node count keeps numpy's complex
+    exp and power on their fast path; 2049 nodes cost 15% more per call
+    than 2048.)  Chebyshev coefficients of such an integrand decay
+    like Bessel functions past that frequency, so the rule error is at
+    round-off level: against a composite Gauss-Legendre reference every
+    entry is within 7e-15 for n <= 151 and 1.5e-14 at n = 600, for any
+    window up to 2*pi.  The floor makes every call at paper scale share one
+    cached rule (`_clenshaw_curtis`); a larger array or wider window builds
+    and caches one more size.
 
     The lag d = b*m + r (b ~ sqrt(n)) factors each node's exponential into
-    exp(j*x*b)^m * exp(j*x)^r, so the (n, Q) table is two rows of
+    exp(j*x*b)^m * exp(j*x)^r, so the (n, q + 1) table is two rows of
     exponentials, O(sqrt(n)) rows of their integer powers and one
-    (n/b, Q) @ (Q, b) product.
+    (n/b, q + 1) @ (q + 1, b) product.
     """
     if n < 1:
         raise ChannelModelError(f"n must be >= 1, got {n}")
     if not theta_max > theta_min:
         raise ChannelModelError("degenerate angular window: theta_max must exceed theta_min")
-    half = 0.5 * (theta_max - theta_min)
-    mid = 0.5 * (theta_max + theta_min)
-    phase = 2.0 * np.pi * spacing_ratio * np.cos(mid + half * _GL_NODES)
-    w = _GL_WEIGHTS * (half / (theta_max - theta_min))
+    width = theta_max - theta_min
+    size = math.ceil(1.25 * math.pi * spacing_ratio * (n - 1) * width) + 64
+    nodes, weights = _clenshaw_curtis(max(2048, 1 << (size - 1).bit_length()) - 1)
+    phase = 2.0 * np.pi * spacing_ratio * np.cos(0.5 * (theta_max + theta_min) + 0.5 * width * nodes)
+    w = 0.5 * weights
     b = math.isqrt(n - 1) + 1
     coarse = np.power(np.exp(1j * b * phase), np.arange(-(-n // b))[:, None])
     fine = np.power(np.exp(1j * phase), np.arange(b)[:, None]) * w

@@ -82,6 +82,12 @@ class ScenarioSpec:
             raise ConfigError("layout single_cell requires l = 1")
         if self.layout == "three_cell_edge" and self.l != 3:
             raise ConfigError("layout three_cell_edge requires l = 3")
+        for name in ("radius_m", "alpha", "kappa_max", "corr_rho", "snr_training_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not all(map(math.isfinite, self.snr_grid_db)):
+            raise ConfigError(f"snr_grid_db entries must be finite, got {self.snr_grid_db!r}")
         if self.radius_m <= 0 or self.alpha <= 0:
             raise ConfigError("radius_m and alpha must be positive")
         if self.correlation == "exponential" and abs(self.corr_rho) >= 1:
@@ -250,8 +256,8 @@ def parse_snr_range(text: str, name: str) -> tuple[float, ...]:
     if text.count(":") != 2:
         raise ConfigError(f"{name}: expected lo:hi:step, got {text!r}")
     lo, hi, step = parse_float_list(text, name, sep=":")
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"{name}: need step > 0 and hi >= lo")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ConfigError(f"{name}: need finite values, step > 0 and hi >= lo")
     count = int(round((hi - lo) / step))
     return tuple(lo + i * step for i in range(count + 1))
 

@@ -58,25 +58,43 @@ def test_one_ring_against_quadrature_oracle():
     assert theta[0, 1].real == pytest.approx(j0(math.pi), abs=1e-10)
 
 
-@pytest.fixture(scope="module")
-def legendre_2048():
-    return np.polynomial.legendre.leggauss(2048)
+# (lo, hi) windows; the wide ones span about 2*pi, where 600 lags oscillate
+# faster than a fixed 2048-node rule resolves
+NARROW_WINDOWS = [
+    (-math.pi, -math.pi + MIN_ANGULAR_SPREAD),
+    (-math.pi, -math.pi + 0.3),
+    (-2.0, -0.5),
+    (-math.pi, -1e-3),
+]
+WIDE_WINDOWS = [(-math.pi, math.pi - 1e-3), (-3.0, 2 * math.pi - 3.2)]
+
+
+def composite_gauss_legendre_row(lo, hi, n, spacing, panels=1024, order=24):
+    """First row of the one-ring matrix: `panels` equal panels of an
+    `order`-node Gauss-Legendre rule, one cosine and sine per (lag, node)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    angles = ((0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel() / (hi - lo)
+    row = np.zeros(n, dtype=complex)
+    for a, wt in zip(np.array_split(angles, 16), np.array_split(weights, 16)):
+        phase = 2.0 * np.pi * spacing * np.outer(np.arange(n), np.cos(a))
+        row += np.cos(phase) @ wt + 1j * (np.sin(phase) @ wt)
+    return row
 
 
 @pytest.mark.parametrize("spacing", [0.5, 1.0])
-@pytest.mark.parametrize("n", [1, 2, 8, 150, 151])
-def test_one_ring_matches_direct_exponential_quadrature(legendre_2048, n, spacing):
-    # the same 2048-node rule with one exponential per (lag, node)
-    nodes, weights = legendre_2048
-    windows = [(-math.pi, MIN_ANGULAR_SPREAD), (-math.pi, 0.3), (-2.0, 1.5), (-math.pi, math.pi - 1e-3)]
-    for lo, width in windows:
-        hi = lo + width
-        cos_t = np.cos(0.5 * (hi + lo) + 0.5 * width * nodes)
-        row = np.exp(2j * np.pi * spacing * np.outer(np.arange(n), cos_t)) @ (0.5 * weights)
+@pytest.mark.parametrize("n", [1, 2, 8, 150, 151, 600])
+def test_one_ring_matches_direct_exponential_quadrature(n, spacing):
+    # 1024 panels x 24 nodes agrees with 1536 x 20 to 1.1e-14 at these sizes
+    windows = WIDE_WINDOWS if n > 151 else NARROW_WINDOWS + WIDE_WINDOWS
+    for lo, hi in windows:
+        row = composite_gauss_legendre_row(lo, hi, n, spacing)
         expected = toeplitz(np.conj(row), row)
         np.fill_diagonal(expected, 1.0)
         got = one_ring_correlation(lo, hi, n, spacing)
-        assert np.max(np.abs(got - expected)) <= 1e-13, (lo, width)
+        assert np.max(np.abs(got - expected)) <= 1e-13, (lo, hi)
 
 
 def test_one_ring_degenerate_window_rejected():

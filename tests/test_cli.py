@@ -1,6 +1,10 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -214,15 +218,30 @@ def test_exit_numerical_failure(scenario_file, capsys, monkeypatch):
         ({"radius_m": "0"}, []),
         ({"alpha": "-2.5"}, []),
         ({"corr_rho": "1.0"}, []),
+        ({"radius_m": "nan"}, []),
+        ({"alpha": "inf"}, []),
+        ({"kappa_max": "nan"}, []),
+        ({"kappa_max": "inf"}, []),
+        ({"corr_rho": "nan"}, []),
+        ({"snr_training_db": "inf"}, []),
+        ({"snr_grid_db": "0,inf"}, []),
+        ({}, ["--snr", "0:inf:5"]),
     ],
-    ids=["seed-flag", "seed-file", "radius", "alpha", "exponential-rho"],
+    ids=[
+        "seed-flag", "seed-file", "radius", "alpha", "exponential-rho", "radius-nan", "alpha-inf",
+        "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
+    ],
 )
 def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):
     # values the channel model cannot use are configuration errors, not
     # numerical failures
+    values = {"seed": "4", **fields}
+    lines = [
+        line for line in SCENARIO_TEXT.splitlines() if line.partition("=")[0].strip() not in values
+    ]
+    lines += [f"{key} = {value}" for key, value in values.items()]
     bad = tmp_path / "bad.cfg"
-    lines = "".join(f"{key} = {value}\n" for key, value in {"seed": "4", **fields}.items())
-    bad.write_text(SCENARIO_TEXT.replace("seed = 4\n", "") + lines)
+    bad.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, "asymptotic", "--scenario", str(bad), *argv)
     assert code == 1
     assert "configuration error" in err
@@ -426,3 +445,49 @@ def test_asymptotic_never_maps_back_to_the_antenna_basis(
                 monkeypatch.setattr(module, name, forbidden)
     assert cli.main(["asymptotic", "--scenario", str(scenario), "--out", str(guarded)]) == 0
     assert guarded.read_bytes() == plain.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# per-command fixed cost: no eigensolve on the import path
+
+
+def test_import_runs_no_eigensolve():
+    # a quadrature rule built at import (leggauss is a dense eigensolve) is
+    # paid by every command, including those that never build a one-ring
+    # matrix; scipy.linalg must stay imported for the benchmark tracer
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy.linalg
+        import numpy.polynomial.legendre
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolve on the import path")
+
+        numpy.linalg.eigvalsh = numpy.linalg.eigh = forbidden
+        numpy.polynomial.legendre.leggauss = forbidden
+        import rician_mimo.cli
+        assert "scipy.linalg" in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_quadrature_rule_built_only_for_one_ring(scenario_file, tmp_path, capsys):
+    channel._clenshaw_curtis.cache_clear()
+    assert cli.main(["asymptotic", "--scenario", scenario_file]) == 0
+    assert channel._clenshaw_curtis.cache_info().misses == 0
+    one_ring = tmp_path / "one_ring.cfg"
+    one_ring.write_text(SCENARIO_TEXT.replace("exponential", "one_ring"))
+    assert cli.main(["simulate", "--scenario", str(one_ring), "--trials", "2"]) == 0
+    assert channel._clenshaw_curtis.cache_info().misses == 1
+    capsys.readouterr()
