@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import UserLinkProfile, real_basis, real_matmul
-from .combining import los_resolvent, statistical_resolvent
+from .combining import los_resolvent, statistical_resolvent, statistical_sums
 from .config import SystemConfig
 from .estimation import EstimatorState, build_estimator_multicell, regularizer_sums
 
@@ -493,7 +493,7 @@ def se_stat_singlecell_de(
     of `combining.statistical_resolvent`; the LoS-only form is
     `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
-    m, c, _ = statistical_resolvent(profiles, config.snr_data)
+    m, c, _ = statistical_resolvent(statistical_sums(profiles), config.snr_data)
     return np.log1p(c / m) * config.log_scale, se_stat_multicell_de(profiles, config)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -58,6 +58,11 @@ def _apply_q(x: np.ndarray, adjoint: bool) -> np.ndarray:
 def real_basis(x: np.ndarray) -> np.ndarray:
     """Q^H x for every vector x along the last axis (complex)."""
     return _apply_q(x, adjoint=True)
+
+
+def antenna_basis(x: np.ndarray) -> np.ndarray:
+    """Q x for every vector x along the last axis: `real_basis` undone."""
+    return _apply_q(x, adjoint=False)
 
 
 def real_image(theta: np.ndarray) -> np.ndarray:
@@ -120,6 +125,19 @@ def _clenshaw_curtis(q: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _running_powers(base: np.ndarray, rows: int, first) -> np.ndarray:
+    """(rows, len(base)) table whose row m is first * base**m.
+
+    Each row is the one before times `base`, written in place: a complex
+    multiply per entry instead of a complex power.
+    """
+    table = np.empty((rows, base.size), dtype=complex)
+    table[0] = first
+    for m in range(1, rows):
+        np.multiply(table[m - 1], base, out=table[m])
+    return table
+
+
 def one_ring_correlation(
     theta_min: float,
     theta_max: float,
@@ -134,9 +152,8 @@ def one_ring_correlation(
     largest lag n - 1 it oscillates with frequency up to
     pi*spacing_ratio*(n - 1)*(theta_max - theta_min) on the rule's [-1, 1],
     and q + 1 is the next power of two at or above 1.25 times that plus 64,
-    but at least 2048.  (A power-of-two node count keeps numpy's complex
-    exp and power on their fast path; 2049 nodes cost 15% more per call
-    than 2048.)  Chebyshev coefficients of such an integrand decay
+    but at least 2048.  (Power-of-two node counts keep the cached rules
+    few.)  Chebyshev coefficients of such an integrand decay
     like Bessel functions past that frequency, so the rule error is at
     round-off level: against a composite Gauss-Legendre reference every
     entry is within 7e-15 for n <= 151 and 1.5e-14 at n = 600, for any
@@ -146,7 +163,8 @@ def one_ring_correlation(
 
     The lag d = b*m + r (b ~ sqrt(n)) factors each node's exponential into
     exp(j*x*b)^m * exp(j*x)^r, so the (n, q + 1) table is two rows of
-    exponentials, O(sqrt(n)) rows of their integer powers and one
+    exponentials, O(sqrt(n)) rows of their integer powers, each the row
+    before times its base (`_running_powers`), and one
     (n/b, q + 1) @ (q + 1, b) product.
     """
     if n < 1:
@@ -159,8 +177,8 @@ def one_ring_correlation(
     phase = 2.0 * np.pi * spacing_ratio * np.cos(0.5 * (theta_max + theta_min) + 0.5 * width * nodes)
     w = 0.5 * weights
     b = math.isqrt(n - 1) + 1
-    coarse = np.power(np.exp(1j * b * phase), np.arange(-(-n // b))[:, None])
-    fine = np.power(np.exp(1j * phase), np.arange(b)[:, None]) * w
+    coarse = _running_powers(np.exp(1j * b * phase), -(-n // b), 1.0)
+    fine = _running_powers(np.exp(1j * phase), b, w)
     # first_row[b*m + r] = sum_q w_q exp(j*phase_q*(b*m + r))
     first_row = (coarse @ fine.T).ravel()[:n]
     theta = toeplitz(np.conj(first_row), first_row)
@@ -198,66 +216,71 @@ def pathloss(distance: float, alpha: float) -> float:
     return float(distance) ** (-alpha)
 
 
-@dataclass
 class UserLinkProfile:
     """Second-order statistics of one (BS, cell, user) link.
 
-    `theta`, `r_cov`, `h_bar` and `sqrt_r` are in the antenna basis.
-    `theta_eig` is `theta_spectrum(theta)`, theta's real image and its real
-    eigenpair; when omitted it is computed here.  Links that share one
+    The correlation matrix theta is taken at construction only: the profile
+    keeps `theta_eig` = `theta_spectrum(theta)`, theta's real image and its
+    real eigenpair, computed here when omitted.  Links that share one
     correlation matrix can share one decomposition.  The covariance R is the
     positive multiple `scale` of theta, so its image is `scale` times theta's
     (`r_image`), its eigenvectors are theta's and its eigenvalues
     (`r_eigvals`) are theta's scaled, clamped at zero because
     quadrature-built correlation matrices are often numerically
-    semi-definite.  The PSD check, R^{1/2}, the training eigenvalues and the
-    estimators all read this one decomposition; `r_cov` and `r_image` are
-    formed on each access.
+    semi-definite.  The PSD check, R^{1/2}, the training eigenvalues, the
+    estimators and the statistical receiver all read this one
+    decomposition.  `h_bar` is in the antenna basis; `theta`, `r_cov` and
+    `sqrt_r` map the image back to it (`antenna_image`) on each access.
     """
 
-    beta: float
-    kappa: float
-    theta: np.ndarray
-    los_dir: np.ndarray
-    is_local: bool = True
-    theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    scale: float = field(init=False)
-    h_bar: np.ndarray = field(init=False)
-    r_eigvals: np.ndarray = field(init=False, repr=False)
-    # memo of `estimation.same_pilot_spectrum` for the groups led by this link
-    pilot_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ChannelModelError(f"beta must be positive, got {self.beta}")
-        if self.kappa < 0:
-            raise ChannelModelError(f"kappa must be non-negative, got {self.kappa}")
-        n = self.theta.shape[0]
-        if self.theta.shape != (n, n) or self.los_dir.shape != (n,):
+    def __init__(
+        self,
+        beta: float,
+        kappa: float,
+        theta: np.ndarray,
+        los_dir: np.ndarray,
+        is_local: bool = True,
+        theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        if beta <= 0:
+            raise ChannelModelError(f"beta must be positive, got {beta}")
+        if kappa < 0:
+            raise ChannelModelError(f"kappa must be non-negative, got {kappa}")
+        n = theta.shape[0]
+        if theta.shape != (n, n) or los_dir.shape != (n,):
             raise ChannelModelError("theta must be N x N and los_dir length N")
-        if self.theta_eig is None:
-            self.theta_eig = theta_spectrum(self.theta)
+        self.beta, self.kappa, self.los_dir, self.is_local = beta, kappa, los_dir, is_local
+        self.theta_eig = theta_spectrum(theta) if theta_eig is None else theta_eig
         ev = self.theta_eig[0]
         if ev[0] < -PSD_EPS * max(ev[-1], 1.0):
             raise ChannelModelError(f"theta is not PSD: min eigenvalue {ev[0]:.3e}")
-        if self.is_local:
+        if is_local:
             # kappa splits power between scattered and specular parts
-            self.scale = self.beta / (1.0 + self.kappa)
-            self.h_bar = math.sqrt(self.beta * self.kappa / (1.0 + self.kappa)) * self.los_dir
+            self.scale = beta / (1.0 + kappa)
+            self.h_bar = math.sqrt(beta * kappa / (1.0 + kappa)) * los_dir
         else:
             # inter-cell links are pure scattered fading
-            self.scale = self.beta
+            self.scale = beta
             self.h_bar = np.zeros(n, dtype=complex)
         self.r_eigvals = self.scale * np.clip(ev, 0.0, None)
+        # memos of `estimation.same_pilot_spectrum` and
+        # `combining.statistical_sums` for the groups led by this link
+        self.pilot_spectra: dict = {}
+        self.stat_sums: dict = {}
 
     @property
     def n_antennas(self) -> int:
-        return self.theta.shape[0]
+        return len(self.theta_eig[0])
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The correlation matrix, mapped back from its image on each access."""
+        return antenna_image(self.theta_eig[2])
 
     @property
     def r_cov(self) -> np.ndarray:
-        """The covariance R = scale * theta."""
-        return self.scale * self.theta
+        """The covariance R = scale * theta, mapped back from `r_image`."""
+        return antenna_image(self.r_image)
 
     @property
     def r_image(self) -> np.ndarray:

@@ -11,11 +11,12 @@ equivalents) reads one K x K LoS resolvent, `los_resolvent`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserLinkProfile, real_matmul
+from .channel import UserLinkProfile, antenna_basis, real_basis, real_matmul
 
 
 @dataclass
@@ -79,14 +80,55 @@ def los_resolvent(h_bar: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.real(np.diag(m_inv)), c, x @ m_inv
 
 
+@dataclass(frozen=True)
+class StatisticalSums:
+    """The SNR-independent real-basis sums of one BS's statistical receiver.
+
+    `local` is the image of sum_i R_i over the served links, `outer` the
+    image of R_out, the sum over the other cells' links (zero in a single
+    cell), and `h_bar` is real_basis(Hbar), (N, K) and C-contiguous, so it
+    views as 2K interleaved real and imaginary columns.
+    """
+
+    # held so that the ids keying `statistical_sums` stay unique
+    links: tuple
+    local: np.ndarray
+    outer: np.ndarray
+    h_bar: np.ndarray
+
+
+def statistical_sums(
+    local: Sequence[UserLinkProfile], others: Sequence[UserLinkProfile] = ()
+) -> StatisticalSums:
+    """`StatisticalSums` of the served links `local` and the other cells'
+    links `others`, memoized on the first served link."""
+    key = (tuple(map(id, local)), tuple(map(id, others)))
+    memo = local[0].stat_sums
+    if key not in memo:
+        n = local[0].n_antennas
+        h_bar = real_basis(np.array([p.h_bar for p in local])).T
+        memo[key] = StatisticalSums(
+            links=(tuple(local), tuple(others)),
+            local=sum(p.r_image for p in local),
+            outer=sum((p.r_image for p in others), np.zeros((n, n))),
+            h_bar=np.ascontiguousarray(h_bar),
+        )
+    return memo[key]
+
+
 def statistical_resolvent(
-    profiles: list[UserLinkProfile], rho_d: float
+    sums: StatisticalSums, rho_d: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`los_resolvent` of the local links, C = sum_i R_i + (N/rho_d) I."""
-    n = profiles[0].n_antennas
-    h_bar = np.column_stack([p.h_bar for p in profiles])
-    c_mat = sum(p.r_cov for p in profiles) + (n / rho_d) * np.eye(n)
-    return los_resolvent(h_bar, np.linalg.solve(c_mat, h_bar))
+    """`los_resolvent` of the served links, C = sum_i R_i + (N/rho_d) I.
+
+    It runs in the real basis: the image of C is real, so X = C^{-1} Hbar is
+    one real N x N solve against the interleaved columns of `sums.h_bar`.
+    m and c are invariant under Q; U comes back in the real basis.
+    """
+    n = len(sums.local)
+    c_image = sums.local + (n / rho_d) * np.eye(n)
+    x = np.linalg.solve(c_image, sums.h_bar.view(np.float64)).view(np.complex128)
+    return los_resolvent(sums.h_bar, x)
 
 
 def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
@@ -95,7 +137,8 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     Hbar_k drops column k, so only the *other* users' LoS directions are
     whitened.  Uses local statistics only, so the multi-cell receiver is the
     same; a user with kappa = 0 gets the zero vector (its LoS numerator
-    vanishes).  The columns are u_k / m_k of `statistical_resolvent`.
+    vanishes).  The columns are u_k / m_k of `statistical_resolvent`, mapped
+    back to the antenna basis.
     """
-    m, _, u = statistical_resolvent(profiles, rho_d)
-    return CombinerSet(vectors=u / m)
+    m, _, u = statistical_resolvent(statistical_sums(profiles), rho_d)
+    return CombinerSet(vectors=antenna_basis((u / m).T).T)

@@ -173,21 +173,26 @@ def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarr
     DE's quadratic term.  The error (or conditional) covariance of link l,
     R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
     involves no cancellation.  Each cell's sum over k of these is one real
-    (N, K*N) @ (K*N, N) product of the key-independent `pilot_stacks`,
-    scaled by f and shifted by s V_k.
+    (N, K*N) @ (K*N, N) product: the key-independent stack P^T of
+    `pilot_stacks`, used as it is, against diag(f) W^T = f * rest + s f V^T.
+    The term s f V^T is formed once per call, and every cell writes its
+    right operand into one buffer (a single cell's rest is 0, so s f V^T
+    alone is its right operand).
     """
     first = states[0]
     stacks = pilot_stacks([s.spectrum for s in states], first.local_index)
     n = first.n_antennas
     shrink = np.stack([s.shrink for s in states])[..., None]
-    shift = stacks.vecs_t / first.tau_rho
+    scaled_vecs = stacks.vecs_t * (shrink / first.tau_rho)
+    buffer = np.empty_like(scaled_vecs) if len(stacks.rest_t) > 1 else None
 
     def cell_sum(ell: int) -> np.ndarray:
-        left = (stacks.proj_t[ell] * shrink).reshape(-1, n)
-        right = (stacks.rest_t[ell] + shift).reshape(-1, n)
-        return left.T @ right
+        right = scaled_vecs
+        if buffer is not None:
+            right = np.multiply(stacks.rest_t[ell], shrink, out=buffer)
+            right += scaled_vecs
+        return stacks.proj_t[ell].reshape(-1, n).T @ right.reshape(-1, n)
 
     err = cell_sum(first.local_index)
     b_mat = err + sum(cell_sum(ell) for ell in first.others)
     return _symmetric(err + stacks.inter), _symmetric(b_mat)
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
-from .combining import conventional_combiner, statistical_resolvent
+from .combining import conventional_combiner, statistical_resolvent, statistical_sums
 from .config import SystemConfig
 from .estimation import (
     build_estimator_multicell,
@@ -251,7 +251,7 @@ def se_stat_singlecell(profiles: list[UserLinkProfile], config: SystemConfig) ->
     user's LoS outer product excluded from the interference; the SINR is
     c_k / m_k of `combining.statistical_resolvent`.
     """
-    m, c, _ = statistical_resolvent(profiles, config.snr_data)
+    m, c, _ = statistical_resolvent(statistical_sums(profiles), config.snr_data)
     se = np.log1p(c / m) * config.log_scale
     return SEReport(se, np.zeros_like(se), "stat_single", trials=0, seed=0, prelog=1.0)
 
@@ -261,14 +261,15 @@ def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport
 
     The combiner u_k of `combining.statistical_resolvent` sees local statistics
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
-    SINR_k = c_k^2 / (c_k m_k + u_k^H R_out u_k).
+    SINR_k = c_k^2 / (c_k m_k + u_k^H R_out u_k).  Everything runs in the real
+    basis, from the `combining.statistical_sums` each BS builds once.
     """
     reports = []
     for j, bs in enumerate(profiles):
-        m, c, u = statistical_resolvent(bs[j], config.snr_data)
-        out_links = (p.r_cov for ell, cell in enumerate(bs) if ell != j for p in cell)
-        r_out = sum(out_links, np.zeros((len(u), len(u))))
-        den = c * m + np.real(np.sum(u.conj() * (r_out @ u), axis=0))
+        others = [p for ell, cell in enumerate(bs) if ell != j for p in cell]
+        sums = statistical_sums(bs[j], others)
+        m, c, u = statistical_resolvent(sums, config.snr_data)
+        den = c * m + np.real(np.sum(u.conj() * real_matmul(sums.outer, u), axis=0))
         # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
         # select on that exact zero, not on the sign of a computed denominator
         sinr = np.divide(c * c, den, out=np.zeros_like(c), where=c != 0)

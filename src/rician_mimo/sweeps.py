@@ -189,6 +189,8 @@ def run_sweep(
             raise ConfigError(f"sweep over {sweep_axis} needs explicit axis values")
         variants = []
         for value in axis_values:
+            if sweep_axis in ("n_antennas", "tau") and not float(value).is_integer():
+                raise ConfigError(f"{sweep_axis} values must be finite integers, got {value!r}")
             sid = f"{spec.scenario_id}-{sweep_axis}={value:g}"
             if sweep_axis == "kappa_max":
                 variants.append(

@@ -196,8 +196,9 @@ def kappa_threshold(profile: UserLinkProfile, config: SystemConfig) -> float:
     """Rician factor above which statistical combining is provably no worse.
 
     Returns (tr Theta / N) * (T - K) / K where Theta is the unit-diagonal
-    correlation part of the user's covariance.
+    correlation part of the user's covariance.  tr Theta is read from its
+    real image, as Q leaves the trace unchanged.
     """
-    theta_trace = np.real(np.trace(profile.theta))
+    theta_trace = np.trace(profile.theta_eig[2])
     t, k = config.coherence_len, config.n_users
     return float(theta_trace / profile.n_antennas * (t - k) / k)

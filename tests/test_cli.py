@@ -126,6 +126,22 @@ def test_sweep_axis_values(scenario_file, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    ("axis", "values"),
+    [("tau", "4,inf"), ("n_antennas", "8,nan"), ("tau", "2.7")],
+)
+def test_sweep_rejects_non_integer_axis_values(scenario_file, capsys, axis, values):
+    # an integer axis takes finite integers only: inf and nan are not
+    # silently truncated or left to fail later, and 2.7 does not run as 2
+    code, out, err = run_cli(
+        capsys, "sweep", "--scenario", scenario_file, "--axis", axis, "--values", values,
+        "--mode", "de",
+    )
+    assert code == 1
+    assert out == ""
+    assert "finite integers" in err
+
+
 def test_overrides_snr_seed_trials_bits(scenario_file, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -302,6 +318,25 @@ def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])
     assert exc.value.code == 1
+
+
+def test_three_cell_simulate_never_leaves_the_real_basis(tmp_path, capsys, monkeypatch):
+    # the Monte Carlo and the statistical SE read every covariance as its
+    # real image: no antenna-basis theta, R or R^{1/2} is formed (the DE is
+    # guarded by test_asymptotic_never_maps_back_to_the_antenna_basis)
+    def antenna_basis_matrix(self):
+        raise AssertionError("antenna-basis correlation matrix formed")
+
+    for name in ("theta", "r_cov", "sqrt_r"):
+        monkeypatch.setattr(channel.UserLinkProfile, name, property(antenna_basis_matrix))
+    scenario = tmp_path / "three_ring.cfg"
+    scenario.write_text(
+        SCENARIO_TEXT.replace("n = 16", "n = 8").replace("exponential", "one_ring")
+        + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
+    assert code == 0, err
+    assert {r.scheme for r in parse_csv(out)} == {"conv_multi", "stat_multi"}
 
 
 # ---------------------------------------------------------------------------

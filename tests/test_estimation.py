@@ -202,13 +202,14 @@ def test_spectral_multicell_matches_inverse(tau_rho):
 @pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
 def test_regularizer_sums_match_dense_state_sums(tau_rho):
     # the batched stacks against per-state, per-link products of the same
-    # factors
+    # factors, in three cells and (first link of each group alone) in one
     n, k = 24, 3
-    groups = [_three_cell_links(n, u) for u in range(k)]
-    for local in range(3):
+    three_cell = [_three_cell_links(n, u) for u in range(k)]
+    cases = [(three_cell, local) for local in range(3)] + [([g[:1] for g in three_cell], 0)]
+    for groups, local in cases:
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
         a_img, b_img = regularizer_sums(states)
-        others = [ell for ell in range(3) if ell != local]
+        others = [ell for ell in range(len(groups[0])) if ell != local]
         conds = [_link_images(s)[1] for s in states]
         err = sum(c[local] for c in conds)
         a_ref = err + sum(links[ell].r_image for links in groups for ell in others)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rician_mimo import combining
 from rician_mimo.config import ConfigError
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
@@ -53,6 +54,26 @@ def test_mc_and_de_match_loosely_in_both_mode():
     rows = run_sweep(small_spec(n=32, trials=64), schemes=("conv",), mode="both")
     for r in rows:
         assert r.se_de == pytest.approx(r.se_value, rel=0.25)
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
+    # the SNR-independent sums of the statistical receiver serve every point
+    built = []
+    original = combining.StatisticalSums
+
+    def counted(**kwargs):
+        built.append(kwargs["links"])
+        return original(**kwargs)
+
+    monkeypatch.setattr(combining, "StatisticalSums", counted)
+    layout = {"layout": "three_cell_edge", "l": 3} if cells == 3 else {}
+    spec = small_spec(correlation="one_ring", snr_grid_db=tuple(range(-10, 35, 5)), **layout)
+    rows = run_sweep(spec, schemes=("stat",), mode="both")
+    assert len({r.snr_db for r in rows}) == 9
+    assert len(built) == cells
+    # one per BS: each serves a different cell's links
+    assert len({id(local[0]) for local, _ in built}) == cells
 
 
 def test_multicell_sweep_covers_all_bs():
