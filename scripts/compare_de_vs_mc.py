@@ -54,15 +54,15 @@ def main() -> None:
           f"corr={spec.correlation}, kappa_max={spec.kappa_max:g}, "
           f"{args.trials} trials ({mc_elapsed:.0f}s)")
     print(f"{'snr_db':>7} {'worst_gap':>10} {'mean_gap':>9} {'mc_stderr':>10}")
-    for i, snr in enumerate(spec.snr_grid_db):
-        config = spec.system_config(snr, tau=spec.k)
-        de = conv_de_per_bs(scenario, config)
+    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
+    des = conv_de_per_bs(scenario, configs)
+    for snr, de, per_bs in zip(spec.snr_grid_db, des, reports):
         gaps = []
         stderrs = []
         for bs in range(scenario.n_cells):
-            mc = reports[i][bs].per_user_se
+            mc = per_bs[bs].per_user_se
             gaps.append(np.abs(mc - de[bs]) / de[bs])
-            stderrs.append(reports[i][bs].se_stderr / mc)
+            stderrs.append(per_bs[bs].se_stderr / mc)
         gap = np.concatenate(gaps)
         rel_err = np.concatenate(stderrs)
         print(f"{snr:>7.1f} {gap.max():>10.4f} {gap.mean():>9.4f} {rel_err.max():>10.4f}")

@@ -39,10 +39,10 @@ def main() -> None:
         )
         scenario = build_scenario(spec)
         config = spec.system_config(args.snr)
-        multi = se_stat_multicell(scenario.profiles, config)
+        multi = se_stat_multicell(scenario.profiles, [config])[0]
         gaps = []
         for bs in range(3):
-            single = se_stat_singlecell(scenario.local_profiles(bs), config)
+            single = se_stat_singlecell(scenario.local_profiles(bs), [config])[0]
             mask = single.per_user_se > 1e-9
             gaps.append(
                 np.abs(multi[bs].per_user_se - single.per_user_se)[mask]

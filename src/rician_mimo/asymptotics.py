@@ -31,7 +31,7 @@ import numpy as np
 from .channel import UserLinkProfile, real_basis, real_matmul
 from .combining import los_resolvent, statistical_resolvent, statistical_sums
 from .config import SystemConfig
-from .estimation import EstimatorState, build_estimator_multicell, regularizer_sums
+from .estimation import EstimatorState, PilotStacks, build_estimator_multicell, regularizer_sums
 
 
 @dataclass
@@ -261,10 +261,12 @@ def _contamination_split(
 def _build_state(
     profiles: list[UserLinkProfile],
     estimators: list[EstimatorState],
+    stacks: PilotStacks,
     rho_d: float,
     refined: bool,
 ) -> AsymptoticState:
-    """The state of one BS from its local links and its K estimators.
+    """The state of one BS from its local links, its K estimators and the
+    `PilotStacks` of their spectra.
 
     The regularizer A and the quadratic-term matrix B are the real images of
     `regularizer_sums` (B = A in a single cell); the estimators' other
@@ -274,7 +276,7 @@ def _build_state(
     k = len(profiles)
     h_bar = real_basis(np.array([p.h_bar for p in profiles])).T
     r_tildes = np.stack([e.r_tilde for e in estimators])
-    a_matrix, quad_matrix = regularizer_sums(estimators)
+    a_matrix, quad_matrix = regularizer_sums(estimators, stacks)
     local = estimators[0].local_index
     others = estimators[0].others
     if refined:
@@ -334,20 +336,23 @@ def _build_state(
 def build_q_singlecell(
     profiles: list[UserLinkProfile],
     estimators: list[EstimatorState],
+    stacks: PilotStacks,
     rho_d: float,
     refined: bool = True,
 ) -> AsymptoticState:
     """State for the single-cell conventional equivalent.
 
     The regularizer is the sum of estimation-error covariances, and the
-    quadratic term covers exactly those errors.
+    quadratic term covers exactly those errors; `stacks` is the
+    `PilotStacks` of the estimators' spectra.
     """
-    return _build_state(profiles, estimators, rho_d, refined)
+    return _build_state(profiles, estimators, stacks, rho_d, refined)
 
 
 def build_q_multicell(
     profiles_at_bs: list[list[UserLinkProfile]],
     estimators: list[EstimatorState],
+    stacks: PilotStacks,
     local_index: int,
     rho_d: float,
     refined: bool = True,
@@ -356,13 +361,14 @@ def build_q_multicell(
 
     `profiles_at_bs[ell][i]` is the link from user i of cell ell to this BS;
     `estimators[i]` is the multi-cell estimator of pilot i at this BS, whose
-    same-pilot spectrum carries every contaminating link.  The regularizer
+    same-pilot spectrum carries every contaminating link, and `stacks` is the
+    `PilotStacks` of those spectra.  The regularizer
     adds the inter-cell covariances.  The quadratic term keeps only the
     conditional covariances of the contaminating links; their
     conditional-mean power is carried by the dedicated contamination model,
     matching the Monte Carlo split.
     """
-    return _build_state(profiles_at_bs[local_index], estimators, rho_d, refined)
+    return _build_state(profiles_at_bs[local_index], estimators, stacks, rho_d, refined)
 
 
 def _common_terms(state: AsymptoticState):

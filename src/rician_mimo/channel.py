@@ -4,6 +4,9 @@ A link (BS, cell, user) is described by a `UserLinkProfile` holding the
 large-scale gain, Rician factor, spatial correlation and LoS direction.
 Realizations are h = h_bar + R^{1/2} z with z standard complex Gaussian
 (`standard_complex_normal`); the Monte Carlo draws them in the real basis.
+A profile holds its own statistics only: what is built from a group of
+links (a same-pilot spectrum, a BS's statistical sums) belongs to the call
+that evaluates an SNR grid, and goes when that call returns.
 
 Every correlation family here is Hermitian Toeplitz, hence centro-Hermitian
 (J Theta J = conj(Theta) with J the flip), and sums, products and inverses
@@ -263,10 +266,6 @@ class UserLinkProfile:
             self.scale = beta
             self.h_bar = np.zeros(n, dtype=complex)
         self.r_eigvals = self.scale * np.clip(ev, 0.0, None)
-        # memos of `estimation.same_pilot_spectrum` and
-        # `combining.statistical_sums` for the groups led by this link
-        self.pilot_spectra: dict = {}
-        self.stat_sums: dict = {}
 
     @property
     def n_antennas(self) -> int:

@@ -90,8 +90,6 @@ class StatisticalSums:
     views as 2K interleaved real and imaginary columns.
     """
 
-    # held so that the ids keying `statistical_sums` stay unique
-    links: tuple
     local: np.ndarray
     outer: np.ndarray
     h_bar: np.ndarray
@@ -101,19 +99,15 @@ def statistical_sums(
     local: Sequence[UserLinkProfile], others: Sequence[UserLinkProfile] = ()
 ) -> StatisticalSums:
     """`StatisticalSums` of the served links `local` and the other cells'
-    links `others`, memoized on the first served link."""
-    key = (tuple(map(id, local)), tuple(map(id, others)))
-    memo = local[0].stat_sums
-    if key not in memo:
-        n = local[0].n_antennas
-        h_bar = real_basis(np.array([p.h_bar for p in local])).T
-        memo[key] = StatisticalSums(
-            links=(tuple(local), tuple(others)),
-            local=sum(p.r_image for p in local),
-            outer=sum((p.r_image for p in others), np.zeros((n, n))),
-            h_bar=np.ascontiguousarray(h_bar),
-        )
-    return memo[key]
+    links `others`; a caller that evaluates several SNR points builds them
+    once."""
+    n = local[0].n_antennas
+    h_bar = real_basis(np.array([p.h_bar for p in local])).T
+    return StatisticalSums(
+        local=sum(p.r_image for p in local),
+        outer=sum((p.r_image for p in others), np.zeros((n, n))),
+        h_bar=np.ascontiguousarray(h_bar),
+    )
 
 
 def statistical_resolvent(

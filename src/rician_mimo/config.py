@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 LOG_BASES = ("natural", "base2")
 
@@ -53,13 +53,3 @@ class SystemConfig:
     def log_scale(self) -> float:
         """Factor that converts an SE in nats to the configured log base."""
         return 1.0 / math.log(2.0) if self.log_base == "base2" else 1.0
-
-    def with_snr(self, snr_data: float, snr_training: float | None = None) -> "SystemConfig":
-        return replace(
-            self,
-            snr_data=snr_data,
-            snr_training=self.snr_training if snr_training is None else snr_training,
-        )
-
-    def with_tau(self, tau: int) -> "SystemConfig":
-        return replace(self, training_len=tau)

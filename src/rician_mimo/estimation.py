@@ -5,13 +5,16 @@ despread observation has covariance S + sI with the same-pilot sum
 S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
 through S.  Every covariance is centro-Hermitian, and the estimator lives
 in one basis, that of the real images Q^H R Q (`channel.real_image`).  One
-real `eigh` of the image of S (`same_pilot_spectrum`, kept on the group's
-links, so once per scenario) gives Phi = Q V diag(f) V^T Q^H with
-f = 1/(mu + s) for every training key.  With the real projections
-P_l = (Q^H R_l Q) V, the estimator is the pair (P_l, f): the gain of link l
-has the image P_l diag(f) V^T and the estimate covariance the image
-P_i diag(f) P_i^T.  No N x N inverse, no complex N x N product and no dense
-antenna-basis estimator matrix is formed; the Monte Carlo,
+real `eigh` of the image of S (`same_pilot_spectrum`) gives
+Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every training key, so
+the call that evaluates a whole SNR grid (the Monte Carlo kernel, or one
+BS's deterministic equivalents) takes each spectrum once, stacks the K
+spectra of a BS once (`PilotStacks`) and drops both when it returns.  With
+the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
+(P_l, f): the gain of link l has the image P_l diag(f) V^T and the
+estimate covariance the image P_i diag(f) P_i^T.  No N x N inverse, no
+complex N x N product and no dense antenna-basis estimator matrix is
+formed; the Monte Carlo,
 `regularizer_sums` and the deterministic equivalents all read these real
 factors.  A single link reuses its profile's eigenpair (S = R,
 P = V diag(lam)), so the single- and multi-cell estimators are one path.
@@ -19,7 +22,7 @@ P = V diag(lam)), so the single- and multi-cell estimators are one path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,36 +35,34 @@ class PilotSpectrum:
     """Real eigendecomposition Q^H S Q = V diag(mu) V^T of one same-pilot sum.
 
     `proj[l]` is (Q^H R_l Q) V for the l-th entry of `links`.  The
-    eigenvalues are clamped at zero, like each link's own.
+    eigenvalues are clamped at zero, like each link's own.  The spectrum
+    indexes like its links, so it stands in for them wherever a same-pilot
+    group is asked for.
     """
 
     links: tuple[UserLinkProfile, ...]
     eigvals: np.ndarray
     eigvecs: np.ndarray
     proj: np.ndarray  # (L, N, N)
-    # memo of `pilot_stacks` for the BSs whose first user this spectrum serves
-    stacks: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def __getitem__(self, ell: int) -> UserLinkProfile:
+        return self.links[ell]
 
 
 def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
-    """Spectrum of the same-pilot links `profiles`, computed on first use.
-
-    It is memoized on the first link under the ids of the group; the memo
-    holds the links themselves, so those ids cannot be reused while it lives.
-    """
-    key = tuple(map(id, profiles))
-    memo = profiles[0].pilot_spectra
-    if key not in memo:
-        if len(profiles) == 1:
-            mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
-            proj = (v * mu)[None]
-        else:
-            images = [p.r_image for p in profiles]
-            mu, v = np.linalg.eigh(sum(images))
-            mu = np.clip(mu, 0.0, None)
-            proj = np.stack([r @ v for r in images])
-        memo[key] = PilotSpectrum(tuple(profiles), mu, v, proj)
-    return memo[key]
+    """Spectrum of the same-pilot links `profiles`."""
+    if len(profiles) == 1:
+        mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
+        proj = (v * mu)[None]
+    else:
+        images = [p.r_image for p in profiles]
+        mu, v = np.linalg.eigh(sum(images))
+        mu = np.clip(mu, 0.0, None)
+        proj = np.stack([r @ v for r in images])
+    return PilotSpectrum(tuple(profiles), mu, v, proj)
 
 
 class PilotStacks:
@@ -73,8 +74,6 @@ class PilotStacks:
     """
 
     def __init__(self, spectra: list[PilotSpectrum], local_index: int):
-        # held so that the ids keying `pilot_stacks` stay unique
-        self.spectra = tuple(spectra)
         cells, n = spectra[0].proj.shape[:2]
         # C order, so that every (K, N, N) slice reshapes to (K*N, N) in place
         self.proj_t = np.empty((cells, len(spectra), n, n))
@@ -87,15 +86,6 @@ class PilotStacks:
         ]
         links = (p for sp in spectra for ell, p in enumerate(sp.links) if ell != local_index)
         self.inter = sum((p.r_image for p in links), 0.0)
-
-
-def pilot_stacks(spectra: list[PilotSpectrum], local_index: int) -> PilotStacks:
-    """`PilotStacks` of the spectra of one BS, memoized on the first one."""
-    key = (tuple(map(id, spectra)), local_index)
-    memo = spectra[0].stacks
-    if key not in memo:
-        memo[key] = PilotStacks(spectra, local_index)
-    return memo[key]
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
@@ -138,7 +128,7 @@ class EstimatorState:
 
 
 def build_estimator_multicell(
-    profiles: list[UserLinkProfile],
+    profiles: PilotSpectrum | list[UserLinkProfile],
     local_index: int,
     tau: float,
     rho_tr: float,
@@ -147,7 +137,9 @@ def build_estimator_multicell(
 
     `profiles[l]` is the link from the same-pilot user of cell l to this BS;
     `profiles[local_index]` is the served user.  A single link is the
-    single-cell estimator.
+    single-cell estimator.  A caller that builds the estimator at several
+    keys passes the group's `PilotSpectrum`; a list of links is decomposed
+    on the spot.
     """
     tau_rho = tau * rho_tr
     if tau_rho <= 0:
@@ -155,7 +147,7 @@ def build_estimator_multicell(
     n = profiles[0].n_antennas
     if any(p.n_antennas != n for p in profiles):
         raise ValueError("all same-pilot profiles must share the antenna dimension")
-    spectrum = same_pilot_spectrum(profiles)
+    spectrum = profiles if isinstance(profiles, PilotSpectrum) else same_pilot_spectrum(profiles)
     return EstimatorState(
         local_index=local_index,
         spectrum=spectrum,
@@ -164,7 +156,9 @@ def build_estimator_multicell(
     )
 
 
-def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarray]:
+def regularizer_sums(
+    states: list[EstimatorState], stacks: PilotStacks
+) -> tuple[np.ndarray, np.ndarray]:
     """Real images of (A, B) for the K estimators of one BS at one key.
 
     A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
@@ -173,14 +167,13 @@ def regularizer_sums(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarr
     DE's quadratic term.  The error (or conditional) covariance of link l,
     R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
     involves no cancellation.  Each cell's sum over k of these is one real
-    (N, K*N) @ (K*N, N) product: the key-independent stack P^T of
-    `pilot_stacks`, used as it is, against diag(f) W^T = f * rest + s f V^T.
+    (N, K*N) @ (K*N, N) product: the key-independent stack P^T of the
+    BS's `stacks`, used as it is, against diag(f) W^T = f * rest + s f V^T.
     The term s f V^T is formed once per call, and every cell writes its
     right operand into one buffer (a single cell's rest is 0, so s f V^T
     alone is its right operand).
     """
     first = states[0]
-    stacks = pilot_stacks([s.spectrum for s in states], first.local_index)
     n = first.n_antennas
     shrink = np.stack([s.shrink for s in states])[..., None]
     scaled_vecs = stacks.vecs_t * (shrink / first.tau_rho)

@@ -16,13 +16,15 @@ import numpy as np
 from .config import ConfigError
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
-from .sweeps import _rows_for_scenario, conv_de_per_bs, resolve_tau_for_snr, stat_de_per_bs
+from .sweeps import _rows_for_scenario, conv_de_at_bs, resolve_tau_for_snr, stat_de_per_bs
 from .training import solve_tau_star
 
 PRESET_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5")
 
 # fine grid used when searching for scheme crossovers
 CROSSOVER_GRID_DB = tuple(float(s) for s in range(-10, 41))
+# the high-SNR gain is read off the crossover curve at this grid point
+HIGH_SNR_DB = 30.0
 
 _BASE = ScenarioSpec()  # paper-style defaults: N=150, K=20, T=500, R=150m
 
@@ -123,72 +125,79 @@ def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
 
 
 def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...], bs: int = 0):
-    """Average (over users of one BS) DE SE per scheme over an SNR grid."""
-    conv = []
-    stat = []
-    for snr in snr_grid:
-        tau = resolve_tau_for_snr(scenario, snr)
-        config = scenario.spec.system_config(snr, tau=tau)
-        conv.append(float(np.mean(conv_de_per_bs(scenario, config)[bs])))
-        stat.append(float(np.mean(stat_de_per_bs(scenario, config)[bs])))
+    """Average (over users of one BS) DE SE per scheme over an SNR grid; the
+    conventional DE runs for that BS only."""
+    configs = [
+        scenario.spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr))
+        for snr in snr_grid
+    ]
+    conv = [float(np.mean(se)) for se in conv_de_at_bs(scenario, bs, configs)]
+    stat = [float(np.mean(per_bs[bs])) for per_bs in stat_de_per_bs(scenario, configs)]
     return np.array(conv), np.array(stat)
 
 
-def crossover_snr(scenario: Scenario, snr_grid: tuple[float, ...] = CROSSOVER_GRID_DB):
-    """First SNR of the grid where statistical SE exceeds conventional SE."""
-    conv, stat = _avg_de_curves(scenario, snr_grid)
+def _crossover_and_gain(scenario: Scenario) -> tuple[float | None, float]:
+    """From one DE curve of cell 0 over `CROSSOVER_GRID_DB`: the first SNR
+    where statistical SE exceeds conventional SE (None if it never does),
+    and the relative statistical-over-conventional gain at `HIGH_SNR_DB`."""
+    conv, stat = _avg_de_curves(scenario, CROSSOVER_GRID_DB)
     above = np.nonzero(stat > conv)[0]
-    return float(snr_grid[above[0]]) if above.size else None
+    crossing = float(CROSSOVER_GRID_DB[above[0]]) if above.size else None
+    i = CROSSOVER_GRID_DB.index(HIGH_SNR_DB)
+    return crossing, float((stat[i] - conv[i]) / conv[i])
 
 
-def high_snr_gain(scenario: Scenario, snr_db: float = 30.0) -> float:
-    """Relative statistical-over-conventional gain at one (high) SNR."""
-    conv, stat = _avg_de_curves(scenario, (snr_db,))
-    return float((stat[0] - conv[0]) / conv[0])
+def _summarize(figure_id: str, scenario: Scenario, summary: dict) -> None:
+    """Add the DE-based summary entries of one preset scenario to `summary`
+    (every preset but fig1b, whose summary is its tau* table)."""
+    spec = scenario.spec
+    if figure_id == "fig1a":
+        conv, _ = _avg_de_curves(scenario, spec.snr_grid_db)
+        label = spec.scenario_id.rsplit("-", 1)[1]
+        table = summary.setdefault("avg_conv_se_by_tau_setting", {})
+        table.setdefault(f"{spec.kappa_max:g}", {})[label] = float(np.mean(conv))
+        return
+    crossings = summary.setdefault("stat_over_conv_crossover_snr_db", {})
+    if figure_id != "fig5":
+        crossings[spec.scenario_id] = _crossover_and_gain(scenario)[0]
+        return
+    # fig5: cell 0 of the multi-cell drop, with and without the other cells
+    multi = _crossover_and_gain(scenario)
+    single = _crossover_and_gain(scenario.single_cell_view(0))
+    crossings[spec.scenario_id] = {"multi": multi[0], "single": single[0]}
+    gains = summary.setdefault("high_snr_stat_gain_at_30db", {})
+    gains[spec.scenario_id] = {"multi": multi[1], "single": single[1]}
 
 
 def preset_summary(figure_id: str) -> dict:
     """Deterministic qualitative summary of one preset (DE-based)."""
-    summary: dict = {"figure": figure_id}
-    if figure_id == "fig1a":
-        per_kmax = {}
-        for kmax in (0.0, 0.5, 4.0, 10.0):
-            variants = {}
-            for spec in preset_specs("fig1a"):
-                if f"kmax{kmax:g}-" not in spec.scenario_id:
-                    continue
-                scenario = build_scenario(spec)
-                conv, _ = _avg_de_curves(scenario, spec.snr_grid_db)
-                label = spec.scenario_id.rsplit("-", 1)[1]
-                variants[label] = float(np.mean(conv))
-            per_kmax[f"{kmax:g}"] = variants
-        summary["avg_conv_se_by_tau_setting"] = per_kmax
-        return summary
     if figure_id == "fig1b":
         return run_preset(figure_id)[1]
-    if figure_id in ("fig2a", "fig2b", "fig4a", "fig4b"):
-        crossings = {}
-        for spec in preset_specs(figure_id):
-            crossings[spec.scenario_id] = crossover_snr(build_scenario(spec))
-        summary["stat_over_conv_crossover_snr_db"] = crossings
-        return summary
-    # fig5: cell 0 of the multi-cell drop, with and without the other cells
-    crossings = {}
-    gains = {}
-    for spec in preset_specs("fig5"):
-        scenario = build_scenario(spec)
-        single = scenario.single_cell_view(0)
-        crossings[spec.scenario_id] = {
-            "multi": crossover_snr(scenario),
-            "single": crossover_snr(single),
-        }
-        gains[spec.scenario_id] = {
-            "multi": high_snr_gain(scenario),
-            "single": high_snr_gain(single),
-        }
-    summary["stat_over_conv_crossover_snr_db"] = crossings
-    summary["high_snr_stat_gain_at_30db"] = gains
+    summary: dict = {"figure": figure_id}
+    for spec in preset_specs(figure_id):
+        _summarize(figure_id, build_scenario(spec), summary)
     return summary
+
+
+def _run_scenario(
+    figure_id: str, scenario: Scenario, trials: int | None, seed: int | None, summary: dict
+) -> list[ResultRow]:
+    """Rows of one preset scenario; its summary entries go to `summary`."""
+    spec = scenario.spec
+    use_trials = spec.trials if trials is None else trials
+    use_seed = spec.seed if seed is None else seed
+    if figure_id == "fig1b":
+        rows = tau_star_rows(scenario, use_seed)
+        table = summary.setdefault("tau_star_by_snr", {})
+        table[spec.scenario_id] = {f"{row.snr_db:g}": row.tau_used for row in rows}
+        return rows
+    schemes = ("conv",) if figure_id == "fig1a" else ("conv", "stat")
+    rows = _rows_for_scenario(scenario, schemes, "both", use_trials, use_seed)
+    if figure_id == "fig5":
+        single = scenario.single_cell_view(0)
+        rows += _rows_for_scenario(single, schemes, "both", use_trials, use_seed)
+    _summarize(figure_id, scenario, summary)
+    return rows
 
 
 def run_preset(
@@ -196,32 +205,16 @@ def run_preset(
     trials: int | None = None,
     seed: int | None = None,
 ) -> tuple[list[ResultRow], dict]:
-    """Run one preset end to end; returns (result rows, qualitative summary)."""
+    """Run one preset end to end; returns (result rows, qualitative summary).
+
+    Each scenario is built once and summarized as soon as its rows are in,
+    so only one scenario is alive at a time."""
     if seed is not None and seed < 0:
         raise ConfigError("seed must be non-negative")
     if trials is not None and trials < 1:
         raise ConfigError("trials must be >= 1")
     rows: list[ResultRow] = []
+    summary: dict = {"figure": figure_id}
     for spec in preset_specs(figure_id):
-        scenario = build_scenario(spec)
-        use_trials = spec.trials if trials is None else trials
-        use_seed = spec.seed if seed is None else seed
-        if figure_id == "fig1b":
-            rows.extend(tau_star_rows(scenario, use_seed))
-            continue
-        schemes = ("conv",) if figure_id == "fig1a" else ("conv", "stat")
-        rows.extend(
-            _rows_for_scenario(scenario, schemes, "both", use_trials, use_seed)
-        )
-        if figure_id == "fig5":
-            single = scenario.single_cell_view(0)
-            rows.extend(
-                _rows_for_scenario(single, schemes, "both", use_trials, use_seed)
-            )
-    if figure_id == "fig1b":
-        # the summary reads tau* from the rows just built
-        table: dict = {}
-        for row in rows:
-            table.setdefault(row.scenario_id, {})[f"{row.snr_db:g}"] = row.tau_used
-        return rows, {"figure": figure_id, "tau_star_by_snr": table}
-    return rows, preset_summary(figure_id)
+        rows.extend(_run_scenario(figure_id, build_scenario(spec), trials, seed, summary))
+    return rows, summary

@@ -22,8 +22,8 @@ from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_
 from .combining import conventional_combiner, statistical_resolvent, statistical_sums
 from .config import SystemConfig
 from .estimation import (
+    PilotStacks,
     build_estimator_multicell,
-    pilot_stacks,
     regularizer_sums,
     same_pilot_spectrum,
 )
@@ -66,40 +66,37 @@ class _ScenarioArrays:
 
     Per BS j: the images Q^H R^{1/2} Q of every link, stacked (L, K, N, N);
     the LoS means Q^H h_bar of the local links and the sum of the other
-    cells', (K, N) each; and the `PilotStacks` of the K same-pilot spectra.
+    cells', (K, N) each; and the K same-pilot spectra and their
+    `PilotStacks`.
     """
 
     def __init__(self, profiles: Profiles):
         self.L = len(profiles)
         self.K = len(profiles[0][0])
         self.N = profiles[0][0][0].n_antennas
-        self.sqrt_r, self.h_bar, self.los_rest, self.stacks = [], [], [], []
+        self.sqrt_r, self.h_bar, self.los_rest, self.spectra, self.stacks = [], [], [], [], []
         for j, bs in enumerate(profiles):
             self.sqrt_r.append(np.array([[p.sqrt_r_image for p in cell] for cell in bs]))
             los = real_basis(np.array([[p.h_bar for p in cell] for cell in bs]))
             self.h_bar.append(los[j])
             self.los_rest.append(sum((los[ell] for ell in range(self.L) if ell != j), 0))
             spectra = [same_pilot_spectrum([cell[k] for cell in bs]) for k in range(self.K)]
-            self.stacks.append(pilot_stacks(spectra, j))
+            self.spectra.append(spectra)
+            self.stacks.append(PilotStacks(spectra, j))
 
 
 class _EstimatorArrays:
     """Per-BS shrinkage vectors f, and the real regularizer eigenpair and
     image of B, of one (tau, rho_tr) key."""
 
-    def __init__(self, profiles: Profiles, tau: int, rho_tr: float):
-        L = len(profiles)
-        K = len(profiles[0][0])
+    def __init__(self, arr: _ScenarioArrays, tau: int, rho_tr: float):
         self.tau_rho = tau * rho_tr
         self.shrink = []  # per bs: (K, N)
         self.a_eig = []  # per bs: eigh of the combiner regularizer's image
         self.b_mat = []  # per bs: image of the error + interference covariance
-        for j in range(L):
-            states = [
-                build_estimator_multicell([profiles[j][ell][k] for ell in range(L)], j, tau, rho_tr)
-                for k in range(K)
-            ]
-            a_mat, b_mat = regularizer_sums(states)
+        for j in range(arr.L):
+            states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in arr.spectra[j]]
+            a_mat, b_mat = regularizer_sums(states, arr.stacks[j])
             self.shrink.append(np.stack([s.shrink for s in states]))
             self.a_eig.append(np.linalg.eigh(a_mat))
             self.b_mat.append(b_mat)
@@ -127,7 +124,7 @@ def mc_log_moments(
     """
     arr = _ScenarioArrays(profiles)
     keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
-    ests = [_EstimatorArrays(profiles, *key) for key in keys]
+    ests = [_EstimatorArrays(arr, *key) for key in keys]
     key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
     L, K, N = arr.L, arr.K, arr.N
     logs = np.zeros((len(points), L, trial_count, K))
@@ -244,36 +241,47 @@ def conventional_mc(
     return out
 
 
-def se_stat_singlecell(profiles: list[UserLinkProfile], config: SystemConfig) -> SEReport:
-    """Exact SE of single-cell statistical combining (no Monte Carlo needed).
+def se_stat_singlecell(
+    profiles: list[UserLinkProfile], configs: list[SystemConfig]
+) -> list[SEReport]:
+    """Exact SE of single-cell statistical combining (no Monte Carlo needed),
+    one report per config.
 
     Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user, with the served
     user's LoS outer product excluded from the interference; the SINR is
-    c_k / m_k of `combining.statistical_resolvent`.
+    c_k / m_k of `combining.statistical_resolvent`, from one
+    `combining.statistical_sums` for every config.
     """
-    m, c, _ = statistical_resolvent(statistical_sums(profiles), config.snr_data)
-    se = np.log1p(c / m) * config.log_scale
-    return SEReport(se, np.zeros_like(se), "stat_single", trials=0, seed=0, prelog=1.0)
+    sums = statistical_sums(profiles)
+    reports = []
+    for config in configs:
+        m, c, _ = statistical_resolvent(sums, config.snr_data)
+        se = np.log1p(c / m) * config.log_scale
+        reports.append(SEReport(se, np.zeros_like(se), "stat_single", trials=0, seed=0, prelog=1.0))
+    return reports
 
 
-def se_stat_multicell(profiles: Profiles, config: SystemConfig) -> list[SEReport]:
-    """Exact SE of statistical combining under full inter-cell interference.
+def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[list[SEReport]]:
+    """Exact SE of statistical combining under full inter-cell interference,
+    reports[config][bs].
 
     The combiner u_k of `combining.statistical_resolvent` sees local statistics
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
     SINR_k = c_k^2 / (c_k m_k + u_k^H R_out u_k).  Everything runs in the real
-    basis, from the `combining.statistical_sums` each BS builds once.
+    basis, from the `combining.statistical_sums` each BS builds once for
+    every config.
     """
-    reports = []
+    scheme = "stat_single" if len(profiles) == 1 else "stat_multi"
+    reports: list[list[SEReport]] = [[] for _ in configs]
     for j, bs in enumerate(profiles):
         others = [p for ell, cell in enumerate(bs) if ell != j for p in cell]
         sums = statistical_sums(bs[j], others)
-        m, c, u = statistical_resolvent(sums, config.snr_data)
-        den = c * m + np.real(np.sum(u.conj() * real_matmul(sums.outer, u), axis=0))
-        # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
-        # select on that exact zero, not on the sign of a computed denominator
-        sinr = np.divide(c * c, den, out=np.zeros_like(c), where=c != 0)
-        se = np.log1p(sinr) * config.log_scale
-        scheme = "stat_single" if len(profiles) == 1 else "stat_multi"
-        reports.append(SEReport(se, np.zeros_like(se), scheme, trials=0, seed=0, prelog=1.0))
+        for config, per_bs in zip(configs, reports):
+            m, c, u = statistical_resolvent(sums, config.snr_data)
+            den = c * m + np.real(np.sum(u.conj() * real_matmul(sums.outer, u), axis=0))
+            # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
+            # select on that exact zero, not on the sign of a computed denominator
+            sinr = np.divide(c * c, den, out=np.zeros_like(c), where=c != 0)
+            se = np.log1p(sinr) * config.log_scale
+            per_bs.append(SEReport(se, np.zeros_like(se), scheme, trials=0, seed=0, prelog=1.0))
     return reports

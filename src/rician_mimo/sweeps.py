@@ -4,7 +4,10 @@ A sweep walks one axis (snr, kappa_max, n_antennas, tau), evaluates the
 requested schemes in the requested mode (Monte Carlo, deterministic
 equivalent, or both) and returns flat result rows.  All Monte Carlo points
 of one scenario share channel draws (common random numbers), so curves over
-SNR or tau are smooth functions of the same randomness.
+SNR or tau are smooth functions of the same randomness.  Each scheme takes
+the scenario's whole SNR grid in one call and returns its results indexed
+[config][bs], so what a call builds from the links (same-pilot spectra,
+their stacks, statistical sums) is a local of it and nothing outlives it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .asymptotics import (
     se_conv_singlecell_de,
     se_stat_multicell_de,
 )
-from .config import ConfigError
-from .estimation import build_estimator_multicell
+from .config import ConfigError, SystemConfig
+from .estimation import PilotStacks, build_estimator_multicell, same_pilot_spectrum
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .spectral_efficiency import (
@@ -46,50 +49,54 @@ def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
     return spec.resolve_tau()
 
 
-def _local_estimators(scenario: Scenario, bs: int, tau: int, rho_tr: float):
-    L = scenario.n_cells
-    return [
-        build_estimator_multicell(
-            [scenario.profiles[bs][ell][k] for ell in range(L)], bs, tau, rho_tr
-        )
-        for k in range(scenario.n_users)
-    ]
-
-
-def conv_de_per_bs(scenario: Scenario, config) -> list[np.ndarray]:
-    """Deterministic-equivalent conventional SE, one array per BS."""
+def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
+    """Deterministic-equivalent conventional SE of BS `bs`, one array per
+    config.  The BS's K same-pilot spectra and their `PilotStacks` are taken
+    once and serve every config."""
     # the second-order fluctuation corrections assume covariances whose
     # spectra stay O(1); the one-ring family concentrates its mass on a
     # narrow angular subspace and the corrections can overshoot into
     # negative SINRs there, so those scenarios use the plain equivalents
     refined = scenario.spec.correlation != "one_ring"
+    links = scenario.profiles[bs]
+    spectra = [same_pilot_spectrum([cell[k] for cell in links]) for k in range(scenario.n_users)]
+    stacks = PilotStacks(spectra, bs)
     out = []
-    for bs in range(scenario.n_cells):
-        estimators = _local_estimators(scenario, bs, config.training_len, config.snr_training)
+    for config in configs:
+        estimators = [
+            build_estimator_multicell(sp, bs, config.training_len, config.snr_training)
+            for sp in spectra
+        ]
         if scenario.n_cells == 1:
             state = build_q_singlecell(
-                scenario.local_profiles(bs), estimators, config.snr_data, refined=refined
+                links[bs], estimators, stacks, config.snr_data, refined=refined
             )
             out.append(se_conv_singlecell_de(state, config))
         else:
             state = build_q_multicell(
-                scenario.profiles[bs], estimators, bs, config.snr_data, refined=refined
+                links, estimators, stacks, bs, config.snr_data, refined=refined
             )
             out.append(se_conv_multicell_de(state, config).se)
     return out
 
 
-def stat_de_per_bs(scenario: Scenario, config) -> list[np.ndarray]:
-    """Deterministic-equivalent statistical SE, one array per BS.
+def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
+    """Deterministic-equivalent conventional SE, de[config][bs]."""
+    per_bs = [conv_de_at_bs(scenario, bs, configs) for bs in range(scenario.n_cells)]
+    return [list(per_config) for per_config in zip(*per_bs)]
+
+
+def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
+    """Deterministic-equivalent statistical SE, de[config][bs].
 
     In a single cell it is the full form of `se_stat_singlecell_de`, which is
     the exact SE of `se_stat_singlecell`.
     """
     if scenario.n_cells == 1:
-        return [se_stat_singlecell(scenario.local_profiles(0), config).per_user_se]
+        return [[r.per_user_se] for r in se_stat_singlecell(scenario.local_profiles(0), configs)]
     return [
-        se_stat_multicell_de(scenario.local_profiles(bs), config)
-        for bs in range(scenario.n_cells)
+        [se_stat_multicell_de(scenario.local_profiles(bs), config) for bs in range(scenario.n_cells)]
+        for config in configs
     ]
 
 
@@ -103,47 +110,52 @@ def _rows_for_scenario(
     spec = scenario.spec
     k = scenario.n_users
     multi = scenario.n_cells > 1
-    taus = {snr: resolve_tau_for_snr(scenario, snr) for snr in spec.snr_grid_db}
-    configs = {snr: spec.system_config(snr, tau=taus[snr]) for snr in spec.snr_grid_db}
-    rows: list[ResultRow] = []
-    conv_mc_reports = None
-    if "conv" in schemes and mode in ("mc", "both"):
-        points = [
-            MCPoint(taus[snr], configs[snr].snr_data, configs[snr].snr_training)
-            for snr in spec.snr_grid_db
-        ]
-        # the log base, and hence its scale, is the same at every SNR
-        log_scale = spec.system_config(0.0).log_scale
-        reports = conventional_mc(scenario.profiles, points, spec.t, trials, seed, log_scale)
-        conv_mc_reports = dict(zip(spec.snr_grid_db, reports))
-    for snr in spec.snr_grid_db:
-        config = configs[snr]
-        for scheme in schemes:
-            if scheme == "conv":
-                name = "conv_multi" if multi else "conv_single"
-                de = conv_de_per_bs(scenario, config) if mode in ("de", "both") else None
-                mc = conv_mc_reports[snr] if conv_mc_reports is not None else None
-                tau_used, prelog = taus[snr], config.prelog
+    grid = spec.snr_grid_db
+    taus = [resolve_tau_for_snr(scenario, snr) for snr in grid]
+    configs = [spec.system_config(snr, tau=tau) for snr, tau in zip(grid, taus)]
+    want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
+    # per scheme: (row name, mc[config][bs] or None, de[config][bs] or None),
+    # each list from one call over the whole grid
+    results = {}
+    if "conv" in schemes:
+        mc = de = None
+        if want_mc:
+            points = [MCPoint(tau, c.snr_data, c.snr_training) for tau, c in zip(taus, configs)]
+            # the log base, and hence its scale, is the same at every SNR
+            log_scale = spec.system_config(0.0).log_scale
+            mc = conventional_mc(scenario.profiles, points, spec.t, trials, seed, log_scale)
+        if want_de:
+            de = conv_de_per_bs(scenario, configs)
+        name = "conv_multi" if multi else "conv_single"
+        results["conv"] = (name, mc, de)
+    if "stat" in schemes:
+        mc = de = None
+        if want_mc:
+            if multi:
+                mc = se_stat_multicell(scenario.profiles, configs)
             else:
-                name = "stat_multi" if multi else "stat_single"
-                de = mc = None
-                if mode in ("mc", "both"):
-                    if multi:
-                        mc = se_stat_multicell(scenario.profiles, config)
-                    else:
-                        mc = [se_stat_singlecell(scenario.local_profiles(0), config)]
-                if mode in ("de", "both"):
-                    # a single cell's equivalent is its exact SE: reuse it
-                    single = mc is not None and not multi
-                    de = [mc[0].per_user_se] if single else stat_de_per_bs(scenario, config)
-                tau_used, prelog = 0, 1.0
+                mc = [[r] for r in se_stat_singlecell(scenario.local_profiles(0), configs)]
+        if want_de:
+            # a single cell's equivalent is its exact SE: reuse it
+            if mc is not None and not multi:
+                de = [[r[0].per_user_se] for r in mc]
+            else:
+                de = stat_de_per_bs(scenario, configs)
+        name = "stat_multi" if multi else "stat_single"
+        results["stat"] = (name, mc, de)
+    rows: list[ResultRow] = []
+    for i, snr in enumerate(grid):
+        for scheme in schemes:
+            name, mc, de = results[scheme]
+            tau_used, prelog = (taus[i], configs[i].prelog) if scheme == "conv" else (0, 1.0)
             for bs in range(scenario.n_cells):
                 for u in range(k):
                     if mc is not None:
-                        se_value = float(mc[bs].per_user_se[u])
-                        stderr = float(mc[bs].se_stderr[u]) if mc[bs].trials > 0 else None
+                        report = mc[i][bs]
+                        se_value = float(report.per_user_se[u])
+                        stderr = float(report.se_stderr[u]) if report.trials > 0 else None
                     else:
-                        se_value = float(de[bs][u])
+                        se_value = float(de[i][bs][u])
                         stderr = None
                     rows.append(
                         ResultRow(
@@ -153,7 +165,7 @@ def _rows_for_scenario(
                             user_id=bs * k + u,
                             se_value=se_value,
                             se_stderr=stderr,
-                            se_de=float(de[bs][u]) if (de is not None and mc is not None) else None,
+                            se_de=float(de[i][bs][u]) if (de is not None and mc is not None) else None,
                             tau_used=tau_used,
                             prelog=prelog,
                             seed=seed,

@@ -17,9 +17,6 @@ import numpy as np
 from .channel import UserLinkProfile
 from .config import SystemConfig
 
-FIXED_POINT_DAMPING = 0.5
-MAX_FIXED_POINT_ITERS = 200
-
 
 @dataclass
 class TrainingSolution:
@@ -146,11 +143,9 @@ def _bisect_root(curve: TrainingCurve, lo: float, hi: float) -> float:
 def solve_tau_star(profiles: list[UserLinkProfile], config: SystemConfig) -> TrainingSolution:
     """Optimal training length of the average simplified SE.
 
-    Checks the stationarity condition at tau = K first; otherwise runs a
-    damped fixed-point iteration on tau = T - avg(log(1+gamma))/avg(gamma'/(1+gamma)),
-    with bisection on the (monotone) SE derivative as a fallback.  The
-    returned tau_star is the better of the two integers around the
-    continuous root.
+    Checks the stationarity condition at tau = K first; otherwise bisects
+    the (monotone) SE derivative on [K, T).  The returned tau_star is the
+    better of the two integers around the continuous root.
     """
     curve = TrainingCurve(profiles, config)
     k, t = curve.k, curve.t
@@ -159,27 +154,8 @@ def solve_tau_star(profiles: list[UserLinkProfile], config: SystemConfig) -> Tra
     gam = curve.gamma(float(k))
     gp = curve.gamma_prime(float(k))
     boundary = float(np.mean((t - k) * gp / (1.0 + gam) - np.log1p(gam)))
-    if boundary <= 0:
-        tau_cont = float(k)
-        boundary_hit = True
-    else:
-        boundary_hit = False
-        tau = float(k)
-        converged = False
-        for _ in range(MAX_FIXED_POINT_ITERS):
-            gam = curve.gamma(tau)
-            gp = curve.gamma_prime(tau)
-            denom = float(np.mean(gp / (1.0 + gam)))
-            if denom <= 0:
-                break
-            target = t - float(np.mean(np.log1p(gam))) / denom
-            target = min(max(target, float(k)), t - 1e-9 * t)
-            step = target - tau
-            tau = tau + FIXED_POINT_DAMPING * step
-            if abs(step) <= 1e-6 * t:
-                converged = True
-                break
-        tau_cont = tau if converged else _bisect_root(curve, float(k), t - 1e-9 * t)
+    boundary_hit = boundary <= 0
+    tau_cont = float(k) if boundary_hit else _bisect_root(curve, float(k), t - 1e-9 * t)
     lo = int(min(max(math.floor(tau_cont), k), t - 1))
     hi = int(min(max(math.ceil(tau_cont), k), t - 1))
     candidates = sorted({lo, hi})

@@ -54,16 +54,3 @@ def test_bad_log_base_rejected():
     with pytest.raises(ConfigError):
         make_config(log_base="log10")
 
-
-def test_with_snr_keeps_training_snr():
-    cfg = make_config(snr_training=2.0)
-    bumped = cfg.with_snr(5.0)
-    assert bumped.snr_data == 5.0
-    assert bumped.snr_training == 2.0
-
-
-def test_with_tau_revalidates():
-    cfg = make_config()
-    assert cfg.with_tau(10).training_len == 10
-    with pytest.raises(ConfigError):
-        cfg.with_tau(2)

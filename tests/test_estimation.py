@@ -17,6 +17,7 @@ from rician_mimo.channel import (
     standard_complex_normal,
 )
 from rician_mimo.estimation import (
+    PilotStacks,
     build_estimator_multicell,
     regularizer_sums,
     same_pilot_spectrum,
@@ -26,7 +27,7 @@ from rician_mimo.estimation import (
 def _error_image(state):
     """Real image of a single-cell estimator's error covariance: the
     regularizer A of one user in a single cell."""
-    return regularizer_sums([state])[0]
+    return regularizer_sums([state], PilotStacks([state.spectrum], state.local_index))[0]
 
 
 def _link_images(state):
@@ -208,7 +209,8 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
     cases = [(three_cell, local) for local in range(3)] + [([g[:1] for g in three_cell], 0)]
     for groups, local in cases:
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
-        a_img, b_img = regularizer_sums(states)
+        stacks = PilotStacks([s.spectrum for s in states], local)
+        a_img, b_img = regularizer_sums(states, stacks)
         others = [ell for ell in range(len(groups[0])) if ell != local]
         conds = [_link_images(s)[1] for s in states]
         err = sum(c[local] for c in conds)
@@ -226,9 +228,12 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
 
 def test_same_pilot_spectrum_is_shared_across_keys():
     links = _three_cell_links(8, 0)
-    first = build_estimator_multicell(links, 0, 4, 0.5)
-    second = build_estimator_multicell(links, 2, 10, 3.0)
-    assert first.spectrum is second.spectrum is same_pilot_spectrum(links)
+    spectrum = same_pilot_spectrum(links)
+    first = build_estimator_multicell(spectrum, 0, 4, 0.5)
+    second = build_estimator_multicell(spectrum, 2, 10, 3.0)
+    assert first.spectrum is second.spectrum is spectrum
+    # the spectrum indexes like its links
+    assert len(spectrum) == 3 and all(spectrum[ell] is links[ell] for ell in range(3))
     # a single link reuses the profile's own eigenpair
     alone = same_pilot_spectrum(links[:1])
     assert alone.eigvecs is links[0].eigvecs and alone.eigvals is links[0].r_eigvals

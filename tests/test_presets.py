@@ -1,7 +1,8 @@
 import pytest
 
+from rician_mimo import presets
 from rician_mimo.config import ConfigError
-from rician_mimo.presets import PRESET_IDS, preset_specs
+from rician_mimo.presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 
 
 def test_preset_inventory():
@@ -46,3 +47,20 @@ def test_presets_are_seeded_and_deterministic():
         b = preset_specs(fid)
         assert a == b
         assert all(s.seed != 0 for s in a)
+
+
+def test_run_preset_builds_each_scenario_once(monkeypatch):
+    # the summary is computed from the scenario the rows were built from
+    built = []
+    original = presets.build_scenario
+
+    def counted(spec):
+        built.append(spec.scenario_id)
+        return original(spec)
+
+    monkeypatch.setattr(presets, "build_scenario", counted)
+    rows, summary = run_preset("fig2a", trials=1)
+    assert built == [spec.scenario_id for spec in preset_specs("fig2a")]
+    assert rows
+    monkeypatch.setattr(presets, "build_scenario", original)
+    assert summary == preset_summary("fig2a")

@@ -283,8 +283,8 @@ def test_report_rejects_negative_se():
 
 def test_log_base_scaling():
     profiles = tiny_profiles(seed=8)[0][0]
-    nats = se_stat_singlecell(profiles, make_config(n_cells=1, log_base="natural"))
-    bits = se_stat_singlecell(profiles, make_config(n_cells=1, log_base="base2"))
+    nats = se_stat_singlecell(profiles, [make_config(n_cells=1, log_base="natural")])[0]
+    bits = se_stat_singlecell(profiles, [make_config(n_cells=1, log_base="base2")])[0]
     assert np.allclose(bits.per_user_se, nats.per_user_se / math.log(2.0))
 
 
@@ -353,10 +353,10 @@ def test_stat_core_matches_leave_one_out_oracle(cells, rho_d):
     cfg = make_config(
         n_antennas=n, n_users=k, n_cells=cells, training_len=k, snr_data=rho_d, log_base="natural"
     )
-    multi = se_stat_multicell(profiles, cfg)
+    multi = se_stat_multicell(profiles, [cfg])[0]
     for j, bs in enumerate(profiles):
         single, multi_sinr = leave_one_out_sinrs(bs, j, rho_d)
-        assert_matches_oracle(se_stat_singlecell(bs[j], cfg).per_user_se, single)
+        assert_matches_oracle(se_stat_singlecell(bs[j], [cfg])[0].per_user_se, single)
         assert_matches_oracle(multi[j].per_user_se, multi_sinr)
         full, los_only = se_stat_singlecell_de(bs[j], cfg)
         assert_matches_oracle(full, single)
@@ -388,7 +388,7 @@ def test_stat_singlecell_matches_empirical_average():
         for _ in range(k)
     ]
     cfg = make_config(n_cells=1, n_users=3, training_len=3, log_base="natural")
-    rep = se_stat_singlecell(profiles, cfg)
+    rep = se_stat_singlecell(profiles, [cfg])[0]
 
     g = statistical_combiner(profiles, cfg.snr_data).vectors
     draws = 200_000
@@ -412,16 +412,16 @@ def test_stat_singlecell_matches_empirical_average():
 
 def test_stat_multicell_reduces_to_singlecell():
     profiles = tiny_profiles(seed=10)
-    single = se_stat_singlecell(profiles[0][0], make_config(n_cells=1))
-    multi = se_stat_multicell([[profiles[0][0]]], make_config(n_cells=1))[0]
+    single = se_stat_singlecell(profiles[0][0], [make_config(n_cells=1)])[0]
+    multi = se_stat_multicell([[profiles[0][0]]], [make_config(n_cells=1)])[0][0]
     assert np.allclose(single.per_user_se, multi.per_user_se)
 
 
 def test_stat_multicell_interference_hurts():
     profiles = tiny_profiles(seed=12)
     cfg = make_config()
-    multi = se_stat_multicell(profiles, cfg)[0]
-    clean = se_stat_singlecell(profiles[0][0], make_config(n_cells=1))
+    multi = se_stat_multicell(profiles, [cfg])[0][0]
+    clean = se_stat_singlecell(profiles[0][0], [make_config(n_cells=1)])[0]
     assert np.all(multi.per_user_se <= clean.per_user_se + 1e-12)
     assert multi.scheme == "stat_multi"
 
@@ -432,6 +432,6 @@ def test_stat_rayleigh_user_gets_zero_se():
         build_profile(1.0, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n)),
         build_profile(1.0, 2.0, np.eye(n, dtype=complex), los_steering(0.8, n)),
     ]
-    rep = se_stat_singlecell(profiles, make_config(n_cells=1))
+    rep = se_stat_singlecell(profiles, [make_config(n_cells=1)])[0]
     assert rep.per_user_se[0] == 0.0
     assert rep.per_user_se[1] > 0.0

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from rician_mimo import combining
 from rician_mimo.config import ConfigError
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
+    _rows_for_scenario,
     conv_de_per_bs,
     resolve_tau_for_snr,
     run_sweep,
@@ -63,7 +66,7 @@ def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
     original = combining.StatisticalSums
 
     def counted(**kwargs):
-        built.append(kwargs["links"])
+        built.append(kwargs["h_bar"])
         return original(**kwargs)
 
     monkeypatch.setattr(combining, "StatisticalSums", counted)
@@ -72,8 +75,25 @@ def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
     rows = run_sweep(spec, schemes=("stat",), mode="both")
     assert len({r.snr_db for r in rows}) == 9
     assert len(built) == cells
-    # one per BS: each serves a different cell's links
-    assert len({id(local[0]) for local, _ in built}) == cells
+    # one per BS: each serves a different cell's links (its LoS columns)
+    assert len({h_bar.tobytes() for h_bar in built}) == cells
+
+
+def test_finished_scenario_is_freed_without_the_cycle_collector():
+    # nothing the evaluation builds from the links outlives it, so dropping
+    # the scenario frees every link by reference counting alone
+    spec = small_spec(layout="three_cell_edge", l=3, n=8, k=2, correlation="one_ring", trials=2)
+    scenario = build_scenario(spec)
+    links = [weakref.ref(p) for bs in scenario.profiles for cell in bs for p in cell]
+    assert len(links) == 18
+    gc.disable()
+    try:
+        rows = _rows_for_scenario(scenario, ("conv", "stat"), "both", 2, spec.seed)
+        del scenario
+        alive = sum(ref() is not None for ref in links)
+    finally:
+        gc.enable()
+    assert rows and alive == 0
 
 
 def test_multicell_sweep_covers_all_bs():
@@ -174,8 +194,8 @@ def test_sweep_validation_errors():
 def test_per_bs_helpers_shapes():
     sc = build_scenario(small_spec(layout="three_cell_edge", l=3))
     cfg = sc.spec.system_config(5.0)
-    conv = conv_de_per_bs(sc, cfg)
-    stat = stat_de_per_bs(sc, cfg)
+    [conv] = conv_de_per_bs(sc, [cfg])
+    [stat] = stat_de_per_bs(sc, [cfg])
     assert len(conv) == 3 and len(stat) == 3
     for arr in conv + stat:
         assert arr.shape == (3,)

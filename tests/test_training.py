@@ -168,6 +168,19 @@ def test_tau_star_low_snr_approaches_half_coherence():
     assert abs(sol.tau_continuous - 100.0) / 100.0 < 0.02
 
 
+def test_tau_continuous_brackets_the_derivative_root():
+    # the continuous optimum is the root of the SE derivative to the solver's
+    # tolerance: the derivative changes sign within 1e-9 T of it
+    profiles = white_profiles(32, 4, kappa=0.0, seed=0)
+    cfg = make_config(k=4, t=200, snr_data=1e-5, snr_training=1e-5)
+    sol = solve_tau_star(profiles, cfg)
+    assert not sol.boundary_hit
+    curve = TrainingCurve(profiles, cfg)
+    tol = 1e-9 * cfg.coherence_len
+    assert curve.se_derivative(sol.tau_continuous - tol) > 0
+    assert curve.se_derivative(sol.tau_continuous + tol) < 0
+
+
 def test_tau_star_rejects_k_ge_t():
     profiles = white_profiles(8, 4)
     cfg = make_config(k=4, t=200)
