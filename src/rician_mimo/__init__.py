@@ -36,7 +36,7 @@ from .combining import (
     statistical_combiner,
 )
 from .config import ConfigError, SystemConfig
-from .estimation import EstimatorState, build_estimator_multicell
+from .estimation import BSStatistics, EstimatorState, build_estimator_multicell
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 from .results import ResultRow, emit_results
 from .scenarios import Scenario, ScenarioSpec, build_scenario, parse_scenario, serialize_scenario

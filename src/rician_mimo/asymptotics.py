@@ -8,9 +8,9 @@ Q = ((1/N) E[Hhat^H Z Hhat] + (1/rho_d) I)^{-1}.
 
 Everything is evaluated in the estimator's real basis (`estimation`): the
 estimate covariances R_tilde_i, the regularizer sums A and B and Z are real
-images, Hbar is rotated by Q^H once, and every trace and LoS form is
-invariant under the unitary Q, so no operand is mapped back to the antenna
-basis.
+images, Hbar is read already rotated by Q^H from the BS's
+`estimation.BSStatistics`, and every trace and LoS form is invariant under
+the unitary Q, so no operand is mapped back to the antenna basis.
 
 Two evaluation modes are supported.  The refined mode (default) keeps Z,
 which stays accurate at finite N even when the regularizer dominates the
@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import UserLinkProfile, real_basis, real_matmul
-from .combining import los_resolvent, statistical_resolvent, statistical_sums
+from .channel import UserLinkProfile, real_matmul
+from .combining import los_resolvent, statistical_resolvent
 from .config import SystemConfig
-from .estimation import EstimatorState, PilotStacks, build_estimator_multicell, regularizer_sums
+from .estimation import BSStatistics, EstimatorState, build_estimator_multicell, regularizer_sums
 
 
 @dataclass
@@ -259,24 +259,21 @@ def _contamination_split(
 
 
 def _build_state(
-    profiles: list[UserLinkProfile],
+    bs: BSStatistics,
     estimators: list[EstimatorState],
-    stacks: PilotStacks,
     rho_d: float,
     refined: bool,
 ) -> AsymptoticState:
-    """The state of one BS from its local links, its K estimators and the
-    `PilotStacks` of their spectra.
+    """The state of one BS from its `BSStatistics` and its K estimators.
 
     The regularizer A and the quadratic-term matrix B are the real images of
     `regularizer_sums` (B = A in a single cell); the estimators' other
     same-pilot links are the contaminating ones.
     """
-    n = profiles[0].n_antennas
-    k = len(profiles)
-    h_bar = real_basis(np.array([p.h_bar for p in profiles])).T
+    h_bar = bs.h_bar
+    n, k = h_bar.shape
     r_tildes = np.stack([e.r_tilde for e in estimators])
-    a_matrix, quad_matrix = regularizer_sums(estimators, stacks)
+    a_matrix, quad_matrix = regularizer_sums(estimators, bs)
     local = estimators[0].local_index
     others = estimators[0].others
     if refined:
@@ -334,41 +331,36 @@ def _build_state(
 
 
 def build_q_singlecell(
-    profiles: list[UserLinkProfile],
+    bs: BSStatistics,
     estimators: list[EstimatorState],
-    stacks: PilotStacks,
     rho_d: float,
     refined: bool = True,
 ) -> AsymptoticState:
-    """State for the single-cell conventional equivalent.
+    """State for the single-cell conventional equivalent of the one cell's
+    `BSStatistics`.
 
     The regularizer is the sum of estimation-error covariances, and the
-    quadratic term covers exactly those errors; `stacks` is the
-    `PilotStacks` of the estimators' spectra.
+    quadratic term covers exactly those errors.
     """
-    return _build_state(profiles, estimators, stacks, rho_d, refined)
+    return _build_state(bs, estimators, rho_d, refined)
 
 
 def build_q_multicell(
-    profiles_at_bs: list[list[UserLinkProfile]],
+    bs: BSStatistics,
     estimators: list[EstimatorState],
-    stacks: PilotStacks,
-    local_index: int,
     rho_d: float,
     refined: bool = True,
 ) -> AsymptoticState:
     """State for BS j of a multi-cell system, with contamination traces.
 
-    `profiles_at_bs[ell][i]` is the link from user i of cell ell to this BS;
-    `estimators[i]` is the multi-cell estimator of pilot i at this BS, whose
-    same-pilot spectrum carries every contaminating link, and `stacks` is the
-    `PilotStacks` of those spectra.  The regularizer
-    adds the inter-cell covariances.  The quadratic term keeps only the
-    conditional covariances of the contaminating links; their
-    conditional-mean power is carried by the dedicated contamination model,
-    matching the Monte Carlo split.
+    `bs` is BS j's `BSStatistics`; `estimators[i]` is the multi-cell
+    estimator of pilot i at this BS, whose same-pilot spectrum carries every
+    contaminating link.  The regularizer adds the inter-cell covariances.
+    The quadratic term keeps only the conditional covariances of the
+    contaminating links; their conditional-mean power is carried by the
+    dedicated contamination model, matching the Monte Carlo split.
     """
-    return _build_state(profiles_at_bs[local_index], estimators, stacks, rho_d, refined)
+    return _build_state(bs, estimators, rho_d, refined)
 
 
 def _common_terms(state: AsymptoticState):
@@ -499,7 +491,7 @@ def se_stat_singlecell_de(
     of `combining.statistical_resolvent`; the LoS-only form is
     `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
-    m, c, _ = statistical_resolvent(statistical_sums(profiles), config.snr_data)
+    m, c, _ = statistical_resolvent(BSStatistics([profiles], 0), config.snr_data)
     return np.log1p(c / m) * config.log_scale, se_stat_multicell_de(profiles, config)
 
 

@@ -5,8 +5,8 @@ large-scale gain, Rician factor, spatial correlation and LoS direction.
 Realizations are h = h_bar + R^{1/2} z with z standard complex Gaussian
 (`standard_complex_normal`); the Monte Carlo draws them in the real basis.
 A profile holds its own statistics only: what is built from a group of
-links (a same-pilot spectrum, a BS's statistical sums) belongs to the call
-that evaluates an SNR grid, and goes when that call returns.
+links (a BS's `estimation.BSStatistics`) belongs to the call that evaluates
+an SNR grid, and goes when that call returns.
 
 Every correlation family here is Hermitian Toeplitz, hence centro-Hermitian
 (J Theta J = conj(Theta) with J the flip), and sums, products and inverses

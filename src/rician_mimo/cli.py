@@ -88,16 +88,22 @@ def _emit(rows: list[ResultRow], args) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", help="scenario config file (key = value lines)")
+    """The flags every subcommand reads."""
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
-    parser.add_argument("--snr", help="override the SNR grid as lo:hi:step in dB")
-    parser.add_argument("--bits", action="store_true", help="report SE in bits (log2)")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--workers", type=int, help="ignored; accepted for compatibility (runs are serial)"
     )
+
+
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that run a scenario file; a preset
+    fixes its own scenarios, SNR grids, schemes and log base."""
+    parser.add_argument("--scenario", help="scenario config file (key = value lines)")
+    parser.add_argument("--snr", help="override the SNR grid as lo:hi:step in dB")
+    parser.add_argument("--bits", action="store_true", help="report SE in bits (log2)")
     parser.add_argument("--schemes", default="conv,stat", help="comma list: conv,stat")
 
 
@@ -124,12 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name == "reproduce":
+            p.add_argument("--figure", choices=PRESET_IDS, required=True)
+            continue
+        _add_scenario(p)
         if name == "sweep":
             p.add_argument("--axis", choices=SWEEP_AXES, default="snr")
             p.add_argument("--values", help="comma list of axis values (non-snr axes)")
             p.add_argument("--mode", choices=MODES, default="both")
-        if name == "reproduce":
-            p.add_argument("--figure", choices=PRESET_IDS, required=True)
     return parser
 
 

@@ -6,17 +6,18 @@ combiners built only from long-term statistics (no training required).
 Combiners are not normalized; every SINR downstream is scale-invariant in g.
 
 Every statistical quantity (the combiner, its exact SE and its deterministic
-equivalents) reads one K x K LoS resolvent, `los_resolvent`.
+equivalents) reads one K x K LoS resolvent, `los_resolvent`, of the served
+links' statistics in one `estimation.BSStatistics`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UserLinkProfile, antenna_basis, real_basis, real_matmul
+from .channel import UserLinkProfile, antenna_basis, real_matmul
+from .estimation import BSStatistics
 
 
 @dataclass
@@ -80,49 +81,19 @@ def los_resolvent(h_bar: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.real(np.diag(m_inv)), c, x @ m_inv
 
 
-@dataclass(frozen=True)
-class StatisticalSums:
-    """The SNR-independent real-basis sums of one BS's statistical receiver.
-
-    `local` is the image of sum_i R_i over the served links, `outer` the
-    image of R_out, the sum over the other cells' links (zero in a single
-    cell), and `h_bar` is real_basis(Hbar), (N, K) and C-contiguous, so it
-    views as 2K interleaved real and imaginary columns.
-    """
-
-    local: np.ndarray
-    outer: np.ndarray
-    h_bar: np.ndarray
-
-
-def statistical_sums(
-    local: Sequence[UserLinkProfile], others: Sequence[UserLinkProfile] = ()
-) -> StatisticalSums:
-    """`StatisticalSums` of the served links `local` and the other cells'
-    links `others`; a caller that evaluates several SNR points builds them
-    once."""
-    n = local[0].n_antennas
-    h_bar = real_basis(np.array([p.h_bar for p in local])).T
-    return StatisticalSums(
-        local=sum(p.r_image for p in local),
-        outer=sum((p.r_image for p in others), np.zeros((n, n))),
-        h_bar=np.ascontiguousarray(h_bar),
-    )
-
-
 def statistical_resolvent(
-    sums: StatisticalSums, rho_d: float
+    bs: BSStatistics, rho_d: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`los_resolvent` of the served links, C = sum_i R_i + (N/rho_d) I.
 
     It runs in the real basis: the image of C is real, so X = C^{-1} Hbar is
-    one real N x N solve against the interleaved columns of `sums.h_bar`.
+    one real N x N solve against the interleaved columns of `bs.h_bar`.
     m and c are invariant under Q; U comes back in the real basis.
     """
-    n = len(sums.local)
-    c_image = sums.local + (n / rho_d) * np.eye(n)
-    x = np.linalg.solve(c_image, sums.h_bar.view(np.float64)).view(np.complex128)
-    return los_resolvent(sums.h_bar, x)
+    n = len(bs.local)
+    c_image = bs.local + (n / rho_d) * np.eye(n)
+    x = np.linalg.solve(c_image, bs.h_bar.view(np.float64)).view(np.complex128)
+    return los_resolvent(bs.h_bar, x)
 
 
 def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
@@ -134,5 +105,5 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     vanishes).  The columns are u_k / m_k of `statistical_resolvent`, mapped
     back to the antenna basis.
     """
-    m, _, u = statistical_resolvent(statistical_sums(profiles), rho_d)
+    m, _, u = statistical_resolvent(BSStatistics([profiles], 0), rho_d)
     return CombinerSet(vectors=antenna_basis((u / m).T).T)

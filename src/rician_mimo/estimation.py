@@ -1,4 +1,4 @@
-"""LMMSE channel estimation from pilot observations.
+"""LMMSE channel estimation from pilot observations, and the per-BS statistics.
 
 At one BS the pilot of user k is reused by user k of every cell, so the
 despread observation has covariance S + sI with the same-pilot sum
@@ -6,18 +6,22 @@ S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
 through S.  Every covariance is centro-Hermitian, and the estimator lives
 in one basis, that of the real images Q^H R Q (`channel.real_image`).  One
 real `eigh` of the image of S (`same_pilot_spectrum`) gives
-Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every training key, so
-the call that evaluates a whole SNR grid (the Monte Carlo kernel, or one
-BS's deterministic equivalents) takes each spectrum once, stacks the K
-spectra of a BS once (`PilotStacks`) and drops both when it returns.  With
-the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
+Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every training key.
+With the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
 (P_l, f): the gain of link l has the image P_l diag(f) V^T and the
 estimate covariance the image P_i diag(f) P_i^T.  No N x N inverse, no
 complex N x N product and no dense antenna-basis estimator matrix is
-formed; the Monte Carlo,
-`regularizer_sums` and the deterministic equivalents all read these real
-factors.  A single link reuses its profile's eigenpair (S = R,
+formed.  A single link reuses its profile's eigenpair (S = R,
 P = V diag(lam)), so the single- and multi-cell estimators are one path.
+
+`BSStatistics` is the one holder of what a BS's receivers read from its
+links: the served LoS columns in the real basis, the images of the local
+and inter-cell covariance sums, and (on first read) the K same-pilot
+spectra and their stacks.  The call that evaluates a whole SNR grid (the
+Monte Carlo kernel, one BS's deterministic equivalents, the statistical
+SE) builds one per BS and drops it when it returns; the Monte Carlo,
+`regularizer_sums`, the deterministic equivalents and the statistical
+receiver all read it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import UserLinkProfile
+from .channel import UserLinkProfile, real_basis
 
 
 @dataclass(frozen=True)
@@ -65,27 +69,57 @@ def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
     return PilotSpectrum(tuple(profiles), mu, v, proj)
 
 
-class PilotStacks:
-    """The K same-pilot spectra of one BS stacked for every training key.
+class BSStatistics:
+    """The long-term statistics of BS j that every receiver reads.
 
-    `proj_t[l, k]` is P_lk^T, `rest_t[l, k]` is (sum_{m != l} P_mk)^T (the
-    scalar 0 for a single cell), `vecs_t[k]` is V_k^T and `inter` is the
-    image of sum_{l != j, k} R_lk.  None of them depends on the key.
+    `links[cell][user]` are BS j's links.  `h_bar` is real_basis(Hbar) of
+    the served links, (N, K) and C-contiguous, so it views as 2K interleaved
+    real and imaginary columns; `local` is the image of sum_i R_jji and
+    `inter` the image of R_out = sum_{l != j, k} R_jlk (zero in a single
+    cell).  The K same-pilot `spectra` and their key-independent stacks are
+    built on first read, since the statistical receiver never needs them:
+    `proj_t[l, k]` is P_lk^T, `rest_t[l]` is (sum_{m != l} P_mk)^T over k
+    (the scalar 0 for a single cell) and `vecs_t[k]` is V_k^T.  A call that
+    evaluates an SNR grid builds one per BS and drops it on return.
     """
 
-    def __init__(self, spectra: list[PilotSpectrum], local_index: int):
-        cells, n = spectra[0].proj.shape[:2]
+    def __init__(self, links: list[list[UserLinkProfile]], j: int):
+        self.links, self.j = links, j
+        served = links[j]
+        n = served[0].n_antennas
+        h_bar = real_basis(np.array([p.h_bar for p in served])).T
+        self.h_bar = np.ascontiguousarray(h_bar)
+        self.local = sum(p.r_image for p in served)
+        # user-major, like the same-pilot groups
+        others = (cell[k] for k in range(len(served)) for ell, cell in enumerate(links) if ell != j)
+        self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
+
+    @cached_property
+    def spectra(self) -> list[PilotSpectrum]:
+        n_users = len(self.links[self.j])
+        return [same_pilot_spectrum([cell[k] for cell in self.links]) for k in range(n_users)]
+
+    @cached_property
+    def proj_t(self) -> np.ndarray:
         # C order, so that every (K, N, N) slice reshapes to (K*N, N) in place
-        self.proj_t = np.empty((cells, len(spectra), n, n))
-        self.vecs_t = np.empty((len(spectra), n, n))
-        for k, sp in enumerate(spectra):
-            self.proj_t[:, k] = sp.proj.transpose(0, 2, 1)
-            self.vecs_t[k] = sp.eigvecs.T
-        self.rest_t = [
-            sum((self.proj_t[m] for m in range(cells) if m != ell), 0) for ell in range(cells)
-        ]
-        links = (p for sp in spectra for ell, p in enumerate(sp.links) if ell != local_index)
-        self.inter = sum((p.r_image for p in links), 0.0)
+        cells, n = self.spectra[0].proj.shape[:2]
+        out = np.empty((cells, len(self.spectra), n, n))
+        for k, sp in enumerate(self.spectra):
+            out[:, k] = sp.proj.transpose(0, 2, 1)
+        return out
+
+    @cached_property
+    def vecs_t(self) -> np.ndarray:
+        n = len(self.local)
+        out = np.empty((len(self.spectra), n, n))
+        for k, sp in enumerate(self.spectra):
+            out[k] = sp.eigvecs.T
+        return out
+
+    @cached_property
+    def rest_t(self) -> list:
+        cells = len(self.proj_t)
+        return [sum((self.proj_t[m] for m in range(cells) if m != ell), 0) for ell in range(cells)]
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
@@ -157,7 +191,7 @@ def build_estimator_multicell(
 
 
 def regularizer_sums(
-    states: list[EstimatorState], stacks: PilotStacks
+    states: list[EstimatorState], bs: BSStatistics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real images of (A, B) for the K estimators of one BS at one key.
 
@@ -168,7 +202,7 @@ def regularizer_sums(
     R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
     involves no cancellation.  Each cell's sum over k of these is one real
     (N, K*N) @ (K*N, N) product: the key-independent stack P^T of the
-    BS's `stacks`, used as it is, against diag(f) W^T = f * rest + s f V^T.
+    BS's `BSStatistics`, used as it is, against diag(f) W^T = f * rest + s f V^T.
     The term s f V^T is formed once per call, and every cell writes its
     right operand into one buffer (a single cell's rest is 0, so s f V^T
     alone is its right operand).
@@ -176,16 +210,16 @@ def regularizer_sums(
     first = states[0]
     n = first.n_antennas
     shrink = np.stack([s.shrink for s in states])[..., None]
-    scaled_vecs = stacks.vecs_t * (shrink / first.tau_rho)
-    buffer = np.empty_like(scaled_vecs) if len(stacks.rest_t) > 1 else None
+    scaled_vecs = bs.vecs_t * (shrink / first.tau_rho)
+    buffer = np.empty_like(scaled_vecs) if len(bs.rest_t) > 1 else None
 
     def cell_sum(ell: int) -> np.ndarray:
         right = scaled_vecs
         if buffer is not None:
-            right = np.multiply(stacks.rest_t[ell], shrink, out=buffer)
+            right = np.multiply(bs.rest_t[ell], shrink, out=buffer)
             right += scaled_vecs
-        return stacks.proj_t[ell].reshape(-1, n).T @ right.reshape(-1, n)
+        return bs.proj_t[ell].reshape(-1, n).T @ right.reshape(-1, n)
 
     err = cell_sum(first.local_index)
     b_mat = err + sum(cell_sum(ell) for ell in first.others)
-    return _symmetric(err + stacks.inter), _symmetric(b_mat)
+    return _symmetric(err + bs.inter), _symmetric(b_mat)

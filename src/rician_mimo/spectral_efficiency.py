@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
-from .combining import conventional_combiner, statistical_resolvent, statistical_sums
+from .combining import conventional_combiner, statistical_resolvent
 from .config import SystemConfig
-from .estimation import (
-    PilotStacks,
-    build_estimator_multicell,
-    regularizer_sums,
-    same_pilot_spectrum,
-)
+from .estimation import BSStatistics, build_estimator_multicell, regularizer_sums
 
 Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
 
@@ -48,7 +43,6 @@ class SEReport:
     se_stderr: np.ndarray
     scheme: str  # conv_single | stat_single | conv_multi | stat_multi
     trials: int
-    seed: int
     prelog: float
 
     def __post_init__(self):
@@ -60,43 +54,18 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-class _ScenarioArrays:
-    """Key-independent real-basis stacks for the per-trial sampling and
-    estimation.
-
-    Per BS j: the images Q^H R^{1/2} Q of every link, stacked (L, K, N, N);
-    the LoS means Q^H h_bar of the local links and the sum of the other
-    cells', (K, N) each; and the K same-pilot spectra and their
-    `PilotStacks`.
-    """
-
-    def __init__(self, profiles: Profiles):
-        self.L = len(profiles)
-        self.K = len(profiles[0][0])
-        self.N = profiles[0][0][0].n_antennas
-        self.sqrt_r, self.h_bar, self.los_rest, self.spectra, self.stacks = [], [], [], [], []
-        for j, bs in enumerate(profiles):
-            self.sqrt_r.append(np.array([[p.sqrt_r_image for p in cell] for cell in bs]))
-            los = real_basis(np.array([[p.h_bar for p in cell] for cell in bs]))
-            self.h_bar.append(los[j])
-            self.los_rest.append(sum((los[ell] for ell in range(self.L) if ell != j), 0))
-            spectra = [same_pilot_spectrum([cell[k] for cell in bs]) for k in range(self.K)]
-            self.spectra.append(spectra)
-            self.stacks.append(PilotStacks(spectra, j))
-
-
 class _EstimatorArrays:
     """Per-BS shrinkage vectors f, and the real regularizer eigenpair and
     image of B, of one (tau, rho_tr) key."""
 
-    def __init__(self, arr: _ScenarioArrays, tau: int, rho_tr: float):
+    def __init__(self, stats: list[BSStatistics], tau: int, rho_tr: float):
         self.tau_rho = tau * rho_tr
         self.shrink = []  # per bs: (K, N)
         self.a_eig = []  # per bs: eigh of the combiner regularizer's image
         self.b_mat = []  # per bs: image of the error + interference covariance
-        for j in range(arr.L):
-            states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in arr.spectra[j]]
-            a_mat, b_mat = regularizer_sums(states, arr.stacks[j])
+        for j, bs in enumerate(stats):
+            states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in bs.spectra]
+            a_mat, b_mat = regularizer_sums(states, bs)
             self.shrink.append(np.stack([s.shrink for s in states]))
             self.a_eig.append(np.linalg.eigh(a_mat))
             self.b_mat.append(b_mat)
@@ -120,13 +89,16 @@ def mc_log_moments(
 
     The draws z and w are rotated into the real basis once per trial; the
     estimates, the combiner and the SINR terms, all invariant under the
-    unitary Q, are evaluated there.
+    unitary Q, are evaluated there.  Per BS the kernel reads one
+    `BSStatistics` and the stacked images Q^H R^{1/2} Q of every link,
+    (L, K, N, N).
     """
-    arr = _ScenarioArrays(profiles)
+    L, K, N = len(profiles), len(profiles[0][0]), profiles[0][0][0].n_antennas
+    stats = [BSStatistics(links, j) for j, links in enumerate(profiles)]
+    sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in links]) for links in profiles]
     keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
-    ests = [_EstimatorArrays(arr, *key) for key in keys]
+    ests = [_EstimatorArrays(stats, *key) for key in keys]
     key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
-    L, K, N = arr.L, arr.K, arr.N
     logs = np.zeros((len(points), L, trial_count, K))
     for idx in range(trial_count):
         rng = _trial_rng(seed, trial_start + idx)
@@ -137,21 +109,22 @@ def mc_log_moments(
         # is the channel part plus w / sqrt(tau*rho_tr), so one rotation of
         # each part serves every key
         fits = []
-        for j in range(L):
-            stacks = arr.stacks[j]
-            scattered = real_matmul(arr.sqrt_r[j], real_basis(np.array(z[j]))[..., None])
-            channel = arr.los_rest[j] + np.sum(scattered[..., 0], axis=0)
-            rot = real_matmul(stacks.vecs_t, np.stack([channel, real_basis(w[j])], axis=-1))
+        for j, bs in enumerate(stats):
+            scattered = real_matmul(sqrt_r[j], real_basis(np.array(z[j]))[..., None])
+            # the other cells' links carry no LoS (is_local=False sets
+            # h_bar = 0), so the channel part of y - h_bar is the scattered sum
+            channel = np.sum(scattered[..., 0], axis=0)
+            rot = real_matmul(bs.vecs_t, np.stack([channel, real_basis(w[j])], axis=-1))
             x = np.stack(
                 [e.shrink[j] * (rot[..., 0] + rot[..., 1] / math.sqrt(e.tau_rho)) for e in ests],
                 axis=-1,
             )
-            fits.append(real_matmul(stacks.proj_t.transpose(0, 1, 3, 2), x))  # (L, K, N, keys)
+            fits.append(real_matmul(bs.proj_t.transpose(0, 1, 3, 2), x))  # (L, K, N, keys)
         for p_idx, pt in enumerate(points):
             q = key_of[p_idx]
             est = ests[q]
-            for j in range(L):
-                hh = (arr.h_bar[j] + fits[j][j, ..., q]).T  # (N, K)
+            for j, bs in enumerate(stats):
+                hh = (bs.h_bar.T + fits[j][j, ..., q]).T  # (N, K)
                 comb = conventional_combiner(hh, est.a_eig[j], pt.rho_d)
                 g = comb.vectors
                 gh = g.conj().T
@@ -233,7 +206,6 @@ def conventional_mc(
                     se_stderr=stderr,
                     scheme="conv_single" if L == 1 else "conv_multi",
                     trials=trials,
-                    seed=seed,
                     prelog=prelog,
                 )
             )
@@ -244,44 +216,35 @@ def conventional_mc(
 def se_stat_singlecell(
     profiles: list[UserLinkProfile], configs: list[SystemConfig]
 ) -> list[SEReport]:
-    """Exact SE of single-cell statistical combining (no Monte Carlo needed),
-    one report per config.
-
-    Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user, with the served
-    user's LoS outer product excluded from the interference; the SINR is
-    c_k / m_k of `combining.statistical_resolvent`, from one
-    `combining.statistical_sums` for every config.
-    """
-    sums = statistical_sums(profiles)
-    reports = []
-    for config in configs:
-        m, c, _ = statistical_resolvent(sums, config.snr_data)
-        se = np.log1p(c / m) * config.log_scale
-        reports.append(SEReport(se, np.zeros_like(se), "stat_single", trials=0, seed=0, prelog=1.0))
-    return reports
+    """Exact SE of single-cell statistical combining, one report per config:
+    `se_stat_multicell` of the one cell, whose SINR is c_k / m_k."""
+    return [r[0] for r in se_stat_multicell([[profiles]], configs)]
 
 
 def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[list[SEReport]]:
-    """Exact SE of statistical combining under full inter-cell interference,
-    reports[config][bs].
+    """Exact SE of statistical combining (no Monte Carlo needed) under full
+    inter-cell interference, reports[config][bs].
 
-    The combiner u_k of `combining.statistical_resolvent` sees local statistics
+    Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user, with the
+    served user's LoS outer product excluded from the interference.  The
+    combiner u_k of `combining.statistical_resolvent` sees local statistics
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
-    SINR_k = c_k^2 / (c_k m_k + u_k^H R_out u_k).  Everything runs in the real
-    basis, from the `combining.statistical_sums` each BS builds once for
-    every config.
+    SINR_k = c_k / (m_k + u_k^H R_out u_k / c_k), which is c_k / m_k in a
+    single cell, where R_out = 0.  Everything runs in the real basis, from
+    the `BSStatistics` each BS builds once for every config.
     """
     scheme = "stat_single" if len(profiles) == 1 else "stat_multi"
     reports: list[list[SEReport]] = [[] for _ in configs]
-    for j, bs in enumerate(profiles):
-        others = [p for ell, cell in enumerate(bs) if ell != j for p in cell]
-        sums = statistical_sums(bs[j], others)
+    for j, links in enumerate(profiles):
+        bs = BSStatistics(links, j)
         for config, per_bs in zip(configs, reports):
-            m, c, u = statistical_resolvent(sums, config.snr_data)
-            den = c * m + np.real(np.sum(u.conj() * real_matmul(sums.outer, u), axis=0))
+            m, c, u = statistical_resolvent(bs, config.snr_data)
+            quad = np.real(np.sum(u.conj() * real_matmul(bs.inter, u), axis=0))
             # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
             # select on that exact zero, not on the sign of a computed denominator
-            sinr = np.divide(c * c, den, out=np.zeros_like(c), where=c != 0)
+            los = c != 0
+            sinr = np.zeros_like(c)
+            sinr[los] = c[los] / (m[los] + quad[los] / c[los])
             se = np.log1p(sinr) * config.log_scale
-            per_bs.append(SEReport(se, np.zeros_like(se), scheme, trials=0, seed=0, prelog=1.0))
+            per_bs.append(SEReport(se, np.zeros_like(se), scheme, trials=0, prelog=1.0))
     return reports

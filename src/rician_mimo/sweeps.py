@@ -6,8 +6,9 @@ equivalent, or both) and returns flat result rows.  All Monte Carlo points
 of one scenario share channel draws (common random numbers), so curves over
 SNR or tau are smooth functions of the same randomness.  Each scheme takes
 the scenario's whole SNR grid in one call and returns its results indexed
-[config][bs], so what a call builds from the links (same-pilot spectra,
-their stacks, statistical sums) is a local of it and nothing outlives it.
+[config][bs], so what a call builds from the links (one
+`estimation.BSStatistics` per BS: the LoS columns, the covariance sums and
+the same-pilot spectra) is a local of it and nothing outlives it.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ from .asymptotics import (
     se_stat_multicell_de,
 )
 from .config import ConfigError, SystemConfig
-from .estimation import PilotStacks, build_estimator_multicell, same_pilot_spectrum
+from .estimation import BSStatistics, build_estimator_multicell
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
-from .spectral_efficiency import (
-    MCPoint,
-    conventional_mc,
-    se_stat_multicell,
-    se_stat_singlecell,
-)
+from .spectral_efficiency import MCPoint, conventional_mc, se_stat_multicell
 from .training import solve_tau_star
 
 SWEEP_AXES = ("snr", "kappa_max", "n_antennas", "tau")
@@ -51,31 +47,25 @@ def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
 
 def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
     """Deterministic-equivalent conventional SE of BS `bs`, one array per
-    config.  The BS's K same-pilot spectra and their `PilotStacks` are taken
-    once and serve every config."""
+    config.  The BS's `BSStatistics` (its K same-pilot spectra included) is
+    built once and serves every config."""
     # the second-order fluctuation corrections assume covariances whose
     # spectra stay O(1); the one-ring family concentrates its mass on a
     # narrow angular subspace and the corrections can overshoot into
     # negative SINRs there, so those scenarios use the plain equivalents
     refined = scenario.spec.correlation != "one_ring"
-    links = scenario.profiles[bs]
-    spectra = [same_pilot_spectrum([cell[k] for cell in links]) for k in range(scenario.n_users)]
-    stacks = PilotStacks(spectra, bs)
+    stats = BSStatistics(scenario.profiles[bs], bs)
     out = []
     for config in configs:
         estimators = [
             build_estimator_multicell(sp, bs, config.training_len, config.snr_training)
-            for sp in spectra
+            for sp in stats.spectra
         ]
         if scenario.n_cells == 1:
-            state = build_q_singlecell(
-                links[bs], estimators, stacks, config.snr_data, refined=refined
-            )
+            state = build_q_singlecell(stats, estimators, config.snr_data, refined=refined)
             out.append(se_conv_singlecell_de(state, config))
         else:
-            state = build_q_multicell(
-                links, estimators, stacks, bs, config.snr_data, refined=refined
-            )
+            state = build_q_multicell(stats, estimators, config.snr_data, refined=refined)
             out.append(se_conv_multicell_de(state, config).se)
     return out
 
@@ -90,10 +80,11 @@ def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list
     """Deterministic-equivalent statistical SE, de[config][bs].
 
     In a single cell it is the full form of `se_stat_singlecell_de`, which is
-    the exact SE of `se_stat_singlecell`.
+    the exact SE of `se_stat_multicell`.
     """
     if scenario.n_cells == 1:
-        return [[r.per_user_se] for r in se_stat_singlecell(scenario.local_profiles(0), configs)]
+        reports = se_stat_multicell(scenario.profiles, configs)
+        return [[r.per_user_se for r in per_bs] for per_bs in reports]
     return [
         [se_stat_multicell_de(scenario.local_profiles(bs), config) for bs in range(scenario.n_cells)]
         for config in configs
@@ -131,14 +122,11 @@ def _rows_for_scenario(
     if "stat" in schemes:
         mc = de = None
         if want_mc:
-            if multi:
-                mc = se_stat_multicell(scenario.profiles, configs)
-            else:
-                mc = [[r] for r in se_stat_singlecell(scenario.local_profiles(0), configs)]
+            mc = se_stat_multicell(scenario.profiles, configs)
         if want_de:
             # a single cell's equivalent is its exact SE: reuse it
             if mc is not None and not multi:
-                de = [[r[0].per_user_se] for r in mc]
+                de = [[r.per_user_se for r in per_bs] for per_bs in mc]
             else:
                 de = stat_de_per_bs(scenario, configs)
         name = "stat_multi" if multi else "stat_single"

@@ -26,7 +26,7 @@ from rician_mimo.channel import (
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
-from rician_mimo.estimation import PilotStacks, build_estimator_multicell
+from rician_mimo.estimation import BSStatistics, build_estimator_multicell
 from rician_mimo.spectral_efficiency import se_stat_singlecell
 
 
@@ -53,9 +53,11 @@ def estimators_for(profiles, tau, rho_tr):
     return [build_estimator_multicell([p], 0, tau, rho_tr) for p in profiles]
 
 
-def stacks_for(ests):
-    """The `PilotStacks` of one BS's estimators."""
-    return PilotStacks([e.spectrum for e in ests], ests[0].local_index)
+def stats_for(ests):
+    """The `BSStatistics` of one BS, built from its estimators' links."""
+    cells = len(ests[0].spectrum.links)
+    links = [[e.spectrum[ell] for e in ests] for ell in range(cells)]
+    return BSStatistics(links, ests[0].local_index)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,7 @@ def test_plain_q_scalar_closed_form():
     n, c, tau, rho = 16, 0.8, 4, 3.0
     p = build_profile(c, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n))
     est = build_estimator_multicell([p], 0, tau, rho)
-    state = build_q_singlecell([p], [est], stacks_for([est]), rho, refined=False)
+    state = build_q_singlecell(stats_for([est]), [est], rho, refined=False)
     r_tilde_scalar = c**2 / (c + 1.0 / (tau * rho))
     assert state.q_matrix[0, 0].real == pytest.approx(1.0 / (r_tilde_scalar + 1.0 / rho), rel=1e-12)
     cfg = make_config(n, 1, tau=tau, snr=rho)
@@ -79,7 +81,7 @@ def test_plain_q_diagonal_under_orthogonal_los():
     n, k = 32, 4
     profiles = dft_profiles(n, k)
     ests = estimators_for(profiles, k, 2.0)
-    state = build_q_singlecell(profiles, ests, stacks_for(ests), 2.0, refined=False)
+    state = build_q_singlecell(stats_for(ests), ests, 2.0, refined=False)
     off = state.q_matrix - np.diag(np.diag(state.q_matrix))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -93,7 +95,7 @@ def test_favorable_corollary_equals_theorem_under_orthogonal_los():
     profiles = dft_profiles(n, k, beta=1.3, kappa=1.7)
     ests = estimators_for(profiles, k, rho)
     cfg = make_config(n, k, snr=rho)
-    state = build_q_singlecell(profiles, ests, stacks_for(ests), rho, refined=False)
+    state = build_q_singlecell(stats_for(ests), ests, rho, refined=False)
     theorem = se_conv_singlecell_de(state, cfg, include_estimation_error=False)
     corollary = se_conv_favorable(profiles, ests, cfg)
     assert np.max(np.abs(theorem - corollary)) < 1e-10
@@ -107,12 +109,11 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
         build_profile(0.1, 0.0, np.eye(n, dtype=complex), dft_steering(i, n), is_local=False)
         for i in range(k)
     ]
-    profiles_at_bs = [local, inter]
     ests = [
         build_estimator_multicell([local[i], inter[i]], 0, k, rho) for i in range(k)
     ]
     cfg = make_config(n, k, l=l, snr=rho)
-    state = build_q_multicell(profiles_at_bs, ests, stacks_for(ests), 0, rho, refined=False)
+    state = build_q_multicell(stats_for(ests), ests, rho, refined=False)
     res = se_conv_multicell_de(state, cfg, include_estimation_error=False)
     assert np.max(np.abs(res.se - res.se_expanded)) < 1e-10
     assert np.all(res.pilot_contamination > 0)
@@ -139,10 +140,10 @@ def test_refined_and_plain_converge_with_n():
         ests = estimators_for(profiles, k, rho)
         cfg = make_config(n, k, snr=rho)
         plain = se_conv_singlecell_de(
-            build_q_singlecell(profiles, ests, stacks_for(ests), rho, refined=False), cfg
+            build_q_singlecell(stats_for(ests), ests, rho, refined=False), cfg
         )
         refined = se_conv_singlecell_de(
-            build_q_singlecell(profiles, ests, stacks_for(ests), rho, refined=True), cfg
+            build_q_singlecell(stats_for(ests), ests, rho, refined=True), cfg
         )
         return np.max(np.abs(refined - plain) / plain)
 
@@ -155,8 +156,8 @@ def test_refined_state_carries_moment_fields():
     n, k = 16, 3
     profiles = dft_profiles(n, k)
     ests = estimators_for(profiles, k, 1.0)
-    refined = build_q_singlecell(profiles, ests, stacks_for(ests), 1.0, refined=True)
-    plain = build_q_singlecell(profiles, ests, stacks_for(ests), 1.0, refined=False)
+    refined = build_q_singlecell(stats_for(ests), ests, 1.0, refined=True)
+    plain = build_q_singlecell(stats_for(ests), ests, 1.0, refined=False)
     assert refined.var_mat.shape == (k, k)
     assert np.all(np.diag(refined.var_mat) >= 0)
     assert np.array_equal(plain.var_mat, np.zeros((k, k)))
@@ -308,9 +309,9 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
             for i in range(3)
         ]
         if cells == 1:
-            state = build_q_singlecell(scenario.local_profiles(0), ests, stacks_for(ests), rho, refined=True)
+            state = build_q_singlecell(stats_for(ests), ests, rho, refined=True)
         else:
-            state = build_q_multicell(scenario.profiles[bs], ests, stacks_for(ests), bs, rho, refined=True)
+            state = build_q_multicell(stats_for(ests), ests, rho, refined=True)
         dense = _dense_estimators(scenario.profiles[bs], bs, 3 * rho)
         oracle = _oracle_state(scenario.profiles[bs], dense, bs, rho)
         if cells > 1 and correlation == "one_ring":
@@ -339,9 +340,9 @@ def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
         links = scenario.profiles[bs]
         ests = [build_estimator_multicell([links[ell][i] for ell in range(cells)], bs, 3, rho) for i in range(k)]
         if cells == 1:
-            state = build_q_singlecell(scenario.local_profiles(0), ests, stacks_for(ests), rho, refined=False)
+            state = build_q_singlecell(stats_for(ests), ests, rho, refined=False)
         else:
-            state = build_q_multicell(links, ests, stacks_for(ests), bs, rho, refined=False)
+            state = build_q_multicell(stats_for(ests), ests, rho, refined=False)
         others = [ell for ell in range(cells) if ell != bs]
         dense = _dense_estimators(links, bs, 3 * rho)
         err_sum = sum(e.err_cov for e in dense)
@@ -488,7 +489,7 @@ def test_de_outputs_finite_and_nonnegative(rho, kappa, seed):
     ]
     ests = estimators_for(profiles, k, rho)
     cfg = make_config(n, k, snr=rho)
-    state = build_q_singlecell(profiles, ests, stacks_for(ests), rho)
+    state = build_q_singlecell(stats_for(ests), ests, rho)
     ev = np.linalg.eigvalsh(state.q_matrix)
     assert ev[0] > 0
     se = se_conv_singlecell_de(state, cfg)

@@ -298,8 +298,16 @@ def test_exit_config_error_malformed_snr_list(tmp_path, capsys):
         ["simulate", "--format", "xml"],
         ["reproduce", "--figure", "fig9"],
         ["simulate", "--workers", "abc"],
+        # a preset fixes its own scenarios, SNR grids, log base and schemes
+        ["reproduce", "--figure", "fig1b", "--scenario", "missing.ini"],
+        ["reproduce", "--figure", "fig1b", "--snr", "0:10:5"],
+        ["reproduce", "--figure", "fig1b", "--bits"],
+        ["reproduce", "--figure", "fig1b", "--schemes", "conv"],
     ],
-    ids=["format", "figure", "workers"],
+    ids=[
+        "format", "figure", "workers",
+        "reproduce-scenario", "reproduce-snr", "reproduce-bits", "reproduce-schemes",
+    ],
 )
 def test_usage_errors_exit_config(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from rician_mimo.channel import (
     standard_complex_normal,
 )
 from rician_mimo.estimation import (
-    PilotStacks,
+    BSStatistics,
     build_estimator_multicell,
     regularizer_sums,
     same_pilot_spectrum,
@@ -27,7 +27,8 @@ from rician_mimo.estimation import (
 def _error_image(state):
     """Real image of a single-cell estimator's error covariance: the
     regularizer A of one user in a single cell."""
-    return regularizer_sums([state], PilotStacks([state.spectrum], state.local_index))[0]
+    links = [[p] for p in state.spectrum.links]
+    return regularizer_sums([state], BSStatistics(links, state.local_index))[0]
 
 
 def _link_images(state):
@@ -209,8 +210,8 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
     cases = [(three_cell, local) for local in range(3)] + [([g[:1] for g in three_cell], 0)]
     for groups, local in cases:
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
-        stacks = PilotStacks([s.spectrum for s in states], local)
-        a_img, b_img = regularizer_sums(states, stacks)
+        links = [[s.spectrum[ell] for s in states] for ell in range(len(groups[0]))]
+        a_img, b_img = regularizer_sums(states, BSStatistics(links, local))
         others = [ell for ell in range(len(groups[0])) if ell != local]
         conds = [_link_images(s)[1] for s in states]
         err = sum(c[local] for c in conds)

@@ -276,7 +276,6 @@ def test_report_rejects_negative_se():
             se_stderr=np.zeros(1),
             scheme="conv_single",
             trials=1,
-            seed=0,
             prelog=1.0,
         )
 
@@ -411,10 +410,15 @@ def test_stat_singlecell_matches_empirical_average():
 
 
 def test_stat_multicell_reduces_to_singlecell():
-    profiles = tiny_profiles(seed=10)
-    single = se_stat_singlecell(profiles[0][0], [make_config(n_cells=1)])[0]
-    multi = se_stat_multicell([[profiles[0][0]]], [make_config(n_cells=1)])[0][0]
-    assert np.allclose(single.per_user_se, multi.per_user_se)
+    # one statistical SE: with R_out = 0 the multi-cell SINR is c_k / m_k
+    # exactly, the full form of the single-cell equivalent
+    cfg = make_config(n_cells=1)
+    for seed in range(10):
+        local = tiny_profiles(seed=seed)[0][0]
+        single = se_stat_singlecell(local, [cfg])[0]
+        multi = se_stat_multicell([[local]], [cfg])[0][0]
+        assert np.array_equal(single.per_user_se, multi.per_user_se), seed
+        assert np.array_equal(se_stat_singlecell_de(local, cfg)[0], multi.per_user_se), seed
 
 
 def test_stat_multicell_interference_hurts():

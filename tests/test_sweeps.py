@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rician_mimo import combining
+from rician_mimo import spectral_efficiency
 from rician_mimo.config import ConfigError
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
@@ -63,13 +63,14 @@ def test_mc_and_de_match_loosely_in_both_mode():
 def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
     # the SNR-independent sums of the statistical receiver serve every point
     built = []
-    original = combining.StatisticalSums
+    original = spectral_efficiency.BSStatistics
 
-    def counted(**kwargs):
-        built.append(kwargs["h_bar"])
-        return original(**kwargs)
+    def counted(*args):
+        stats = original(*args)
+        built.append(stats.h_bar)
+        return stats
 
-    monkeypatch.setattr(combining, "StatisticalSums", counted)
+    monkeypatch.setattr(spectral_efficiency, "BSStatistics", counted)
     layout = {"layout": "three_cell_edge", "l": 3} if cells == 3 else {}
     spec = small_spec(correlation="one_ring", snr_grid_db=tuple(range(-10, 35, 5)), **layout)
     rows = run_sweep(spec, schemes=("stat",), mode="both")
