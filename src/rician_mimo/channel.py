@@ -15,7 +15,10 @@ of them to real symmetric images Q^H Theta Q (Lee, Linear Algebra Appl. 29,
 1980), so the set-up decomposes and multiplies real N x N matrices.  For
 N = 2m, Q = [[I, iJ], [J, -iI]] / sqrt(2); odd N adds a middle row and
 column with entry 1.  `real_image`, `antenna_image` and `real_basis` apply
-Q by slicing and flipping, never as a dense product.
+Q by slicing and flipping, never as a dense product.  A Toeplitz image is
+fixed by the first row: `toeplitz_image` writes it as real Toeplitz and
+Hankel blocks of that row, so a one-ring link (`one_ring_image`) never
+forms its complex N x N matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import toeplitz
 
 # Negative eigenvalues larger than this (in magnitude, relative to the top
@@ -82,6 +86,45 @@ def real_image(theta: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(image.real)
 
 
+def _hankel(seq: np.ndarray, m: int) -> np.ndarray:
+    """Read-only m x m view of seq[u + v] (len(seq) >= 2m - 1)."""
+    step = seq.strides[0]
+    return as_strided(seq, (m, m), (step, step), writeable=False)
+
+
+def toeplitz_image(first_row: np.ndarray) -> np.ndarray:
+    """`real_image` of the Hermitian Toeplitz Theta with first row t
+    ([Theta]_uv = t(v - u), t(-d) = conj t(d), t(0) real), from t alone.
+
+    For N = 2m + o (o = N mod 2) and u, v < m the image is made of real
+    Toeplitz (lag v - u) and Hankel (u + v) blocks:
+        top-left      Re t(v-u) + Re t(2m-1+o-u-v)
+        top-right     Im t(v-u+m+o) - Im t(m-1-u-v)
+        bottom-right  Re t(v-u) - Re t(u+v+1+o)
+    and an odd N adds the middle row sqrt(2) Re t(m-v), 1, sqrt(2) Im t(1+v).
+    Each block is the sum of two strided views of a lag sequence (a
+    Toeplitz block is a Hankel one upside down), so the image is exactly
+    symmetric and costs O(N^2) real additions.
+    """
+    n = len(first_row)
+    m, o = divmod(n, 2)
+    re, im = first_row.real, first_row.imag
+    # Re t over the lags 1-m .. m-1, and Im t(m-1-s) over s = 0 .. 2m-2
+    re_toeplitz = _hankel(np.concatenate([re[m - 1 : 0 : -1], re[:m]]), m)[::-1]
+    im_hankel = _hankel(np.concatenate([im[m - 1 : 0 : -1], -im[:m]]), m)
+    tail = re[o + 1 :]
+    image = np.empty((n, n))
+    np.add(re_toeplitz, _hankel(tail[::-1], m), out=image[:m, :m])
+    np.subtract(_hankel(im[o + 1 :], m)[::-1], im_hankel, out=image[:m, n - m :])
+    np.subtract(re_toeplitz, _hankel(tail, m), out=image[n - m :, n - m :])
+    image[n - m :, :m] = image[:m, n - m :].T
+    if o:
+        image[m, :m] = image[:m, m] = math.sqrt(2.0) * re[m:0:-1]
+        image[m, m + 1 :] = image[m + 1 :, m] = math.sqrt(2.0) * im[1 : m + 1]
+        image[m, m] = re[0]
+    return image
+
+
 def antenna_image(x: np.ndarray) -> np.ndarray:
     """Q X Q^H: a real image mapped back to the antenna basis (complex)."""
     left = _apply_q(x.T, adjoint=False).T
@@ -100,12 +143,16 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, image): Theta's real image and its real eigenpair,
-    image = V diag(lam) V^T and Theta = Q image Q^H."""
-    image = real_image(theta)
+def image_spectrum(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, image): a real image and its real eigenpair,
+    image = V diag(lam) V^T."""
     lam, v = np.linalg.eigh(image)
     return lam, v, image
+
+
+def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`image_spectrum` of Theta's real image, Theta = Q image Q^H."""
+    return image_spectrum(real_image(theta))
 
 
 @functools.cache
@@ -141,13 +188,14 @@ def _running_powers(base: np.ndarray, rows: int, first) -> np.ndarray:
     return table
 
 
-def one_ring_correlation(
+def one_ring_first_row(
     theta_min: float,
     theta_max: float,
     n: int,
     spacing_ratio: float = 0.5,
 ) -> np.ndarray:
-    """One-ring spatial correlation for a uniform linear array.
+    """First row t of the one-ring spatial correlation of a uniform linear
+    array, [Theta]_uv = t(v - u) for v >= u, with t(0) = 1 exactly.
 
     [Theta]_uv = 1/(theta_max - theta_min) * int exp(j*2*pi*spacing_ratio
     *(v-u)*cos(theta)) dtheta over [theta_min, theta_max].  Evaluated with a
@@ -184,11 +232,31 @@ def one_ring_correlation(
     fine = _running_powers(np.exp(1j * phase), b, w)
     # first_row[b*m + r] = sum_q w_q exp(j*phase_q*(b*m + r))
     first_row = (coarse @ fine.T).ravel()[:n]
-    theta = toeplitz(np.conj(first_row), first_row)
-    # force exact Hermitian symmetry against quadrature round-off
-    theta = 0.5 * (theta + theta.conj().T)
-    np.fill_diagonal(theta, 1.0)
-    return theta
+    first_row[0] = 1.0
+    return first_row
+
+
+def one_ring_correlation(
+    theta_min: float,
+    theta_max: float,
+    n: int,
+    spacing_ratio: float = 0.5,
+) -> np.ndarray:
+    """One-ring spatial correlation Theta for a uniform linear array: the
+    Hermitian Toeplitz matrix of `one_ring_first_row`."""
+    first_row = one_ring_first_row(theta_min, theta_max, n, spacing_ratio)
+    return toeplitz(np.conj(first_row), first_row)
+
+
+def one_ring_image(
+    theta_min: float,
+    theta_max: float,
+    n: int,
+    spacing_ratio: float = 0.5,
+) -> np.ndarray:
+    """Q^H Theta Q of `one_ring_correlation`, built from the first row alone
+    (`toeplitz_image`): no complex N x N matrix is formed."""
+    return toeplitz_image(one_ring_first_row(theta_min, theta_max, n, spacing_ratio))
 
 
 def exponential_correlation(rho: complex, n: int) -> np.ndarray:
@@ -225,7 +293,9 @@ class UserLinkProfile:
     The correlation matrix theta is taken at construction only: the profile
     keeps `theta_eig` = `theta_spectrum(theta)`, theta's real image and its
     real eigenpair, computed here when omitted.  Links that share one
-    correlation matrix can share one decomposition.  The covariance R is the
+    correlation matrix can share one decomposition, and a caller that has
+    the image already (`one_ring_image`) passes theta=None with its
+    `image_spectrum`.  The covariance R is the
     positive multiple `scale` of theta, so its image is `scale` times theta's
     (`r_image`), its eigenvectors are theta's and its eigenvalues
     (`r_eigvals`) are theta's scaled, clamped at zero because
@@ -240,7 +310,7 @@ class UserLinkProfile:
         self,
         beta: float,
         kappa: float,
-        theta: np.ndarray,
+        theta: np.ndarray | None,
         los_dir: np.ndarray,
         is_local: bool = True,
         theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -249,8 +319,8 @@ class UserLinkProfile:
             raise ChannelModelError(f"beta must be positive, got {beta}")
         if kappa < 0:
             raise ChannelModelError(f"kappa must be non-negative, got {kappa}")
-        n = theta.shape[0]
-        if theta.shape != (n, n) or los_dir.shape != (n,):
+        n = los_dir.shape[0] if theta is None else theta.shape[0]
+        if (theta is not None and theta.shape != (n, n)) or los_dir.shape != (n,):
             raise ChannelModelError("theta must be N x N and los_dir length N")
         self.beta, self.kappa, self.los_dir, self.is_local = beta, kappa, los_dir, is_local
         self.theta_eig = theta_spectrum(theta) if theta_eig is None else theta_eig
@@ -306,7 +376,7 @@ class UserLinkProfile:
 def build_profile(
     beta: float,
     kappa: float,
-    theta: np.ndarray,
+    theta: np.ndarray | None,
     los_dir: np.ndarray,
     is_local: bool = True,
     theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,

@@ -61,7 +61,8 @@ def _load_spec(args) -> ScenarioSpec:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.trials is not None:
+    # asymptotic and optimize-tau run no Monte Carlo and take no --trials
+    if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
     if args.snr is not None:
         overrides["snr_grid_db"] = parse_snr_range(args.snr, "--snr")
@@ -90,7 +91,6 @@ def _emit(rows: list[ResultRow], args) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """The flags every subcommand reads."""
     parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
@@ -100,11 +100,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     """The flags of the subcommands that run a scenario file; a preset
-    fixes its own scenarios, SNR grids, schemes and log base."""
+    fixes its own scenarios, SNR grids and log base."""
     parser.add_argument("--scenario", help="scenario config file (key = value lines)")
     parser.add_argument("--snr", help="override the SNR grid as lo:hi:step in dB")
     parser.add_argument("--bits", action="store_true", help="report SE in bits (log2)")
-    parser.add_argument("--schemes", default="conv,stat", help="comma list: conv,stat")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -130,10 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
+        if name in ("simulate", "sweep", "reproduce"):
+            p.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
         if name == "reproduce":
             p.add_argument("--figure", choices=PRESET_IDS, required=True)
             continue
         _add_scenario(p)
+        if name != "optimize-tau":
+            # optimize-tau rows are tau* per SNR point, not per scheme
+            p.add_argument("--schemes", default="conv,stat", help="comma list: conv,stat")
         if name == "sweep":
             p.add_argument("--axis", choices=SWEEP_AXES, default="snr")
             p.add_argument("--values", help="comma list of axis values (non-snr axes)")

@@ -4,6 +4,9 @@ Two families: conventional combiners built from instantaneous channel
 estimates plus an error/interference covariance regularizer, and statistical
 combiners built only from long-term statistics (no training required).
 Combiners are not normalized; every SINR downstream is scale-invariant in g.
+Where the SINR is scored against the combiner's own regularizer (a single
+cell), `conventional_sinr` reads it off the K x K gram of a whole block of
+trials by the MMSE identity, and no combiner is formed.
 
 Every statistical quantity (the combiner, its exact SE and its deterministic
 equivalents) reads one K x K LoS resolvent, `los_resolvent`, of the served
@@ -63,6 +66,45 @@ def conventional_combiner(
     return CombinerSet(vectors=vectors)
 
 
+def conventional_sinr(
+    estimates: np.ndarray,
+    regularizer_eig: tuple[np.ndarray, np.ndarray],
+    rho_d: float,
+) -> np.ndarray:
+    """SINR_k of `conventional_combiner` scored against its own regularizer,
+    (trials, K), for a block of trials.
+
+    When the SINR's error and interference covariance B is the combiner's
+    regularizer A (a single cell), the combiner is the MMSE filter of that
+    SINR, so with X and D as in `conventional_combiner` the MMSE identity of
+    `los_resolvent` gives 1/(1 + SINR_k) = [(I + X^H D X)^{-1}]_kk: no
+    combining vector and no quadratic form is needed.  `estimates` is
+    (N, trials, K), each trial's N x K estimates side by side, so X of the
+    whole block is one real GEMM and the SINR one batched K x K inverse.
+    A non-finite or non-positive [(I + X^H D X)^{-1}]_kk raises ValueError,
+    as a non-finite `CombinerSet` does.
+    """
+    lam, u = regularizer_eig
+    n, trials, k = estimates.shape
+    x = real_matmul(u.conj().T, estimates.reshape(n, trials * k)).reshape(n, trials, k)
+    x = x.transpose(1, 0, 2)  # (trials, N, K), every trial's N x K slice BLAS-ready
+    p = np.swapaxes(x.conj(), -1, -2) @ (x / (lam + n / rho_d)[:, None])
+    m, c, _ = _resolvent_diagonals(p)
+    if not np.all(np.isfinite(m) & (m > 0)):
+        raise ValueError("conventional SINR is not finite: [(I + X^H D X)^{-1}]_kk <= 0 or NaN")
+    return c / m
+
+
+def _resolvent_diagonals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, c, M^{-1}) of M = I + P for every K x K P on the last two axes:
+    m_k = [M^{-1}]_kk and c_k = [P M^{-1}]_kk, a product rather than
+    1 - m_k, which cancels when c_k is small."""
+    m_inv = np.linalg.inv(np.eye(p.shape[-1]) + p)
+    # + 0.0 turns the -0.0 a zero row of P can leave into +0.0
+    c = np.real(np.sum(p * np.swapaxes(m_inv, -1, -2), axis=-1)) + 0.0
+    return np.real(np.diagonal(m_inv, axis1=-2, axis2=-1)), c, m_inv
+
+
 def los_resolvent(h_bar: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The K x K LoS resolvent behind every statistical combiner, SE and DE.
 
@@ -74,11 +116,8 @@ def los_resolvent(h_bar: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     and u_k/m_k is that leave-one-out solve.  c_k is a product, not 1 - m_k,
     which cancels under weak LoS; h_bar_k = 0 gives c_k = 0 and u_k = 0 exactly.
     """
-    p = h_bar.conj().T @ x
-    m_inv = np.linalg.inv(np.eye(p.shape[0]) + p)
-    # + 0.0 turns the -0.0 a zero row of P can leave into +0.0
-    c = np.real(np.sum(p * m_inv.T, axis=1)) + 0.0
-    return np.real(np.diag(m_inv)), c, x @ m_inv
+    m, c, m_inv = _resolvent_diagonals(h_bar.conj().T @ x)
+    return m, c, x @ m_inv
 
 
 def statistical_resolvent(

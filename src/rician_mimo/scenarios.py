@@ -24,8 +24,9 @@ from .channel import (
     dft_steering,
     drop_users,
     exponential_correlation,
+    image_spectrum,
     los_steering,
-    one_ring_correlation,
+    one_ring_image,
     pathloss,
     theta_spectrum,
 )
@@ -174,13 +175,14 @@ def _cell_centers(spec: ScenarioSpec) -> np.ndarray:
 
 
 def _one_ring_for_angle(theta_k: float, n: int) -> np.ndarray:
-    """One-ring matrix for the window [-pi, theta_k - pi], endpoints ordered."""
+    """Real image of the one-ring matrix for the window [-pi, theta_k - pi],
+    endpoints ordered."""
     if abs(theta_k) < MIN_ANGULAR_SPREAD:
         theta_k = MIN_ANGULAR_SPREAD if theta_k >= 0 else -MIN_ANGULAR_SPREAD
     lo, hi = -math.pi, theta_k - math.pi
     if hi < lo:
         lo, hi = hi, lo
-    return one_ring_correlation(lo, hi, n)
+    return one_ring_image(lo, hi, n)
 
 
 def _shared_correlation(spec: ScenarioSpec):
@@ -220,7 +222,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
                 beta = pathloss(dist, spec.alpha) / edge_loss
                 theta_k = geometry.arrival_angle(j, ell, k)
                 if shared is None:
-                    corr, corr_eig = _one_ring_for_angle(theta_k, spec.n), None
+                    corr, corr_eig = None, image_spectrum(_one_ring_for_angle(theta_k, spec.n))
                 else:
                     corr, corr_eig = shared
                 if spec.los == "dft":

@@ -2,7 +2,12 @@
 
 Conventional combining is evaluated by Monte Carlo over channel draws with
 the interference, estimation-error and noise terms computed as closed-form
-conditional expectations given the estimates (no nested Monte Carlo).
+conditional expectations given the estimates (no nested Monte Carlo).  The
+draws are taken and projected a block of trials at a time, so the
+key-independent N x N stacks multiply matrices, not vectors.  In a single
+cell those terms sum to the combiner's own regularizer, and the SINR is
+read off the K x K gram by the MMSE identity (`combining.conventional_sinr`)
+without forming a combiner.
 Statistical combining needs no draws at all: its combiner and SINR
 expectations come from one K x K LoS resolvent (`combining.los_resolvent`).
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
-from .combining import conventional_combiner, statistical_resolvent
+from .combining import conventional_combiner, conventional_sinr, statistical_resolvent
 from .config import SystemConfig
 from .estimation import BSStatistics, build_estimator_multicell, regularizer_sums
 
@@ -54,21 +59,70 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
+# trials drawn, rotated and evaluated together: every key-independent
+# (..., N, N) stack multiplies a (..., N, BLOCK_TRIALS) operand, wide enough
+# for a matrix-matrix product and small enough to stay in cache
+BLOCK_TRIALS = 8
+
+
 class _EstimatorArrays:
-    """Per-BS shrinkage vectors f, and the real regularizer eigenpair and
-    image of B, of one (tau, rho_tr) key."""
+    """Per-BS shrinkage vectors f and the real eigenpair of the regularizer
+    image A of one (tau, rho_tr) key, plus the image of B where it differs
+    from A (more than one cell)."""
 
     def __init__(self, stats: list[BSStatistics], tau: int, rho_tr: float):
         self.tau_rho = tau * rho_tr
         self.shrink = []  # per bs: (K, N)
         self.a_eig = []  # per bs: eigh of the combiner regularizer's image
-        self.b_mat = []  # per bs: image of the error + interference covariance
+        self.b_mat = []  # per bs, multi-cell only: image of the error + interference covariance
         for j, bs in enumerate(stats):
             states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in bs.spectra]
             a_mat, b_mat = regularizer_sums(states, bs)
             self.shrink.append(np.stack([s.shrink for s in states]))
             self.a_eig.append(np.linalg.eigh(a_mat))
-            self.b_mat.append(b_mat)
+            if len(stats) > 1:
+                self.b_mat.append(b_mat)
+
+    def fits(self, j: int, bs: BSStatistics, rot: np.ndarray) -> np.ndarray:
+        """P_jlk diag(f) V_jk^T (y - h_bar) of BS j for every cell l, user k
+        and trial of a block, (L, K, N, trials): the served estimates minus
+        their LoS (l = j) and the interferers' conditional means.  `rot` is
+        the block's V^T-rotated channel part and pilot noise side by side,
+        (K, N, 2 * trials) (`_rotated_draws`)."""
+        trials = rot.shape[-1] // 2
+        x = self.shrink[j][..., None] * (rot[..., :trials] + rot[..., trials:] / math.sqrt(self.tau_rho))
+        return real_matmul(bs.proj_t.transpose(0, 1, 3, 2), x)
+
+
+def _rotated_draws(
+    stats: list[BSStatistics], sqrt_r: list[np.ndarray], seed: int, first: int, count: int
+) -> list[np.ndarray]:
+    """Per BS, V^T of the channel part and of the pilot noise of y - h_bar
+    for trials first .. first + count - 1, side by side: (K, N, 2 * count).
+
+    Each trial keeps its own generator and draws z for every (BS, cell),
+    then w for every BS.  The block is rotated into the real basis once,
+    and the R^{1/2} images and V^T multiply (..., N, count) operands.  The
+    other cells' links carry no LoS (is_local=False sets h_bar = 0), so the
+    channel part of y - h_bar is the sum of the scattered parts.
+    """
+    cells, users, n = len(sqrt_r), sqrt_r[0].shape[1], sqrt_r[0].shape[-1]
+    z = np.empty((count, cells, cells, users, n), dtype=complex)
+    w = np.empty((count, cells, users, n), dtype=complex)
+    for t in range(count):
+        rng = _trial_rng(seed, first + t)
+        for j in range(cells):
+            for ell in range(cells):
+                z[t, j, ell] = standard_complex_normal(rng, users, n)
+        for j in range(cells):
+            w[t, j] = standard_complex_normal(rng, users, n)
+    z = np.moveaxis(real_basis(z), 0, -1)  # (L, L, K, N, count)
+    w = np.moveaxis(real_basis(w), 0, -1)  # (L, K, N, count)
+    rot = []
+    for j, bs in enumerate(stats):
+        channel = np.sum(real_matmul(sqrt_r[j], z[j]), axis=0)
+        rot.append(real_matmul(bs.vecs_t, np.concatenate([channel, w[j]], axis=-1)))
+    return rot
 
 
 def mc_log_moments(
@@ -87,58 +141,43 @@ def mc_log_moments(
     result depends only on the seed and the trial range and the variance
     is never a difference of large sums.
 
-    The draws z and w are rotated into the real basis once per trial; the
-    estimates, the combiner and the SINR terms, all invariant under the
-    unitary Q, are evaluated there.  Per BS the kernel reads one
-    `BSStatistics` and the stacked images Q^H R^{1/2} Q of every link,
-    (L, K, N, N).
+    Trials run in blocks of `BLOCK_TRIALS`, whose draws are rotated into the
+    real basis once (`_rotated_draws`); the estimates, the combiner and the
+    SINR terms, all invariant under the unitary Q, are evaluated there.
+    Each key's fits of a block are formed when a point first needs them,
+    and only one key's are kept.  In a single cell the SINR's covariance B
+    is the regularizer A, and `conventional_sinr` reads the block's SINR
+    off the K x K gram; with more cells every trial point forms the
+    combiner and the closed-form conditional SINR terms.  Per BS the kernel
+    reads one `BSStatistics` and the stacked images Q^H R^{1/2} Q of every
+    link, (L, K, N, N).
     """
-    L, K, N = len(profiles), len(profiles[0][0]), profiles[0][0][0].n_antennas
+    L, K = len(profiles), len(profiles[0][0])
     stats = [BSStatistics(links, j) for j, links in enumerate(profiles)]
     sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in links]) for links in profiles]
     keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
     ests = [_EstimatorArrays(stats, *key) for key in keys]
     key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
     logs = np.zeros((len(points), L, trial_count, K))
-    for idx in range(trial_count):
-        rng = _trial_rng(seed, trial_start + idx)
-        z = [[standard_complex_normal(rng, K, N) for _ in range(L)] for _ in range(L)]
-        w = [standard_complex_normal(rng, K, N) for _ in range(L)]
-        # per BS, the local estimate and the interferers' conditional means
-        # P_jlk diag(f) V_jk^T (y - h_bar) for every key at once: y - h_bar
-        # is the channel part plus w / sqrt(tau*rho_tr), so one rotation of
-        # each part serves every key
-        fits = []
-        for j, bs in enumerate(stats):
-            scattered = real_matmul(sqrt_r[j], real_basis(np.array(z[j]))[..., None])
-            # the other cells' links carry no LoS (is_local=False sets
-            # h_bar = 0), so the channel part of y - h_bar is the scattered sum
-            channel = np.sum(scattered[..., 0], axis=0)
-            rot = real_matmul(bs.vecs_t, np.stack([channel, real_basis(w[j])], axis=-1))
-            x = np.stack(
-                [e.shrink[j] * (rot[..., 0] + rot[..., 1] / math.sqrt(e.tau_rho)) for e in ests],
-                axis=-1,
-            )
-            fits.append(real_matmul(bs.proj_t.transpose(0, 1, 3, 2), x))  # (L, K, N, keys)
+    for start in range(0, trial_count, BLOCK_TRIALS):
+        count = min(BLOCK_TRIALS, trial_count - start)
+        rot = _rotated_draws(stats, sqrt_r, seed, trial_start + start, count)
+        fits_key, fits = None, []
         for p_idx, pt in enumerate(points):
-            q = key_of[p_idx]
-            est = ests[q]
+            est = ests[key_of[p_idx]]
+            if fits_key is not est:
+                fits_key, fits = est, [est.fits(j, bs, r) for j, (bs, r) in enumerate(zip(stats, rot))]
             for j, bs in enumerate(stats):
-                hh = (bs.h_bar.T + fits[j][j, ..., q]).T  # (N, K)
-                comb = conventional_combiner(hh, est.a_eig[j], pt.rho_d)
-                g = comb.vectors
-                gh = g.conj().T
-                p_mat = gh @ hh  # p[k, i] = g_k^H h_hat_i
-                sig = np.abs(np.diag(p_mat)) ** 2
-                intra = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
-                err = np.real(np.sum(g.conj() * real_matmul(est.b_mat[j], g), axis=0))
-                inter = np.zeros(K)
-                for ell in range(L):
-                    if ell != j:
-                        inter += np.sum(np.abs(gh @ fits[j][ell, ..., q].T) ** 2, axis=1)
-                noise = (N / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
-                sinr = sig / (intra + err + inter + noise)
-                logs[p_idx, j, idx] = np.log1p(sinr)
+                # the served estimates, (N, trials, K)
+                h_hat = bs.h_bar[:, None, :] + fits[j][j].transpose(1, 2, 0)
+                if L == 1:
+                    sinr = conventional_sinr(h_hat, est.a_eig[j], pt.rho_d)
+                else:
+                    sinr = [
+                        _conditional_sinr(h_hat[:, t], fits[j][..., t], j, est, pt.rho_d)
+                        for t in range(count)
+                    ]
+                logs[p_idx, j, start : start + count] = np.log1p(sinr)
     parts = []
     for start, count in _chunk_ranges(trial_count):
         chunk = logs[:, :, start : start + count]
@@ -149,6 +188,29 @@ def mc_log_moments(
         parts = merged + parts[2 * len(merged) :]
     _, mean, m2 = parts[0]
     return mean, m2
+
+
+def _conditional_sinr(
+    h_hat: np.ndarray, fits: np.ndarray, j: int, est: _EstimatorArrays, rho_d: float
+) -> np.ndarray:
+    """SINR of BS j's conventional combiner in one trial, from the served
+    estimates (N, K) and every cell's fits (L, K, N): signal over intra-cell
+    interference, estimation error and conditional inter-cell interference
+    (the quadratic form of B) and noise, each a closed-form conditional
+    expectation given the estimates."""
+    n = len(h_hat)
+    g = conventional_combiner(h_hat, est.a_eig[j], rho_d).vectors
+    gh = g.conj().T
+    p_mat = gh @ h_hat  # p[k, i] = g_k^H h_hat_i
+    sig = np.abs(np.diag(p_mat)) ** 2
+    intra = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
+    err = np.real(np.sum(g.conj() * real_matmul(est.b_mat[j], g), axis=0))
+    inter = np.zeros(len(sig))
+    for ell in range(len(fits)):
+        if ell != j:
+            inter += np.sum(np.abs(gh @ fits[ell].T) ** 2, axis=1)
+    noise = (n / rho_d) * np.sum(np.abs(g) ** 2, axis=0)
+    return sig / (intra + err + inter + noise)
 
 
 def _merge_moments(a: tuple, b: tuple) -> tuple:

@@ -17,9 +17,11 @@ from rician_mimo.channel import (
     exponential_correlation,
     los_steering,
     one_ring_correlation,
+    one_ring_image,
     pathloss,
     real_basis,
     real_image,
+    toeplitz_image,
 )
 from rician_mimo.scenarios import MIN_ANGULAR_SPREAD
 
@@ -205,6 +207,12 @@ def test_real_image_of_every_correlation_family(family, n):
     real = real_image(theta)
     assert real.dtype == np.float64 and np.array_equal(real, image.real)
     assert np.abs(antenna_image(real) - theta).max() <= 1e-15 * scale
+    # the image from the first row alone (Toeplitz and Hankel blocks)
+    from_row = toeplitz_image(theta[0])
+    assert np.array_equal(from_row, from_row.T)
+    assert np.abs(from_row - real).max() <= 1e-15 * scale
+    if family == "one_ring":
+        assert np.array_equal(one_ring_image(-math.pi, -2.0, n), from_row)
     lam = np.linalg.eigvalsh(theta)
     assert np.abs(np.linalg.eigvalsh(real) - lam).max() <= 1e-13 * lam[-1]
 

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import rician_mimo
-from rician_mimo import channel, cli
+from rician_mimo import channel, cli, scenarios, spectral_efficiency
 from rician_mimo.presets import preset_specs, run_preset
 from rician_mimo.results import FIELD_NAMES, parse_csv
 from rician_mimo.scenarios import serialize_scenario
@@ -226,6 +226,17 @@ def test_exit_numerical_failure(scenario_file, capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file, capsys, monkeypatch):
+    # a NaN LoS direction makes every estimate NaN; the single-cell SINR,
+    # read off the K x K gram without a combiner, refuses it as the
+    # combiner's finiteness check did instead of writing NaN rows
+    monkeypatch.setattr(scenarios, "los_steering", lambda theta, n: np.full(n, np.nan + 0j))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", scenario_file, "--schemes", "conv")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure: conventional SINR is not finite" in err
+
+
 @pytest.mark.parametrize(
     "fields, argv",
     [
@@ -303,10 +314,15 @@ def test_exit_config_error_malformed_snr_list(tmp_path, capsys):
         ["reproduce", "--figure", "fig1b", "--snr", "0:10:5"],
         ["reproduce", "--figure", "fig1b", "--bits"],
         ["reproduce", "--figure", "fig1b", "--schemes", "conv"],
+        # flags a subcommand would never read
+        ["optimize-tau", "--schemes", "conv"],
+        ["asymptotic", "--trials", "3"],
+        ["optimize-tau", "--trials", "3"],
     ],
     ids=[
         "format", "figure", "workers",
         "reproduce-scenario", "reproduce-snr", "reproduce-bits", "reproduce-schemes",
+        "optimize-tau-schemes", "asymptotic-trials", "optimize-tau-trials",
     ],
 )
 def test_usage_errors_exit_config(capsys, argv):
@@ -383,9 +399,23 @@ def test_no_scipy_linalg_in_compute_path(scenario_file, tmp_path, capsys, monkey
         assert parse_csv(out)
 
 
+def count_combiner_calls(monkeypatch) -> list:
+    """Patch the Monte Carlo's conventional combiner to log one entry per call."""
+    calls = []
+    original = spectral_efficiency.conventional_combiner
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_efficiency, "conventional_combiner", counted)
+    return calls
+
+
 def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, capsys, monkeypatch):
     # the PSD check, R^{1/2}, the tau* eigenvalues and the single-cell
     # estimator all read the eigenpair each profile takes of its theta
+    combiner_calls = count_combiner_calls(monkeypatch)
     calls = {"eigh": 0, "eigvalsh": 0}
     dtypes = set()
     for name in calls:
@@ -415,6 +445,8 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     # two SNR points give two keys
     assert calls == {"eigh": 3 + 2, "eigvalsh": 0}
     assert dtypes == {np.dtype(np.float64)}
+    # a single cell reads its SINR off the K x K gram: no combiner is formed
+    assert combiner_calls == []
 
 
 def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):
@@ -436,6 +468,7 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "inv", inv)
+    combiner_calls = count_combiner_calls(monkeypatch)
     scenario = tmp_path / "three_ring.cfg"
     scenario.write_text(
         SCENARIO_TEXT.replace("n = 16", f"n = {n}").replace("k = 3", f"k = {k}")
@@ -450,6 +483,8 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     assert calls == {"eigh": links + sums + points * cells, "inv": [(k, k)] * (points * cells)}
     # links, same-pilot sums and regularizers are all real images
     assert dtypes == {np.dtype(np.float64)}
+    # B != A with several cells: one combiner per (trial, SNR point, BS)
+    assert len(combiner_calls) == 2 * points * cells
 
     calls.update(eigh=0, inv=[])
     code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(scenario))

@@ -19,6 +19,7 @@ from rician_mimo.config import SystemConfig
 from rician_mimo.presets import preset_specs
 from rician_mimo.scenarios import build_scenario
 from rician_mimo.spectral_efficiency import (
+    BLOCK_TRIALS,
     MCPoint,
     SEReport,
     conventional_mc,
@@ -165,19 +166,22 @@ def test_mc_common_random_numbers_across_point_subsets():
 
 
 @pytest.mark.parametrize(
-    "cells, n",
+    "cells, n, trials",
     [
-        pytest.param(1, 8, id="1"),
-        pytest.param(3, 8, id="3"),
+        pytest.param(1, 8, 3, id="1"),
+        pytest.param(3, 8, 3, id="3"),
         # odd N: the real basis has a middle row of its own
-        pytest.param(1, 7, id="1-odd_n"),
-        pytest.param(3, 7, id="3-odd_n"),
+        pytest.param(1, 7, 3, id="1-odd_n"),
+        pytest.param(3, 7, 3, id="3-odd_n"),
+        # one full block of trials and a partial one
+        pytest.param(1, 8, BLOCK_TRIALS + 3, id="1-blocks"),
+        pytest.param(3, 8, BLOCK_TRIALS + 3, id="3-blocks"),
     ],
 )
-def test_mc_log_moments_match_dense_replay(cells, n):
+def test_mc_log_moments_match_dense_replay(cells, n, trials):
     # replay the kernel's draws (per-trial SeedSequence, z then w) through
     # dense inverse-based estimators and an N x N solve for the combiner
-    k, seed, trials = 2, 7, 3
+    k, seed = 2, 7
     profiles = tiny_profiles(n=n, k=k, l=cells, seed=4)
     points = [MCPoint(2, 1.0, 1.0), MCPoint(2, 30.0, 30.0), MCPoint(3, 30.0, 0.5)]
     mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
@@ -230,6 +234,15 @@ def test_mc_trial_chunks_are_contiguous():
     # two halves of three trials each merge into the six-trial moments
     assert np.allclose(m1, (m2a + m2b) / 2)
     assert np.allclose(q1, q2a + q2b + (m2b - m2a) ** 2 * (3 * 3 / 6))
+    # a range that starts inside a block: a trial's draws and logs depend on
+    # its index alone, not on where the blocks of the call fall
+    first, n_a, n_b = 3, BLOCK_TRIALS - 1, 4
+    m3, q3 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first, n_a + n_b)
+    m3a, q3a = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first, n_a)
+    m3b, q3b = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first + n_a, n_b)
+    total = n_a + n_b
+    assert np.allclose(m3, (n_a * m3a + n_b * m3b) / total, rtol=1e-13, atol=0)
+    assert np.allclose(q3, q3a + q3b + (m3b - m3a) ** 2 * (n_a * n_b / total), rtol=1e-12, atol=0)
 
 
 def test_mc_stderr_matches_exact_rational_recomputation():
