@@ -363,9 +363,10 @@ class UserLinkProfile:
 
     @property
     def sqrt_r_image(self) -> np.ndarray:
-        """Q^H R^{1/2} Q, the real image of `sqrt_r`."""
-        v = self.eigvecs
-        return (v * np.sqrt(self.r_eigvals)) @ v.T
+        """Q^H R^{1/2} Q, the real image of `sqrt_r`: the Gram product
+        W W^T of W = V diag(lam^{1/4}), exactly symmetric."""
+        w = self.eigvecs * np.sqrt(np.sqrt(self.r_eigvals))
+        return w @ w.T
 
     @property
     def sqrt_r(self) -> np.ndarray:

@@ -34,64 +34,51 @@ class CombinerSet:
             raise ValueError("combining vectors must be finite")
 
 
-def conventional_combiner(
-    estimates: np.ndarray,
-    regularizer_eig: tuple[np.ndarray, np.ndarray],
-    rho_d: float,
-) -> CombinerSet:
+def conventional_combiner(estimates: np.ndarray, m_inv: np.ndarray) -> CombinerSet:
     """g_k = (H_hat H_hat^H + A + (N/rho_d) I)^{-1} h_hat_k.
 
     A is the Hermitian PSD regularizer: the sum of estimation error
     covariances in the single-cell case, plus the inter-cell covariances in
-    the multi-cell case.  It is passed as its eigenpair (lam, U) =
-    `np.linalg.eigh(A)`, so one decomposition serves every SNR and every
-    channel draw: the SNR only shifts lam.  With X = U^H H_hat and
-    D = diag(1/(lam + N/rho_d)), the matrix-inversion lemma gives
+    the multi-cell case.  It is passed as M = (A + (N/rho_d) I)^{-1}, taken
+    once per SNR point and serving every channel draw.  With X = M H_hat,
+    the matrix-inversion lemma gives
 
-        G = U (D X) (I_K + X^H D X)^{-1},
+        G = X (I_K + H_hat^H X)^{-1},
 
-    an N x K rotation plus one K x K solve; no N x N system is formed.
-    Any orthonormal basis works as long as A and the estimates share it:
-    the Monte Carlo passes the real eigenpair of A's real image
-    (`channel.real_image`) with the estimates in the real basis, and gets
-    G in that basis.  A real U is applied without a complex copy.
+    one N x N product and one K x K solve.  Any orthonormal basis works as
+    long as M and the estimates share it: the Monte Carlo passes the
+    inverse of A's real image (`channel.real_image`) with the estimates in
+    the real basis, and gets G in that basis.  A real M is applied without
+    a complex copy.
     """
-    lam, u = regularizer_eig
-    n, k = estimates.shape
-    x = real_matmul(u.conj().T, estimates)
-    dx = x / (lam + n / rho_d)[:, None]
-    gram = np.eye(k) + x.conj().T @ dx
-    # (D X) gram^{-1}, transposed into a left solve
-    vectors = real_matmul(u, np.linalg.solve(gram.T, dx.T).T)
-    return CombinerSet(vectors=vectors)
+    k = estimates.shape[1]
+    x = real_matmul(m_inv, estimates)
+    gram = np.eye(k) + estimates.conj().T @ x
+    # X gram^{-1}, transposed into a left solve
+    return CombinerSet(vectors=np.linalg.solve(gram.T, x.T).T)
 
 
-def conventional_sinr(
-    estimates: np.ndarray,
-    regularizer_eig: tuple[np.ndarray, np.ndarray],
-    rho_d: float,
-) -> np.ndarray:
+def conventional_sinr(estimates: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     """SINR_k of `conventional_combiner` scored against its own regularizer,
     (trials, K), for a block of trials.
 
     When the SINR's error and interference covariance B is the combiner's
     regularizer A (a single cell), the combiner is the MMSE filter of that
-    SINR, so with X and D as in `conventional_combiner` the MMSE identity of
-    `los_resolvent` gives 1/(1 + SINR_k) = [(I + X^H D X)^{-1}]_kk: no
-    combining vector and no quadratic form is needed.  `estimates` is
-    (N, trials, K), each trial's N x K estimates side by side, so X of the
-    whole block is one real GEMM and the SINR one batched K x K inverse.
-    A non-finite or non-positive [(I + X^H D X)^{-1}]_kk raises ValueError,
-    as a non-finite `CombinerSet` does.
+    SINR, so with M as in `conventional_combiner` the MMSE identity of
+    `los_resolvent` gives 1/(1 + SINR_k) = [(I + H_hat^H M H_hat)^{-1}]_kk:
+    no combining vector and no quadratic form is needed.  `estimates` is
+    (N, trials, K), each trial's N x K estimates side by side, so M H_hat
+    of the whole block is one real GEMM and the SINR one batched K x K
+    inverse.  A non-finite or non-positive [(I + H_hat^H M H_hat)^{-1}]_kk
+    raises ValueError, as a non-finite `CombinerSet` does.
     """
-    lam, u = regularizer_eig
     n, trials, k = estimates.shape
-    x = real_matmul(u.conj().T, estimates.reshape(n, trials * k)).reshape(n, trials, k)
-    x = x.transpose(1, 0, 2)  # (trials, N, K), every trial's N x K slice BLAS-ready
-    p = np.swapaxes(x.conj(), -1, -2) @ (x / (lam + n / rho_d)[:, None])
-    m, c, _ = _resolvent_diagonals(p)
+    x = real_matmul(m_inv, estimates.reshape(n, trials * k)).reshape(n, trials, k)
+    # (trials, N, K): every trial's N x K slice BLAS-ready
+    h, x = estimates.transpose(1, 0, 2), x.transpose(1, 0, 2)
+    m, c, _ = _resolvent_diagonals(np.swapaxes(h.conj(), -1, -2) @ x)
     if not np.all(np.isfinite(m) & (m > 0)):
-        raise ValueError("conventional SINR is not finite: [(I + X^H D X)^{-1}]_kk <= 0 or NaN")
+        raise ValueError("conventional SINR is not finite: [(I + H^H M H)^{-1}]_kk <= 0 or NaN")
     return c / m
 
 

@@ -56,17 +56,32 @@ class PilotSpectrum:
         return self.links[ell]
 
 
-def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
-    """Spectrum of the same-pilot links `profiles`."""
+def same_pilot_spectrum(
+    profiles: list[UserLinkProfile], out: tuple[np.ndarray, np.ndarray] | None = None
+) -> PilotSpectrum:
+    """Spectrum of the same-pilot links `profiles`.
+
+    `out` = (V, P) are the (N, N) and (L, N, N) arrays to write V and the
+    stack P into (views of a `BSStatistics`' stacks); without it a single
+    link keeps its profile's own eigenvectors and P gets a fresh array.
+    """
     if len(profiles) == 1:
         mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
-        proj = (v * mu)[None]
     else:
         images = [p.r_image for p in profiles]
         mu, v = np.linalg.eigh(sum(images))
         mu = np.clip(mu, 0.0, None)
-        proj = np.stack([r @ v for r in images])
-    return PilotSpectrum(tuple(profiles), mu, v, proj)
+    if out is None:
+        vecs, proj = v, np.empty((len(profiles),) + v.shape)
+    else:
+        vecs, proj = out
+        vecs[...] = v
+    if len(profiles) == 1:
+        np.multiply(v, mu, out=proj[0])
+    else:
+        for image, p in zip(images, proj):
+            np.matmul(image, v, out=p)
+    return PilotSpectrum(tuple(profiles), mu, vecs, proj)
 
 
 class BSStatistics:
@@ -76,10 +91,12 @@ class BSStatistics:
     the served links, (N, K) and C-contiguous, so it views as 2K interleaved
     real and imaginary columns; `local` is the image of sum_i R_jji and
     `inter` the image of R_out = sum_{l != j, k} R_jlk (zero in a single
-    cell).  The K same-pilot `spectra` and their key-independent stacks are
-    built on first read, since the statistical receiver never needs them:
-    `proj_t[l, k]` is P_lk^T, `rest_t[l]` is (sum_{m != l} P_mk)^T over k
-    (the scalar 0 for a single cell) and `vecs_t[k]` is V_k^T.  A call that
+    cell).  The K same-pilot `spectra` are built on first read, since the
+    statistical receiver never needs them, and their eigenvectors and
+    projections are held once, in two BS-level stacks: `vecs[:, k]` is V_k
+    and `proj[l, :, k]` is P_lk, so `vecs` reshapes in place to the
+    (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and
+    every spectrum's `eigvecs` and `proj` are views of them.  A call that
     evaluates an SNR grid builds one per BS and drops it on return.
     """
 
@@ -95,31 +112,29 @@ class BSStatistics:
         self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
 
     @cached_property
+    def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray]:
+        n, users = len(self.local), len(self.links[self.j])
+        vecs = np.empty((n, users, n))
+        proj = np.empty((len(self.links), n, users, n))
+        spectra = [
+            same_pilot_spectrum([cell[k] for cell in self.links], (vecs[:, k], proj[:, :, k]))
+            for k in range(users)
+        ]
+        return spectra, vecs, proj
+
+    @property
     def spectra(self) -> list[PilotSpectrum]:
-        n_users = len(self.links[self.j])
-        return [same_pilot_spectrum([cell[k] for cell in self.links]) for k in range(n_users)]
+        return self._pilot[0]
 
-    @cached_property
-    def proj_t(self) -> np.ndarray:
-        # C order, so that every (K, N, N) slice reshapes to (K*N, N) in place
-        cells, n = self.spectra[0].proj.shape[:2]
-        out = np.empty((cells, len(self.spectra), n, n))
-        for k, sp in enumerate(self.spectra):
-            out[:, k] = sp.proj.transpose(0, 2, 1)
-        return out
+    @property
+    def vecs(self) -> np.ndarray:
+        """(N, K, N): vecs[:, k] is V_k."""
+        return self._pilot[1]
 
-    @cached_property
-    def vecs_t(self) -> np.ndarray:
-        n = len(self.local)
-        out = np.empty((len(self.spectra), n, n))
-        for k, sp in enumerate(self.spectra):
-            out[k] = sp.eigvecs.T
-        return out
-
-    @cached_property
-    def rest_t(self) -> list:
-        cells = len(self.proj_t)
-        return [sum((self.proj_t[m] for m in range(cells) if m != ell), 0) for ell in range(cells)]
+    @property
+    def proj(self) -> np.ndarray:
+        """(L, N, K, N): proj[l, :, k] is P_lk."""
+        return self._pilot[2]
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
@@ -201,24 +216,38 @@ def regularizer_sums(
     DE's quadratic term.  The error (or conditional) covariance of link l,
     R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
     involves no cancellation.  Each cell's sum over k of these is one real
-    (N, K*N) @ (K*N, N) product: the key-independent stack P^T of the
-    BS's `BSStatistics`, used as it is, against diag(f) W^T = f * rest + s f V^T.
-    The term s f V^T is formed once per call, and every cell writes its
-    right operand into one buffer (a single cell's rest is 0, so s f V^T
-    alone is its right operand).
+    (N, K*N) @ (K*N, N) product: the row [P_l1 ... P_lK] of the BS's `proj`
+    stack, used as it is, against the transpose of the row of
+    W_lk diag(f_k) = rest_lk diag(f_k) + s V_k diag(f_k), with
+    rest_lk = sum_{m != l} P_mk.  The term s f V is formed once per call,
+    and every cell forms its rest and right operand in one reused buffer.
+    In a single cell S = R, so the error covariance is V diag(s lam f) V^T
+    and A = B is one Gram product W^T W, with W the stacked
+    sqrt(s lam f) V^T: exactly symmetric.
     """
     first = states[0]
     n = first.n_antennas
-    shrink = np.stack([s.shrink for s in states])[..., None]
-    scaled_vecs = bs.vecs_t * (shrink / first.tau_rho)
-    buffer = np.empty_like(scaled_vecs) if len(bs.rest_t) > 1 else None
+    # f of every user, in the column order of the (N, K*N) rows
+    shrink = np.stack([s.shrink for s in states]).reshape(-1)
+    vecs = bs.vecs.reshape(n, -1)
+    if len(bs.links) == 1:
+        lam = np.concatenate([s.spectrum.eigvals for s in states])
+        w_t = vecs * np.sqrt(lam * shrink / first.tau_rho)
+        a_mat = w_t @ w_t.T
+        return a_mat, a_mat
+    proj = bs.proj.reshape(len(bs.links), n, -1)
+    scaled_vecs = vecs * (shrink / first.tau_rho)
+    buffer = np.empty_like(scaled_vecs)
 
     def cell_sum(ell: int) -> np.ndarray:
-        right = scaled_vecs
-        if buffer is not None:
-            right = np.multiply(bs.rest_t[ell], shrink, out=buffer)
-            right += scaled_vecs
-        return bs.proj_t[ell].reshape(-1, n).T @ right.reshape(-1, n)
+        rest = [m for m in range(len(proj)) if m != ell]
+        right = buffer
+        right[...] = proj[rest[0]]
+        for m in rest[1:]:
+            right += proj[m]
+        right *= shrink
+        right += scaled_vecs
+        return proj[ell] @ right.T
 
     err = cell_sum(first.local_index)
     b_mat = err + sum(cell_sum(ell) for ell in first.others)

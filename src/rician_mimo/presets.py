@@ -147,15 +147,28 @@ def _crossover_and_gain(scenario: Scenario) -> tuple[float | None, float]:
     return crossing, float((stat[i] - conv[i]) / conv[i])
 
 
-def _summarize(figure_id: str, scenario: Scenario, summary: dict) -> None:
+def _avg_conv_de(rows: list[ResultRow], n_users: int) -> float:
+    """Mean over the SNR grid of the user-mean conventional DE of cell 0,
+    read off `rows`: `se_de` beside a Monte Carlo value, `se_value` in a
+    DE-only row."""
+    per_snr: dict[float, list[float]] = {}
+    for row in rows:
+        if row.scheme.startswith("conv") and row.user_id < n_users:
+            se = row.se_value if row.se_de is None else row.se_de
+            per_snr.setdefault(row.snr_db, []).append(se)
+    return float(np.mean([np.mean(se) for se in per_snr.values()]))
+
+
+def _summarize(figure_id: str, scenario: Scenario, rows: list[ResultRow], summary: dict) -> None:
     """Add the DE-based summary entries of one preset scenario to `summary`
-    (every preset but fig1b, whose summary is its tau* table)."""
+    (every preset but fig1b, whose summary is its tau* table).  fig1a reads
+    its conventional DE off the scenario's `rows`; the others solve their
+    own crossover curves."""
     spec = scenario.spec
     if figure_id == "fig1a":
-        conv, _ = _avg_de_curves(scenario, spec.snr_grid_db)
         label = spec.scenario_id.rsplit("-", 1)[1]
         table = summary.setdefault("avg_conv_se_by_tau_setting", {})
-        table.setdefault(f"{spec.kappa_max:g}", {})[label] = float(np.mean(conv))
+        table.setdefault(f"{spec.kappa_max:g}", {})[label] = _avg_conv_de(rows, scenario.n_users)
         return
     crossings = summary.setdefault("stat_over_conv_crossover_snr_db", {})
     if figure_id != "fig5":
@@ -175,7 +188,11 @@ def preset_summary(figure_id: str) -> dict:
         return run_preset(figure_id)[1]
     summary: dict = {"figure": figure_id}
     for spec in preset_specs(figure_id):
-        _summarize(figure_id, build_scenario(spec), summary)
+        scenario = build_scenario(spec)
+        rows = []
+        if figure_id == "fig1a":
+            rows = _rows_for_scenario(scenario, ("conv",), "de", spec.trials, spec.seed)
+        _summarize(figure_id, scenario, rows, summary)
     return summary
 
 
@@ -196,7 +213,7 @@ def _run_scenario(
     if figure_id == "fig5":
         single = scenario.single_cell_view(0)
         rows += _rows_for_scenario(single, schemes, "both", use_trials, use_seed)
-    _summarize(figure_id, scenario, summary)
+    _summarize(figure_id, scenario, rows, summary)
     return rows
 
 

@@ -66,20 +66,24 @@ BLOCK_TRIALS = 8
 
 
 class _EstimatorArrays:
-    """Per-BS shrinkage vectors f and the real eigenpair of the regularizer
-    image A of one (tau, rho_tr) key, plus the image of B where it differs
-    from A (more than one cell)."""
+    """Per-BS shrinkage vectors f of one (tau, rho_tr) key, and for each
+    data SNR rho_d of the key's points the SPD inverse
+    M = (A + (N/rho_d) I)^{-1} of the regularizer image A, plus the image
+    of B where it differs from A (more than one cell)."""
 
-    def __init__(self, stats: list[BSStatistics], tau: int, rho_tr: float):
+    def __init__(self, stats: list[BSStatistics], tau: int, rho_tr: float, rho_ds: list[float]):
         self.tau_rho = tau * rho_tr
         self.shrink = []  # per bs: (K, N)
-        self.a_eig = []  # per bs: eigh of the combiner regularizer's image
+        self.m_inv = []  # per bs: rho_d -> M
         self.b_mat = []  # per bs, multi-cell only: image of the error + interference covariance
         for j, bs in enumerate(stats):
             states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in bs.spectra]
             a_mat, b_mat = regularizer_sums(states, bs)
+            n = len(a_mat)
             self.shrink.append(np.stack([s.shrink for s in states]))
-            self.a_eig.append(np.linalg.eigh(a_mat))
+            self.m_inv.append(
+                {rho_d: np.linalg.inv(a_mat + (n / rho_d) * np.eye(n)) for rho_d in rho_ds}
+            )
             if len(stats) > 1:
                 self.b_mat.append(b_mat)
 
@@ -91,7 +95,7 @@ class _EstimatorArrays:
         (K, N, 2 * trials) (`_rotated_draws`)."""
         trials = rot.shape[-1] // 2
         x = self.shrink[j][..., None] * (rot[..., :trials] + rot[..., trials:] / math.sqrt(self.tau_rho))
-        return real_matmul(bs.proj_t.transpose(0, 1, 3, 2), x)
+        return real_matmul(bs.proj.transpose(0, 2, 1, 3), x)
 
 
 def _rotated_draws(
@@ -121,7 +125,9 @@ def _rotated_draws(
     rot = []
     for j, bs in enumerate(stats):
         channel = np.sum(real_matmul(sqrt_r[j], z[j]), axis=0)
-        rot.append(real_matmul(bs.vecs_t, np.concatenate([channel, w[j]], axis=-1)))
+        # (K, N, N), the k-th slice V_k^T
+        vecs_t = bs.vecs.transpose(1, 2, 0)
+        rot.append(real_matmul(vecs_t, np.concatenate([channel, w[j]], axis=-1)))
     return rot
 
 
@@ -156,7 +162,8 @@ def mc_log_moments(
     stats = [BSStatistics(links, j) for j, links in enumerate(profiles)]
     sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in links]) for links in profiles]
     keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
-    ests = [_EstimatorArrays(stats, *key) for key in keys]
+    rho_ds = [[pt.rho_d for pt in points if (pt.tau, pt.rho_tr) == key] for key in keys]
+    ests = [_EstimatorArrays(stats, *key, rhos) for key, rhos in zip(keys, rho_ds)]
     key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
     logs = np.zeros((len(points), L, trial_count, K))
     for start in range(0, trial_count, BLOCK_TRIALS):
@@ -171,7 +178,7 @@ def mc_log_moments(
                 # the served estimates, (N, trials, K)
                 h_hat = bs.h_bar[:, None, :] + fits[j][j].transpose(1, 2, 0)
                 if L == 1:
-                    sinr = conventional_sinr(h_hat, est.a_eig[j], pt.rho_d)
+                    sinr = conventional_sinr(h_hat, est.m_inv[j][pt.rho_d])
                 else:
                     sinr = [
                         _conditional_sinr(h_hat[:, t], fits[j][..., t], j, est, pt.rho_d)
@@ -199,7 +206,7 @@ def _conditional_sinr(
     (the quadratic form of B) and noise, each a closed-form conditional
     expectation given the estimates."""
     n = len(h_hat)
-    g = conventional_combiner(h_hat, est.a_eig[j], rho_d).vectors
+    g = conventional_combiner(h_hat, est.m_inv[j][rho_d]).vectors
     gh = g.conj().T
     p_mat = gh @ h_hat  # p[k, i] = g_k^H h_hat_i
     sig = np.abs(np.diag(p_mat)) ** 2

@@ -217,6 +217,17 @@ def test_real_image_of_every_correlation_family(family, n):
     assert np.abs(np.linalg.eigvalsh(real) - lam).max() <= 1e-13 * lam[-1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 150, 151])
+@pytest.mark.parametrize("family", ["one_ring", "exponential", "identity"])
+def test_sqrt_r_image_squares_to_r_image(family, n):
+    # the Gram product (V lam^{1/4})(V lam^{1/4})^T is exactly symmetric,
+    # and its square is the covariance image up to rounding
+    p = build_profile(2.3, 1.0, _correlation(family, n), los_steering(0.3, n))
+    root, r = p.sqrt_r_image, p.r_image
+    assert np.array_equal(root, root.T)
+    assert np.abs(root @ root - r).max() <= n * np.finfo(float).eps * np.linalg.norm(r, 2)
+
+
 def test_real_image_rejects_hermitian_non_toeplitz():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

@@ -427,6 +427,14 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    inverses = []
+    original_inv = np.linalg.inv
+
+    def inv(a, *args, **kwargs):
+        inverses.append(np.shape(a))
+        return original_inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
     optimal = tmp_path / "optimal.cfg"
     optimal.write_text(SCENARIO_TEXT + "tau_mode = optimal\n")
     code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(optimal))
@@ -437,21 +445,24 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     assert dtypes == {np.dtype(np.float64)}
 
     calls.update(eigh=0, eigvalsh=0)
+    inverses.clear()
     one_ring = tmp_path / "one_ring.cfg"
     one_ring.write_text(SCENARIO_TEXT.replace("exponential", "one_ring"))
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(one_ring), "--trials", "2")
     assert code == 0 and parse_csv(out)
-    # one per link (k = 3), plus one regularizer per (tau*rho_tr key, BS):
-    # two SNR points give two keys
-    assert calls == {"eigh": 3 + 2, "eigvalsh": 0}
+    # one per link (k = 3); the regularizer is one N x N inverse per
+    # (SNR point, BS), and the rest are batched K x K resolvents
+    assert calls == {"eigh": 3, "eigvalsh": 0}
     assert dtypes == {np.dtype(np.float64)}
+    assert sum(shape == (16, 16) for shape in inverses) == 2
     # a single cell reads its SINR off the K x K gram: no combiner is formed
     assert combiner_calls == []
 
 
 def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):
     # one eigh per same-pilot sum serves every training key and both the
-    # Monte Carlo and the DE callers; no N x N inverse remains
+    # Monte Carlo and the DE callers; the only N x N inverse is the Monte
+    # Carlo's regularizer M, one per (SNR point, BS)
     n, k, cells, points = 8, 2, 3, 2
     calls = {"eigh": 0, "inv": []}
     dtypes = set()
@@ -478,9 +489,9 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     links, sums = cells * cells * k, cells * k
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
     assert code == 0 and parse_csv(out)
-    # plus one regularizer per (tau*rho_tr key, BS): two SNR points give two keys;
-    # the only inverse is the statistical K x K LoS resolvent, per (SNR point, BS)
-    assert calls == {"eigh": links + sums + points * cells, "inv": [(k, k)] * (points * cells)}
+    # the inverses are one N x N regularizer M per (SNR point, BS), then the
+    # statistical K x K LoS resolvent, per (SNR point, BS)
+    assert calls == {"eigh": links + sums, "inv": [(n, n)] * (points * cells) + [(k, k)] * (points * cells)}
     # links, same-pilot sums and regularizers are all real images
     assert dtypes == {np.dtype(np.float64)}
     # B != A with several cells: one combiner per (trial, SNR point, BS)

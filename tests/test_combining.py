@@ -14,6 +14,12 @@ def random_estimates(n, k, seed=0):
     return (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / math.sqrt(2)
 
 
+def regularized_inverse(reg, rho):
+    """M = (A + (N/rho) I)^{-1}, the combiner's regularizer at one SNR."""
+    n = len(reg)
+    return np.linalg.inv(reg + (n / rho) * np.eye(n))
+
+
 def sinr_of(g, h_all, k, noise_cov):
     sig = np.abs(g.conj() @ h_all[:, k]) ** 2
     interf = sum(
@@ -31,7 +37,7 @@ def test_conventional_solves_linear_system():
     est = random_estimates(n, k)
     reg = 0.3 * np.eye(n)
     rho = 2.0
-    combo = conventional_combiner(est, np.linalg.eigh(reg), rho)
+    combo = conventional_combiner(est, regularized_inverse(reg, rho))
     mat = est @ est.conj().T + reg + (n / rho) * np.eye(n)
     residual = mat @ combo.vectors - est
     assert np.max(np.abs(residual)) < 1e-8
@@ -41,7 +47,7 @@ def test_conventional_single_user_direction():
     # K = 1, no regularizer: g is parallel to the estimate
     n = 8
     est = random_estimates(n, 1, seed=3)
-    combo = conventional_combiner(est, np.linalg.eigh(np.zeros((n, n))), 1.0)
+    combo = conventional_combiner(est, regularized_inverse(np.zeros((n, n)), 1.0))
     g = combo.vectors[:, 0]
     cos = np.abs(g.conj() @ est[:, 0]) / (np.linalg.norm(g) * np.linalg.norm(est[:, 0]))
     assert cos == pytest.approx(1.0, abs=1e-12)
@@ -55,7 +61,7 @@ def test_conventional_maximizes_rayleigh_quotient():
     est = random_estimates(n, k, seed=11)
     reg = 0.5 * np.eye(n) + 0.1 * np.ones((n, n))
     rho = 4.0
-    combo = conventional_combiner(est, np.linalg.eigh(reg), rho)
+    combo = conventional_combiner(est, regularized_inverse(reg, rho))
     others = np.delete(est, 2, axis=1)
     noise_cov = others @ others.conj().T + reg + (n / rho) * np.eye(n)
     g_star = combo.vectors[:, 2]
@@ -76,7 +82,7 @@ def test_conventional_maximizes_rayleigh_quotient():
 def test_conventional_scale_invariance_of_quotient():
     n, k = 6, 3
     est = random_estimates(n, k, seed=5)
-    combo = conventional_combiner(est, np.linalg.eigh(np.eye(n)), 1.0)
+    combo = conventional_combiner(est, regularized_inverse(np.eye(n), 1.0))
     g = combo.vectors[:, 0]
     noise_cov = np.eye(n)
     assert sinr_of(3.7 * g, est, 0, noise_cov) == pytest.approx(
@@ -89,7 +95,7 @@ def test_conventional_rejects_nonfinite():
     est = random_estimates(n, 2)
     est[0, 0] = np.nan
     with pytest.raises((ValueError, np.linalg.LinAlgError)):
-        conventional_combiner(est, np.linalg.eigh(np.eye(n)), 1.0)
+        conventional_combiner(est, regularized_inverse(np.eye(n), 1.0))
 
 
 def _regularizer(n, rank, seed):
@@ -107,7 +113,7 @@ def test_conventional_backward_error_at_hard_corners(n, k, rank, rho):
     # system, down to noise loadings N/rho far below the regularizer's scale
     est = random_estimates(n, k, seed=rank + k)
     reg = _regularizer(n, rank, seed=7)
-    g = conventional_combiner(est, np.linalg.eigh(reg), rho).vectors
+    g = conventional_combiner(est, regularized_inverse(reg, rho)).vectors
     mat = est @ est.conj().T + reg + (n / rho) * np.eye(n)
     residual = np.linalg.norm(mat @ g - est, axis=0)
     backward = residual / (np.linalg.norm(mat, 2) * np.linalg.norm(g, axis=0))

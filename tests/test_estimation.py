@@ -227,6 +227,23 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
             assert np.linalg.norm(img - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("cells", [1, 3])
+def test_bs_stacks_hold_every_spectrum_once(cells):
+    # every same-pilot V and P lives in the BS's two stacks, as views with
+    # contiguous rows; the stacks are the (N, K*N) rows of regularizer_sums
+    n, k = 12, 3
+    groups = [_three_cell_links(n, u)[:cells] for u in range(k)]
+    bs = BSStatistics([[g[ell] for g in groups] for ell in range(cells)], 0)
+    assert bs.vecs.shape == (n, k, n) and bs.proj.shape == (cells, n, k, n)
+    assert bs.vecs.flags.c_contiguous and bs.proj.flags.c_contiguous
+    for sp, group in zip(bs.spectra, groups):
+        assert np.shares_memory(sp.eigvecs, bs.vecs) and np.shares_memory(sp.proj, bs.proj)
+        assert sp.eigvecs.strides[-1] == sp.proj.strides[-1] == sp.proj.itemsize
+        alone = same_pilot_spectrum(group)
+        assert np.array_equal(sp.eigvecs, alone.eigvecs) and np.array_equal(sp.proj, alone.proj)
+    assert not any(hasattr(bs, name) for name in ("proj_t", "vecs_t", "rest_t"))
+
+
 def test_same_pilot_spectrum_is_shared_across_keys():
     links = _three_cell_links(8, 0)
     spectrum = same_pilot_spectrum(links)

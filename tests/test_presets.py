@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from rician_mimo import presets
+from rician_mimo import presets, sweeps
 from rician_mimo.config import ConfigError
 from rician_mimo.presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 
@@ -64,3 +66,22 @@ def test_run_preset_builds_each_scenario_once(monkeypatch):
     assert rows
     monkeypatch.setattr(presets, "build_scenario", original)
     assert summary == preset_summary("fig2a")
+
+
+def test_fig1a_summary_reads_the_rows_conventional_de(monkeypatch):
+    # the summary averages the conventional DE the rows carry, so each
+    # scenario solves it once; a small array keeps the twelve scenarios fast
+    monkeypatch.setattr(presets, "_BASE", dataclasses.replace(presets._BASE, n=16, k=4))
+    calls = []
+    original = sweeps.conv_de_at_bs
+
+    def counted(scenario, bs, configs):
+        calls.append(scenario.spec.scenario_id)
+        return original(scenario, bs, configs)
+
+    monkeypatch.setattr(sweeps, "conv_de_at_bs", counted)
+    monkeypatch.setattr(presets, "conv_de_at_bs", counted)
+    rows, summary = run_preset("fig1a", trials=2)
+    assert calls == [spec.scenario_id for spec in preset_specs("fig1a")]
+    assert {row.scheme for row in rows} == {"conv_single"}
+    assert summary == preset_summary("fig1a")

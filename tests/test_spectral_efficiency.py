@@ -112,7 +112,7 @@ def test_conditional_denominator_matches_nested_mc():
     b_mat = sum(s.err_cov for s in states) + sum(
         states[u].conds[ell] for ell in range(l) if ell != j for u in range(k)
     )
-    g = conventional_combiner(h_hat, np.linalg.eigh(a_mat), rho_d).vectors[:, 0]
+    g = conventional_combiner(h_hat, np.linalg.inv(a_mat + (n / rho_d) * np.eye(n))).vectors[:, 0]
 
     # closed-form denominator for user 0
     intra = sum(np.abs(g.conj() @ h_hat[:, u]) ** 2 for u in range(1, k))
