@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
-from rician_mimo.spectral_efficiency import MCPoint, conventional_mc
+from rician_mimo.spectral_efficiency import conventional_mc
 from rician_mimo.sweeps import conv_de_per_bs
 
 
@@ -43,18 +43,15 @@ def main() -> None:
         trials=args.trials,
     )
     scenario = build_scenario(spec)
-    points = [
-        MCPoint(spec.k, 10 ** (s / 10), 10 ** (s / 10)) for s in spec.snr_grid_db
-    ]
+    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
     start = time.time()
-    reports = conventional_mc(scenario.profiles, points, spec.t, args.trials, args.seed)
+    reports = conventional_mc(scenario.profiles, configs, args.trials, args.seed)
     mc_elapsed = time.time() - start
 
     print(f"scenario: {spec.layout}, N={spec.n}, K={spec.k}, "
           f"corr={spec.correlation}, kappa_max={spec.kappa_max:g}, "
           f"{args.trials} trials ({mc_elapsed:.0f}s)")
     print(f"{'snr_db':>7} {'worst_gap':>10} {'mean_gap':>9} {'mc_stderr':>10}")
-    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
     des = conv_de_per_bs(scenario, configs)
     for snr, de, per_bs in zip(spec.snr_grid_db, des, reports):
         gaps = []

@@ -41,7 +41,6 @@ from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 from .results import ResultRow, emit_results
 from .scenarios import Scenario, ScenarioSpec, build_scenario, parse_scenario, serialize_scenario
 from .spectral_efficiency import (
-    MCPoint,
     SEReport,
     conventional_mc,
     se_stat_multicell,

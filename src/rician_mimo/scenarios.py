@@ -261,6 +261,8 @@ def parse_snr_range(text: str, name: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ConfigError(f"{name}: need finite values, step > 0 and hi >= lo")
     count = int(round((hi - lo) / step))
+    if not math.isclose(count * step, hi - lo, rel_tol=1e-9):
+        raise ConfigError(f"{name}: step {step:g} does not divide hi - lo = {hi - lo:g}")
     return tuple(lo + i * step for i in range(count + 1))
 
 

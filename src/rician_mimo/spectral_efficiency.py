@@ -31,24 +31,12 @@ from .estimation import BSStatistics, build_estimator_multicell, regularizer_sum
 Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
 
 
-@dataclass(frozen=True)
-class MCPoint:
-    """One evaluation point of the conventional Monte Carlo sweep."""
-
-    tau: int
-    rho_d: float
-    rho_tr: float
-
-
 @dataclass
 class SEReport:
     """Per-user SE for one scheme at one operating point."""
 
     per_user_se: np.ndarray
-    se_stderr: np.ndarray
-    scheme: str  # conv_single | stat_single | conv_multi | stat_multi
-    trials: int
-    prelog: float
+    se_stderr: np.ndarray | None  # None for an exact (draw-free) SE
 
     def __post_init__(self):
         if np.any(self.per_user_se < 0):
@@ -133,18 +121,18 @@ def _rotated_draws(
 
 def mc_log_moments(
     profiles: Profiles,
-    points: list[MCPoint],
+    points: list[SystemConfig],
     seed: int,
     trial_start: int,
     trial_count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and centered sum of squares M2 of log(1+SINR) over a contiguous
-    trial range, each (points, L, K).
+    trial range, each (points, L, K).  A point's estimator key is its
+    (training_len, snr_training) and its data SNR is `snr_data`.
 
-    Each trial is seeded from (seed, trial index) alone.  Every chunk of
-    `_chunk_ranges` gives its own (count, mean, M2), and the chunks are
-    merged pairwise in that order (Chan, Golub & LeVeque, 1983), so the
-    result depends only on the seed and the trial range and the variance
+    Each trial is seeded from (seed, trial index) alone, so the result
+    depends only on the seed and the trial range.  Every trial's log is
+    held, and M2 is summed about the mean in a second pass, so the variance
     is never a difference of large sums.
 
     Trials run in blocks of `BLOCK_TRIALS`, whose draws are rotated into the
@@ -161,10 +149,11 @@ def mc_log_moments(
     L, K = len(profiles), len(profiles[0][0])
     stats = [BSStatistics(links, j) for j, links in enumerate(profiles)]
     sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in links]) for links in profiles]
-    keys = list(dict.fromkeys((pt.tau, pt.rho_tr) for pt in points))
-    rho_ds = [[pt.rho_d for pt in points if (pt.tau, pt.rho_tr) == key] for key in keys]
-    ests = [_EstimatorArrays(stats, *key, rhos) for key, rhos in zip(keys, rho_ds)]
-    key_of = [keys.index((pt.tau, pt.rho_tr)) for pt in points]
+    key_of = [(pt.training_len, pt.snr_training) for pt in points]
+    ests = {}
+    for key in dict.fromkeys(key_of):
+        rho_ds = [pt.snr_data for pt, k in zip(points, key_of) if k == key]
+        ests[key] = _EstimatorArrays(stats, *key, rho_ds)
     logs = np.zeros((len(points), L, trial_count, K))
     for start in range(0, trial_count, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trial_count - start)
@@ -178,22 +167,15 @@ def mc_log_moments(
                 # the served estimates, (N, trials, K)
                 h_hat = bs.h_bar[:, None, :] + fits[j][j].transpose(1, 2, 0)
                 if L == 1:
-                    sinr = conventional_sinr(h_hat, est.m_inv[j][pt.rho_d])
+                    sinr = conventional_sinr(h_hat, est.m_inv[j][pt.snr_data])
                 else:
                     sinr = [
-                        _conditional_sinr(h_hat[:, t], fits[j][..., t], j, est, pt.rho_d)
+                        _conditional_sinr(h_hat[:, t], fits[j][..., t], j, est, pt.snr_data)
                         for t in range(count)
                     ]
                 logs[p_idx, j, start : start + count] = np.log1p(sinr)
-    parts = []
-    for start, count in _chunk_ranges(trial_count):
-        chunk = logs[:, :, start : start + count]
-        mean = np.mean(chunk, axis=2)
-        parts.append((count, mean, np.sum((chunk - mean[:, :, None]) ** 2, axis=2)))
-    while len(parts) > 1:
-        merged = [_merge_moments(a, b) for a, b in zip(parts[::2], parts[1::2])]
-        parts = merged + parts[2 * len(merged) :]
-    _, mean, m2 = parts[0]
+    mean = logs.mean(axis=2)
+    m2 = ((logs - mean[:, :, None]) ** 2).sum(axis=2)
     return mean, m2
 
 
@@ -220,66 +202,27 @@ def _conditional_sinr(
     return sig / (intra + err + inter + noise)
 
 
-def _merge_moments(a: tuple, b: tuple) -> tuple:
-    """(count, mean, M2) of the union of two disjoint sets of samples."""
-    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
-
-
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    # fixed chunk layout, so the floating-point reduction order (and hence
-    # the output bytes) depends on the trial count alone
-    n_chunks = min(trials, 16)
-    base, extra = divmod(trials, n_chunks)
-    ranges = []
-    start = 0
-    for c in range(n_chunks):
-        count = base + (1 if c < extra else 0)
-        ranges.append((start, count))
-        start += count
-    return ranges
-
-
 def conventional_mc(
-    profiles: Profiles,
-    points: list[MCPoint],
-    coherence_len: int,
-    trials: int,
-    seed: int,
-    log_scale: float = 1.0,
+    profiles: Profiles, configs: list[SystemConfig], trials: int, seed: int
 ) -> list[list[SEReport]]:
-    """Monte Carlo SE of conventional combining, all cells, all points.
+    """Monte Carlo SE of conventional combining, reports[config][bs].
 
-    Returns reports[point][bs].  Estimators are shared between points with
-    equal (tau, rho_tr); channel and pilot-noise draws are shared by all
-    points of a trial.
+    Estimators are shared between configs with equal (training_len,
+    snr_training); channel and pilot-noise draws are shared by all configs
+    of a trial.  Each config scales its logs by its own prelog and log base.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    L = len(profiles)
-    K = len(profiles[0][0])
-    mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
-    out = []
-    for p_idx, pt in enumerate(points):
-        prelog = 1.0 - pt.tau / coherence_len
-        per_bs = []
-        for j in range(L):
-            var = m2[p_idx, j] / (trials - 1) if trials > 1 else np.zeros(K)
-            se = prelog * mean[p_idx, j] * log_scale
-            stderr = prelog * np.sqrt(var / trials) * log_scale
-            per_bs.append(
-                SEReport(
-                    per_user_se=se,
-                    se_stderr=stderr,
-                    scheme="conv_single" if L == 1 else "conv_multi",
-                    trials=trials,
-                    prelog=prelog,
-                )
-            )
-        out.append(per_bs)
-    return out
+    mean, m2 = mc_log_moments(profiles, configs, seed, 0, trials)
+    var = m2 / (trials - 1) if trials > 1 else np.zeros_like(m2)
+    stderr = np.sqrt(var / trials)
+    return [
+        [
+            SEReport(c.prelog * mean[p, j] * c.log_scale, c.prelog * stderr[p, j] * c.log_scale)
+            for j in range(len(profiles))
+        ]
+        for p, c in enumerate(configs)
+    ]
 
 
 def se_stat_singlecell(
@@ -302,7 +245,6 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
     single cell, where R_out = 0.  Everything runs in the real basis, from
     the `BSStatistics` each BS builds once for every config.
     """
-    scheme = "stat_single" if len(profiles) == 1 else "stat_multi"
     reports: list[list[SEReport]] = [[] for _ in configs]
     for j, links in enumerate(profiles):
         bs = BSStatistics(links, j)
@@ -315,5 +257,5 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
             sinr = np.zeros_like(c)
             sinr[los] = c[los] / (m[los] + quad[los] / c[los])
             se = np.log1p(sinr) * config.log_scale
-            per_bs.append(SEReport(se, np.zeros_like(se), scheme, trials=0, prelog=1.0))
+            per_bs.append(SEReport(se, None))
     return reports

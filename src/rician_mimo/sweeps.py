@@ -28,7 +28,7 @@ from .config import ConfigError, SystemConfig
 from .estimation import BSStatistics, build_estimator_multicell
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
-from .spectral_efficiency import MCPoint, conventional_mc, se_stat_multicell
+from .spectral_efficiency import conventional_mc, se_stat_multicell
 from .training import solve_tau_star
 
 SWEEP_AXES = ("snr", "kappa_max", "n_antennas", "tau")
@@ -102,8 +102,7 @@ def _rows_for_scenario(
     k = scenario.n_users
     multi = scenario.n_cells > 1
     grid = spec.snr_grid_db
-    taus = [resolve_tau_for_snr(scenario, snr) for snr in grid]
-    configs = [spec.system_config(snr, tau=tau) for snr, tau in zip(grid, taus)]
+    configs = [spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr)) for snr in grid]
     want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
     # per scheme: (row name, mc[config][bs] or None, de[config][bs] or None),
     # each list from one call over the whole grid
@@ -111,10 +110,7 @@ def _rows_for_scenario(
     if "conv" in schemes:
         mc = de = None
         if want_mc:
-            points = [MCPoint(tau, c.snr_data, c.snr_training) for tau, c in zip(taus, configs)]
-            # the log base, and hence its scale, is the same at every SNR
-            log_scale = spec.system_config(0.0).log_scale
-            mc = conventional_mc(scenario.profiles, points, spec.t, trials, seed, log_scale)
+            mc = conventional_mc(scenario.profiles, configs, trials, seed)
         if want_de:
             de = conv_de_per_bs(scenario, configs)
         name = "conv_multi" if multi else "conv_single"
@@ -132,16 +128,16 @@ def _rows_for_scenario(
         name = "stat_multi" if multi else "stat_single"
         results["stat"] = (name, mc, de)
     rows: list[ResultRow] = []
-    for i, snr in enumerate(grid):
+    for i, (snr, config) in enumerate(zip(grid, configs)):
         for scheme in schemes:
             name, mc, de = results[scheme]
-            tau_used, prelog = (taus[i], configs[i].prelog) if scheme == "conv" else (0, 1.0)
+            tau_used, prelog = (config.training_len, config.prelog) if scheme == "conv" else (0, 1.0)
             for bs in range(scenario.n_cells):
                 for u in range(k):
                     if mc is not None:
                         report = mc[i][bs]
                         se_value = float(report.per_user_se[u])
-                        stderr = float(report.se_stderr[u]) if report.trials > 0 else None
+                        stderr = None if report.se_stderr is None else float(report.se_stderr[u])
                     else:
                         se_value = float(de[i][bs][u])
                         stderr = None
@@ -183,6 +179,8 @@ def run_sweep(
     trials = spec.trials if trials is None else trials
     seed = spec.seed if seed is None else seed
     if sweep_axis == "snr":
+        if axis_values:
+            raise ConfigError("the snr axis takes its points from --snr (lo:hi:step), not axis values")
         variants = [spec]
     else:
         if not axis_values:
@@ -204,6 +202,9 @@ def run_sweep(
                         spec, tau_mode="fixed", tau=int(value), scenario_id=sid
                     )
                 )
+        sids = [variant.scenario_id for variant in variants]
+        if len(set(sids)) != len(sids):
+            raise ConfigError(f"{sweep_axis} values must give distinct scenario ids, got {sids}")
     rows: list[ResultRow] = []
     for variant in variants:
         scenario = build_scenario(variant)

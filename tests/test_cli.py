@@ -142,6 +142,29 @@ def test_sweep_rejects_non_integer_axis_values(scenario_file, capsys, axis, valu
     assert "finite integers" in err
 
 
+@pytest.mark.parametrize(
+    ("axis", "values", "fragment"),
+    [
+        ("snr", "5,7,9", "--snr"),
+        ("kappa_max", "1,1", "distinct scenario ids"),
+        ("kappa_max", "1,1.0", "distinct scenario ids"),
+        ("kappa_max", "1.0000001,1.0000002", "distinct scenario ids"),
+    ],
+    ids=["snr-values", "repeated", "repeated-as-float", "same-id"],
+)
+def test_sweep_rejects_ignored_or_colliding_axis_values(scenario_file, capsys, axis, values, fragment):
+    # the snr axis reads its points from --snr, so --values there would be
+    # dropped; values that format to one scenario id would emit two row sets
+    # that no column tells apart
+    code, out, err = run_cli(
+        capsys, "sweep", "--scenario", scenario_file, "--axis", axis, "--values", values,
+        "--mode", "de",
+    )
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
 def test_overrides_snr_seed_trials_bits(scenario_file, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -192,6 +215,16 @@ def test_exit_config_error_bad_snr(scenario_file, capsys):
     )
     assert code == 1
     assert "configuration error" in err
+
+
+def test_exit_config_error_snr_range_past_its_upper_end(scenario_file, capsys):
+    # 3 dB steps from 0 do not land on 11 dB: the range is refused, not run to 12 dB
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", scenario_file, "--snr", "0:11:3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "does not divide" in err
 
 
 def test_exit_config_error_bad_scheme(scenario_file, capsys):

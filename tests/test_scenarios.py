@@ -171,6 +171,9 @@ def test_parse_round_trip():
 def test_parse_snr_range_syntax():
     spec = parse_scenario("snr_grid_db = -10:30:5\nk = 3\nt = 50\nn = 16\n")
     assert spec.snr_grid_db == tuple(float(v) for v in range(-10, 35, 5))
+    # a step that divides hi - lo only up to rounding keeps lo + i * step
+    spec = parse_scenario("snr_grid_db = 0:0.3:0.1\nk = 3\nt = 50\nn = 16\n")
+    assert spec.snr_grid_db == tuple(0.0 + i * 0.1 for i in range(4))
 
 
 def test_parse_comments_and_blank_lines():
@@ -187,6 +190,7 @@ def test_parse_comments_and_blank_lines():
         ("n = 16\nn = 17\n", "duplicate"),
         ("n = not_an_int\n", "cannot parse"),
         ("snr_grid_db = 0:10:0\n", "step"),
+        ("snr_grid_db = 0:11:3\n", "does not divide"),
         ("snr_grid_db = 1:2:3:4\n", "lo:hi:step"),
         ("snr_grid_db = 0,x\n", "cannot parse"),
         ("snr_grid_db = a:10:5\n", "cannot parse"),

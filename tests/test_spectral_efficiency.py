@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from lmmse_oracle import dense_lmmse
 
+from rician_mimo import spectral_efficiency
 from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
     build_profile,
@@ -17,10 +18,9 @@ from rician_mimo.channel import (
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
 from rician_mimo.presets import preset_specs
-from rician_mimo.scenarios import build_scenario
+from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import (
     BLOCK_TRIALS,
-    MCPoint,
     SEReport,
     conventional_mc,
     mc_log_moments,
@@ -69,6 +69,12 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return SystemConfig(**base)
+
+
+def point(tau, rho_d, rho_tr, **overrides):
+    """A Monte Carlo operating point: training length and the data and
+    training SNRs (linear)."""
+    return make_config(training_len=tau, snr_data=rho_d, snr_training=rho_tr, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +166,39 @@ def test_conditional_denominator_matches_nested_mc():
 def test_mc_common_random_numbers_across_point_subsets():
     # evaluating a subset of points with the same seed sees identical draws
     profiles = tiny_profiles(seed=2)
-    both = conventional_mc(profiles, [MCPoint(2, 1.0, 1.0), MCPoint(2, 5.0, 5.0)], 50, 10, seed=3)
-    solo = conventional_mc(profiles, [MCPoint(2, 5.0, 5.0)], 50, 10, seed=3)
+    both = conventional_mc(profiles, [point(2, 1.0, 1.0), point(2, 5.0, 5.0)], 10, seed=3)
+    solo = conventional_mc(profiles, [point(2, 5.0, 5.0)], 10, seed=3)
     assert np.array_equal(both[1][0].per_user_se, solo[0][0].per_user_se)
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+def test_mc_configs_with_one_training_snr_share_one_estimator_key(monkeypatch, cells):
+    # a fixed training SNR puts two data SNRs on one (tau, rho_tr) key: the
+    # estimators are built once per (BS, user), and each config's report is
+    # the one a solo call gives
+    layout = {"layout": "three_cell_edge", "l": 3} if cells == 3 else {}
+    spec = ScenarioSpec(n=8, k=2, t=50, correlation="exponential", seed=5,
+                        snr_training_db=5.0, **layout)
+    profiles = build_scenario(spec).profiles
+    configs = [spec.system_config(0.0), spec.system_config(10.0)]
+    assert configs[0].snr_data != configs[1].snr_data
+    keys = {(c.training_len, c.snr_training) for c in configs}
+    assert len(keys) == 1
+    builds = []
+    original = spectral_efficiency.build_estimator_multicell
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_efficiency, "build_estimator_multicell", counted)
+    both = conventional_mc(profiles, configs, 5, seed=3)
+    assert len(builds) == cells * spec.k
+    for cfg, per_bs in zip(configs, both):
+        [solo] = conventional_mc(profiles, [cfg], 5, seed=3)
+        for rep, alone in zip(per_bs, solo):
+            assert np.array_equal(rep.per_user_se, alone.per_user_se)
+            assert np.array_equal(rep.se_stderr, alone.se_stderr)
 
 
 @pytest.mark.parametrize(
@@ -183,7 +219,7 @@ def test_mc_log_moments_match_dense_replay(cells, n, trials):
     # dense inverse-based estimators and an N x N solve for the combiner
     k, seed = 2, 7
     profiles = tiny_profiles(n=n, k=k, l=cells, seed=4)
-    points = [MCPoint(2, 1.0, 1.0), MCPoint(2, 30.0, 30.0), MCPoint(3, 30.0, 0.5)]
+    points = [point(2, 1.0, 1.0), point(2, 30.0, 30.0), point(3, 30.0, 0.5)]
     mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
     logs = np.zeros((len(points), cells, trials, k))
     for t in range(trials):
@@ -191,7 +227,7 @@ def test_mc_log_moments_match_dense_replay(cells, n, trials):
         z = [[standard_complex_normal(rng, k, n) for _ in range(cells)] for _ in range(cells)]
         w = [standard_complex_normal(rng, k, n) for _ in range(cells)]
         for p_idx, pt in enumerate(points):
-            s = 1.0 / (pt.tau * pt.rho_tr)
+            s = 1.0 / (pt.training_len * pt.snr_training)
             for j in range(cells):
                 links = profiles[j]
                 h_hat = np.zeros((n, k), dtype=complex)
@@ -212,14 +248,14 @@ def test_mc_log_moments_match_dense_replay(cells, n, trials):
                         a_mat += cond if ell == j else covs[ell]
                         if ell != j:
                             means.append(covs[ell] @ phi @ (y - links[j][u].h_bar))
-                reg = h_hat @ h_hat.conj().T + a_mat + (n / pt.rho_d) * np.eye(n)
+                reg = h_hat @ h_hat.conj().T + a_mat + (n / pt.snr_data) * np.eye(n)
                 g = np.linalg.solve(reg, h_hat)
                 p_mat = g.conj().T @ h_hat
                 sig = np.abs(np.diag(p_mat)) ** 2
                 den = np.sum(np.abs(p_mat) ** 2, axis=1) - sig
                 den += np.real(np.sum(g.conj() * (b_mat @ g), axis=0))
                 den += sum(np.abs(g.conj().T @ m) ** 2 for m in means)
-                den += (n / pt.rho_d) * np.sum(np.abs(g) ** 2, axis=0)
+                den += (n / pt.snr_data) * np.sum(np.abs(g) ** 2, axis=0)
                 logs[p_idx, j, t] = np.log1p(sig / den)
     assert np.allclose(mean, logs.mean(axis=2), rtol=1e-12, atol=0)
     centered = logs - logs.mean(axis=2, keepdims=True)
@@ -228,18 +264,18 @@ def test_mc_log_moments_match_dense_replay(cells, n, trials):
 
 def test_mc_trial_chunks_are_contiguous():
     profiles = tiny_profiles(seed=5)
-    m1, q1 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 6)
-    m2a, q2a = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 0, 3)
-    m2b, q2b = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, 3, 3)
+    m1, q1 = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, 0, 6)
+    m2a, q2a = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, 0, 3)
+    m2b, q2b = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, 3, 3)
     # two halves of three trials each merge into the six-trial moments
     assert np.allclose(m1, (m2a + m2b) / 2)
     assert np.allclose(q1, q2a + q2b + (m2b - m2a) ** 2 * (3 * 3 / 6))
     # a range that starts inside a block: a trial's draws and logs depend on
     # its index alone, not on where the blocks of the call fall
     first, n_a, n_b = 3, BLOCK_TRIALS - 1, 4
-    m3, q3 = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first, n_a + n_b)
-    m3a, q3a = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first, n_a)
-    m3b, q3b = mc_log_moments(profiles, [MCPoint(2, 1.0, 1.0)], 11, first + n_a, n_b)
+    m3, q3 = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, first, n_a + n_b)
+    m3a, q3a = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, first, n_a)
+    m3b, q3b = mc_log_moments(profiles, [point(2, 1.0, 1.0)], 11, first + n_a, n_b)
     total = n_a + n_b
     assert np.allclose(m3, (n_a * m3a + n_b * m3b) / total, rtol=1e-13, atol=0)
     assert np.allclose(q3, q3a + q3b + (m3b - m3a) ** 2 * (n_a * n_b / total), rtol=1e-12, atol=0)
@@ -251,46 +287,45 @@ def test_mc_stderr_matches_exact_rational_recomputation():
     # standard error can be recomputed in rational arithmetic
     spec = dataclasses.replace(preset_specs("fig2a")[0], trials=2)
     profiles = build_scenario(spec).profiles
-    points = [MCPoint(spec.k, 10.0 ** (db / 10.0), 10.0 ** (db / 10.0)) for db in (-10.0, 10.0, 30.0)]
-    reports = conventional_mc(profiles, points, spec.t, 2, spec.seed)
+    points = [spec.system_config(db) for db in (-10.0, 10.0, 30.0)]
+    reports = conventional_mc(profiles, points, 2, spec.seed)
     logs = [mc_log_moments(profiles, points, spec.seed, t, 1)[0] for t in range(2)]
-    for p_idx, per_bs in enumerate(reports):
+    for p_idx, (pt, per_bs) in enumerate(zip(points, reports)):
         rep = per_bs[0]
         for k in range(spec.k):
             x = [Fraction(float(log[p_idx, 0, k])) for log in logs]
             mean = sum(x) / 2
             var = sum((v - mean) ** 2 for v in x)  # 1/(trials - 1) = 1
-            exact = rep.prelog * math.sqrt(var / 2)
+            exact = pt.prelog * math.sqrt(var / 2)
             assert abs(rep.se_stderr[k] - exact) <= 1e-12 * exact
 
 
-def test_mc_prelog_and_scheme_labels():
+def test_mc_reports_scale_by_config_prelog_and_log_base():
+    # each report is its config's prelog and log-base scale times the
+    # kernel's moments, so configs of different tau and log base share draws
     profiles = tiny_profiles(seed=6)
-    cfg = make_config(coherence_len=50, training_len=5)
-    rep = conventional_mc(
-        profiles, [MCPoint(5, 1.0, 1.0)], cfg.coherence_len, 4, seed=1
-    )[0][0]
-    assert rep.prelog == pytest.approx(1.0 - 5 / 50)
-    assert rep.scheme == "conv_multi"
-    single = conventional_mc([[profiles[0][0]]], [MCPoint(5, 1.0, 1.0)], 50, 4, seed=1)[0][0]
-    assert single.scheme == "conv_single"
+    trials = 4
+    configs = [point(5, 1.0, 1.0), point(2, 1.0, 1.0, log_base="base2")]
+    mean, m2 = mc_log_moments(profiles, configs, 1, 0, trials)
+    reports = conventional_mc(profiles, configs, trials, seed=1)
+    for p_idx, (cfg, per_bs) in enumerate(zip(configs, reports)):
+        for j, rep in enumerate(per_bs):
+            stderr = np.sqrt(m2[p_idx, j] / (trials - 1) / trials)
+            assert np.array_equal(rep.per_user_se, cfg.prelog * mean[p_idx, j] * cfg.log_scale)
+            assert np.array_equal(rep.se_stderr, cfg.prelog * stderr * cfg.log_scale)
+    assert configs[0].prelog == 1.0 - 5 / 50
+    assert configs[1].log_scale == 1.0 / math.log(2.0)
 
 
 def test_mc_rejects_zero_trials():
     profiles = tiny_profiles(seed=7)
     with pytest.raises(ValueError):
-        conventional_mc(profiles, [MCPoint(2, 1.0, 1.0)], 50, 0, seed=1)
+        conventional_mc(profiles, [point(2, 1.0, 1.0)], 0, seed=1)
 
 
 def test_report_rejects_negative_se():
     with pytest.raises(ValueError):
-        SEReport(
-            per_user_se=np.array([-0.1]),
-            se_stderr=np.zeros(1),
-            scheme="conv_single",
-            trials=1,
-            prelog=1.0,
-        )
+        SEReport(per_user_se=np.array([-0.1]), se_stderr=np.zeros(1))
 
 
 def test_log_base_scaling():
@@ -440,7 +475,8 @@ def test_stat_multicell_interference_hurts():
     multi = se_stat_multicell(profiles, [cfg])[0][0]
     clean = se_stat_singlecell(profiles[0][0], [make_config(n_cells=1)])[0]
     assert np.all(multi.per_user_se <= clean.per_user_se + 1e-12)
-    assert multi.scheme == "stat_multi"
+    # the exact statistical SE has no Monte Carlo standard error
+    assert multi.se_stderr is None
 
 
 def test_stat_rayleigh_user_gets_zero_se():
