@@ -17,8 +17,8 @@ N = 2m, Q = [[I, iJ], [J, -iI]] / sqrt(2); odd N adds a middle row and
 column with entry 1.  `real_image`, `antenna_image` and `real_basis` apply
 Q by slicing and flipping, never as a dense product.  A Toeplitz image is
 fixed by the first row: `toeplitz_image` writes it as real Toeplitz and
-Hankel blocks of that row, so a one-ring link (`one_ring_image`) never
-forms its complex N x N matrix.
+Hankel blocks of that row, so a one-ring link keeps only that row
+(`row_spectrum`) and never forms its complex N x N matrix.
 """
 
 from __future__ import annotations
@@ -143,16 +143,19 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def image_spectrum(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, image): a real image and its real eigenpair,
-    image = V diag(lam) V^T."""
+def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, image): Theta's real image, Theta = Q image Q^H, and its real
+    eigenpair, image = V diag(lam) V^T."""
+    image = real_image(theta)
     lam, v = np.linalg.eigh(image)
     return lam, v, image
 
 
-def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`image_spectrum` of Theta's real image, Theta = Q image Q^H."""
-    return image_spectrum(real_image(theta))
+def row_spectrum(first_row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, first_row): the real eigenpair of `toeplitz_image(first_row)`,
+    with the row in place of the image, which is dropped."""
+    lam, v = np.linalg.eigh(toeplitz_image(first_row))
+    return lam, v, first_row
 
 
 @functools.cache
@@ -248,17 +251,6 @@ def one_ring_correlation(
     return toeplitz(np.conj(first_row), first_row)
 
 
-def one_ring_image(
-    theta_min: float,
-    theta_max: float,
-    n: int,
-    spacing_ratio: float = 0.5,
-) -> np.ndarray:
-    """Q^H Theta Q of `one_ring_correlation`, built from the first row alone
-    (`toeplitz_image`): no complex N x N matrix is formed."""
-    return toeplitz_image(one_ring_first_row(theta_min, theta_max, n, spacing_ratio))
-
-
 def exponential_correlation(rho: complex, n: int) -> np.ndarray:
     """Exponential correlation [Theta]_uv = rho^(v-u) for v >= u, |rho| < 1."""
     if abs(rho) >= 1:
@@ -291,12 +283,14 @@ class UserLinkProfile:
     """Second-order statistics of one (BS, cell, user) link.
 
     The correlation matrix theta is taken at construction only: the profile
-    keeps `theta_eig` = `theta_spectrum(theta)`, theta's real image and its
-    real eigenpair, computed here when omitted.  Links that share one
-    correlation matrix can share one decomposition, and a caller that has
-    the image already (`one_ring_image`) passes theta=None with its
-    `image_spectrum`.  The covariance R is the
-    positive multiple `scale` of theta, so its image is `scale` times theta's
+    keeps `theta_eig` = (lam, V, source), theta's real eigenpair and what its
+    real image is formed from.  Given theta, it decomposes it here
+    (`theta_spectrum`) and the source is the image, which links with one
+    correlation matrix share.  A one-ring link passes theta=None with the
+    `row_spectrum` of its first row, and the source is that row (N values):
+    `theta_image` forms the image from it on each access, bit for bit the
+    array the eigenpair was taken of.  The covariance R is the positive
+    multiple `scale` of theta, so its image is `scale` times theta's
     (`r_image`), its eigenvectors are theta's and its eigenvalues
     (`r_eigvals`) are theta's scaled, clamped at zero because
     quadrature-built correlation matrices are often numerically
@@ -342,9 +336,16 @@ class UserLinkProfile:
         return len(self.theta_eig[0])
 
     @property
+    def theta_image(self) -> np.ndarray:
+        """Q^H Theta Q, formed from the first row on each access where the
+        link keeps only that row."""
+        source = self.theta_eig[2]
+        return toeplitz_image(source) if source.ndim == 1 else source
+
+    @property
     def theta(self) -> np.ndarray:
         """The correlation matrix, mapped back from its image on each access."""
-        return antenna_image(self.theta_eig[2])
+        return antenna_image(self.theta_image)
 
     @property
     def r_cov(self) -> np.ndarray:
@@ -354,7 +355,7 @@ class UserLinkProfile:
     @property
     def r_image(self) -> np.ndarray:
         """Q^H R Q, the real image of `r_cov`."""
-        return self.scale * self.theta_eig[2]
+        return self.scale * self.theta_image
 
     @property
     def eigvecs(self) -> np.ndarray:

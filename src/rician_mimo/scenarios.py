@@ -24,10 +24,10 @@ from .channel import (
     dft_steering,
     drop_users,
     exponential_correlation,
-    image_spectrum,
     los_steering,
-    one_ring_image,
+    one_ring_first_row,
     pathloss,
+    row_spectrum,
     theta_spectrum,
 )
 from .config import ConfigError, SystemConfig
@@ -174,15 +174,13 @@ def _cell_centers(spec: ScenarioSpec) -> np.ndarray:
     return circum * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def _one_ring_for_angle(theta_k: float, n: int) -> np.ndarray:
-    """Real image of the one-ring matrix for the window [-pi, theta_k - pi],
-    endpoints ordered."""
+def _one_ring_window(theta_k: float) -> tuple[float, float]:
+    """The one-ring angular window [-pi, theta_k - pi] of arrival angle
+    theta_k, endpoints ordered."""
     if abs(theta_k) < MIN_ANGULAR_SPREAD:
         theta_k = MIN_ANGULAR_SPREAD if theta_k >= 0 else -MIN_ANGULAR_SPREAD
     lo, hi = -math.pi, theta_k - math.pi
-    if hi < lo:
-        lo, hi = hi, lo
-    return one_ring_image(lo, hi, n)
+    return (hi, lo) if hi < lo else (lo, hi)
 
 
 def _shared_correlation(spec: ScenarioSpec):
@@ -222,7 +220,8 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
                 beta = pathloss(dist, spec.alpha) / edge_loss
                 theta_k = geometry.arrival_angle(j, ell, k)
                 if shared is None:
-                    corr, corr_eig = None, image_spectrum(_one_ring_for_angle(theta_k, spec.n))
+                    row = one_ring_first_row(*_one_ring_window(theta_k), spec.n)
+                    corr, corr_eig = None, row_spectrum(row)
                 else:
                     corr, corr_eig = shared
                 if spec.los == "dft":

@@ -173,8 +173,8 @@ def kappa_threshold(profile: UserLinkProfile, config: SystemConfig) -> float:
 
     Returns (tr Theta / N) * (T - K) / K where Theta is the unit-diagonal
     correlation part of the user's covariance.  tr Theta is read from its
-    real image, as Q leaves the trace unchanged.
+    real image (`theta_image`), as Q leaves the trace unchanged.
     """
-    theta_trace = np.trace(profile.theta_eig[2])
+    theta_trace = np.trace(profile.theta_image)
     t, k = config.coherence_len, config.n_users
     return float(theta_trace / profile.n_antennas * (t - k) / k)

@@ -17,7 +17,7 @@ from rician_mimo.channel import (
     exponential_correlation,
     los_steering,
     one_ring_correlation,
-    one_ring_image,
+    one_ring_first_row,
     pathloss,
     real_basis,
     real_image,
@@ -212,7 +212,7 @@ def test_real_image_of_every_correlation_family(family, n):
     assert np.array_equal(from_row, from_row.T)
     assert np.abs(from_row - real).max() <= 1e-15 * scale
     if family == "one_ring":
-        assert np.array_equal(one_ring_image(-math.pi, -2.0, n), from_row)
+        assert np.array_equal(toeplitz_image(one_ring_first_row(-math.pi, -2.0, n)), from_row)
     lam = np.linalg.eigvalsh(theta)
     assert np.abs(np.linalg.eigvalsh(real) - lam).max() <= 1e-13 * lam[-1]
 

@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rician_mimo.channel import (
+    build_profile,
+    exponential_correlation,
+    los_steering,
+    one_ring_correlation,
+    one_ring_first_row,
+    real_image,
+    toeplitz_image,
+)
 from rician_mimo.config import ConfigError
 from rician_mimo.scenarios import (
     Scenario,
     ScenarioSpec,
+    _one_ring_window,
     build_scenario,
     parse_scenario,
     serialize_scenario,
@@ -149,6 +159,46 @@ def test_correlation_modes_produce_expected_structure():
     ring = build_scenario(small_spec(correlation="one_ring"))
     off = np.abs(ring.profiles[0][0][0].r_cov[0, 1])
     assert off > 1e-6  # genuinely correlated
+
+
+def _square_arrays(link, n: int) -> list[np.ndarray]:
+    """The (n, n) arrays a link holds, in its attributes or their tuples."""
+    found = []
+    for value in vars(link).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray) and item.shape == (n, n):
+                found.append(item)
+    return found
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_one_ring_links_keep_their_first_row_not_their_image(n):
+    # a one-ring link holds its eigenvectors and its first row; the image
+    # every reader sees is formed from that row, bit for bit
+    spec = small_spec(n=n, correlation="one_ring", layout="three_cell_edge", l=3, placement="cell_edge")
+    sc = build_scenario(spec)
+    for j, per_bs in enumerate(sc.profiles):
+        for ell, cell in enumerate(per_bs):
+            for k, link in enumerate(cell):
+                [square] = _square_arrays(link, n)
+                assert square is link.eigvecs
+                window = _one_ring_window(sc.geometry.arrival_angle(j, ell, k))
+                row = one_ring_first_row(*window, n)
+                assert np.array_equal(link.r_image, link.scale * toeplitz_image(row))
+                assert np.abs(link.theta - one_ring_correlation(*window, n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("correlation", ["exponential", "identity"])
+def test_links_given_a_matrix_keep_its_image(correlation):
+    n = 9
+    theta = exponential_correlation(0.6 + 0.2j, n) if correlation == "exponential" else np.eye(n, dtype=complex)
+    link = build_profile(1.7, 0.4, theta, los_steering(0.3, n))
+    assert np.array_equal(link.theta_image, real_image(theta))
+    assert np.array_equal(link.r_image, link.scale * real_image(theta))
+    # a scenario's shared theta: every link reads the one image
+    sc = build_scenario(small_spec(n=n, correlation=correlation, layout="three_cell_edge", l=3))
+    links = [link for per_bs in sc.profiles for cell in per_bs for link in cell]
+    assert all(link.theta_image is links[0].theta_image for link in links)
 
 
 # ---------------------------------------------------------------------------
