@@ -6,16 +6,21 @@ resolvent rewrite of the combiner: with A the combiner's regularizer and
 Z = (I + (rho_d/N) A)^{-1}, all SINR terms are functions of the K x K matrix
 Q = ((1/N) E[Hhat^H Z Hhat] + (1/rho_d) I)^{-1}.
 
-Everything is evaluated in the estimator's real basis (`estimation`): the
-estimate covariances R_tilde_i, the regularizer sums A and B and Z are real
-images, Hbar is read already rotated by Q^H from the BS's
-`estimation.BSStatistics`, and every trace and LoS form is invariant under
-the unitary Q, so no operand is mapped back to the antenna basis.
+Everything is evaluated in the estimator's real basis (`estimation`), where
+Hbar is read already rotated by Q^H from the BS's `estimation.BSStatistics`;
+every trace and LoS form is invariant under the unitary Q, so no operand is
+mapped back to the antenna basis.
 
 Two evaluation modes are supported.  The refined mode (default) keeps Z,
 which stays accurate at finite N even when the regularizer dominates the
-noise loading.  The plain mode replaces Z by I, the additional large-antenna
-simplification used in the published closed forms; both modes coincide as N
+noise loading.  It needs links whose covariances share one eigenbasis V
+(one correlation matrix for every link, as `exponential` and `identity`
+scenarios have; `BSStatistics.basis`): there A, B, Z and every R_tilde_i
+are diagonal, so the state is per-eigenvalue vectors, Hbar rotated into V
+and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N product or
+inverse.  Links without a common basis raise ValueError.  The plain mode replaces Z by I,
+the additional large-antenna simplification used in the published closed
+forms, and reads the real images R_tilde_i and B; both modes coincide as N
 grows.
 
 The statistical-combining equivalents need no Q: they read the K x K LoS
@@ -75,12 +80,6 @@ def _traces(stack: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1) @ weight.T.ravel()
 
 
-def _pair_traces(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """[a, b] -> tr(left_a @ right_b) for two (K, N, N) stacks, without
-    forming any N x N product."""
-    return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
-
-
 def _gram(h_bar: np.ndarray, r_tildes: np.ndarray, weight: np.ndarray) -> np.ndarray:
     n = h_bar.shape[0]
     g = h_bar.conj().T @ real_matmul(weight, h_bar)
@@ -89,18 +88,24 @@ def _gram(h_bar: np.ndarray, r_tildes: np.ndarray, weight: np.ndarray) -> np.nda
     return 0.5 * (g + g.conj().T)
 
 
-def _phi_trace(estimator: EstimatorState, ell: int, zp: np.ndarray) -> float:
-    """tr(Z R_l Phi R_i) on the same-pilot spectrum: sum_c f_c <(Z P_i)[:, c],
-    P_l[:, c]> for zp = Z P_i (P_i itself when Z = I), an N^2 sum."""
-    return float(np.sum(estimator.weighted(ell) * zp))
+def _diag_gram(h: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`_gram` of the diagonal weight diag(w) on the common basis, where
+    R_tilde_i is diag(r_i) and h the LoS columns: O(N K^2)."""
+    g = h.conj().T @ (w[:, None] * h) + np.diag(r @ w)
+    g = g / len(w)
+    return 0.5 * (g + g.conj().T)
+
+
+def _phi_trace(estimator: EstimatorState, ell: int) -> float:
+    """tr(R_l Phi R_i) on the same-pilot spectrum: sum_c f_c <P_i[:, c],
+    P_l[:, c]>, an N^2 sum."""
+    return float(np.sum(estimator.weighted(ell) * estimator.spectrum.proj[estimator.local_index]))
 
 
 def _second_order_moments(
-    h_bar: np.ndarray,
-    r_tildes: np.ndarray,
+    h: np.ndarray,
+    r: np.ndarray,
     z: np.ndarray,
-    zr: np.ndarray,
-    z2: np.ndarray,
     zxz: np.ndarray,
     q: np.ndarray,
     gram2: np.ndarray,
@@ -117,21 +122,27 @@ def _second_order_moments(
     Hbar.  Returns (E[Qtilde], Var([Qtilde]_ki), noise shift, error shift):
     the shifts are the second-order corrections of E[[Qtilde G_B Qtilde]_kk]
     for the noise gram (B = Z^2) and the error-term gram (B = Z A Z / N).
-    `zr` is the (K, N, N) stack Z R_tilde_i.
+    Everything is on the common basis: `r`, `z` and `zxz` are the diagonals
+    of R_tilde_i, Z and Z B Z, and `h` is Hbar rotated into the basis.  The
+    grams W_m = Hbar^H Z Rt_m Z Hbar are never formed: they enter through
+    tr(W_m X) = r_m . diag(Z Hbar X Hbar^H Z), the quadratic forms
+    x^H W_m x = r_m . |Z Hbar x|^2 and sums sum_m c_m W_m, each O(N K^2).
     """
-    k = len(r_tildes)
-    t_t = np.real(_pair_traces(zr, zr))
+    k = len(r)
+    zr = z * r
+    t_t = zr @ zr.T
     t_t = 0.5 * (t_t + t_t.T)
-    # Z is Hermitian, so Hbar^H Z is the K x N projection (Z Hbar)^H
-    zh = real_matmul(z, h_bar)
-    w_mats = zh.conj().T @ real_matmul(r_tildes, zh)  # (K, K, K): Hbar^H Z Rt_m Z Hbar
+    zh = z[:, None] * h
+
+    def traces(right: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """[m] -> tr((Z Hbar)^H Rt_m right x), for W_m at right = Z Hbar."""
+        return r @ np.sum((right @ x) * zh.conj(), axis=1)
+
     q_diag = np.real(np.diag(q))
     p_mat = np.abs(q) ** 2  # symmetric since q is Hermitian
     # E[Delta Q Delta] and the resolvent mean shift Q E[.] Q
-    w_sum = sum(q_diag[a] * w_mats[a] for a in range(k))
-    m_mat = w_sum + np.diag(
-        t_t @ q_diag + np.real(np.einsum("mab,ba->m", w_mats, q))
-    )
+    w_sum = zh.conj().T @ ((q_diag @ r)[:, None] * zh)  # sum_a q_aa W_a
+    m_mat = w_sum + np.diag(t_t @ q_diag + np.real(traces(zh, q)))
     q_mean = q + q @ m_mat @ q / n**2
     q_mean = 0.5 * (q_mean + q_mean.conj().T)
     # the exact identity Qtilde = Q - Qtilde Delta Q puts Qtilde (not Q) on
@@ -140,8 +151,8 @@ def _second_order_moments(
     qm = q_mean
     pm_mat = np.abs(qm) ** 2
     # w_left[k, m] = qm_k^H W_m qm_k
-    w_left = np.real(np.einsum("ik,mij,jk->km", qm.conj(), w_mats, qm))
-    w_right = np.real(np.einsum("ik,mij,jk->km", q.conj(), w_mats, q))
+    w_left = (r @ np.abs(zh @ qm) ** 2).T
+    w_right = (r @ np.abs(zh @ q) ** 2).T
     # Var([Qtilde]_ki) = E|[Qtilde Delta Q]_ki|^2 at leading order
     var_mat = (pm_mat @ t_t @ p_mat + w_left @ p_mat + (w_right @ pm_mat).T) / n**2
     var_mat = 0.5 * (var_mat + var_mat.T)
@@ -150,20 +161,21 @@ def _second_order_moments(
         """Second-order shift of E[[Qtilde G_B Qtilde]_kk] past qm G_B qm,
         for the random gram G_B = (1/N) Hhat^H B Hhat with mean g_bar."""
         # Qtilde fluctuations through the mean gram
-        u_vec = np.real(np.diag(q @ g_bar @ q))
-        s_vec = np.real(np.einsum("mcd,dc->m", w_mats, q @ g_bar @ q))  # tr(G Q W_m Q)
+        qgq = q @ g_bar @ q
+        u_vec = np.real(np.diag(qgq))
+        s_vec = np.real(traces(zh, qgq))  # tr(G Q W_m Q)
         b_vec = (pm_mat @ (t_t @ u_vec) + w_left @ u_vec + pm_mat @ s_vec) / n**2
         # anticorrelation between Qtilde and the fluctuation of G_B itself:
         # t1b[a, i] = tr(Z Rt_a B Rt_i), w1b[a] = Hbar^H Z Rt_a B Hbar
-        t1b = np.real(_pair_traces(zr, b_weight @ r_tildes))
-        w1b_mats = zh.conj().T @ real_matmul(r_tildes, real_matmul(b_weight, h_bar))
-        m1b = sum(q_diag[a] * w1b_mats[a] for a in range(k)) + np.diag(
-            t1b.T @ q_diag + np.conj(np.einsum("mab,ba->m", w1b_mats, q))
+        t1b = zr @ (b_weight * r).T
+        bh = b_weight[:, None] * h
+        m1b = zh.conj().T @ ((q_diag @ r)[:, None] * bh) + np.diag(
+            t1b.T @ q_diag + np.conj(traces(bh, q))
         )
         d_vec = -2.0 * np.real(np.einsum("ik,ij,jk->k", qm.conj(), m1b, qm)) / n**2
         return b_vec + d_vec
 
-    noise_corr = quad_shift(z2, gram2)
+    noise_corr = quad_shift(z * z, gram2)
     err_corr = quad_shift(zxz, t_bar / n)
 
     contam_second = None
@@ -178,20 +190,19 @@ def _second_order_moments(
         # v_i = (hbar_i - Hbar y_i / N) / N, which performs the near-complete
         # cancellation between the direct and resolvent pieces analytically
         # before any second moment is taken.
-        s0 = h_bar.conj().T @ zh
+        s0 = h.conj().T @ zh
         y_mat = q @ s0
         mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
-        v_mat = (h_bar - h_bar @ (y_mat / n)) / n
-        zv = real_matmul(z, v_mat)
+        zv = z[:, None] * (h - h @ (y_mat / n)) / n
         # vrv[m, i] = zv_i^H Rt_m zv_i, vrhq[m, i] = zv_i^H Rt_m (Z Hbar Q)_i
-        vrv = np.real(np.sum(zv.conj() * real_matmul(r_tildes, zv), axis=1))
-        qwq = np.real(np.einsum("kb,mbc,ck->mk", q, w_mats, q))
+        # as q is Hermitian, (q W_m q)_kk is w_right[k, m]
+        vrv = r @ np.abs(zv) ** 2
         ab = np.abs(y_mat) ** 2
-        var_psi = p_mat @ vrv + (qwq.T @ ab + p_mat @ (t_t @ ab)) / n**4
-        vrhq = np.sum(zv.conj() * real_matmul(r_tildes, zh @ q), axis=1)
+        var_psi = p_mat @ vrv + (w_right @ ab + p_mat @ (t_t @ ab)) / n**4
+        vrhq = r @ (zv.conj() * (zh @ q))
         qyc = q * y_mat.conj()
         cov_qpsi = -(p_mat @ vrhq) / n**2 + (
-            qwq.T @ qyc + p_mat @ (t_t @ qyc)
+            w_right @ qyc + p_mat @ (t_t @ qyc)
         ) / n**3
         mean_t = np.eye(k) - qm / rho_d - mu_psi
         contam_second = (
@@ -203,59 +214,65 @@ def _second_order_moments(
     return q_mean, var_mat, noise_corr, err_corr, contam_second
 
 
-def _contamination_split(
-    h_bar: np.ndarray,
-    estimators: list[EstimatorState],
-    r_tildes: np.ndarray,
-    z: np.ndarray,
-    zr: np.ndarray,
-    q: np.ndarray,
-    cross_traces: np.ndarray,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split each contaminating conditional mean along the local estimate.
+def _refined_state(
+    bs: BSStatistics, estimators: list[EstimatorState], rho_d: float
+) -> AsymptoticState:
+    """The refined state on the links' common eigenbasis V (`bs.basis`).
 
-    The conditional mean m_{mi} of the contaminating link is jointly Gaussian
-    with the local estimate fluctuation e_i, so m = alpha e_i + r with
-    E[r e_i^H] choosing alpha = tr(Z C_i R_i) / tr(Z Rtilde_i), which makes
-    the resolvent-projected remainder mean-free.  On the same-pilot spectrum,
-    with D = P_x - alpha P_i, the remainder has covariance D diag(f) D^T and
-    cross covariance D diag(f) P_i^T with e_i.  When the cross covariance is
-    proportional to the local one (matched correlation families) D vanishes;
-    otherwise the remainder's power and its correlation with the exact part
-    are kept at quadratic order.
+    There A, B, Z, every R_tilde_i and every R_l Phi R_i are diagonal: with
+    lam_l a link's eigenvalues, mu their same-pilot sum and f the shrinkage,
+    R_tilde_i is lam_i^2 f_i, the error (or conditional) covariance of link
+    l is lam_l f (mu - lam_l + s), Z is 1/(1 + rho_d a/N) and each cross
+    trace is sum_c z_c lam_l lam_i f_i.  No N x N matrix is formed.
     """
-    k = len(r_tildes)
-    local = estimators[0].local_index
-    others = estimators[0].others
-    alphas = np.zeros((len(others), k))
-    extra = np.zeros((len(others), k, k))
-    tr_zrt = _traces(r_tildes, z)
-    zh = real_matmul(z, h_bar)
-    for m, ell in enumerate(others):
-        for i, e in enumerate(estimators):
-            if tr_zrt[i] <= 1e-12 * n:
-                alpha = 0.0
-            else:
-                alpha = n * cross_traces[m, i] / tr_zrt[i]
-            alphas[m, i] = alpha
-            p_x, p_i = e.spectrum.proj[ell], e.spectrum.proj[local]
-            d = p_x - alpha * p_i
-            if np.abs(d).max() <= 1e-10 * np.abs(p_x).max():
-                continue
-            d_f = d * e.shrink
-            resid = d_f @ d.T
-            x_ct = p_i @ d_f.T  # the transpose of D diag(f) P_i^T
-            # quadratic remainder and its correlation with the exact part,
-            # both at leading (deterministic-resolvent) order: the grams of
-            # Z M Z for M = resid and x_c^T, with tr(Rt_j Z M Z) read as
-            # tr((Z Rt_j)(Z M))
-            g_res = zh.conj().T @ real_matmul(resid, zh) + np.diag(_traces(zr, z @ resid))
-            g_xc = zh.conj().T @ real_matmul(x_ct, zh) + np.diag(_traces(zr, z @ x_ct))
-            quad_res = np.real(np.einsum("ka,ab,kb->k", q, g_res, q.conj()))
-            quad_xc = np.real(np.einsum("ka,ab,kb->k", q, g_xc, q.conj()))
-            extra[m, :, i] = (quad_res + 2.0 * alpha * quad_xc) / n**2
-    return alphas, extra
+    if bs.basis is None:
+        raise ValueError(
+            "the refined deterministic equivalent needs links on one common "
+            "eigenbasis (one correlation matrix shared by every link)"
+        )
+    h = bs.h_rot
+    n, k = h.shape
+    local, others = estimators[0].local_index, estimators[0].others
+    # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, f[i] the shrinkage
+    lam = np.array([[p.r_eigvals for p in e.spectrum.links] for e in estimators]).swapaxes(0, 1)
+    mu = np.stack([e.spectrum.eigvals for e in estimators])
+    f = np.stack([e.shrink for e in estimators])
+    r = lam[local] ** 2 * f
+    # R_l - R_l Phi R_l, written without cancellation
+    cond = lam * f * (mu - lam + 1.0 / estimators[0].tau_rho)
+    z = 1.0 / (1.0 + (rho_d / n) * (cond[local].sum(0) + lam[others].sum((0, 1))))
+    zxz = z * z * cond.sum((0, 1))
+    q = np.linalg.inv(_diag_gram(h, r, z) + np.eye(k) / rho_d)
+    q = 0.5 * (q + q.conj().T)
+    gram2 = _diag_gram(h, r, z * z)
+    t_mat = n * _diag_gram(h, r, zxz)
+    # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
+    cross = (z * lam[others] * lam[local] * f).sum(-1) / n
+    *moments, second = _second_order_moments(
+        h, r, z, zxz, q, gram2, t_mat, n, rho_d if others else None
+    )
+    contam = {}
+    if others:
+        # Split each contaminating conditional mean along the local estimate:
+        # it is jointly Gaussian with the local estimate fluctuation e_i, so
+        # m = alpha e_i + remainder, with alpha = tr(Z C_i R_i) / tr(Z Rtilde_i)
+        # making the resolvent-projected remainder mean-free.  With
+        # d = lam_x - alpha lam_i the remainder has covariance diag(d^2 f) and
+        # cross covariance diag(lam_i f d) with e_i.  Proportional spectra
+        # (one shared correlation matrix) make d vanish; otherwise the
+        # remainder's power and twice alpha times its correlation with the
+        # exact part are kept at quadratic order, as one diagonal weight.
+        tr_zrt = r @ z
+        live = tr_zrt > 1e-12 * n
+        alpha = np.where(live, n * cross / np.where(live, tr_zrt, 1.0), 0.0)
+        d = lam[others] - alpha[..., None] * lam[local]
+        extra = np.zeros((len(others), k, k))
+        for m, i in np.argwhere(np.abs(d).max(-1) > 1e-10 * lam[others].max(-1)):
+            dm = d[m, i]
+            g = _diag_gram(h, r, z * z * f[i] * dm * (dm + 2.0 * alpha[m, i] * lam[local, i]))
+            extra[m, :, i] = np.real(np.einsum("ka,ab,kb->k", q, g, q.conj())) / n
+        contam = dict(contam_second=second, contam_alpha=alpha, contam_extra=extra)
+    return AsymptoticState(q, rho_d, gram2, t_mat, cross, *moments, **contam)
 
 
 def _build_state(
@@ -266,68 +283,28 @@ def _build_state(
 ) -> AsymptoticState:
     """The state of one BS from its `BSStatistics` and its K estimators.
 
-    The regularizer A and the quadratic-term matrix B are the real images of
-    `regularizer_sums` (B = A in a single cell); the estimators' other
-    same-pilot links are the contaminating ones.
+    The plain state (Z = I) reads the real images R_tilde_i and the
+    quadratic-term matrix B of `regularizer_sums` (B = A in a single cell);
+    the estimators' other same-pilot links are the contaminating ones.
     """
+    if refined:
+        return _refined_state(bs, estimators, rho_d)
     h_bar = bs.h_bar
     n, k = h_bar.shape
     r_tildes = np.stack([e.r_tilde for e in estimators])
-    a_matrix, quad_matrix = regularizer_sums(estimators, bs)
-    local = estimators[0].local_index
+    b_mat = regularizer_sums(estimators, bs)[1]
     others = estimators[0].others
-    if refined:
-        z = np.linalg.inv(np.eye(n) + (rho_d / n) * a_matrix)
-        z = 0.5 * (z + z.T)
-        z2 = z @ z
-        zxz = z @ quad_matrix @ z
-    else:
-        # Z = I: every product with it is skipped
-        z = z2 = np.eye(n)
-        zxz = quad_matrix
-    gram1 = _gram(h_bar, r_tildes, z)
-    gram2 = _gram(h_bar, r_tildes, z2)
-    q = np.linalg.inv(gram1 + np.eye(k) / rho_d)
+    gram = _gram(h_bar, r_tildes, np.eye(n))
+    q = np.linalg.inv(gram + np.eye(k) / rho_d)
     q = 0.5 * (q + q.conj().T)
-    t_mat = h_bar.conj().T @ real_matmul(zxz, h_bar) + np.diag(_traces(r_tildes, zxz))
-    # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
+    t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(_traces(r_tildes, b_mat))
+    # cross[m, i] = (1/N) tr(R_{l_m} Phi_i R_i); a single cell has no l_m
     cross = np.zeros((len(others), k))
     for i, e in enumerate(estimators if others else ()):
-        p_i = e.spectrum.proj[local]
-        zp = z @ p_i if refined else p_i
         for m, ell in enumerate(others):
-            cross[m, i] = _phi_trace(e, ell, zp) / n
-    contam_second = np.zeros((0, 0))
-    contam_alpha = np.zeros((0, 0))
-    contam_extra = np.zeros((0, 0, 0))
-    if refined:
-        zr = z @ r_tildes
-        q_mean, var_mat, noise_corr, err_corr, second = _second_order_moments(
-            h_bar, r_tildes, z, zr, z2, zxz, q, gram2, t_mat, n,
-            rho_d=rho_d if others else None,
-        )
-        if others:
-            contam_second = second
-            contam_alpha, contam_extra = _contamination_split(
-                h_bar, estimators, r_tildes, z, zr, q, cross, n
-            )
-    else:
-        q_mean, var_mat = q, np.zeros((k, k))
-        noise_corr, err_corr = np.zeros(k), np.zeros(k)
-    return AsymptoticState(
-        q_matrix=q,
-        rho_d=rho_d,
-        gram2=gram2,
-        t_matrix=t_mat,
-        cross_traces=cross,
-        q_mean=q_mean,
-        var_mat=var_mat,
-        noise_corr=noise_corr,
-        err_corr=err_corr,
-        contam_alpha=contam_alpha,
-        contam_second=contam_second,
-        contam_extra=contam_extra,
-    )
+            cross[m, i] = _phi_trace(e, ell) / n
+    zeros = np.zeros(k)
+    return AsymptoticState(q, rho_d, gram, t_mat, cross, q, np.zeros((k, k)), zeros, zeros)
 
 
 def build_q_singlecell(
@@ -419,9 +396,7 @@ def se_conv_favorable(
     n = config.n_antennas
     rho = config.snr_data
     # tr(R_tilde_i) = sum_c f_c |P_i[:, c]|^2
-    traces = np.array(
-        [_phi_trace(e, e.local_index, e.spectrum.proj[e.local_index]) for e in estimators]
-    )
+    traces = np.array([_phi_trace(e, e.local_index) for e in estimators])
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
     return config.prelog * np.log1p(rho / n * (traces + norms)) * config.log_scale
 
@@ -515,6 +490,5 @@ def pilot_contamination_term(
     """f(kappa) = (1/N) tr(sum_{l != j} R_{jlk} Phi_{jk} R_{jjk}); nonnegative,
     nonincreasing in the local Rician factor."""
     state = build_estimator_multicell(profiles_same_pilot, local_index, tau, rho_tr)
-    p_local = state.spectrum.proj[local_index]
-    total = sum(_phi_trace(state, ell, p_local) for ell in state.others)
+    total = sum(_phi_trace(state, ell) for ell in state.others)
     return float(total / state.n_antennas)

@@ -11,15 +11,18 @@ With the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
 (P_l, f): the gain of link l has the image P_l diag(f) V^T and the
 estimate covariance the image P_i diag(f) P_i^T.  No N x N inverse, no
 complex N x N product and no dense antenna-basis estimator matrix is
-formed.  A single link reuses its profile's eigenpair (S = R,
-P = V diag(lam)), so the single- and multi-cell estimators are one path.
+formed.  A group whose links hold one eigenvector array V (a single link,
+or links of one shared correlation matrix) takes no `eigh`: it reuses V,
+with mu = sum_l lam_l of the links' clamped eigenvalues and
+P_l = V diag(lam_l), so the single- and multi-cell estimators are one path.
 
 `BSStatistics` is the one holder of what a BS's receivers read from its
 links: the served LoS columns in the real basis, the images of the local
 and inter-cell covariance sums, and (on first read) the K same-pilot
-spectra and their stacks.  The call that evaluates a whole SNR grid (the
-Monte Carlo kernel, one BS's deterministic equivalents, the statistical
-SE) builds one per BS and drops it when it returns; the Monte Carlo,
+spectra and their stacks, and the links' common eigenbasis, if any.  The
+call that evaluates a whole SNR grid (the Monte Carlo kernel, one BS's
+deterministic equivalents, the statistical SE) builds one per BS and
+drops it when it returns; the Monte Carlo,
 `regularizer_sums`, the deterministic equivalents and the statistical
 receiver all read it.
 """
@@ -31,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import UserLinkProfile, real_basis
+from .channel import UserLinkProfile, real_basis, real_matmul
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,14 @@ def same_pilot_spectrum(
     """Spectrum of the same-pilot links `profiles`.
 
     `out` = (V, P) are the (N, N) and (L, N, N) arrays to write V and the
-    stack P into (views of a `BSStatistics`' stacks); without it a single
-    link keeps its profile's own eigenvectors and P gets a fresh array.
+    stack P into (views of a `BSStatistics`' stacks); without it a group on
+    one basis keeps its profiles' own eigenvectors and P gets a fresh array.
     """
-    if len(profiles) == 1:
-        mu, v = profiles[0].r_eigvals, profiles[0].eigvecs
+    v = profiles[0].eigvecs
+    shared = all(p.eigvecs is v for p in profiles)
+    if shared:
+        lams = [p.r_eigvals for p in profiles]
+        mu = sum(lams[1:], lams[0])
     else:
         images = [p.r_image for p in profiles]
         mu, v = np.linalg.eigh(sum(images))
@@ -76,11 +82,11 @@ def same_pilot_spectrum(
     else:
         vecs, proj = out
         vecs[...] = v
-    if len(profiles) == 1:
-        np.multiply(v, mu, out=proj[0])
-    else:
-        for image, p in zip(images, proj):
-            np.matmul(image, v, out=p)
+    for ell, p in enumerate(proj):
+        if shared:
+            np.multiply(v, lams[ell], out=p)
+        else:
+            np.matmul(images[ell], v, out=p)
     return PilotSpectrum(tuple(profiles), mu, vecs, proj)
 
 
@@ -96,8 +102,10 @@ class BSStatistics:
     projections are held once, in two BS-level stacks: `vecs[:, k]` is V_k
     and `proj[l, :, k]` is P_lk, so `vecs` reshapes in place to the
     (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and
-    every spectrum's `eigvecs` and `proj` are views of them.  A call that
-    evaluates an SNR grid builds one per BS and drops it on return.
+    every spectrum's `eigvecs` and `proj` are views of them.  `basis` is
+    the eigenvector array every link holds, or None, and `h_rot` the LoS
+    columns in it, V^T h_bar.  A call that evaluates an SNR grid builds one
+    per BS and drops it on return.
     """
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
@@ -121,6 +129,15 @@ class BSStatistics:
             for k in range(users)
         ]
         return spectra, vecs, proj
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        v = self.links[0][0].eigvecs
+        return v if all(p.eigvecs is v for cell in self.links for p in cell) else None
+
+    @cached_property
+    def h_rot(self) -> np.ndarray:
+        return real_matmul(self.basis.T, self.h_bar)
 
     @property
     def spectra(self) -> list[PilotSpectrum]:

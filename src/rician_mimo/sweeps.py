@@ -49,10 +49,11 @@ def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> l
     """Deterministic-equivalent conventional SE of BS `bs`, one array per
     config.  The BS's `BSStatistics` (its K same-pilot spectra included) is
     built once and serves every config."""
-    # the second-order fluctuation corrections assume covariances whose
-    # spectra stay O(1); the one-ring family concentrates its mass on a
-    # narrow angular subspace and the corrections can overshoot into
-    # negative SINRs there, so those scenarios use the plain equivalents
+    # the refined equivalent runs on the eigenbasis that every link of an
+    # exponential/identity scenario shares, where it is diagonal: O(N K^2 +
+    # K^3) per point.  One-ring links have no common basis (and the refined
+    # corrections overshot into negative SINRs there), so they use the plain
+    # equivalents
     refined = scenario.spec.correlation != "one_ring"
     stats = BSStatistics(scenario.profiles[bs], bs)
     out = []

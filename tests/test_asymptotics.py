@@ -23,6 +23,7 @@ from rician_mimo.channel import (
     exponential_correlation,
     los_steering,
     one_ring_correlation,
+    theta_spectrum,
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
@@ -42,11 +43,19 @@ def make_config(n, k, l=1, t=200, tau=None, snr=2.0):
     )
 
 
-def dft_profiles(n, k, beta=1.0, kappa=2.0):
+def shared_profiles(theta, steering, betas, kappas):
+    """Local links of one correlation matrix, sharing its eigenpair as a
+    scenario's links do (the refined DE's common basis)."""
+    eig = theta_spectrum(theta)
     return [
-        build_profile(beta, kappa, np.eye(n, dtype=complex), dft_steering(i, n))
-        for i in range(k)
+        build_profile(beta, kappa, theta, los, theta_eig=eig)
+        for los, beta, kappa in zip(steering, betas, kappas)
     ]
+
+
+def dft_profiles(n, k, beta=1.0, kappa=2.0):
+    steering = [dft_steering(i, n) for i in range(k)]
+    return shared_profiles(np.eye(n, dtype=complex), steering, [beta] * k, [kappa] * k)
 
 
 def estimators_for(profiles, tau, rho_tr):
@@ -128,15 +137,10 @@ def test_refined_and_plain_converge_with_n():
     rng = np.random.default_rng(0)
 
     def gap(n):
-        profiles = [
-            build_profile(
-                rng.uniform(0.5, 1.5),
-                rng.uniform(0.5, 2.0),
-                exponential_correlation(0.4, n),
-                los_steering(rng.uniform(-1, 1), n),
-            )
-            for _ in range(k)
-        ]
+        draws = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0), rng.uniform(-1, 1)) for _ in range(k)]
+        betas, kappas, angles = zip(*draws)
+        steering = [los_steering(angle, n) for angle in angles]
+        profiles = shared_profiles(exponential_correlation(0.4, n), steering, betas, kappas)
         ests = estimators_for(profiles, k, rho)
         cfg = make_config(n, k, snr=rho)
         plain = se_conv_singlecell_de(
@@ -293,7 +297,26 @@ def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
     return fields
 
 
-@pytest.mark.parametrize("correlation", ["one_ring", "exponential"])
+def _assert_state_matches_oracle(state, oracle):
+    for name, expected in oracle.items():
+        got = getattr(state, name)
+        assert got.shape == expected.shape, name
+        scale = max(np.linalg.norm(expected), 1e-300)
+        assert np.linalg.norm(got - expected) <= 1e-10 * scale, name
+
+
+def _state_at(links, bs, rho, refined=True):
+    """The state of BS `bs` from its links[cell][user], at tau = K."""
+    cells, k = len(links), len(links[bs])
+    ests = [
+        build_estimator_multicell([links[ell][i] for ell in range(cells)], bs, k, rho)
+        for i in range(k)
+    ]
+    build = build_q_singlecell if cells == 1 else build_q_multicell
+    return build(stats_for(ests), ests, rho, refined=refined)
+
+
+@pytest.mark.parametrize("correlation", ["exponential"])
 @pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
 def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
     cells = 1 if layout == "single_cell" else 3
@@ -304,24 +327,48 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
     scenario = build_scenario(spec)
     rho = 10.0
     for bs in range(cells):
-        ests = [
-            build_estimator_multicell([scenario.profiles[bs][ell][i] for ell in range(cells)], bs, 3, rho)
-            for i in range(3)
-        ]
-        if cells == 1:
-            state = build_q_singlecell(stats_for(ests), ests, rho, refined=True)
-        else:
-            state = build_q_multicell(stats_for(ests), ests, rho, refined=True)
+        state = _state_at(scenario.profiles[bs], bs, rho)
         dense = _dense_estimators(scenario.profiles[bs], bs, 3 * rho)
-        oracle = _oracle_state(scenario.profiles[bs], dense, bs, rho)
-        if cells > 1 and correlation == "one_ring":
-            # mismatched cross covariances: the quadratic remainder is live
-            assert np.abs(oracle["contam_extra"]).max() > 0
-        for name, expected in oracle.items():
-            got = getattr(state, name)
-            assert got.shape == expected.shape, name
-            scale = max(np.linalg.norm(expected), 1e-300)
-            assert np.linalg.norm(got - expected) <= 1e-10 * scale, name
+        _assert_state_matches_oracle(state, _oracle_state(scenario.profiles[bs], dense, bs, rho))
+
+
+def test_refined_contamination_remainder_on_one_basis():
+    # links that share one eigenvector array but whose spectra are not
+    # proportional: the contaminating conditional mean is not a multiple of
+    # the local estimate, and the quadratic remainder is live
+    n, k, cells, rho = 12, 3, 3, 10.0
+    _, v, _ = theta_spectrum(exponential_correlation(0.6, n))
+    base = np.linspace(0.1, 2.0, n)
+    spectra = [base, base[::-1], np.sqrt(base)]
+    # links[cell][user] at BS 0
+    links = [
+        [
+            build_profile(
+                1.0 / (1 + ell), 1.5 if ell == 0 else 0.0, None, los_steering(0.4 * i - 0.3 * ell, n),
+                is_local=(ell == 0), theta_eig=(lam, v, (v * lam) @ v.T),
+            )
+            for i in range(k)
+        ]
+        for ell, lam in enumerate(spectra)
+    ]
+    state = _state_at(links, 0, rho)
+    oracle = _oracle_state(links, _dense_estimators(links, 0, k * rho), 0, rho)
+    assert np.abs(oracle["contam_extra"]).max() > 0
+    _assert_state_matches_oracle(state, oracle)
+
+
+def test_refined_mode_needs_a_common_basis():
+    # one-ring links each hold their own eigenvectors: the refined state
+    # has no diagonal form and is refused; the plain state is not
+    for cells, layout in ((1, "single_cell"), (3, "three_cell_edge")):
+        spec = ScenarioSpec(
+            layout=layout, l=cells, n=8, k=2, t=50, correlation="one_ring",
+            placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
+        )
+        links = build_scenario(spec).profiles[0]
+        with pytest.raises(ValueError, match="common"):
+            _state_at(links, 0, 10.0)
+        assert np.all(np.isfinite(_state_at(links, 0, 10.0, refined=False).q_matrix))
 
 
 @pytest.mark.parametrize("correlation", ["one_ring", "exponential"])
@@ -478,15 +525,11 @@ def test_contamination_nonincreasing_in_kappa(kappa_lo, delta, beta_inter):
 def test_de_outputs_finite_and_nonnegative(rho, kappa, seed):
     n, k = 12, 3
     rng = np.random.default_rng(seed)
-    profiles = [
-        build_profile(
-            rng.uniform(0.3, 2.0),
-            kappa,
-            exponential_correlation(0.3, n),
-            los_steering(rng.uniform(-1, 1), n),
-        )
-        for _ in range(k)
-    ]
+    draws = [(rng.uniform(0.3, 2.0), rng.uniform(-1, 1)) for _ in range(k)]
+    steering = [los_steering(angle, n) for _, angle in draws]
+    profiles = shared_profiles(
+        exponential_correlation(0.3, n), steering, [beta for beta, _ in draws], [kappa] * k
+    )
     ests = estimators_for(profiles, k, rho)
     cfg = make_config(n, k, snr=rho)
     state = build_q_singlecell(stats_for(ests), ests, rho)

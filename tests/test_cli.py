@@ -476,6 +476,8 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     assert calls == {"eigh": 1, "eigvalsh": 0}
     # every decomposition runs on a real image, none on a complex matrix
     assert dtypes == {np.dtype(np.float64)}
+    # the refined DE is diagonal on theta's eigenbasis: no N x N inverse
+    assert inverses and (16, 16) not in inverses
 
     calls.update(eigh=0, eigvalsh=0)
     inverses.clear()
@@ -490,6 +492,22 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     assert sum(shape == (16, 16) for shape in inverses) == 2
     # a single cell reads its SINR off the K x K gram: no combiner is formed
     assert combiner_calls == []
+
+    # three cells: every same-pilot group holds theta's eigenvectors, so its
+    # spectrum takes no eigh of the sum, for the Monte Carlo and the DE alike
+    three_cell = tmp_path / "three.cfg"
+    three_cell.write_text(
+        SCENARIO_TEXT.replace("n = 16", "n = 8")
+        + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    )
+    for argv in (["simulate", "--trials", "2"], ["asymptotic"]):
+        calls.update(eigh=0, eigvalsh=0)
+        inverses.clear()
+        code, out, _ = run_cli(capsys, *argv, "--scenario", str(three_cell))
+        assert code == 0 and parse_csv(out)
+        assert calls == {"eigh": 1, "eigvalsh": 0}, argv
+    # nor does the three-cell DE invert an N x N matrix
+    assert inverses and (8, 8) not in inverses
 
 
 def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from rician_mimo.channel import (
     real_basis,
     real_image,
     standard_complex_normal,
+    theta_spectrum,
 )
 from rician_mimo.estimation import (
     BSStatistics,
@@ -163,42 +164,67 @@ def _three_cell_links(n, user):
     ]
 
 
+def _shared_theta_links(n):
+    # same-pilot links of one exponential theta that hold its one eigenpair,
+    # as a scenario's links do: the group takes no eigh of its sum
+    theta = exponential_correlation(0.7, n)
+    eig = theta_spectrum(theta)
+    powers = [(40.0, 1.5), (0.8, 0.0), (0.5, 0.0)]  # (beta, kappa)
+    return [
+        build_profile(beta, kappa, theta, los_steering(0.3, n), is_local=(ell == 0), theta_eig=eig)
+        for ell, (beta, kappa) in enumerate(powers)
+    ]
+
+
 @pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
-def test_spectral_multicell_matches_inverse(tau_rho):
+def test_spectral_multicell_matches_inverse(tau_rho, monkeypatch):
     n = 24
-    links = _three_cell_links(n, 0)
-    ev = np.linalg.eigvalsh(links[0].theta)
+    ring = _three_cell_links(n, 0)
+    ev = np.linalg.eigvalsh(ring[0].theta)
     assert np.sum(ev < 1e-12 * ev[-1]) >= n // 2
-    s = 1.0 / tau_rho
-    obs = sum(p.r_cov for p in links) + s * np.eye(n)
-    # condition of the inverse-based reference, as in the single-cell test
-    lam = np.linalg.eigvalsh(obs - s * np.eye(n))
-    cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
-    for local in range(3):
-        state = build_estimator_multicell(links, local, 1, tau_rho)
-        oracle = dense_lmmse(links, local, tau_rho)
-        gains, conds = _link_images(state)
-        r = links[local].r_cov
-        # the spectral gain solves G (S + sI) = R to rounding, with no
-        # inverse: within the backward-error scale n*eps*|G||S + sI| for
-        # every link, and within 1e-12 |R| for the dominant served link (the
-        # inverse misses both by orders of magnitude at tau*rho = 1e6)
-        residual = np.linalg.norm(gains[local] @ real_image(obs) - links[local].r_image)
-        eps = np.finfo(float).eps
-        assert residual <= n * eps * np.linalg.norm(gains[local]) * np.linalg.norm(obs, 2)
-        if local == 0:
-            assert residual <= 1e-12 * np.linalg.norm(r)
-        checks = [
-            ("gain", gains[local], oracle.gain),
-            ("r_tilde", state.r_tilde, oracle.r_tilde),
-            ("err_cov", conds[local], oracle.err_cov),
-        ]
-        for ell in state.others:
-            checks.append((f"gain[{ell}]", gains[ell], oracle.gains[ell]))
-            checks.append((f"cond[{ell}]", conds[ell], oracle.conds[ell]))
-        for name, image, ref in checks:
-            scale = np.linalg.norm(ref) + np.linalg.norm(r)
-            assert np.linalg.norm(antenna_image(image) - ref) <= 1e-12 * cond * scale, name
+    eighs = []
+    original_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return original_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # the one-ring group takes one eigh of its sum; the shared-theta group
+    # reuses theta's eigenvectors
+    for links, sum_eighs in ((ring, [(n, n)]), (_shared_theta_links(n), [])):
+        s = 1.0 / tau_rho
+        obs = sum(p.r_cov for p in links) + s * np.eye(n)
+        # condition of the inverse-based reference, as in the single-cell test
+        lam = np.linalg.eigvalsh(obs - s * np.eye(n))
+        cond = max(1.0, lam[-1] * s / (max(lam[0], 0.0) + s) ** 2)
+        for local in range(3):
+            eighs.clear()
+            state = build_estimator_multicell(links, local, 1, tau_rho)
+            assert eighs == sum_eighs
+            oracle = dense_lmmse(links, local, tau_rho)
+            gains, conds = _link_images(state)
+            r = links[local].r_cov
+            # the spectral gain solves G (S + sI) = R to rounding, with no
+            # inverse: within the backward-error scale n*eps*|G||S + sI| for
+            # every link, and within 1e-12 |R| for the dominant served link (the
+            # inverse misses both by orders of magnitude at tau*rho = 1e6)
+            residual = np.linalg.norm(gains[local] @ real_image(obs) - links[local].r_image)
+            eps = np.finfo(float).eps
+            assert residual <= n * eps * np.linalg.norm(gains[local]) * np.linalg.norm(obs, 2)
+            if local == 0:
+                assert residual <= 1e-12 * np.linalg.norm(r)
+            checks = [
+                ("gain", gains[local], oracle.gain),
+                ("r_tilde", state.r_tilde, oracle.r_tilde),
+                ("err_cov", conds[local], oracle.err_cov),
+            ]
+            for ell in state.others:
+                checks.append((f"gain[{ell}]", gains[ell], oracle.gains[ell]))
+                checks.append((f"cond[{ell}]", conds[ell], oracle.conds[ell]))
+            for name, image, ref in checks:
+                scale = np.linalg.norm(ref) + np.linalg.norm(r)
+                assert np.linalg.norm(antenna_image(image) - ref) <= 1e-12 * cond * scale, name
 
 
 @pytest.mark.parametrize("tau_rho", [1e-3, 1.0, 1e6])
@@ -242,6 +268,8 @@ def test_bs_stacks_hold_every_spectrum_once(cells):
         alone = same_pilot_spectrum(group)
         assert np.array_equal(sp.eigvecs, alone.eigvecs) and np.array_equal(sp.proj, alone.proj)
     assert not any(hasattr(bs, name) for name in ("proj_t", "vecs_t", "rest_t"))
+    # one-ring links each hold their own eigenvectors: no common basis
+    assert bs.basis is None
 
 
 def test_same_pilot_spectrum_is_shared_across_keys():
