@@ -471,7 +471,8 @@ def se_stat_singlecell_de(
 
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:
-    """Multi-cell statistical equivalent; depends on local statistics only.
+    """Large-N statistical corollary, from local statistics only; the rows
+    report the exact `se_stat_multicell`.
 
     The LoS-only resolvent: C = (N/rho_d) I, so X = (rho_d/N) Hbar and
     P = (rho_d/N) Hbar^H Hbar, with no N x N work.

@@ -4,9 +4,8 @@ A link (BS, cell, user) is described by a `UserLinkProfile` holding the
 large-scale gain, Rician factor, spatial correlation and LoS direction.
 Realizations are h = h_bar + R^{1/2} z with z standard complex Gaussian
 (`standard_complex_normal`); the Monte Carlo draws them in the real basis.
-A profile holds its own statistics only: what is built from a group of
-links (a BS's `estimation.BSStatistics`) belongs to the call that evaluates
-an SNR grid, and goes when that call returns.
+A profile holds its own statistics only; what is built from a group of
+links belongs to the BS's `estimation.BSStatistics`.
 
 Every correlation family here is Hermitian Toeplitz, hence centro-Hermitian
 (J Theta J = conj(Theta) with J the flip), and sums, products and inverses

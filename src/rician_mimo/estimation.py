@@ -19,12 +19,10 @@ P_l = V diag(lam_l), so the single- and multi-cell estimators are one path.
 `BSStatistics` is the one holder of what a BS's receivers read from its
 links: the served LoS columns in the real basis, the images of the local
 and inter-cell covariance sums, and (on first read) the K same-pilot
-spectra and their stacks, and the links' common eigenbasis, if any.  The
-call that evaluates a whole SNR grid (the Monte Carlo kernel, one BS's
-deterministic equivalents, the statistical SE) builds one per BS and
-drops it when it returns; the Monte Carlo,
-`regularizer_sums`, the deterministic equivalents and the statistical
-receiver all read it.
+spectra and their stacks, and the links' common eigenbasis, if any.  A
+scenario builds one per BS (`scenarios.build_scenario`), and the Monte
+Carlo, `regularizer_sums`, the deterministic equivalents and the
+statistical receiver all read it.
 """
 
 from __future__ import annotations
@@ -104,8 +102,8 @@ class BSStatistics:
     (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and
     every spectrum's `eigvecs` and `proj` are views of them.  `basis` is
     the eigenvector array every link holds, or None, and `h_rot` the LoS
-    columns in it, V^T h_bar.  A call that evaluates an SNR grid builds one
-    per BS and drops it on return.
+    columns in it, V^T h_bar.  It indexes like its links, so it stands in
+    for them: `stats[cell][user]` is `links[cell][user]`.
     """
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
@@ -118,6 +116,12 @@ class BSStatistics:
         # user-major, like the same-pilot groups
         others = (cell[k] for k in range(len(served)) for ell, cell in enumerate(links) if ell != j)
         self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def __getitem__(self, cell: int) -> list[UserLinkProfile]:
+        return self.links[cell]
 
     @cached_property
     def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray]:

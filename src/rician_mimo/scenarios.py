@@ -3,7 +3,9 @@
 A `ScenarioSpec` is a flat, typed key-value description of one experiment
 (see README for the file grammar).  `build_scenario` turns it into concrete
 per-link statistics: user drop, pathloss, per-user Rician factors, one-ring
-correlation matrices and LoS directions.
+correlation matrices and LoS directions.  Each BS's links are held in its
+`estimation.BSStatistics`, the one copy of the per-BS statistics that
+every scheme reads.
 
 Large-scale gains are normalized to the cell edge (beta = (x/radius)^-alpha)
 so that `snr_data` is the data SNR of a cell-edge user.
@@ -31,6 +33,7 @@ from .channel import (
     theta_spectrum,
 )
 from .config import ConfigError, SystemConfig
+from .estimation import BSStatistics
 
 LAYOUTS = ("single_cell", "three_cell_edge")
 CORRELATIONS = ("one_ring", "exponential", "identity")
@@ -106,6 +109,8 @@ class ScenarioSpec:
                 )
         if self.k >= self.t:
             raise ConfigError("coherence length t must exceed the user count k")
+        if any(ch in self.scenario_id for ch in ',"\r\n'):
+            raise ConfigError(f"scenario_id holds a comma, quote or line break: {self.scenario_id!r}")
 
     def resolve_tau(self) -> int:
         """Training length for the non-optimal modes (optimal is solved later)."""
@@ -128,11 +133,12 @@ class ScenarioSpec:
 
 @dataclass
 class Scenario:
-    """Concrete link statistics for one spec: profiles[bs][cell][user]."""
+    """Concrete link statistics for one spec: profiles[bs] is BS bs's
+    `BSStatistics`, and profiles[bs][cell][user] a link."""
 
     spec: ScenarioSpec
     geometry: ScenarioGeometry
-    profiles: list[list[list[UserLinkProfile]]]
+    profiles: list[BSStatistics]
     kappas: np.ndarray  # (L, K) local Rician factors
 
     @property
@@ -147,7 +153,8 @@ class Scenario:
         return self.profiles[bs][bs]
 
     def single_cell_view(self, bs: int = 0) -> "Scenario":
-        """Cell `bs` in isolation: same local statistics, no other cells."""
+        """Cell `bs` in isolation: the same served links in statistics of
+        their own, with no other cells."""
         spec = dataclasses.replace(
             self.spec, layout="single_cell", l=1, scenario_id=self.spec.scenario_id + f"-cell{bs}"
         )
@@ -160,7 +167,7 @@ class Scenario:
         return Scenario(
             spec=spec,
             geometry=geometry,
-            profiles=[[self.profiles[bs][bs]]],
+            profiles=[BSStatistics([self.profiles[bs][bs]], 0)],
             kappas=self.kappas[bs : bs + 1],
         )
 
@@ -210,7 +217,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
     kappas = kappa_u * spec.kappa_max
     edge_loss = pathloss(spec.radius_m, spec.alpha)
     shared = _shared_correlation(spec)
-    profiles: list[list[list[UserLinkProfile]]] = []
+    profiles: list[BSStatistics] = []
     for j in range(spec.l):
         per_bs = []
         for ell in range(spec.l):
@@ -234,7 +241,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
                     )
                 )
             per_bs.append(per_cell)
-        profiles.append(per_bs)
+        profiles.append(BSStatistics(per_bs, j))
     return Scenario(spec=spec, geometry=geometry, profiles=profiles, kappas=kappas)
 
 

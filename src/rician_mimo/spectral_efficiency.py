@@ -28,7 +28,7 @@ from .combining import conventional_combiner, conventional_sinr, statistical_res
 from .config import SystemConfig
 from .estimation import BSStatistics, build_estimator_multicell, regularizer_sums
 
-Profiles = list[list[list[UserLinkProfile]]]  # [bs][cell][user]
+Profiles = list[BSStatistics]  # [bs], each indexing [cell][user] like its links
 
 
 @dataclass
@@ -143,27 +143,26 @@ def mc_log_moments(
     is the regularizer A, and `conventional_sinr` reads the block's SINR
     off the K x K gram; with more cells every trial point forms the
     combiner and the closed-form conditional SINR terms.  Per BS the kernel
-    reads one `BSStatistics` and the stacked images Q^H R^{1/2} Q of every
-    link, (L, K, N, N).
+    reads its `BSStatistics`, `profiles[j]`, and the stacked images
+    Q^H R^{1/2} Q of every link, (L, K, N, N).
     """
     L, K = len(profiles), len(profiles[0][0])
-    stats = [BSStatistics(links, j) for j, links in enumerate(profiles)]
-    sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in links]) for links in profiles]
+    sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in bs]) for bs in profiles]
     key_of = [(pt.training_len, pt.snr_training) for pt in points]
     ests = {}
     for key in dict.fromkeys(key_of):
         rho_ds = [pt.snr_data for pt, k in zip(points, key_of) if k == key]
-        ests[key] = _EstimatorArrays(stats, *key, rho_ds)
+        ests[key] = _EstimatorArrays(profiles, *key, rho_ds)
     logs = np.zeros((len(points), L, trial_count, K))
     for start in range(0, trial_count, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trial_count - start)
-        rot = _rotated_draws(stats, sqrt_r, seed, trial_start + start, count)
+        rot = _rotated_draws(profiles, sqrt_r, seed, trial_start + start, count)
         fits_key, fits = None, []
         for p_idx, pt in enumerate(points):
             est = ests[key_of[p_idx]]
             if fits_key is not est:
-                fits_key, fits = est, [est.fits(j, bs, r) for j, (bs, r) in enumerate(zip(stats, rot))]
-            for j, bs in enumerate(stats):
+                fits_key, fits = est, [est.fits(j, bs, r) for j, (bs, r) in enumerate(zip(profiles, rot))]
+            for j, bs in enumerate(profiles):
                 # the served estimates, (N, trials, K)
                 h_hat = bs.h_bar[:, None, :] + fits[j][j].transpose(1, 2, 0)
                 if L == 1:
@@ -230,7 +229,7 @@ def se_stat_singlecell(
 ) -> list[SEReport]:
     """Exact SE of single-cell statistical combining, one report per config:
     `se_stat_multicell` of the one cell, whose SINR is c_k / m_k."""
-    return [r[0] for r in se_stat_multicell([[profiles]], configs)]
+    return [r[0] for r in se_stat_multicell([BSStatistics([profiles], 0)], configs)]
 
 
 def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[list[SEReport]]:
@@ -243,11 +242,10 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
     SINR_k = c_k / (m_k + u_k^H R_out u_k / c_k), which is c_k / m_k in a
     single cell, where R_out = 0.  Everything runs in the real basis, from
-    the `BSStatistics` each BS builds once for every config.
+    each BS's `BSStatistics`.
     """
     reports: list[list[SEReport]] = [[] for _ in configs]
-    for j, links in enumerate(profiles):
-        bs = BSStatistics(links, j)
+    for bs in profiles:
         for config, per_bs in zip(configs, reports):
             m, c, u = statistical_resolvent(bs, config.snr_data)
             quad = np.real(np.sum(u.conj() * real_matmul(bs.inter, u), axis=0))

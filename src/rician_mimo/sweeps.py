@@ -6,9 +6,10 @@ equivalent, or both) and returns flat result rows.  All Monte Carlo points
 of one scenario share channel draws (common random numbers), so curves over
 SNR or tau are smooth functions of the same randomness.  Each scheme takes
 the scenario's whole SNR grid in one call and returns its results indexed
-[config][bs], so what a call builds from the links (one
-`estimation.BSStatistics` per BS: the LoS columns, the covariance sums and
-the same-pilot spectra) is a local of it and nothing outlives it.
+[config][bs], and every scheme reads the scenario's one
+`estimation.BSStatistics` per BS (the LoS columns, the covariance sums and
+the same-pilot spectra).  The statistical SE is exact, so its deterministic
+equivalent is that same SE in every layout.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .asymptotics import (
     build_q_singlecell,
     se_conv_multicell_de,
     se_conv_singlecell_de,
-    se_stat_multicell_de,
 )
 from .config import ConfigError, SystemConfig
-from .estimation import BSStatistics, build_estimator_multicell
+from .estimation import build_estimator_multicell
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .spectral_efficiency import conventional_mc, se_stat_multicell
@@ -47,15 +47,14 @@ def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
 
 def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
     """Deterministic-equivalent conventional SE of BS `bs`, one array per
-    config.  The BS's `BSStatistics` (its K same-pilot spectra included) is
-    built once and serves every config."""
+    config, from the scenario's `BSStatistics` of that BS."""
     # the refined equivalent runs on the eigenbasis that every link of an
     # exponential/identity scenario shares, where it is diagonal: O(N K^2 +
     # K^3) per point.  One-ring links have no common basis (and the refined
     # corrections overshot into negative SINRs there), so they use the plain
     # equivalents
     refined = scenario.spec.correlation != "one_ring"
-    stats = BSStatistics(scenario.profiles[bs], bs)
+    stats = scenario.profiles[bs]
     out = []
     for config in configs:
         estimators = [
@@ -78,18 +77,10 @@ def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list
 
 
 def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
-    """Deterministic-equivalent statistical SE, de[config][bs].
-
-    In a single cell it is the full form of `se_stat_singlecell_de`, which is
-    the exact SE of `se_stat_multicell`.
-    """
-    if scenario.n_cells == 1:
-        reports = se_stat_multicell(scenario.profiles, configs)
-        return [[r.per_user_se for r in per_bs] for per_bs in reports]
-    return [
-        [se_stat_multicell_de(scenario.local_profiles(bs), config) for bs in range(scenario.n_cells)]
-        for config in configs
-    ]
+    """Deterministic-equivalent statistical SE, de[config][bs]: the exact SE
+    of `se_stat_multicell`, in every layout."""
+    reports = se_stat_multicell(scenario.profiles, configs)
+    return [[r.per_user_se for r in per_bs] for per_bs in reports]
 
 
 def _rows_for_scenario(
@@ -117,17 +108,11 @@ def _rows_for_scenario(
         name = "conv_multi" if multi else "conv_single"
         results["conv"] = (name, mc, de)
     if "stat" in schemes:
-        mc = de = None
-        if want_mc:
-            mc = se_stat_multicell(scenario.profiles, configs)
-        if want_de:
-            # a single cell's equivalent is its exact SE: reuse it
-            if mc is not None and not multi:
-                de = [[r.per_user_se for r in per_bs] for per_bs in mc]
-            else:
-                de = stat_de_per_bs(scenario, configs)
+        # the statistical SE is exact and is its own DE: one evaluation fills both columns
+        reports = se_stat_multicell(scenario.profiles, configs)
+        exact = [[r.per_user_se for r in per_bs] for per_bs in reports]
         name = "stat_multi" if multi else "stat_single"
-        results["stat"] = (name, mc, de)
+        results["stat"] = (name, reports if want_mc else None, exact if want_de else None)
     rows: list[ResultRow] = []
     for i, (snr, config) in enumerate(zip(grid, configs)):
         for scheme in schemes:

@@ -28,7 +28,7 @@ from rician_mimo.channel import (
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.estimation import BSStatistics, build_estimator_multicell
-from rician_mimo.spectral_efficiency import se_stat_singlecell
+from rician_mimo.spectral_efficiency import se_stat_multicell, se_stat_singlecell
 
 
 def make_config(n, k, l=1, t=200, tau=None, snr=2.0):
@@ -471,6 +471,28 @@ def test_stat_converges_to_simplified_with_n():
         return np.max(np.abs(full - simplified) / simplified)
 
     assert gap(256) < gap(32)
+
+
+@pytest.mark.parametrize("correlation", ["exponential", "one_ring"])
+def test_stat_multicell_converges_to_los_only_form_with_n(correlation):
+    # the LoS-only form is the large-N corollary of the exact multi-cell SE:
+    # the scattered and inter-cell covariances vanish against (N/rho_d) I
+    def gap(n):
+        spec = ScenarioSpec(
+            layout="three_cell_edge", l=3, placement="cell_edge", n=n, k=3, t=50,
+            correlation=correlation, kappa_max=2.0, seed=5,
+        )
+        scenario = build_scenario(spec)
+        cfg = spec.system_config(3.0)
+        exact = se_stat_multicell(scenario.profiles, [cfg])[0]
+        return max(
+            np.max(np.abs(se_stat_multicell_de(scenario.local_profiles(j), cfg) - r.per_user_se)
+                   / r.per_user_se)
+            for j, r in enumerate(exact)
+        )
+
+    gaps = [gap(n) for n in (32, 64, 128, 256)]
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
 
 
 # ---------------------------------------------------------------------------

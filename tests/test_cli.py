@@ -328,6 +328,19 @@ def test_exit_config_error_malformed_number(scenario_file, capsys, argv):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("scenario_id", ["a,b", 'say "hi"'], ids=["comma", "quote"])
+def test_exit_config_error_scenario_id_that_breaks_csv(tmp_path, capsys, scenario_id):
+    # a comma would add a CSV cell to every row and a quote would open a
+    # quoted one: the id is refused before anything runs or is written
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SCENARIO_TEXT.replace("scenario_id = cli-test", f"scenario_id = {scenario_id}"))
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(bad), "--out", str(out))
+    assert code == 1
+    assert "configuration error" in err and "scenario_id" in err
+    assert not out.exists()
+
+
 def test_exit_config_error_malformed_snr_list(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(SCENARIO_TEXT.replace("snr_grid_db = 0,10", "snr_grid_db = 0,x"))

@@ -56,6 +56,11 @@ def test_defaults_are_valid():
         dict(trials=0),
         dict(tau_mode="fixed", tau=2),
         dict(k=50, t=50),
+        # each would break the CSV row the id is written into
+        dict(scenario_id="a,b"),
+        dict(scenario_id='a"b'),
+        dict(scenario_id="a\rb"),
+        dict(scenario_id="a\nb"),
     ],
 )
 def test_invalid_specs_rejected(overrides):
@@ -148,6 +153,14 @@ def test_single_cell_view():
     b = sc.profiles[1][1][0]
     assert np.array_equal(a.r_cov, b.r_cov)
     assert np.array_equal(a.h_bar, b.h_bar)
+    # statistics of its own: the served links are the parent's objects, and
+    # no other cell interferes
+    stats = view.profiles[0]
+    assert stats is not sc.profiles[1] and stats.j == 0 and len(stats) == 1
+    assert all(x is y for x, y in zip(stats[0], sc.profiles[1][1]))
+    assert not np.any(stats.inter)
+    assert np.array_equal(stats.local, sc.profiles[1].local)
+    assert np.array_equal(stats.h_bar, sc.profiles[1].h_bar)
 
 
 def test_correlation_modes_produce_expected_structure():

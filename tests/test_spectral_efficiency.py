@@ -17,6 +17,7 @@ from rician_mimo.channel import (
 )
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
+from rician_mimo.estimation import BSStatistics
 from rician_mimo.presets import preset_specs
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import (
@@ -30,7 +31,7 @@ from rician_mimo.spectral_efficiency import (
 
 
 def tiny_profiles(n=8, k=2, l=2, seed=0):
-    """profiles[bs][cell][user] for a small synthetic network."""
+    """Per-BS statistics of a small synthetic network, profiles[bs][cell][user]."""
     rng = np.random.default_rng(seed)
     profiles = []
     for j in range(l):
@@ -53,7 +54,7 @@ def tiny_profiles(n=8, k=2, l=2, seed=0):
                     )
                 )
             per_bs.append(cell)
-        profiles.append(per_bs)
+        profiles.append(BSStatistics(per_bs, j))
     return profiles
 
 
@@ -343,22 +344,26 @@ ORACLE_KAPPAS = (0.0, 1e-9, 1e-4, 0.5, 10.0)
 
 
 def oracle_profiles(cells, n=16, seed=41):
-    """profiles[bs][cell][user]; local user u has Rician factor ORACLE_KAPPAS[u]."""
+    """Per-BS statistics, profiles[bs][cell][user]; local user u has Rician
+    factor ORACLE_KAPPAS[u]."""
     rng = np.random.default_rng(seed)
     return [
-        [
+        BSStatistics(
             [
-                build_profile(
-                    rng.uniform(0.5, 1.5) if ell == j else rng.uniform(0.05, 0.3),
-                    kappa,
-                    one_ring_correlation(rng.uniform(-math.pi, -1.0), rng.uniform(0.0, 1.0), n),
-                    los_steering(rng.uniform(-1.0, 1.0), n),
-                    is_local=(ell == j),
-                )
-                for kappa in ORACLE_KAPPAS
-            ]
-            for ell in range(cells)
-        ]
+                [
+                    build_profile(
+                        rng.uniform(0.5, 1.5) if ell == j else rng.uniform(0.05, 0.3),
+                        kappa,
+                        one_ring_correlation(rng.uniform(-math.pi, -1.0), rng.uniform(0.0, 1.0), n),
+                        los_steering(rng.uniform(-1.0, 1.0), n),
+                        is_local=(ell == j),
+                    )
+                    for kappa in ORACLE_KAPPAS
+                ]
+                for ell in range(cells)
+            ],
+            j,
+        )
         for j in range(cells)
     ]
 
@@ -464,7 +469,7 @@ def test_stat_multicell_reduces_to_singlecell():
     for seed in range(10):
         local = tiny_profiles(seed=seed)[0][0]
         single = se_stat_singlecell(local, [cfg])[0]
-        multi = se_stat_multicell([[local]], [cfg])[0][0]
+        multi = se_stat_multicell([BSStatistics([local], 0)], [cfg])[0][0]
         assert np.array_equal(single.per_user_se, multi.per_user_se), seed
         assert np.array_equal(se_stat_singlecell_de(local, cfg)[0], multi.per_user_se), seed
 

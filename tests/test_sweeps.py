@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from rician_mimo import spectral_efficiency
 from rician_mimo.config import ConfigError
+from rician_mimo.estimation import BSStatistics
+from rician_mimo.presets import _crossover_and_gain
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
     _rows_for_scenario,
@@ -61,23 +62,33 @@ def test_mc_and_de_match_loosely_in_both_mode():
 
 @pytest.mark.parametrize("cells", [1, 3])
 def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
-    # the SNR-independent sums of the statistical receiver serve every point
-    built = []
-    original = spectral_efficiency.BSStatistics
+    # the scenario owns one BSStatistics per BS, and every scheme, the
+    # conventional DE of the crossover curve included, reads it
+    built, eighs = [], []
+    init, eigh = BSStatistics.__init__, np.linalg.eigh
 
-    def counted(*args):
-        stats = original(*args)
-        built.append(stats.h_bar)
-        return stats
+    def counted_init(self, links, j):
+        built.append(j)
+        init(self, links, j)
 
-    monkeypatch.setattr(spectral_efficiency, "BSStatistics", counted)
+    def counted_eigh(*args, **kwargs):
+        eighs.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(BSStatistics, "__init__", counted_init)
     layout = {"layout": "three_cell_edge", "l": 3} if cells == 3 else {}
     spec = small_spec(correlation="one_ring", snr_grid_db=tuple(range(-10, 35, 5)), **layout)
-    rows = run_sweep(spec, schemes=("stat",), mode="both")
+    scenario = build_scenario(spec)
+    assert built == list(range(cells))
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rows = _rows_for_scenario(scenario, ("conv", "stat"), "both", 2, spec.seed)
     assert len({r.snr_db for r in rows}) == 9
-    assert len(built) == cells
-    # one per BS: each serves a different cell's links (its LoS columns)
-    assert len({h_bar.tobytes() for h_bar in built}) == cells
+    # one same-pilot eigh per (BS, user), shared by the Monte Carlo and the
+    # DE; a single cell's one-link groups reuse the link's own eigenvectors
+    assert len(eighs) == (cells * spec.k if cells > 1 else 0)
+    _crossover_and_gain(scenario)
+    assert built == list(range(cells))
+    assert len(eighs) == (cells * spec.k if cells > 1 else 0)
 
 
 def test_finished_scenario_is_freed_without_the_cycle_collector():
@@ -190,6 +201,17 @@ def test_sweep_validation_errors():
         run_sweep(small_spec(), mode="analytic")
     with pytest.raises(ConfigError):
         run_sweep(small_spec(), sweep_axis="kappa_max")  # missing axis values
+
+
+def test_stat_multi_de_is_the_exact_se():
+    # one statistical SE in every layout: the DE column repeats the exact
+    # value bit for bit, and a DE-only run reports that same value
+    spec = small_spec(layout="three_cell_edge", l=3, correlation="one_ring")
+    both = run_sweep(spec, schemes=("stat",), mode="both")
+    assert {r.scheme for r in both} == {"stat_multi"} and len(both) == 2 * 3 * 3
+    assert all(r.se_de == r.se_value and r.se_stderr is None for r in both)
+    de = run_sweep(spec, schemes=("stat",), mode="de")
+    assert [r.se_value for r in de] == [r.se_value for r in both]
 
 
 def test_per_bs_helpers_shapes():
