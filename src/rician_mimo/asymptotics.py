@@ -18,10 +18,15 @@ noise loading.  It needs links whose covariances share one eigenbasis V
 scenarios have; `BSStatistics.basis`): there A, B, Z and every R_tilde_i
 are diagonal, so the state is per-eigenvalue vectors, Hbar rotated into V
 and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N product or
-inverse.  Links without a common basis raise ValueError.  The plain mode replaces Z by I,
-the additional large-antenna simplification used in the published closed
-forms, and reads the real images R_tilde_i and B; both modes coincide as N
+inverse.  Links without a common basis raise ValueError.  The plain mode
+replaces Z by I, the additional large-antenna simplification used in the
+published closed forms, and reads the BS's same-pilot stacks (the
+projections P_l and the shrinkage f) and B: every trace is a weighted
+column sum of them, and no R_tilde_i is formed.  Both modes coincide as N
 grows.
+
+One cell is the L = 1 case: `build_q_multicell` and `se_conv_multicell_de`
+serve every layout, and the single-cell names delegate to them.
 
 The statistical-combining equivalents need no Q: they read the K x K LoS
 resolvent `combining.los_resolvent`.
@@ -75,31 +80,22 @@ class AsymptoticState:
         return self.q_matrix.shape[0]
 
 
-def _traces(stack: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """tr(stack_i @ weight) for every i: one (K, N^2) matrix-vector product."""
-    return stack.reshape(len(stack), -1) @ weight.T.ravel()
-
-
-def _gram(h_bar: np.ndarray, r_tildes: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    n = h_bar.shape[0]
-    g = h_bar.conj().T @ real_matmul(weight, h_bar)
-    g = g + np.diag(_traces(r_tildes, weight))
-    g = g / n
-    return 0.5 * (g + g.conj().T)
-
-
 def _diag_gram(h: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`_gram` of the diagonal weight diag(w) on the common basis, where
-    R_tilde_i is diag(r_i) and h the LoS columns: O(N K^2)."""
+    """(1/N)(H^H W H + diag(tr R_tilde_i W)) for the diagonal weight
+    W = diag(w) on the common basis, where R_tilde_i is diag(r_i) and h the
+    LoS columns: O(N K^2)."""
     g = h.conj().T @ (w[:, None] * h) + np.diag(r @ w)
     g = g / len(w)
     return 0.5 * (g + g.conj().T)
 
 
-def _phi_trace(estimator: EstimatorState, ell: int) -> float:
-    """tr(R_l Phi R_i) on the same-pilot spectrum: sum_c f_c <P_i[:, c],
-    P_l[:, c]>, an N^2 sum."""
-    return float(np.sum(estimator.weighted(ell) * estimator.spectrum.proj[estimator.local_index]))
+def _phi_traces(proj: np.ndarray, local: int, shrink: np.ndarray) -> np.ndarray:
+    """tr(R_li Phi_i R_ji) = sum_c f_ic <P_li[:, c], P_ji[:, c]> for every
+    same-pilot link l, with j = `local`: (L, K) from a BS's `proj` stack
+    (L, N, K, N) and the stacked shrinkage (K, N), or (L,) from one
+    estimator's (L, N, N) and (N,).  Row j is tr R_tilde_i.  An
+    elementwise sum: no N x N product."""
+    return np.einsum("lr...c,r...c,...c->l...", proj, proj[local], shrink)
 
 
 def _second_order_moments(
@@ -275,51 +271,14 @@ def _refined_state(
     return AsymptoticState(q, rho_d, gram2, t_mat, cross, *moments, **contam)
 
 
-def _build_state(
-    bs: BSStatistics,
-    estimators: list[EstimatorState],
-    rho_d: float,
-    refined: bool,
-) -> AsymptoticState:
-    """The state of one BS from its `BSStatistics` and its K estimators.
-
-    The plain state (Z = I) reads the real images R_tilde_i and the
-    quadratic-term matrix B of `regularizer_sums` (B = A in a single cell);
-    the estimators' other same-pilot links are the contaminating ones.
-    """
-    if refined:
-        return _refined_state(bs, estimators, rho_d)
-    h_bar = bs.h_bar
-    n, k = h_bar.shape
-    r_tildes = np.stack([e.r_tilde for e in estimators])
-    b_mat = regularizer_sums(estimators, bs)[1]
-    others = estimators[0].others
-    gram = _gram(h_bar, r_tildes, np.eye(n))
-    q = np.linalg.inv(gram + np.eye(k) / rho_d)
-    q = 0.5 * (q + q.conj().T)
-    t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(_traces(r_tildes, b_mat))
-    # cross[m, i] = (1/N) tr(R_{l_m} Phi_i R_i); a single cell has no l_m
-    cross = np.zeros((len(others), k))
-    for i, e in enumerate(estimators if others else ()):
-        for m, ell in enumerate(others):
-            cross[m, i] = _phi_trace(e, ell) / n
-    zeros = np.zeros(k)
-    return AsymptoticState(q, rho_d, gram, t_mat, cross, q, np.zeros((k, k)), zeros, zeros)
-
-
 def build_q_singlecell(
     bs: BSStatistics,
     estimators: list[EstimatorState],
     rho_d: float,
     refined: bool = True,
 ) -> AsymptoticState:
-    """State for the single-cell conventional equivalent of the one cell's
-    `BSStatistics`.
-
-    The regularizer is the sum of estimation-error covariances, and the
-    quadratic term covers exactly those errors.
-    """
-    return _build_state(bs, estimators, rho_d, refined)
+    """`build_q_multicell` of one cell."""
+    return build_q_multicell(bs, estimators, rho_d, refined)
 
 
 def build_q_multicell(
@@ -328,39 +287,42 @@ def build_q_multicell(
     rho_d: float,
     refined: bool = True,
 ) -> AsymptoticState:
-    """State for BS j of a multi-cell system, with contamination traces.
+    """State of BS j, in one cell or several.
 
-    `bs` is BS j's `BSStatistics`; `estimators[i]` is the multi-cell
-    estimator of pilot i at this BS, whose same-pilot spectrum carries every
-    contaminating link.  The regularizer adds the inter-cell covariances.
-    The quadratic term keeps only the conditional covariances of the
-    contaminating links; their conditional-mean power is carried by the
-    dedicated contamination model, matching the Monte Carlo split.
+    `bs` is BS j's `BSStatistics`; `estimators[i]` is the estimator of pilot
+    i at this BS, whose same-pilot spectrum carries every contaminating link
+    (none in a single cell).  The regularizer adds the inter-cell
+    covariances, and the quadratic term B of `regularizer_sums` keeps only
+    the conditional covariances of the contaminating links (B = A in a
+    single cell); their conditional-mean power is carried by the dedicated
+    contamination model, matching the Monte Carlo split.
+
+    The plain state (Z = I) reads the BS's same-pilot stacks: with P_l the
+    projections `bs.proj[l]` and f the stacked shrinkage, tr R_tilde_i and
+    the cross traces come from `_phi_traces`, and tr(R_tilde_i B) from one
+    (N, N) @ (N, K*N) product B P_j and a weighted column sum.
     """
-    return _build_state(bs, estimators, rho_d, refined)
-
-
-def _common_terms(state: AsymptoticState):
-    """Signal, intra-cell and noise terms from the (corrected) moments.
-
-    In refined mode the second moments E|[Qtilde]_ki|^2 = |E[.]|^2 + Var(.)
-    replace the plain squared entries; in plain mode q_mean = Q and the
-    variance terms are zero, giving the published expressions exactly.
-    """
-    q = state.q_mean
-    rho = state.rho_d
-    q_diag = np.real(np.diag(q))
-    num = np.abs(1.0 - q_diag / rho) ** 2 + np.diag(state.var_mat) / rho**2
-    second = np.abs(q) ** 2 + state.var_mat
-    intra = (np.sum(second, axis=1) - np.diag(second)) / rho**2
-    noise = (np.real(np.diag(q @ state.gram2 @ q)) + state.noise_corr) / rho
-    return q, q_diag, num, intra, noise
-
-
-def _error_term(state: AsymptoticState, n: int) -> np.ndarray:
-    q = state.q_mean
-    quad = np.real(np.einsum("lk,lm,mk->k", q.conj(), state.t_matrix, q)) / n**2
-    return quad + state.err_corr / n
+    if refined:
+        return _refined_state(bs, estimators, rho_d)
+    h_bar = bs.h_bar
+    n, k = h_bar.shape
+    local = estimators[0].local_index
+    shrink = np.stack([e.shrink for e in estimators])
+    p_local = bs.proj[local]
+    # phi[l, i] = tr(R_l Phi_i R_i); row `local` is tr R_tilde_i
+    phi = _phi_traces(bs.proj, local, shrink)
+    gram = (h_bar.conj().T @ h_bar + np.diag(phi[local])) / n
+    gram = 0.5 * (gram + gram.conj().T)
+    q = np.linalg.inv(gram + np.eye(k) / rho_d)
+    q = 0.5 * (q + q.conj().T)
+    b_mat = regularizer_sums(estimators, bs)[1]
+    b_proj = (b_mat @ p_local.reshape(n, -1)).reshape(p_local.shape)
+    tr_b = np.einsum("rkc,rkc,kc->k", b_proj, p_local, shrink)
+    t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(tr_b)
+    # cross[m, i] = (1/N) tr(R_{l_m} Phi_i R_i); a single cell has no l_m
+    cross = phi[estimators[0].others] / n
+    zeros = np.zeros(k)
+    return AsymptoticState(q, rho_d, gram, t_mat, cross, q, np.zeros((k, k)), zeros, zeros)
 
 
 def se_conv_singlecell_de(
@@ -368,17 +330,8 @@ def se_conv_singlecell_de(
     config: SystemConfig,
     include_estimation_error: bool = True,
 ) -> np.ndarray:
-    """Per-user deterministic equivalent of conventional single-cell SE.
-
-    The estimation-error quadratic vanishes as N grows; excluding it (with a
-    plain, non-refined state) recovers the favorable-propagation corollary
-    exactly under orthogonal LoS directions.
-    """
-    q, q_diag, num, intra, noise = _common_terms(state)
-    den = intra + noise
-    if include_estimation_error:
-        den = den + _error_term(state, config.n_antennas)
-    return config.prelog * np.log1p(num / den) * config.log_scale
+    """`se_conv_multicell_de(...).se` of one cell."""
+    return se_conv_multicell_de(state, config, include_estimation_error).se
 
 
 def se_conv_singlecell_de_simplified(state: AsymptoticState, config: SystemConfig) -> np.ndarray:
@@ -396,7 +349,9 @@ def se_conv_favorable(
     n = config.n_antennas
     rho = config.snr_data
     # tr(R_tilde_i) = sum_c f_c |P_i[:, c]|^2
-    traces = np.array([_phi_trace(e, e.local_index) for e in estimators])
+    traces = np.array(
+        [_phi_traces(e.spectrum.proj, e.local_index, e.shrink)[e.local_index] for e in estimators]
+    )
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
     return config.prelog * np.log1p(rho / n * (traces + norms)) * config.log_scale
 
@@ -416,24 +371,35 @@ def se_conv_multicell_de(
     config: SystemConfig,
     include_estimation_error: bool = True,
 ) -> MulticellDEResult:
-    """Multi-cell conventional deterministic equivalent.
+    """Conventional deterministic equivalent of one BS, in one cell or several.
 
-    `include_estimation_error` keeps the same vanishing-order quadratic as
-    the single-cell form (here it also carries the uncorrelated inter-cell
-    interference); dropping it on a non-refined state gives exactly the
-    large-antenna limit expression.
+    In refined mode the second moments E|[Qtilde]_ki|^2 = |E[.]|^2 + Var(.)
+    replace the plain squared entries; in plain mode q_mean = Q and the
+    variance terms are zero, giving the published expressions exactly.  The
+    SINR denominator is (intra + noise) + err + inter.  The estimation-error
+    quadratic err vanishes as N grows (with several cells it also carries
+    the uncorrelated inter-cell interference); `include_estimation_error`
+    False drops it, which on a plain state gives exactly the large-antenna
+    limit expression, and in one cell under orthogonal LoS the
+    favorable-propagation corollary.  A single cell has no inter-cell term.
     """
-    q, q_diag, num, intra, noise = _common_terms(state)
+    q = state.q_mean
     rho = state.rho_d
+    n = config.n_antennas
     k = state.n_users
     scale = config.log_scale
+    q_diag = np.real(np.diag(q))
+    num = np.abs(1.0 - q_diag / rho) ** 2 + np.diag(state.var_mat) / rho**2
+    second = np.abs(q) ** 2 + state.var_mat
+    den = (np.sum(second, axis=1) - np.diag(second)) / rho**2
+    den = den + (np.real(np.diag(q @ state.gram2 @ q)) + state.noise_corr) / rho
     if include_estimation_error:
-        noise = noise + _error_term(state, config.n_antennas)
+        quad = np.real(np.einsum("lk,lm,mk->k", q.conj(), state.t_matrix, q)) / n**2
+        den = den + (quad + state.err_corr / n)
     # inter-cell contamination: sum over l != j and all i of |[Q]_ki c_{jli}|^2
     inter = np.zeros(k)
     contam = np.zeros(k)
     uncorr = np.zeros(k)
-    second = np.abs(q) ** 2 + state.var_mat
     for m in range(state.cross_traces.shape[0]):
         c = state.cross_traces[m]
         if state.contam_second.size:
@@ -447,7 +413,7 @@ def se_conv_multicell_de(
         contam += (rho * c) ** 2
         off = np.abs(q / q_diag[:, None] * c[None, :] * rho) ** 2
         uncorr += np.sum(off, axis=1) - np.diag(off)
-    se = config.prelog * np.log1p(num / (intra + noise + inter)) * scale
+    se = config.prelog * np.log1p(num / (den + inter)) * scale
     num_exp = np.abs(rho / q_diag - 1.0) ** 2
     den_exp = (rho / q_diag - 1.0) + contam + uncorr
     se_exp = config.prelog * np.log1p(num_exp / den_exp) * scale
@@ -491,5 +457,5 @@ def pilot_contamination_term(
     """f(kappa) = (1/N) tr(sum_{l != j} R_{jlk} Phi_{jk} R_{jjk}); nonnegative,
     nonincreasing in the local Rician factor."""
     state = build_estimator_multicell(profiles_same_pilot, local_index, tau, rho_tr)
-    total = sum(_phi_trace(state, ell) for ell in state.others)
-    return float(total / state.n_antennas)
+    phi = _phi_traces(state.spectrum.proj, local_index, state.shrink)
+    return float(phi[state.others].sum() / state.n_antennas)

@@ -181,15 +181,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     rows, summary = run_preset(args.figure, trials=args.trials, seed=args.seed)
-    if args.out:
-        try:
-            emit_results(rows, args.format, args.out)
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(rows, args)
-        sys.stderr.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(rows, args)
+    # the summary takes stdout unless the rows do
+    stream = sys.stdout if args.out else sys.stderr
+    stream.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

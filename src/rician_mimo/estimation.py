@@ -169,7 +169,9 @@ class EstimatorState:
     `shrink` is f = 1/(mu + 1/(tau*rho_tr)) on the group's spectrum.  The
     gain R_l Phi of same-pilot link l has the image `weighted(l)` V^T, and
     `r_tilde` is the real image of the local estimate covariance
-    R_tilde = R_local Phi R_local.
+    R_tilde = R_local Phi R_local.  No production path reads these two:
+    they are the estimator's tested accessors, and the deterministic
+    equivalents take their traces off the spectrum's projections.
     """
 
     local_index: int

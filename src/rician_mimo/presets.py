@@ -16,7 +16,8 @@ import numpy as np
 from .config import ConfigError
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
-from .sweeps import _rows_for_scenario, conv_de_at_bs, resolve_tau_for_snr, stat_de_per_bs
+from .spectral_efficiency import se_stat_multicell
+from .sweeps import _rows_for_scenario, conv_de_at_bs, resolve_tau_for_snr
 from .training import solve_tau_star
 
 PRESET_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5")
@@ -125,14 +126,15 @@ def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
 
 
 def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...], bs: int = 0):
-    """Average (over users of one BS) DE SE per scheme over an SNR grid; the
-    conventional DE runs for that BS only."""
+    """Average (over users of one BS) DE SE per scheme over an SNR grid; both
+    schemes run for that BS only."""
     configs = [
         scenario.spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr))
         for snr in snr_grid
     ]
     conv = [float(np.mean(se)) for se in conv_de_at_bs(scenario, bs, configs)]
-    stat = [float(np.mean(per_bs[bs])) for per_bs in stat_de_per_bs(scenario, configs)]
+    reports = se_stat_multicell([scenario.profiles[bs]], configs)
+    stat = [float(np.mean(per_bs[0].per_user_se)) for per_bs in reports]
     return np.array(conv), np.array(stat)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    MIN_USER_DISTANCE_M,
     ScenarioGeometry,
     UserLinkProfile,
     build_profile,
@@ -94,6 +95,8 @@ class ScenarioSpec:
             raise ConfigError(f"snr_grid_db entries must be finite, got {self.snr_grid_db!r}")
         if self.radius_m <= 0 or self.alpha <= 0:
             raise ConfigError("radius_m and alpha must be positive")
+        if self.placement == "uniform_disk" and self.radius_m < MIN_USER_DISTANCE_M:
+            raise ConfigError(f"uniform_disk placement needs radius_m >= {MIN_USER_DISTANCE_M:g} m")
         if self.correlation == "exponential" and abs(self.corr_rho) >= 1:
             raise ConfigError(f"exponential correlation needs |corr_rho| < 1, got {self.corr_rho}")
         if self.kappa_max < 0:

@@ -18,12 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .asymptotics import (
-    build_q_multicell,
-    build_q_singlecell,
-    se_conv_multicell_de,
-    se_conv_singlecell_de,
-)
+from .asymptotics import build_q_multicell, se_conv_multicell_de
 from .config import ConfigError, SystemConfig
 from .estimation import build_estimator_multicell
 from .results import ResultRow
@@ -47,7 +42,8 @@ def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
 
 def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
     """Deterministic-equivalent conventional SE of BS `bs`, one array per
-    config, from the scenario's `BSStatistics` of that BS."""
+    config, from the scenario's `BSStatistics` of that BS: one builder and
+    one SE formula in one cell and in several."""
     # the refined equivalent runs on the eigenbasis that every link of an
     # exponential/identity scenario shares, where it is diagonal: O(N K^2 +
     # K^3) per point.  One-ring links have no common basis (and the refined
@@ -61,12 +57,8 @@ def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> l
             build_estimator_multicell(sp, bs, config.training_len, config.snr_training)
             for sp in stats.spectra
         ]
-        if scenario.n_cells == 1:
-            state = build_q_singlecell(stats, estimators, config.snr_data, refined=refined)
-            out.append(se_conv_singlecell_de(state, config))
-        else:
-            state = build_q_multicell(stats, estimators, config.snr_data, refined=refined)
-            out.append(se_conv_multicell_de(state, config).se)
+        state = build_q_multicell(stats, estimators, config.snr_data, refined=refined)
+        out.append(se_conv_multicell_de(state, config).se)
     return out
 
 

@@ -27,8 +27,9 @@ from rician_mimo.channel import (
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
-from rician_mimo.estimation import BSStatistics, build_estimator_multicell
+from rician_mimo.estimation import BSStatistics, EstimatorState, build_estimator_multicell
 from rician_mimo.spectral_efficiency import se_stat_multicell, se_stat_singlecell
+from rician_mimo.sweeps import conv_de_per_bs
 
 
 def make_config(n, k, l=1, t=200, tau=None, snr=2.0):
@@ -143,12 +144,13 @@ def test_refined_and_plain_converge_with_n():
         profiles = shared_profiles(exponential_correlation(0.4, n), steering, betas, kappas)
         ests = estimators_for(profiles, k, rho)
         cfg = make_config(n, k, snr=rho)
-        plain = se_conv_singlecell_de(
-            build_q_singlecell(stats_for(ests), ests, rho, refined=False), cfg
-        )
-        refined = se_conv_singlecell_de(
-            build_q_singlecell(stats_for(ests), ests, rho, refined=True), cfg
-        )
+        states = [build_q_singlecell(stats_for(ests), ests, rho, refined=m) for m in (False, True)]
+        # one cell is the L = 1 case of the one SE formula, bit for bit
+        for state in states:
+            for err in (True, False):
+                multi = se_conv_multicell_de(state, cfg, include_estimation_error=err).se
+                assert np.array_equal(se_conv_singlecell_de(state, cfg, err), multi)
+        plain, refined = (se_conv_singlecell_de(state, cfg) for state in states)
         return np.max(np.abs(refined - plain) / plain)
 
     g32, g256 = gap(32), gap(256)
@@ -410,6 +412,24 @@ def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
             got = getattr(state, name)
             assert got.shape == ref.shape, name
             assert np.linalg.norm(got - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300), name
+
+
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_plain_de_forms_no_estimate_covariance_image(layout, monkeypatch):
+    # the plain state takes every trace off the same-pilot stacks;
+    # `EstimatorState.r_tilde` stays a tested accessor only
+    def forbidden(self):
+        raise AssertionError("the plain DE formed an R_tilde image")
+
+    monkeypatch.setattr(EstimatorState, "r_tilde", property(forbidden))
+    cells = 1 if layout == "single_cell" else 3
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=12, k=3, t=50, correlation="one_ring",
+        placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
+    )
+    scenario = build_scenario(spec)
+    de = conv_de_per_bs(scenario, [spec.system_config(snr) for snr in (0.0, 20.0)])
+    assert all(np.all(np.isfinite(se)) and np.all(se > 0) for per_bs in de for se in per_bs)
 
 
 # ---------------------------------------------------------------------------

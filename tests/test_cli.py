@@ -234,6 +234,30 @@ def test_exit_config_error_bad_scheme(scenario_file, capsys):
     assert code == 1
 
 
+def test_reproduce_rows_to_stdout_and_summary_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "reproduce", "--figure", "fig1b")
+    assert code == 0
+    rows = parse_csv(out)
+    assert rows and all(r.scheme == "tau_star" for r in rows)
+    assert len(json.loads(err)["tau_star_by_snr"]) == 4
+
+
+def test_reproduce_with_out_writes_summary_to_stdout(tmp_path, capsys):
+    path = tmp_path / "fig1b.csv"
+    code, out, err = run_cli(capsys, "reproduce", "--figure", "fig1b", "--out", str(path))
+    assert code == 0
+    assert err == ""
+    assert len(json.loads(out)["tau_star_by_snr"]) == 4
+    assert parse_csv(path.read_text())
+
+
+def test_reproduce_exit_io_unwritable_output(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "reproduce", "--figure", "fig1b", "--out", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "i/o error" in err
+
+
 def test_exit_io_missing_scenario(capsys):
     code, _, err = run_cli(capsys, "simulate", "--scenario", "/nonexistent/file.cfg")
     assert code == 3
@@ -276,6 +300,8 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
         ({}, ["--seed", "-1"]),
         ({"seed": "-1"}, []),
         ({"radius_m": "0"}, []),
+        ({"radius_m": "0.5"}, []),
+        ({"radius_m": "1e-9"}, []),
         ({"alpha": "-2.5"}, []),
         ({"corr_rho": "1.0"}, []),
         ({"radius_m": "nan"}, []),
@@ -288,8 +314,8 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
         ({}, ["--snr", "0:inf:5"]),
     ],
     ids=[
-        "seed-flag", "seed-file", "radius", "alpha", "exponential-rho", "radius-nan", "alpha-inf",
-        "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
+        "seed-flag", "seed-file", "radius", "radius-under-1m", "radius-tiny", "alpha",
+        "exponential-rho", "radius-nan", "alpha-inf", "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
     ],
 )
 def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):

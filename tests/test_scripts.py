@@ -1,11 +1,19 @@
-"""Smoke tests of the command-line scripts in `scripts/`, run in-process."""
+"""Smoke tests of the command-line scripts in `scripts/`: in-process at
+small sizes, and `crossover_summary.py`, whose presets are fixed at N=150,
+as a subprocess on its cheapest figure."""
 
+import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import rician_mimo
+from rician_mimo.presets import preset_specs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -51,3 +59,24 @@ def test_compare_de_vs_mc(monkeypatch, capsys, multi):
     rows = [numbers(line) for line in lines[2:]]
     assert len(rows) == 9
     assert all(all(math.isfinite(x) for x in row) and row[2] <= row[1] for row in rows)
+
+
+def test_crossover_summary_fig1b():
+    # fig1b's summary is the tau* table: no crossover curve is solved
+    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "crossover_summary.py"), "fig1b"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)["tau_star_by_snr"]
+    specs = preset_specs("fig1b")
+    assert sorted(table) == sorted(spec.scenario_id for spec in specs)
+    for spec in specs:
+        taus = list(table[spec.scenario_id].values())
+        assert len(taus) == len(spec.snr_grid_db) == 9
+        assert all(isinstance(tau, int) and spec.k <= tau < spec.t for tau in taus)
