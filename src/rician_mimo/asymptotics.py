@@ -1,7 +1,7 @@
 """Closed-form deterministic equivalents of the Monte Carlo SEs.
 
-These are realization-free approximations in the long-term statistics that
-the Monte Carlo module cross-validates.  Every quantity comes from the exact
+These are realization-free approximations in the long-term statistics, in
+nats, that the Monte Carlo module cross-validates.  Every quantity comes from the exact
 resolvent rewrite of the combiner: with A the combiner's regularizer and
 Z = (I + (rho_d/N) A)^{-1}, all SINR terms are functions of the K x K matrix
 Q = ((1/N) E[Hhat^H Z Hhat] + (1/rho_d) I)^{-1}.
@@ -337,7 +337,7 @@ def se_conv_singlecell_de(
 def se_conv_singlecell_de_simplified(state: AsymptoticState, config: SystemConfig) -> np.ndarray:
     """O(1/N) simplification: SE_k = prelog * log(rho_d / [Q]_kk)."""
     q_diag = np.real(np.diag(state.q_matrix))
-    return config.prelog * np.log(state.rho_d / q_diag) * config.log_scale
+    return config.prelog * np.log(state.rho_d / q_diag)
 
 
 def se_conv_favorable(
@@ -353,7 +353,7 @@ def se_conv_favorable(
         [_phi_traces(e.spectrum.proj, e.local_index, e.shrink)[e.local_index] for e in estimators]
     )
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
-    return config.prelog * np.log1p(rho / n * (traces + norms)) * config.log_scale
+    return config.prelog * np.log1p(rho / n * (traces + norms))
 
 
 @dataclass
@@ -387,7 +387,6 @@ def se_conv_multicell_de(
     rho = state.rho_d
     n = config.n_antennas
     k = state.n_users
-    scale = config.log_scale
     q_diag = np.real(np.diag(q))
     num = np.abs(1.0 - q_diag / rho) ** 2 + np.diag(state.var_mat) / rho**2
     second = np.abs(q) ** 2 + state.var_mat
@@ -413,10 +412,10 @@ def se_conv_multicell_de(
         contam += (rho * c) ** 2
         off = np.abs(q / q_diag[:, None] * c[None, :] * rho) ** 2
         uncorr += np.sum(off, axis=1) - np.diag(off)
-    se = config.prelog * np.log1p(num / (den + inter)) * scale
+    se = config.prelog * np.log1p(num / (den + inter))
     num_exp = np.abs(rho / q_diag - 1.0) ** 2
     den_exp = (rho / q_diag - 1.0) + contam + uncorr
-    se_exp = config.prelog * np.log1p(num_exp / den_exp) * scale
+    se_exp = config.prelog * np.log1p(num_exp / den_exp)
     return MulticellDEResult(
         se=se, se_expanded=se_exp, pilot_contamination=contam, uncorrelated=uncorr
     )
@@ -433,7 +432,7 @@ def se_stat_singlecell_de(
     `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
     m, c, _ = statistical_resolvent(BSStatistics([profiles], 0), config.snr_data)
-    return np.log1p(c / m) * config.log_scale, se_stat_multicell_de(profiles, config)
+    return np.log1p(c / m), se_stat_multicell_de(profiles, config)
 
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:
@@ -445,7 +444,7 @@ def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemCo
     """
     h_bar = np.column_stack([p.h_bar for p in local_profiles])
     m, c, _ = los_resolvent(h_bar, (config.snr_data / config.n_antennas) * h_bar)
-    return np.log1p(c / m) * config.log_scale
+    return np.log1p(c / m)
 
 
 def pilot_contamination_term(

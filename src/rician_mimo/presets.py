@@ -114,11 +114,11 @@ def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
                 scheme="tau_star",
                 snr_db=float(snr),
                 user_id=0,
-                se_value=float(sol.avg_se_at_star),
+                se_value=float(sol.avg_se_at_star) * spec.log_scale,
                 se_stderr=None,
                 se_de=float(sol.tau_continuous),
                 tau_used=sol.tau_star,
-                prelog=1.0 - sol.tau_star / spec.t,
+                prelog=spec.system_config(snr, tau=sol.tau_star).prelog,
                 seed=seed,
             )
         )

@@ -8,7 +8,8 @@ correlation matrices and LoS directions.  Each BS's links are held in its
 every scheme reads.
 
 Large-scale gains are normalized to the cell edge (beta = (x/radius)^-alpha)
-so that `snr_data` is the data SNR of a cell-edge user.
+so that `snr_data` is the data SNR of a cell-edge user.  Every SE is in
+nats until the row builders multiply it by `ScenarioSpec.log_scale`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ CORRELATIONS = ("one_ring", "exponential", "identity")
 LOS_MODES = ("steering", "dft")
 PLACEMENTS = ("uniform_disk", "cell_edge")
 TAU_MODES = ("minimum", "optimal", "fixed")
+LOG_BASES = ("natural", "base2")
 
 # arrival angles too close to zero give a degenerate one-ring window
 MIN_ANGULAR_SPREAD = 1e-3
@@ -80,6 +82,8 @@ class ScenarioSpec:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
         if self.tau_mode not in TAU_MODES:
             raise ConfigError(f"tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
+        if self.log_base not in LOG_BASES:
+            raise ConfigError(f"log_base must be one of {LOG_BASES}, got {self.log_base!r}")
         for name in ("n", "k", "t"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
@@ -93,6 +97,13 @@ class ScenarioSpec:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if not all(map(math.isfinite, self.snr_grid_db)):
             raise ConfigError(f"snr_grid_db entries must be finite, got {self.snr_grid_db!r}")
+        for db in (*self.snr_grid_db, self.snr_training_db):
+            try:
+                ok = db is None or 10.0 ** (db / 10.0) > 0.0
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"SNR {db!r} dB overflows or underflows as a linear value")
         if self.radius_m <= 0 or self.alpha <= 0:
             raise ConfigError("radius_m and alpha must be positive")
         if self.placement == "uniform_disk" and self.radius_m < MIN_USER_DISTANCE_M:
@@ -119,18 +130,21 @@ class ScenarioSpec:
         """Training length for the non-optimal modes (optimal is solved later)."""
         return self.tau if self.tau_mode == "fixed" else self.k
 
+    @property
+    def log_scale(self) -> float:
+        """Factor that converts an SE in nats to the spec's log base."""
+        return 1.0 / math.log(2.0) if self.log_base == "base2" else 1.0
+
     def system_config(self, snr_db: float, tau: int | None = None) -> SystemConfig:
         rho_d = 10.0 ** (snr_db / 10.0)
         tr_db = self.snr_training_db if self.snr_training_db is not None else snr_db
         return SystemConfig(
             n_antennas=self.n,
             n_users=self.k,
-            n_cells=self.l,
             coherence_len=self.t,
             training_len=self.resolve_tau() if tau is None else tau,
             snr_data=rho_d,
             snr_training=10.0 ** (tr_db / 10.0),
-            log_base=self.log_base,
         )
 
 

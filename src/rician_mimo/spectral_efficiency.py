@@ -1,4 +1,4 @@
-"""Empirical (Monte Carlo) and exact spectral-efficiency evaluation.
+"""Empirical (Monte Carlo) and exact spectral-efficiency evaluation, in nats.
 
 Conventional combining is evaluated by Monte Carlo over channel draws with
 the interference, estimation-error and noise terms computed as closed-form
@@ -208,7 +208,7 @@ def conventional_mc(
 
     Estimators are shared between configs with equal (training_len,
     snr_training); channel and pilot-noise draws are shared by all configs
-    of a trial.  Each config scales its logs by its own prelog and log base.
+    of a trial.  Each config scales its logs by its own prelog.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -217,8 +217,7 @@ def conventional_mc(
     stderr = np.sqrt(var / trials)
     return [
         [
-            SEReport(c.prelog * mean[p, j] * c.log_scale, c.prelog * stderr[p, j] * c.log_scale)
-            for j in range(len(profiles))
+            SEReport(c.prelog * mean[p, j], c.prelog * stderr[p, j]) for j in range(len(profiles))
         ]
         for p, c in enumerate(configs)
     ]
@@ -254,6 +253,5 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
             los = c != 0
             sinr = np.zeros_like(c)
             sinr[los] = c[los] / (m[los] + quad[los] / c[los])
-            se = np.log1p(sinr) * config.log_scale
-            per_bs.append(SEReport(se, None))
+            per_bs.append(SEReport(np.log1p(sinr), None))
     return reports

@@ -83,13 +83,14 @@ def _rows_for_scenario(
     seed: int,
 ) -> list[ResultRow]:
     spec = scenario.spec
+    scale = spec.log_scale
     k = scenario.n_users
     multi = scenario.n_cells > 1
     grid = spec.snr_grid_db
     configs = [spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr)) for snr in grid]
     want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
     # per scheme: (row name, mc[config][bs] or None, de[config][bs] or None),
-    # each list from one call over the whole grid
+    # in nats, each list from one call over the whole grid
     results = {}
     if "conv" in schemes:
         mc = de = None
@@ -112,13 +113,14 @@ def _rows_for_scenario(
             tau_used, prelog = (config.training_len, config.prelog) if scheme == "conv" else (0, 1.0)
             for bs in range(scenario.n_cells):
                 for u in range(k):
-                    if mc is not None:
-                        report = mc[i][bs]
-                        se_value = float(report.per_user_se[u])
-                        stderr = None if report.se_stderr is None else float(report.se_stderr[u])
+                    de_u = None if de is None else float(de[i][bs][u]) * scale
+                    if mc is None:
+                        se_value, stderr, se_de = de_u, None, None
                     else:
-                        se_value = float(de[i][bs][u])
-                        stderr = None
+                        err = mc[i][bs].se_stderr
+                        se_value = float(mc[i][bs].per_user_se[u]) * scale
+                        stderr = None if err is None else float(err[u]) * scale
+                        se_de = de_u
                     rows.append(
                         ResultRow(
                             scenario_id=spec.scenario_id,
@@ -127,7 +129,7 @@ def _rows_for_scenario(
                             user_id=bs * k + u,
                             se_value=se_value,
                             se_stderr=stderr,
-                            se_de=float(de[i][bs][u]) if (de is not None and mc is not None) else None,
+                            se_de=se_de,
                             tau_used=tau_used,
                             prelog=prelog,
                             seed=seed,

@@ -1,10 +1,10 @@
 """Optimal training length for conventional combining.
 
-Works on the simplified deterministic equivalent: the average SE over users,
-(1 - tau/T) * mean_k log(1 + gamma_k(tau)) with gamma_k = rho_d/[Q(tau)]_kk - 1,
-is maximized over tau in [K, T).  All tau dependence enters through the
-per-user eigenvalues of the correlation matrices, so re-evaluating at a new
-tau costs one K x K inverse.
+Works on the simplified deterministic equivalent: the average SE over users
+in nats, (1 - tau/T) * mean_k log(1 + gamma_k(tau)) with gamma_k =
+rho_d/[Q(tau)]_kk - 1, is maximized over tau in [K, T).  All tau dependence
+enters through the per-user eigenvalues of the correlation matrices, so
+re-evaluating at a new tau costs one K x K inverse.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ class TrainingCurve:
     """gamma_k(tau), its derivatives and the average SE, for fixed SNRs.
 
     `profiles` are the served users' local links; `config` supplies rho_d,
-    rho_tr, T and the log base (its training_len is ignored).
+    rho_tr and T (its training_len is ignored).
     """
 
     def __init__(self, profiles: list[UserLinkProfile], config: SystemConfig):
-        self.config = config
         self.n = profiles[0].n_antennas
         self.k = len(profiles)
         self.t = config.coherence_len
@@ -97,12 +96,12 @@ class TrainingCurve:
         return self.rho_d * (num / q_diag**2 - 2.0 * cross * qp_diag / q_diag**3)
 
     def avg_se(self, tau: float) -> float:
-        """Average simplified SE per user at training length tau."""
+        """Average simplified SE per user at training length tau, in nats."""
         gam = self.gamma(tau)
-        return (1.0 - tau / self.t) * float(np.mean(np.log1p(gam))) * self.config.log_scale
+        return (1.0 - tau / self.t) * float(np.mean(np.log1p(gam)))
 
     def se_derivative(self, tau: float) -> float:
-        """d/dtau of the average simplified SE (without the log-base scale)."""
+        """d/dtau of the average simplified SE."""
         gam = self.gamma(tau)
         gp = self.gamma_prime(tau)
         return -np.mean(np.log1p(gam)) / self.t + (1.0 - tau / self.t) * float(
@@ -123,10 +122,8 @@ def gamma_prime(profiles: list[UserLinkProfile], config: SystemConfig, tau: floa
 
 
 def _bisect_root(curve: TrainingCurve, lo: float, hi: float) -> float:
-    """Root of the (monotone decreasing) SE derivative on [lo, hi]."""
-    f_lo = curve.se_derivative(lo)
-    if f_lo <= 0:
-        return lo
+    """Root of the (monotone decreasing) SE derivative on [lo, hi], where
+    the derivative at lo is positive."""
     if curve.se_derivative(hi) > 0:
         return hi
     for _ in range(200):
@@ -143,18 +140,15 @@ def _bisect_root(curve: TrainingCurve, lo: float, hi: float) -> float:
 def solve_tau_star(profiles: list[UserLinkProfile], config: SystemConfig) -> TrainingSolution:
     """Optimal training length of the average simplified SE.
 
-    Checks the stationarity condition at tau = K first; otherwise bisects
-    the (monotone) SE derivative on [K, T).  The returned tau_star is the
-    better of the two integers around the continuous root.
+    A non-positive SE derivative at tau = K puts the optimum there;
+    otherwise the (monotone) derivative is bisected on [K, T).  tau_star is
+    the better of the two integers around the continuous root.
     """
     curve = TrainingCurve(profiles, config)
     k, t = curve.k, curve.t
     if k >= t:
         raise ValueError("need K < T to optimize the training length")
-    gam = curve.gamma(float(k))
-    gp = curve.gamma_prime(float(k))
-    boundary = float(np.mean((t - k) * gp / (1.0 + gam) - np.log1p(gam)))
-    boundary_hit = boundary <= 0
+    boundary_hit = curve.se_derivative(float(k)) <= 0
     tau_cont = float(k) if boundary_hit else _bisect_root(curve, float(k), t - 1e-9 * t)
     lo = int(min(max(math.floor(tau_cont), k), t - 1))
     hi = int(min(max(math.ceil(tau_cont), k), t - 1))

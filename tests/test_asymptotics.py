@@ -32,11 +32,10 @@ from rician_mimo.spectral_efficiency import se_stat_multicell, se_stat_singlecel
 from rician_mimo.sweeps import conv_de_per_bs
 
 
-def make_config(n, k, l=1, t=200, tau=None, snr=2.0):
+def make_config(n, k, t=200, tau=None, snr=2.0):
     return SystemConfig(
         n_antennas=n,
         n_users=k,
-        n_cells=l,
         coherence_len=t,
         training_len=tau if tau is not None else k,
         snr_data=snr,
@@ -122,7 +121,7 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
     ests = [
         build_estimator_multicell([local[i], inter[i]], 0, k, rho) for i in range(k)
     ]
-    cfg = make_config(n, k, l=l, snr=rho)
+    cfg = make_config(n, k, snr=rho)
     state = build_q_multicell(stats_for(ests), ests, rho, refined=False)
     res = se_conv_multicell_de(state, cfg, include_estimation_error=False)
     assert np.max(np.abs(res.se - res.se_expanded)) < 1e-10
@@ -475,9 +474,9 @@ def test_stat_simplified_rank_one_downdate():
 def test_stat_multicell_uses_local_statistics_only():
     n, k = 16, 3
     profiles = dft_profiles(n, k)
-    cfg = make_config(n, k, l=3, snr=2.0)
+    cfg = make_config(n, k, snr=2.0)
     de = se_stat_multicell_de(profiles, cfg)
-    _, single = se_stat_singlecell_de(profiles, make_config(n, k, snr=2.0))
+    _, single = se_stat_singlecell_de(profiles, cfg)
     assert np.allclose(de, single)
 
 

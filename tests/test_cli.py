@@ -312,10 +312,13 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
         ({"snr_training_db": "inf"}, []),
         ({"snr_grid_db": "0,inf"}, []),
         ({}, ["--snr", "0:inf:5"]),
+        ({"snr_grid_db": "4000"}, []),
+        ({}, ["--snr", "4000:4000:1"]),
     ],
     ids=[
         "seed-flag", "seed-file", "radius", "radius-under-1m", "radius-tiny", "alpha",
         "exponential-rho", "radius-nan", "alpha-inf", "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
+        "snr-grid-overflow", "snr-range-overflow",
     ],
 )
 def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):

@@ -7,7 +7,6 @@ def make_config(**overrides):
     base = dict(
         n_antennas=16,
         n_users=4,
-        n_cells=1,
         coherence_len=100,
         training_len=4,
         snr_data=1.0,
@@ -33,7 +32,7 @@ def test_tau_at_t_rejected():
         make_config(training_len=100)
 
 
-@pytest.mark.parametrize("field", ["n_antennas", "n_users", "n_cells", "coherence_len"])
+@pytest.mark.parametrize("field", ["n_antennas", "n_users", "coherence_len"])
 def test_nonpositive_integers_rejected(field):
     with pytest.raises(ConfigError):
         make_config(**{field: 0})
@@ -48,9 +47,4 @@ def test_noninteger_rejected():
 def test_nonpositive_snr_rejected(field):
     with pytest.raises(ConfigError):
         make_config(**{field: 0.0})
-
-
-def test_bad_log_base_rejected():
-    with pytest.raises(ConfigError):
-        make_config(log_base="log10")
 

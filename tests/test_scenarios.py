@@ -61,6 +61,12 @@ def test_defaults_are_valid():
         dict(scenario_id='a"b'),
         dict(scenario_id="a\rb"),
         dict(scenario_id="a\nb"),
+        dict(log_base="log10"),
+        # finite in dB, but 10^(x/10) overflows or underflows to 0
+        dict(snr_grid_db=(0.0, 4000.0)),
+        dict(snr_grid_db=(-4000.0,)),
+        dict(snr_training_db=4000.0),
+        dict(snr_training_db=-4000.0),
     ],
 )
 def test_invalid_specs_rejected(overrides):

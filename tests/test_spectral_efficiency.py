@@ -28,6 +28,7 @@ from rician_mimo.spectral_efficiency import (
     se_stat_multicell,
     se_stat_singlecell,
 )
+from rician_mimo.sweeps import run_sweep
 
 
 def tiny_profiles(n=8, k=2, l=2, seed=0):
@@ -62,7 +63,6 @@ def make_config(**overrides):
     base = dict(
         n_antennas=8,
         n_users=2,
-        n_cells=2,
         coherence_len=50,
         training_len=2,
         snr_data=2.0,
@@ -301,21 +301,20 @@ def test_mc_stderr_matches_exact_rational_recomputation():
             assert abs(rep.se_stderr[k] - exact) <= 1e-12 * exact
 
 
-def test_mc_reports_scale_by_config_prelog_and_log_base():
-    # each report is its config's prelog and log-base scale times the
-    # kernel's moments, so configs of different tau and log base share draws
+def test_mc_reports_scale_by_config_prelog():
+    # each report is its config's prelog times the kernel's moments, so
+    # configs of different tau share draws
     profiles = tiny_profiles(seed=6)
     trials = 4
-    configs = [point(5, 1.0, 1.0), point(2, 1.0, 1.0, log_base="base2")]
+    configs = [point(5, 1.0, 1.0), point(2, 1.0, 1.0)]
     mean, m2 = mc_log_moments(profiles, configs, 1, 0, trials)
     reports = conventional_mc(profiles, configs, trials, seed=1)
     for p_idx, (cfg, per_bs) in enumerate(zip(configs, reports)):
         for j, rep in enumerate(per_bs):
             stderr = np.sqrt(m2[p_idx, j] / (trials - 1) / trials)
-            assert np.array_equal(rep.per_user_se, cfg.prelog * mean[p_idx, j] * cfg.log_scale)
-            assert np.array_equal(rep.se_stderr, cfg.prelog * stderr * cfg.log_scale)
+            assert np.array_equal(rep.per_user_se, cfg.prelog * mean[p_idx, j])
+            assert np.array_equal(rep.se_stderr, cfg.prelog * stderr)
     assert configs[0].prelog == 1.0 - 5 / 50
-    assert configs[1].log_scale == 1.0 / math.log(2.0)
 
 
 def test_mc_rejects_zero_trials():
@@ -324,16 +323,27 @@ def test_mc_rejects_zero_trials():
         conventional_mc(profiles, [point(2, 1.0, 1.0)], 0, seed=1)
 
 
+def test_log_base_scaling():
+    # the SE functions return nats; a base-2 scenario's statistical rows
+    # are the single-cell SE of its served links over ln 2
+    spec = ScenarioSpec(
+        n=8, k=2, t=50, trials=2, seed=8, correlation="exponential",
+        snr_grid_db=(0.0, 10.0), log_base="base2",
+    )
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
+    nats = se_stat_singlecell(scenario.local_profiles(0), configs)
+    rows = run_sweep(spec, schemes=("stat",), mode="de")
+    assert len(rows) == len(configs) * spec.k
+    for row in rows:
+        i = spec.snr_grid_db.index(row.snr_db)
+        expected = nats[i].per_user_se[row.user_id] / math.log(2.0)
+        assert np.isclose(row.se_value, expected, rtol=1e-12, atol=0.0)
+
+
 def test_report_rejects_negative_se():
     with pytest.raises(ValueError):
         SEReport(per_user_se=np.array([-0.1]), se_stderr=np.zeros(1))
-
-
-def test_log_base_scaling():
-    profiles = tiny_profiles(seed=8)[0][0]
-    nats = se_stat_singlecell(profiles, [make_config(n_cells=1, log_base="natural")])[0]
-    bits = se_stat_singlecell(profiles, [make_config(n_cells=1, log_base="base2")])[0]
-    assert np.allclose(bits.per_user_se, nats.per_user_se / math.log(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +412,7 @@ def assert_matches_oracle(se, sinr):
 def test_stat_core_matches_leave_one_out_oracle(cells, rho_d):
     n, k = 16, len(ORACLE_KAPPAS)
     profiles = oracle_profiles(cells, n)
-    cfg = make_config(
-        n_antennas=n, n_users=k, n_cells=cells, training_len=k, snr_data=rho_d, log_base="natural"
-    )
+    cfg = make_config(n_antennas=n, n_users=k, training_len=k, snr_data=rho_d)
     multi = se_stat_multicell(profiles, [cfg])[0]
     for j, bs in enumerate(profiles):
         single, multi_sinr = leave_one_out_sinrs(bs, j, rho_d)
@@ -420,7 +428,7 @@ def test_stat_los_only_form_finite_at_160_db():
     # rounds to 0 when the noise loading vanishes against the LoS gram
     n, k = 16, len(ORACLE_KAPPAS)
     local = oracle_profiles(1, n)[0][0]
-    cfg = make_config(n_antennas=n, n_users=k, n_cells=1, training_len=k, snr_data=1e16)
+    cfg = make_config(n_antennas=n, n_users=k, training_len=k, snr_data=1e16)
     _, los_only = se_stat_singlecell_de(local, cfg)
     assert np.all(np.isfinite(los_only))
     assert los_only[0] == 0.0 and not np.signbit(los_only[0])
@@ -439,7 +447,7 @@ def test_stat_singlecell_matches_empirical_average():
         )
         for _ in range(k)
     ]
-    cfg = make_config(n_cells=1, n_users=3, training_len=3, log_base="natural")
+    cfg = make_config(n_users=3, training_len=3)
     rep = se_stat_singlecell(profiles, [cfg])[0]
 
     g = statistical_combiner(profiles, cfg.snr_data).vectors
@@ -465,7 +473,7 @@ def test_stat_singlecell_matches_empirical_average():
 def test_stat_multicell_reduces_to_singlecell():
     # one statistical SE: with R_out = 0 the multi-cell SINR is c_k / m_k
     # exactly, the full form of the single-cell equivalent
-    cfg = make_config(n_cells=1)
+    cfg = make_config()
     for seed in range(10):
         local = tiny_profiles(seed=seed)[0][0]
         single = se_stat_singlecell(local, [cfg])[0]
@@ -478,7 +486,7 @@ def test_stat_multicell_interference_hurts():
     profiles = tiny_profiles(seed=12)
     cfg = make_config()
     multi = se_stat_multicell(profiles, [cfg])[0][0]
-    clean = se_stat_singlecell(profiles[0][0], [make_config(n_cells=1)])[0]
+    clean = se_stat_singlecell(profiles[0][0], [make_config()])[0]
     assert np.all(multi.per_user_se <= clean.per_user_se + 1e-12)
     # the exact statistical SE has no Monte Carlo standard error
     assert multi.se_stderr is None
@@ -490,6 +498,6 @@ def test_stat_rayleigh_user_gets_zero_se():
         build_profile(1.0, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n)),
         build_profile(1.0, 2.0, np.eye(n, dtype=complex), los_steering(0.8, n)),
     ]
-    rep = se_stat_singlecell(profiles, [make_config(n_cells=1)])[0]
+    rep = se_stat_singlecell(profiles, [make_config()])[0]
     assert rep.per_user_se[0] == 0.0
     assert rep.per_user_se[1] > 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from rician_mimo.config import ConfigError
 from rician_mimo.estimation import BSStatistics
-from rician_mimo.presets import _crossover_and_gain
+from rician_mimo.presets import _crossover_and_gain, tau_star_rows
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
     _rows_for_scenario,
@@ -16,7 +16,6 @@ from rician_mimo.sweeps import (
     run_sweep,
     stat_de_per_bs,
 )
-from rician_mimo.training import solve_tau_star
 
 
 def small_spec(**overrides):
@@ -176,20 +175,31 @@ def test_sweep_reproducible():
 def test_base2_values_are_natural_values_over_ln2():
     spec = small_spec(trials=3, tau_mode="optimal")
     bits_spec = small_spec(trials=3, tau_mode="optimal", log_base="base2")
+    scale = bits_spec.log_scale
+    assert (spec.log_scale, scale) == (1.0, 1.0 / math.log(2.0))
+    # every SE is computed in nats and the row builder applies the log base
+    # last, so a base-2 row is its natural row times the scale, bit for bit
     nats = run_sweep(spec, mode="both")
     bits = run_sweep(bits_spec, mode="both")
     assert len(nats) == len(bits)
+    assert {a.scheme for a in nats} == {"conv_single", "stat_single"}
     for a, b in zip(nats, bits):
-        assert (a.scheme, a.snr_db, a.user_id, a.tau_used) == (
-            b.scheme, b.snr_db, b.user_id, b.tau_used
+        assert (a.scheme, a.snr_db, a.user_id, a.tau_used, a.prelog) == (
+            b.scheme, b.snr_db, b.user_id, b.tau_used, b.prelog
         )
-        assert b.se_value == pytest.approx(a.se_value / math.log(2.0), rel=1e-14, abs=0.0)
-        assert b.se_de == pytest.approx(a.se_de / math.log(2.0), rel=1e-14, abs=0.0)
-    profiles = build_scenario(spec).local_profiles(0)
-    for snr in spec.snr_grid_db:
-        a = solve_tau_star(profiles, spec.system_config(snr))
-        b = solve_tau_star(profiles, bits_spec.system_config(snr))
-        assert b.avg_se_at_star == pytest.approx(a.avg_se_at_star / math.log(2.0), rel=1e-14)
+        assert b.se_value == a.se_value * scale
+        assert b.se_de == a.se_de * scale
+        if a.se_stderr is None:
+            assert b.se_stderr is None and a.scheme == "stat_single"
+        else:
+            assert b.se_stderr == a.se_stderr * scale
+    # tau* rows: only the average SE is an SE; se_de holds tau_continuous
+    nats = tau_star_rows(build_scenario(spec), spec.seed)
+    bits = tau_star_rows(build_scenario(bits_spec), spec.seed)
+    assert len(nats) == len(bits) == len(spec.snr_grid_db)
+    for a, b in zip(nats, bits):
+        assert b.se_value == a.se_value * scale
+        assert (a.se_de, a.tau_used, a.prelog) == (b.se_de, b.tau_used, b.prelog)
 
 
 def test_sweep_validation_errors():

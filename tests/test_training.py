@@ -25,7 +25,6 @@ def make_config(k=4, t=200, snr_data=2.0, snr_training=2.0):
     return SystemConfig(
         n_antennas=32,
         n_users=k,
-        n_cells=1,
         coherence_len=t,
         training_len=k,
         snr_data=snr_data,
