@@ -11,6 +11,12 @@ Hbar is read already rotated by Q^H from the BS's `estimation.BSStatistics`;
 every trace and LoS form is invariant under the unitary Q, so no operand is
 mapped back to the antenna basis.
 
+The conventional DE of one BS at one operating point is a function of that
+BS's `BSStatistics` and one `SystemConfig` (tau, rho_tr and rho_d) only:
+`build_q_multicell(bs, config, refined)` builds its state and
+`se_conv_multicell_de` its SE.  One cell is the L = 1 case, and the
+single-cell names delegate to them.
+
 Two evaluation modes are supported.  The refined mode (default) keeps Z,
 which stays accurate at finite N even when the regularizer dominates the
 noise loading.  It needs links whose covariances share one eigenbasis V
@@ -18,15 +24,13 @@ noise loading.  It needs links whose covariances share one eigenbasis V
 scenarios have; `BSStatistics.basis`): there A, B, Z and every R_tilde_i
 are diagonal, so the state is per-eigenvalue vectors, Hbar rotated into V
 and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N product or
-inverse.  Links without a common basis raise ValueError.  The plain mode
-replaces Z by I, the additional large-antenna simplification used in the
-published closed forms, and reads the BS's same-pilot stacks (the
-projections P_l and the shrinkage f) and B: every trace is a weighted
-column sum of them, and no R_tilde_i is formed.  Both modes coincide as N
-grows.
-
-One cell is the L = 1 case: `build_q_multicell` and `se_conv_multicell_de`
-serve every layout, and the single-cell names delegate to them.
+inverse.  It reads only the links' eigenvalues, so the BS never builds its
+same-pilot stacks.  Links without a common basis raise ValueError.  The
+plain mode replaces Z by I, the additional large-antenna simplification
+used in the published closed forms: it builds the K estimators on the BS's
+same-pilot spectra, and every trace is a weighted column sum of the
+projections P_l and the shrinkage f; no R_tilde_i is formed.  Both modes
+coincide as N grows.
 
 The statistical-combining equivalents need no Q: they read the K x K LoS
 resolvent `combining.los_resolvent`.
@@ -210,16 +214,16 @@ def _second_order_moments(
     return q_mean, var_mat, noise_corr, err_corr, contam_second
 
 
-def _refined_state(
-    bs: BSStatistics, estimators: list[EstimatorState], rho_d: float
-) -> AsymptoticState:
+def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> AsymptoticState:
     """The refined state on the links' common eigenbasis V (`bs.basis`).
 
     There A, B, Z, every R_tilde_i and every R_l Phi R_i are diagonal: with
-    lam_l a link's eigenvalues, mu their same-pilot sum and f the shrinkage,
-    R_tilde_i is lam_i^2 f_i, the error (or conditional) covariance of link
-    l is lam_l f (mu - lam_l + s), Z is 1/(1 + rho_d a/N) and each cross
-    trace is sum_c z_c lam_l lam_i f_i.  No N x N matrix is formed.
+    lam_l a link's eigenvalues, mu their same-pilot sum and
+    f = 1/(mu + 1/(tau rho_tr)) the shrinkage, R_tilde_i is lam_i^2 f_i, the
+    error (or conditional) covariance of link l is lam_l f (mu - lam_l + s),
+    Z is 1/(1 + rho_d a/N) and each cross trace is sum_c z_c lam_l lam_i f_i.
+    Only the links' eigenvalues are read: no same-pilot stack and no N x N
+    matrix is formed.
     """
     if bs.basis is None:
         raise ValueError(
@@ -228,14 +232,16 @@ def _refined_state(
         )
     h = bs.h_rot
     n, k = h.shape
-    local, others = estimators[0].local_index, estimators[0].others
-    # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, f[i] the shrinkage
-    lam = np.array([[p.r_eigvals for p in e.spectrum.links] for e in estimators]).swapaxes(0, 1)
-    mu = np.stack([e.spectrum.eigvals for e in estimators])
-    f = np.stack([e.shrink for e in estimators])
+    local = bs.j
+    others = [ell for ell in range(len(bs.links)) if ell != local]
+    # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, summed in the
+    # order of `same_pilot_spectrum`; f[i] the shrinkage
+    lam = np.array([[p.r_eigvals for p in group] for group in zip(*bs.links)]).swapaxes(0, 1)
+    mu = sum(lam[1:], lam[0])
+    f = 1.0 / (mu + 1.0 / tau_rho)
     r = lam[local] ** 2 * f
     # R_l - R_l Phi R_l, written without cancellation
-    cond = lam * f * (mu - lam + 1.0 / estimators[0].tau_rho)
+    cond = lam * f * (mu - lam + 1.0 / tau_rho)
     z = 1.0 / (1.0 + (rho_d / n) * (cond[local].sum(0) + lam[others].sum((0, 1))))
     zxz = z * z * cond.sum((0, 1))
     q = np.linalg.inv(_diag_gram(h, r, z) + np.eye(k) / rho_d)
@@ -271,42 +277,45 @@ def _refined_state(
     return AsymptoticState(q, rho_d, gram2, t_mat, cross, *moments, **contam)
 
 
-def build_q_singlecell(
-    bs: BSStatistics,
-    estimators: list[EstimatorState],
-    rho_d: float,
-    refined: bool = True,
-) -> AsymptoticState:
+def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
     """`build_q_multicell` of one cell."""
-    return build_q_multicell(bs, estimators, rho_d, refined)
+    return build_q_multicell(bs, config, refined)
 
 
-def build_q_multicell(
-    bs: BSStatistics,
-    estimators: list[EstimatorState],
-    rho_d: float,
-    refined: bool = True,
-) -> AsymptoticState:
-    """State of BS j, in one cell or several.
+def _estimators(bs: BSStatistics, config: SystemConfig) -> list[EstimatorState]:
+    """The K estimators of BS j at the training key of `config`, on the BS's
+    same-pilot spectra."""
+    return [
+        build_estimator_multicell(sp, bs.j, config.training_len, config.snr_training)
+        for sp in bs.spectra
+    ]
 
-    `bs` is BS j's `BSStatistics`; `estimators[i]` is the estimator of pilot
-    i at this BS, whose same-pilot spectrum carries every contaminating link
-    (none in a single cell).  The regularizer adds the inter-cell
-    covariances, and the quadratic term B of `regularizer_sums` keeps only
-    the conditional covariances of the contaminating links (B = A in a
-    single cell); their conditional-mean power is carried by the dedicated
-    contamination model, matching the Monte Carlo split.
 
-    The plain state (Z = I) reads the BS's same-pilot stacks: with P_l the
-    projections `bs.proj[l]` and f the stacked shrinkage, tr R_tilde_i and
-    the cross traces come from `_phi_traces`, and tr(R_tilde_i B) from one
-    (N, N) @ (N, K*N) product B P_j and a weighted column sum.
+def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
+    """State of BS j at one operating point, in one cell or several.
+
+    `bs` is BS j's `BSStatistics` and `config` the operating point: tau,
+    rho_tr and rho_d come from it.  Pilot i at BS j is shared by user i of
+    every cell (none else in a single cell).  The regularizer adds the
+    inter-cell covariances, and the quadratic term B of `regularizer_sums`
+    keeps only the conditional covariances of the contaminating links
+    (B = A in a single cell); their conditional-mean power is carried by
+    the dedicated contamination model, matching the Monte Carlo split.
+
+    The refined state reads only the links' eigenvalues (`_refined_state`).
+    The plain state (Z = I) builds the K estimators on the BS's same-pilot
+    stacks: with P_l the projections `bs.proj[l]` and f the stacked
+    shrinkage, tr R_tilde_i and the cross traces come from `_phi_traces`,
+    and tr(R_tilde_i B) from one (N, N) @ (N, K*N) product B P_j and a
+    weighted column sum.
     """
+    rho_d = config.snr_data
     if refined:
-        return _refined_state(bs, estimators, rho_d)
+        return _refined_state(bs, config.training_len * config.snr_training, rho_d)
+    estimators = _estimators(bs, config)
     h_bar = bs.h_bar
     n, k = h_bar.shape
-    local = estimators[0].local_index
+    local = bs.j
     shrink = np.stack([e.shrink for e in estimators])
     p_local = bs.proj[local]
     # phi[l, i] = tr(R_l Phi_i R_i); row `local` is tr R_tilde_i
@@ -340,20 +349,13 @@ def se_conv_singlecell_de_simplified(state: AsymptoticState, config: SystemConfi
     return config.prelog * np.log(state.rho_d / q_diag)
 
 
-def se_conv_favorable(
-    profiles: list[UserLinkProfile],
-    estimators: list[EstimatorState],
-    config: SystemConfig,
-) -> np.ndarray:
-    """Favorable-propagation corollary: interference-free conventional SE."""
-    n = config.n_antennas
-    rho = config.snr_data
-    # tr(R_tilde_i) = sum_c f_c |P_i[:, c]|^2
-    traces = np.array(
-        [_phi_traces(e.spectrum.proj, e.local_index, e.shrink)[e.local_index] for e in estimators]
-    )
-    norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in profiles])
-    return config.prelog * np.log1p(rho / n * (traces + norms))
+def se_conv_favorable(bs: BSStatistics, config: SystemConfig) -> np.ndarray:
+    """Favorable-propagation corollary of BS j: interference-free conventional SE."""
+    shrink = np.stack([e.shrink for e in _estimators(bs, config)])
+    # tr(R_tilde_i) = sum_c f_ic |P_ji[:, c]|^2
+    traces = _phi_traces(bs.proj, bs.j, shrink)[bs.j]
+    norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in bs.links[bs.j]])
+    return config.prelog * np.log1p(config.snr_data / config.n_antennas * (traces + norms))
 
 
 @dataclass

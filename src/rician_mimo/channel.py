@@ -397,13 +397,7 @@ class ScenarioGeometry:
     """Cell layout and user drop used to derive link statistics."""
 
     cell_centers: np.ndarray  # (L, 2) meters
-    cell_radius: float
-    pathloss_exponent: float
     user_positions: np.ndarray  # (L, K, 2) meters
-
-    def __post_init__(self):
-        if self.cell_radius <= 0 or self.pathloss_exponent <= 0:
-            raise ChannelModelError("cell_radius and pathloss_exponent must be positive")
 
     def distance(self, bs: int, cell: int, user: int) -> float:
         d = np.linalg.norm(self.user_positions[cell, user] - self.cell_centers[bs])
@@ -427,7 +421,6 @@ def drop_users(
     n_users: int,
     placement: str,
     rng: np.random.Generator,
-    pathloss_exponent: float = 2.5,
 ) -> ScenarioGeometry:
     """Place users per cell.
 
@@ -438,6 +431,8 @@ def drop_users(
     """
     if n_users < 1:
         raise ChannelModelError("need at least one user")
+    if cell_radius <= 0:
+        raise ChannelModelError("cell_radius must be positive")
     cell_centers = np.atleast_2d(np.asarray(cell_centers, dtype=float))
     n_cells = cell_centers.shape[0]
     positions = np.zeros((n_cells, n_users, 2))
@@ -460,9 +455,4 @@ def drop_users(
             raise ChannelModelError(f"unknown placement {placement!r}")
         positions[j, :, 0] = cell_centers[j, 0] + r * np.cos(phi)
         positions[j, :, 1] = cell_centers[j, 1] + r * np.sin(phi)
-    return ScenarioGeometry(
-        cell_centers=cell_centers,
-        cell_radius=cell_radius,
-        pathloss_exponent=pathloss_exponent,
-        user_positions=positions,
-    )
+    return ScenarioGeometry(cell_centers=cell_centers, user_positions=positions)

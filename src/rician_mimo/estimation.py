@@ -96,7 +96,8 @@ class BSStatistics:
     real and imaginary columns; `local` is the image of sum_i R_jji and
     `inter` the image of R_out = sum_{l != j, k} R_jlk (zero in a single
     cell).  The K same-pilot `spectra` are built on first read, since the
-    statistical receiver never needs them, and their eigenvectors and
+    statistical receiver and the refined DE never need them (only the Monte
+    Carlo and the plain DE read them), and their eigenvectors and
     projections are held once, in two BS-level stacks: `vecs[:, k]` is V_k
     and `proj[l, :, k]` is P_lk, so `vecs` reshapes in place to the
     (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and

@@ -1,13 +1,16 @@
 """Result rows and their CSV/JSON serialization.
 
-One row per (scheme, operating point, user).  Files are deterministic:
-fixed column order, repr() floats (shortest round-trip decimal), LF line
-endings, so identical runs produce byte-identical output.
+One row per (scheme, operating point, user).  A row refuses a NaN,
+infinite or negative SE with ValueError, so no such value is written.
+Files are deterministic: fixed column order, repr() floats (shortest
+round-trip decimal), LF line endings, so identical runs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -24,6 +27,14 @@ class ResultRow:
     tau_used: int
     prelog: float
     seed: int
+
+    def __post_init__(self):
+        for name in ("se_value", "se_stderr", "se_de"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.se_value < 0:
+            raise ValueError(f"se_value must be non-negative, got {self.se_value!r}")
 
 
 FIELD_NAMES = [f.name for f in fields(ResultRow)]

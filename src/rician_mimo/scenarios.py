@@ -177,8 +177,6 @@ class Scenario:
         )
         geometry = ScenarioGeometry(
             cell_centers=self.geometry.cell_centers[bs : bs + 1],
-            cell_radius=self.geometry.cell_radius,
-            pathloss_exponent=self.geometry.pathloss_exponent,
             user_positions=self.geometry.user_positions[bs : bs + 1],
         )
         return Scenario(
@@ -229,7 +227,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     centers = _cell_centers(spec)
-    geometry = drop_users(centers, spec.radius_m, spec.k, spec.placement, rng, spec.alpha)
+    geometry = drop_users(centers, spec.radius_m, spec.k, spec.placement, rng)
     kappa_u = rng.uniform(0.0, 1.0, size=(spec.l, spec.k))
     kappas = kappa_u * spec.kappa_max
     edge_loss = pathloss(spec.radius_m, spec.alpha)

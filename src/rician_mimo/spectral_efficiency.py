@@ -39,7 +39,8 @@ class SEReport:
     se_stderr: np.ndarray | None  # None for an exact (draw-free) SE
 
     def __post_init__(self):
-        if np.any(self.per_user_se < 0):
+        # NaN fails every comparison, so test for the valid values
+        if not np.all(self.per_user_se >= 0):
             raise ValueError("spectral efficiencies must be non-negative")
 
 

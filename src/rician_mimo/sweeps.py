@@ -20,7 +20,6 @@ import numpy as np
 
 from .asymptotics import build_q_multicell, se_conv_multicell_de
 from .config import ConfigError, SystemConfig
-from .estimation import build_estimator_multicell
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .spectral_efficiency import conventional_mc, se_stat_multicell
@@ -51,15 +50,7 @@ def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> l
     # equivalents
     refined = scenario.spec.correlation != "one_ring"
     stats = scenario.profiles[bs]
-    out = []
-    for config in configs:
-        estimators = [
-            build_estimator_multicell(sp, bs, config.training_len, config.snr_training)
-            for sp in stats.spectra
-        ]
-        state = build_q_multicell(stats, estimators, config.snr_data, refined=refined)
-        out.append(se_conv_multicell_de(state, config).se)
-    return out
+    return [se_conv_multicell_de(build_q_multicell(stats, c, refined), c).se for c in configs]
 
 
 def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
@@ -144,8 +135,6 @@ def run_sweep(
     sweep_axis: str = "snr",
     axis_values: tuple[float, ...] | None = None,
     mode: str = "both",
-    trials: int | None = None,
-    seed: int | None = None,
 ) -> list[ResultRow]:
     """Evaluate all schemes over the sweep axis; rows sorted by
     (axis point, SNR, scheme, user)."""
@@ -156,8 +145,6 @@ def run_sweep(
             raise ConfigError(f"unknown scheme {scheme!r}")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    trials = spec.trials if trials is None else trials
-    seed = spec.seed if seed is None else seed
     if sweep_axis == "snr":
         if axis_values:
             raise ConfigError("the snr axis takes its points from --snr (lo:hi:step), not axis values")
@@ -188,7 +175,5 @@ def run_sweep(
     rows: list[ResultRow] = []
     for variant in variants:
         scenario = build_scenario(variant)
-        rows.extend(
-            _rows_for_scenario(scenario, tuple(schemes), mode, trials, seed)
-        )
+        rows.extend(_rows_for_scenario(scenario, tuple(schemes), mode, spec.trials, spec.seed))
     return rows

@@ -27,7 +27,7 @@ from rician_mimo.channel import (
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
-from rician_mimo.estimation import BSStatistics, EstimatorState, build_estimator_multicell
+from rician_mimo.estimation import BSStatistics, EstimatorState
 from rician_mimo.spectral_efficiency import se_stat_multicell, se_stat_singlecell
 from rician_mimo.sweeps import conv_de_per_bs
 
@@ -58,17 +58,6 @@ def dft_profiles(n, k, beta=1.0, kappa=2.0):
     return shared_profiles(np.eye(n, dtype=complex), steering, [beta] * k, [kappa] * k)
 
 
-def estimators_for(profiles, tau, rho_tr):
-    return [build_estimator_multicell([p], 0, tau, rho_tr) for p in profiles]
-
-
-def stats_for(ests):
-    """The `BSStatistics` of one BS, built from its estimators' links."""
-    cells = len(ests[0].spectrum.links)
-    links = [[e.spectrum[ell] for e in ests] for ell in range(cells)]
-    return BSStatistics(links, ests[0].local_index)
-
-
 # ---------------------------------------------------------------------------
 # scalar closed forms (plain mode reproduces the published expressions)
 
@@ -77,11 +66,10 @@ def test_plain_q_scalar_closed_form():
     # K = 1, Rayleigh, R = c I: Q = 1 / (r_tilde_scalar + 1/rho)
     n, c, tau, rho = 16, 0.8, 4, 3.0
     p = build_profile(c, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n))
-    est = build_estimator_multicell([p], 0, tau, rho)
-    state = build_q_singlecell(stats_for([est]), [est], rho, refined=False)
+    cfg = make_config(n, 1, tau=tau, snr=rho)
+    state = build_q_singlecell(BSStatistics([[p]], 0), cfg, refined=False)
     r_tilde_scalar = c**2 / (c + 1.0 / (tau * rho))
     assert state.q_matrix[0, 0].real == pytest.approx(1.0 / (r_tilde_scalar + 1.0 / rho), rel=1e-12)
-    cfg = make_config(n, 1, tau=tau, snr=rho)
     simp = se_conv_singlecell_de_simplified(state, cfg)
     assert simp[0] == pytest.approx(cfg.prelog * math.log1p(rho * r_tilde_scalar), rel=1e-12)
 
@@ -89,8 +77,7 @@ def test_plain_q_scalar_closed_form():
 def test_plain_q_diagonal_under_orthogonal_los():
     n, k = 32, 4
     profiles = dft_profiles(n, k)
-    ests = estimators_for(profiles, k, 2.0)
-    state = build_q_singlecell(stats_for(ests), ests, 2.0, refined=False)
+    state = build_q_singlecell(BSStatistics([profiles], 0), make_config(n, k), refined=False)
     off = state.q_matrix - np.diag(np.diag(state.q_matrix))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -102,11 +89,11 @@ def test_favorable_corollary_equals_theorem_under_orthogonal_los():
     n, k = 64, 4
     rho = 3.0
     profiles = dft_profiles(n, k, beta=1.3, kappa=1.7)
-    ests = estimators_for(profiles, k, rho)
+    stats = BSStatistics([profiles], 0)
     cfg = make_config(n, k, snr=rho)
-    state = build_q_singlecell(stats_for(ests), ests, rho, refined=False)
+    state = build_q_singlecell(stats, cfg, refined=False)
     theorem = se_conv_singlecell_de(state, cfg, include_estimation_error=False)
-    corollary = se_conv_favorable(profiles, ests, cfg)
+    corollary = se_conv_favorable(stats, cfg)
     assert np.max(np.abs(theorem - corollary)) < 1e-10
 
 
@@ -118,11 +105,8 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
         build_profile(0.1, 0.0, np.eye(n, dtype=complex), dft_steering(i, n), is_local=False)
         for i in range(k)
     ]
-    ests = [
-        build_estimator_multicell([local[i], inter[i]], 0, k, rho) for i in range(k)
-    ]
     cfg = make_config(n, k, snr=rho)
-    state = build_q_multicell(stats_for(ests), ests, rho, refined=False)
+    state = build_q_multicell(BSStatistics([local, inter], 0), cfg, refined=False)
     res = se_conv_multicell_de(state, cfg, include_estimation_error=False)
     assert np.max(np.abs(res.se - res.se_expanded)) < 1e-10
     assert np.all(res.pilot_contamination > 0)
@@ -141,9 +125,9 @@ def test_refined_and_plain_converge_with_n():
         betas, kappas, angles = zip(*draws)
         steering = [los_steering(angle, n) for angle in angles]
         profiles = shared_profiles(exponential_correlation(0.4, n), steering, betas, kappas)
-        ests = estimators_for(profiles, k, rho)
+        stats = BSStatistics([profiles], 0)
         cfg = make_config(n, k, snr=rho)
-        states = [build_q_singlecell(stats_for(ests), ests, rho, refined=m) for m in (False, True)]
+        states = [build_q_singlecell(stats, cfg, refined=m) for m in (False, True)]
         # one cell is the L = 1 case of the one SE formula, bit for bit
         for state in states:
             for err in (True, False):
@@ -160,9 +144,9 @@ def test_refined_and_plain_converge_with_n():
 def test_refined_state_carries_moment_fields():
     n, k = 16, 3
     profiles = dft_profiles(n, k)
-    ests = estimators_for(profiles, k, 1.0)
-    refined = build_q_singlecell(stats_for(ests), ests, 1.0, refined=True)
-    plain = build_q_singlecell(stats_for(ests), ests, 1.0, refined=False)
+    stats, cfg = BSStatistics([profiles], 0), make_config(n, k, snr=1.0)
+    refined = build_q_singlecell(stats, cfg, refined=True)
+    plain = build_q_singlecell(stats, cfg, refined=False)
     assert refined.var_mat.shape == (k, k)
     assert np.all(np.diag(refined.var_mat) >= 0)
     assert np.array_equal(plain.var_mat, np.zeros((k, k)))
@@ -308,13 +292,9 @@ def _assert_state_matches_oracle(state, oracle):
 
 def _state_at(links, bs, rho, refined=True):
     """The state of BS `bs` from its links[cell][user], at tau = K."""
-    cells, k = len(links), len(links[bs])
-    ests = [
-        build_estimator_multicell([links[ell][i] for ell in range(cells)], bs, k, rho)
-        for i in range(k)
-    ]
-    build = build_q_singlecell if cells == 1 else build_q_multicell
-    return build(stats_for(ests), ests, rho, refined=refined)
+    cfg = make_config(links[bs][0].n_antennas, len(links[bs]), snr=rho)
+    build = build_q_singlecell if len(links) == 1 else build_q_multicell
+    return build(BSStatistics(links, bs), cfg, refined=refined)
 
 
 @pytest.mark.parametrize("correlation", ["exponential"])
@@ -386,11 +366,11 @@ def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
     n, k, rho = 12, 3, 10.0
     for bs in range(cells):
         links = scenario.profiles[bs]
-        ests = [build_estimator_multicell([links[ell][i] for ell in range(cells)], bs, 3, rho) for i in range(k)]
+        stats, cfg = BSStatistics(links, bs), make_config(n, k, tau=3, snr=rho)
         if cells == 1:
-            state = build_q_singlecell(stats_for(ests), ests, rho, refined=False)
+            state = build_q_singlecell(stats, cfg, refined=False)
         else:
-            state = build_q_multicell(stats_for(ests), ests, rho, refined=False)
+            state = build_q_multicell(stats, cfg, refined=False)
         others = [ell for ell in range(cells) if ell != bs]
         dense = _dense_estimators(links, bs, 3 * rho)
         err_sum = sum(e.err_cov for e in dense)
@@ -429,6 +409,23 @@ def test_plain_de_forms_no_estimate_covariance_image(layout, monkeypatch):
     scenario = build_scenario(spec)
     de = conv_de_per_bs(scenario, [spec.system_config(snr) for snr in (0.0, 20.0)])
     assert all(np.all(np.isfinite(se)) and np.all(se > 0) for per_bs in de for se in per_bs)
+
+
+@pytest.mark.parametrize("correlation", ["exponential", "one_ring"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_refined_de_builds_no_same_pilot_spectra(layout, correlation):
+    # the refined state reads only the links' eigenvalues, so no BS writes
+    # its same-pilot stacks; the plain (one-ring) state reads them
+    cells = 1 if layout == "single_cell" else 3
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=12, k=3, t=50, correlation=correlation,
+        placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
+    )
+    scenario = build_scenario(spec)
+    de = conv_de_per_bs(scenario, [spec.system_config(snr) for snr in (0.0, 20.0)])
+    assert all(np.all(np.isfinite(se)) for per_bs in de for se in per_bs)
+    built = ["_pilot" in vars(stats) for stats in scenario.profiles]
+    assert built == [correlation == "one_ring"] * cells
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +568,8 @@ def test_de_outputs_finite_and_nonnegative(rho, kappa, seed):
     profiles = shared_profiles(
         exponential_correlation(0.3, n), steering, [beta for beta, _ in draws], [kappa] * k
     )
-    ests = estimators_for(profiles, k, rho)
     cfg = make_config(n, k, snr=rho)
-    state = build_q_singlecell(stats_for(ests), ests, rho)
+    state = build_q_singlecell(BSStatistics([profiles], 0), cfg)
     ev = np.linalg.eigvalsh(state.q_matrix)
     assert ev[0] > 0
     se = se_conv_singlecell_de(state, cfg)

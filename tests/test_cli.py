@@ -295,6 +295,26 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotic", "--schemes", "conv", "--snr=-2000:-2000:1"],
+        ["optimize-tau", "--snr=-3200:-3200:1"],
+        ["optimize-tau", "--snr=-600:-600:1"],
+    ],
+    ids=["conv-de-nan", "tau-star-inf", "tau-star-negative"],
+)
+def test_exit_numerical_failure_on_non_finite_or_negative_row(tmp_path, capsys, argv):
+    # at extreme low SNR the equivalents break down; a NaN, infinite or
+    # negative SE is refused when its row is built, never written
+    path = tmp_path / "low.cfg"
+    path.write_text("correlation = one_ring\nn = 16\nk = 3\nt = 50\nseed = 4\n")
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
     "fields, argv",
     [
         ({}, ["--seed", "-1"]),

@@ -90,6 +90,21 @@ def test_emit_rejects_bad_input(tmp_path):
         emit_results([make_row()], "xml", tmp_path / "out.xml")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("se_value", float("nan")),
+        ("se_value", float("inf")),
+        ("se_value", -1e-18),
+        ("se_stderr", float("nan")),
+        ("se_de", float("-inf")),
+    ],
+)
+def test_row_rejects_non_finite_or_negative_se(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_row(**{field: value})
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     se=st.floats(0, 1e6, allow_nan=False),

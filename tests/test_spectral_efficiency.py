@@ -342,8 +342,9 @@ def test_log_base_scaling():
 
 
 def test_report_rejects_negative_se():
-    with pytest.raises(ValueError):
-        SEReport(per_user_se=np.array([-0.1]), se_stderr=np.zeros(1))
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            SEReport(per_user_se=np.array([bad]), se_stderr=np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
