@@ -17,19 +17,22 @@ BS's `BSStatistics` and one `SystemConfig` (tau, rho_tr and rho_d) only:
 `se_conv_multicell_de` its SE.  One cell is the L = 1 case, and the
 single-cell names delegate to them.
 
-Two evaluation modes are supported.  The refined mode (default) keeps Z,
-which stays accurate at finite N even when the regularizer dominates the
-noise loading.  It needs links whose covariances share one eigenbasis V
-(one correlation matrix for every link, as `exponential` and `identity`
-scenarios have; `BSStatistics.basis`): there A, B, Z and every R_tilde_i
-are diagonal, so the state is per-eigenvalue vectors, Hbar rotated into V
-and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N product or
-inverse.  It reads only the links' eigenvalues, so the BS never builds its
-same-pilot stacks.  Links without a common basis raise ValueError.  The
-plain mode replaces Z by I, the additional large-antenna simplification
-used in the published closed forms: it builds the K estimators on the BS's
-same-pilot spectra, and every trace is a weighted column sum of the
-projections P_l and the shrinkage f; no R_tilde_i is formed.  Both modes
+Two evaluation modes are supported, and both fill the same state.  The
+refined mode (default) keeps Z, which stays accurate at finite N even when
+the regularizer dominates the noise loading.  It needs every link to hold
+one correlation matrix's eigenpair (as `exponential` and `identity`
+scenarios build; `BSStatistics.basis`), so every spectrum is a multiple of
+theta's.  There A, B, Z and every R_tilde_i are diagonal, and each
+contaminating conditional mean is exactly a multiple alpha of the local
+estimate fluctuation, so the state is per-eigenvalue vectors, Hbar rotated
+into V and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N
+product or inverse.  It reads only the links' eigenvalues, so the BS never
+builds its same-pilot stacks.  Links without one common theta raise
+ValueError.  The plain mode replaces Z by I, the additional large-antenna
+simplification used in the published closed forms: it builds the K
+estimators on the BS's same-pilot spectra, and every trace is a weighted
+column sum of the projections P_l and the shrinkage f; no R_tilde_i is
+formed.  Its contamination gains are its cross traces.  Both modes
 coincide as N grows.
 
 The statistical-combining equivalents need no Q: they read the K x K LoS
@@ -38,46 +41,44 @@ resolvent `combining.los_resolvent`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import UserLinkProfile, real_matmul
-from .combining import los_resolvent, statistical_resolvent
+from .combining import los_resolvent
 from .config import SystemConfig
 from .estimation import BSStatistics, EstimatorState, build_estimator_multicell, regularizer_sums
+from .spectral_efficiency import se_stat_singlecell
 
 
 @dataclass
 class AsymptoticState:
-    """Q matrix and companions for the conventional-combining equivalents."""
+    """Q matrix and companions for the conventional-combining equivalents.
+
+    Both modes fill every field.  The plain state's second-order fields are
+    Q and zeros, its contamination gains are its cross traces and its
+    contamination second moments |[Q]_ki|^2.
+    """
 
     q_matrix: np.ndarray  # (K, K) Hermitian positive definite
     rho_d: float
     gram2: np.ndarray  # (1/N) E[Hhat^H Z^2 Hhat], drives the noise term
     t_matrix: np.ndarray  # quadratic-term matrix H^H ZXZ H + diag traces
-    cross_traces: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    cross_traces: np.ndarray
     # cross_traces[m, i] = (1/N) tr(Z R_{j,l_m,i} Phi_{j,i} R_{j,j,i}) over
-    # interfering cells l_m != j (multi-cell only)
-    # second-order fluctuation moments (refined mode; zero/Q otherwise):
-    q_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    # E[Qtilde] including the resolvent bias Q E[Delta Q Delta] Q
-    var_mat: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    # var_mat[k, i] = Var([Qtilde]_ki), leading order
-    noise_corr: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # per-user second-order shift of [Qtilde G2 Qtilde]_kk
-    err_corr: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # per-user second-order shift of (1/N) [Qtilde T Qtilde]_kk
-    contam_alpha: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    # contam_alpha[m, i]: projection of the conditional-mean gain of the
-    # contaminating link (l_m, i) onto the local estimate fluctuation e_i
-    contam_second: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    # interfering cells l_m != j; (0, K) in a single cell
+    contam_alpha: np.ndarray
+    # contam_alpha[m, i]: the conditional mean of the contaminating link
+    # (l_m, i) is contam_alpha[m, i] times the local estimate fluctuation e_i
+    signal: np.ndarray  # per-user 1 - [q_mean]_kk / rho_d; [QG]_kk in plain mode
+    q_mean: np.ndarray  # E[Qtilde] including the resolvent bias Q E[Delta Q Delta] Q
+    var_mat: np.ndarray  # var_mat[k, i] = Var([Qtilde]_ki), leading order
+    noise_corr: np.ndarray  # per-user second-order shift of [Qtilde G2 Qtilde]_kk
+    err_corr: np.ndarray  # per-user second-order shift of (1/N) [Qtilde T Qtilde]_kk
+    contam_second: np.ndarray
     # contam_second[k, i] = E|(1/N)[Qtilde Hhat^H Z e_i]_k|^2, the second
     # moment of the resolvent-projected estimate fluctuation
-    contam_extra: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    # contam_extra[m, k, i]: quadratic remainder when the contaminating
-    # conditional mean is not proportional to e_i (zero for matched
-    # correlation families)
 
     @property
     def n_users(self) -> int:
@@ -111,17 +112,18 @@ def _second_order_moments(
     gram2: np.ndarray,
     t_bar: np.ndarray,
     n: int,
-    rho_d: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    rho_d: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Leading fluctuation moments of Qtilde around Q.
 
     The estimates hhat_i = hbar_i + e_i are independent Gaussians with
     covariance R_tilde_i, so every covariance of bilinear forms in the gram
     fluctuation Delta = (1/N) Hhat^H Z Hhat - E[.] reduces to the traces
     tr(Z R_tilde_i Z R_tilde_j) and the K x K matrices Hbar^H Z R_tilde_j Z
-    Hbar.  Returns (E[Qtilde], Var([Qtilde]_ki), noise shift, error shift):
-    the shifts are the second-order corrections of E[[Qtilde G_B Qtilde]_kk]
-    for the noise gram (B = Z^2) and the error-term gram (B = Z A Z / N).
+    Hbar.  Returns (E[Qtilde], Var([Qtilde]_ki), noise shift, error shift,
+    contamination second moment): the shifts are the second-order
+    corrections of E[[Qtilde G_B Qtilde]_kk] for the noise gram (B = Z^2)
+    and the error-term gram (B = Z A Z / N).
     Everything is on the common basis: `r`, `z` and `zxz` are the diagonals
     of R_tilde_i, Z and Z B Z, and `h` is Hbar rotated into the basis.  The
     grams W_m = Hbar^H Z Rt_m Z Hbar are never formed: they enter through
@@ -178,44 +180,36 @@ def _second_order_moments(
     noise_corr = quad_shift(z * z, gram2)
     err_corr = quad_shift(zxz, t_bar / n)
 
-    contam_second = None
-    if rho_d is not None:
-        # second moment of t_ki = (1/N)[Qtilde Hhat^H Z e_i]_k, the building
-        # block of the pilot-contamination power.  The resolvent identity
-        # Qtilde (1/N) Hhat^H Z Hhat = I - Qtilde / rho removes the product
-        # of Qtilde with the large-mean gram exactly, leaving
-        # t = (I - Qtilde/rho)_{:,i} - psi_{:,i} with the LoS projection
-        # psi = (1/N) Qtilde Hhat^H Z Hbar.  The linear-in-error fluctuation
-        # of psi collapses to (1/N) Q E^H Z v_i with
-        # v_i = (hbar_i - Hbar y_i / N) / N, which performs the near-complete
-        # cancellation between the direct and resolvent pieces analytically
-        # before any second moment is taken.
-        s0 = h.conj().T @ zh
-        y_mat = q @ s0
-        mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
-        zv = z[:, None] * (h - h @ (y_mat / n)) / n
-        # vrv[m, i] = zv_i^H Rt_m zv_i, vrhq[m, i] = zv_i^H Rt_m (Z Hbar Q)_i
-        # as q is Hermitian, (q W_m q)_kk is w_right[k, m]
-        vrv = r @ np.abs(zv) ** 2
-        ab = np.abs(y_mat) ** 2
-        var_psi = p_mat @ vrv + (w_right @ ab + p_mat @ (t_t @ ab)) / n**4
-        vrhq = r @ (zv.conj() * (zh @ q))
-        qyc = q * y_mat.conj()
-        cov_qpsi = -(p_mat @ vrhq) / n**2 + (
-            w_right @ qyc + p_mat @ (t_t @ qyc)
-        ) / n**3
-        mean_t = np.eye(k) - qm / rho_d - mu_psi
-        contam_second = (
-            np.abs(mean_t) ** 2
-            + var_mat / rho_d**2
-            + var_psi
-            + (2.0 / rho_d) * np.real(cov_qpsi)
-        )
-    return q_mean, var_mat, noise_corr, err_corr, contam_second
+    # second moment of t_ki = (1/N)[Qtilde Hhat^H Z e_i]_k, the building
+    # block of the pilot-contamination power.  The resolvent identity
+    # Qtilde (1/N) Hhat^H Z Hhat = I - Qtilde / rho removes the product
+    # of Qtilde with the large-mean gram exactly, leaving
+    # t = (I - Qtilde/rho)_{:,i} - psi_{:,i} with the LoS projection
+    # psi = (1/N) Qtilde Hhat^H Z Hbar.  The linear-in-error fluctuation
+    # of psi collapses to (1/N) Q E^H Z v_i with
+    # v_i = (hbar_i - Hbar y_i / N) / N, which performs the near-complete
+    # cancellation between the direct and resolvent pieces analytically
+    # before any second moment is taken.
+    s0 = h.conj().T @ zh
+    y_mat = q @ s0
+    mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
+    zv = z[:, None] * (h - h @ (y_mat / n)) / n
+    # vrv[m, i] = zv_i^H Rt_m zv_i, vrhq[m, i] = zv_i^H Rt_m (Z Hbar Q)_i
+    # as q is Hermitian, (q W_m q)_kk is w_right[k, m]
+    vrv = r @ np.abs(zv) ** 2
+    ab = np.abs(y_mat) ** 2
+    var_psi = p_mat @ vrv + (w_right @ ab + p_mat @ (t_t @ ab)) / n**4
+    vrhq = r @ (zv.conj() * (zh @ q))
+    qyc = q * y_mat.conj()
+    cov_qpsi = -(p_mat @ vrhq) / n**2 + (w_right @ qyc + p_mat @ (t_t @ qyc)) / n**3
+    mean_t = np.eye(k) - qm / rho_d - mu_psi
+    second = np.abs(mean_t) ** 2 + var_mat / rho_d**2 + var_psi + (2.0 / rho_d) * np.real(cov_qpsi)
+    return q_mean, var_mat, noise_corr, err_corr, second
 
 
 def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> AsymptoticState:
-    """The refined state on the links' common eigenbasis V (`bs.basis`).
+    """The refined state on the eigenbasis V of the one correlation matrix
+    theta that every link holds (`bs.basis`).
 
     There A, B, Z, every R_tilde_i and every R_l Phi R_i are diagonal: with
     lam_l a link's eigenvalues, mu their same-pilot sum and
@@ -227,8 +221,8 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     """
     if bs.basis is None:
         raise ValueError(
-            "the refined deterministic equivalent needs links on one common "
-            "eigenbasis (one correlation matrix shared by every link)"
+            "the refined deterministic equivalent needs links of one common "
+            "correlation matrix (one theta eigenpair shared by every link)"
         )
     h = bs.h_rot
     n, k = h.shape
@@ -250,31 +244,12 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     t_mat = n * _diag_gram(h, r, zxz)
     # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
     cross = (z * lam[others] * lam[local] * f).sum(-1) / n
-    *moments, second = _second_order_moments(
-        h, r, z, zxz, q, gram2, t_mat, n, rho_d if others else None
-    )
-    contam = {}
-    if others:
-        # Split each contaminating conditional mean along the local estimate:
-        # it is jointly Gaussian with the local estimate fluctuation e_i, so
-        # m = alpha e_i + remainder, with alpha = tr(Z C_i R_i) / tr(Z Rtilde_i)
-        # making the resolvent-projected remainder mean-free.  With
-        # d = lam_x - alpha lam_i the remainder has covariance diag(d^2 f) and
-        # cross covariance diag(lam_i f d) with e_i.  Proportional spectra
-        # (one shared correlation matrix) make d vanish; otherwise the
-        # remainder's power and twice alpha times its correlation with the
-        # exact part are kept at quadratic order, as one diagonal weight.
-        tr_zrt = r @ z
-        live = tr_zrt > 1e-12 * n
-        alpha = np.where(live, n * cross / np.where(live, tr_zrt, 1.0), 0.0)
-        d = lam[others] - alpha[..., None] * lam[local]
-        extra = np.zeros((len(others), k, k))
-        for m, i in np.argwhere(np.abs(d).max(-1) > 1e-10 * lam[others].max(-1)):
-            dm = d[m, i]
-            g = _diag_gram(h, r, z * z * f[i] * dm * (dm + 2.0 * alpha[m, i] * lam[local, i]))
-            extra[m, :, i] = np.real(np.einsum("ka,ab,kb->k", q, g, q.conj())) / n
-        contam = dict(contam_second=second, contam_alpha=alpha, contam_extra=extra)
-    return AsymptoticState(q, rho_d, gram2, t_mat, cross, *moments, **contam)
+    moments = _second_order_moments(h, r, z, zxz, q, gram2, t_mat, n, rho_d)
+    # every spectrum is a multiple of theta's, so the contaminating
+    # conditional mean is exactly alpha e_i, alpha = tr(Z C_i R_i) / tr(Z Rtilde_i)
+    alpha = n * cross / (r @ z)
+    signal = 1.0 - np.real(np.diag(moments[0])) / rho_d
+    return AsymptoticState(q, rho_d, gram2, t_mat, cross, alpha, signal, *moments)
 
 
 def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
@@ -330,8 +305,12 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(tr_b)
     # cross[m, i] = (1/N) tr(R_{l_m} Phi_i R_i); a single cell has no l_m
     cross = phi[estimators[0].others] / n
+    # Q (G + I/rho_d) = I: the signal 1 - [Q]_kk/rho_d is [QG]_kk, with no cancellation
+    signal = np.real(np.einsum("ki,ik->k", q, gram))
     zeros = np.zeros(k)
-    return AsymptoticState(q, rho_d, gram, t_mat, cross, q, np.zeros((k, k)), zeros, zeros)
+    return AsymptoticState(
+        q, rho_d, gram, t_mat, cross, cross, signal, q, np.zeros((k, k)), zeros, zeros, np.abs(q) ** 2
+    )
 
 
 def se_conv_singlecell_de(
@@ -383,40 +362,38 @@ def se_conv_multicell_de(
     the uncorrelated inter-cell interference); `include_estimation_error`
     False drops it, which on a plain state gives exactly the large-antenna
     limit expression, and in one cell under orthogonal LoS the
-    favorable-propagation corollary.  A single cell has no inter-cell term.
+    favorable-propagation corollary.  The signal amplitude is the state's
+    `signal`, which the plain state forms without cancellation, so the SE
+    keeps its relative accuracy at very low SNR.  The inter-cell term of
+    each contaminating link is contam_alpha^2 times contam_second, clamped
+    at zero, in both modes; a single cell has none.
     """
     q = state.q_mean
     rho = state.rho_d
     n = config.n_antennas
     k = state.n_users
     q_diag = np.real(np.diag(q))
-    num = np.abs(1.0 - q_diag / rho) ** 2 + np.diag(state.var_mat) / rho**2
+    num = state.signal**2 + np.diag(state.var_mat) / rho**2
     second = np.abs(q) ** 2 + state.var_mat
     den = (np.sum(second, axis=1) - np.diag(second)) / rho**2
     den = den + (np.real(np.diag(q @ state.gram2 @ q)) + state.noise_corr) / rho
     if include_estimation_error:
         quad = np.real(np.einsum("lk,lm,mk->k", q.conj(), state.t_matrix, q)) / n**2
         den = den + (quad + state.err_corr / n)
-    # inter-cell contamination: sum over l != j and all i of |[Q]_ki c_{jli}|^2
+    # inter-cell contamination: the conditional mean of link (l, i) is
+    # alpha_li e_i, so its power is sum_i alpha_li^2 E|(1/N)[Qtilde Hhat^H Z e_i]_k|^2
     inter = np.zeros(k)
     contam = np.zeros(k)
     uncorr = np.zeros(k)
-    for m in range(state.cross_traces.shape[0]):
-        c = state.cross_traces[m]
-        if state.contam_second.size:
-            # refined: conditional-mean power through the exact split
-            # m = alpha e_i + remainder
-            contrib = state.contam_alpha[m][None, :] ** 2 * state.contam_second
-            contrib = np.maximum(contrib + state.contam_extra[m], 0.0)
-        else:
-            contrib = second * (c[None, :] ** 2)
-        inter += np.sum(contrib, axis=1)
+    for alpha, c in zip(state.contam_alpha, state.cross_traces):
+        inter += np.sum(np.maximum(alpha[None, :] ** 2 * state.contam_second, 0.0), axis=1)
         contam += (rho * c) ** 2
         off = np.abs(q / q_diag[:, None] * c[None, :] * rho) ** 2
         uncorr += np.sum(off, axis=1) - np.diag(off)
     se = config.prelog * np.log1p(num / (den + inter))
-    num_exp = np.abs(rho / q_diag - 1.0) ** 2
-    den_exp = (rho / q_diag - 1.0) + contam + uncorr
+    gain = rho * state.signal / q_diag  # rho / q_kk - 1
+    num_exp = gain**2
+    den_exp = gain + contam + uncorr
     se_exp = config.prelog * np.log1p(num_exp / den_exp)
     return MulticellDEResult(
         se=se, se_expanded=se_exp, pilot_contamination=contam, uncorrelated=uncorr
@@ -433,8 +410,8 @@ def se_stat_singlecell_de(
     of `combining.statistical_resolvent`; the LoS-only form is
     `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
-    m, c, _ = statistical_resolvent(BSStatistics([profiles], 0), config.snr_data)
-    return np.log1p(c / m), se_stat_multicell_de(profiles, config)
+    exact = se_stat_singlecell(profiles, [config])[0].per_user_se
+    return exact, se_stat_multicell_de(profiles, config)
 
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:

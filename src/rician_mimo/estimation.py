@@ -19,10 +19,10 @@ P_l = V diag(lam_l), so the single- and multi-cell estimators are one path.
 `BSStatistics` is the one holder of what a BS's receivers read from its
 links: the served LoS columns in the real basis, the images of the local
 and inter-cell covariance sums, and (on first read) the K same-pilot
-spectra and their stacks, and the links' common eigenbasis, if any.  A
-scenario builds one per BS (`scenarios.build_scenario`), and the Monte
-Carlo, `regularizer_sums`, the deterministic equivalents and the
-statistical receiver all read it.
+spectra and their stacks, and the eigenbasis of the links' one shared
+correlation matrix, if any.  A scenario builds one per BS
+(`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`, the
+deterministic equivalents and the statistical receiver all read it.
 """
 
 from __future__ import annotations
@@ -102,9 +102,11 @@ class BSStatistics:
     and `proj[l, :, k]` is P_lk, so `vecs` reshapes in place to the
     (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and
     every spectrum's `eigvecs` and `proj` are views of them.  `basis` is
-    the eigenvector array every link holds, or None, and `h_rot` the LoS
-    columns in it, V^T h_bar.  It indexes like its links, so it stands in
-    for them: `stats[cell][user]` is `links[cell][user]`.
+    the eigenvector array V of the one correlation eigenpair `theta_eig`
+    every link holds (so every link's spectrum is a multiple of theta's),
+    or None, and `h_rot` the LoS columns in it, V^T h_bar.  It indexes like
+    its links, so it stands in for them: `stats[cell][user]` is
+    `links[cell][user]`.
     """
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
@@ -137,8 +139,8 @@ class BSStatistics:
 
     @cached_property
     def basis(self) -> np.ndarray | None:
-        v = self.links[0][0].eigvecs
-        return v if all(p.eigvecs is v for cell in self.links for p in cell) else None
+        eig = self.links[0][0].theta_eig
+        return eig[1] if all(p.theta_eig is eig for cell in self.links for p in cell) else None
 
     @cached_property
     def h_rot(self) -> np.ndarray:

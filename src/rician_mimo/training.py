@@ -2,7 +2,9 @@
 
 Works on the simplified deterministic equivalent: the average SE over users
 in nats, (1 - tau/T) * mean_k log(1 + gamma_k(tau)) with gamma_k =
-rho_d/[Q(tau)]_kk - 1, is maximized over tau in [K, T).  All tau dependence
+rho_d/[Q(tau)]_kk - 1, is maximized over tau in [K, T).  gamma_k is
+evaluated as rho_d [Q G]_kk / [Q]_kk, G = Q^{-1} - I/rho_d, which is the
+same number without the cancellation at low SNR.  All tau dependence
 enters through the per-user eigenvalues of the correlation matrices, so
 re-evaluating at a new tau costs one K x K inverse.
 """
@@ -47,12 +49,13 @@ class TrainingCurve:
         # tau-dependent trace is a scalar function of these
         self.eigs = np.stack([p.r_eigvals for p in profiles])
 
-    def _q_matrix(self, tau: float) -> np.ndarray:
+    def _resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, G) with G = gram + diag(tr R_tilde)/N and Q = (G + I/rho_d)^{-1}."""
         s = 1.0 / (tau * self.rho_tr)
         traces = np.sum(self.eigs**2 / (self.eigs + s), axis=1)  # tr(R_tilde)
-        q_inv = self.gram + np.diag(traces) / self.n + np.eye(self.k) / self.rho_d
-        q = np.linalg.inv(q_inv)
-        return 0.5 * (q + q.conj().T)
+        g = self.gram + np.diag(traces) / self.n
+        q = np.linalg.inv(g + np.eye(self.k) / self.rho_d)
+        return 0.5 * (q + q.conj().T), g
 
     def d_alpha_diag(self, tau: float, alpha: int) -> np.ndarray:
         """Per-user (-1)^alpha/(rho_tr tau^alpha) * (1/N) tr(R^alpha Phi^alpha)."""
@@ -61,8 +64,9 @@ class TrainingCurve:
         return ((-1.0) ** alpha) / (self.rho_tr * tau**alpha) * tr
 
     def gamma(self, tau: float) -> np.ndarray:
-        q_diag = np.real(np.diag(self._q_matrix(tau)))
-        return self.rho_d / q_diag - 1.0
+        # Q (G + I/rho_d) = I: rho_d/[Q]_kk - 1 is rho_d [QG]_kk/[Q]_kk, with no cancellation
+        q, g = self._resolvent(tau)
+        return self.rho_d * np.real(np.einsum("ki,ik->k", q, g)) / np.real(np.diag(q))
 
     def _d2(self, tau: float) -> np.ndarray:
         # d/dtau of (1/N) tr(R_tilde_l); equals |D_2| of the closed form
@@ -71,7 +75,7 @@ class TrainingCurve:
         return tr / (self.rho_tr * tau**2)
 
     def gamma_prime(self, tau: float) -> np.ndarray:
-        q = self._q_matrix(tau)
+        q = self._resolvent(tau)[0]
         q_diag = np.real(np.diag(q))
         d2 = self._d2(tau)
         quad = np.real(np.einsum("lk,l,lk->k", q.conj(), d2, q))
@@ -80,7 +84,7 @@ class TrainingCurve:
     def gamma_second(self, tau: float) -> np.ndarray:
         """Analytic second derivative (used by concavity checks only)."""
         s = 1.0 / (tau * self.rho_tr)
-        q = self._q_matrix(tau)
+        q = self._resolvent(tau)[0]
         q_diag = np.real(np.diag(q))
         d2 = self._d2(tau)
         # derivative of d2 itself

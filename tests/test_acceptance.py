@@ -1,0 +1,62 @@
+"""Acceptance gate: the README's criteria, checked at paper scale.
+
+Each scenario gets one module-scoped Monte Carlo run, which every criterion
+reading it shares.  A criterion the program does not meet yet is marked
+`xfail(strict=True)` with its measured gap, so the mark turns into a failure
+the moment the program meets it.
+
+The settings are those of `scripts/compare_de_vs_mc.py --trials 1000`:
+N=150, K=20, T=500, seed 3, kappa_max 2, tau = K, the default SNR grid and
+placement.
+"""
+
+import numpy as np
+import pytest
+
+from rician_mimo.scenarios import ScenarioSpec, build_scenario
+from rician_mimo.spectral_efficiency import conventional_mc
+from rician_mimo.sweeps import conv_de_per_bs
+
+TRIALS = 1000
+SEED = 3
+DE_VS_MC_TOLERANCE = 0.05
+
+
+def _plain_de_gap(gap: str) -> pytest.MarkDecorator:
+    return pytest.mark.xfail(
+        strict=True,
+        reason=f"the plain DE on one_ring is {gap} off MC for its worst user (ROADMAP item 2)",
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(("exponential", "single_cell"), id="exponential-single_cell"),
+        pytest.param(("exponential", "three_cell_edge"), id="exponential-three_cell_edge"),
+        pytest.param(("one_ring", "single_cell"), id="one_ring-single_cell", marks=_plain_de_gap("18.9%")),
+        pytest.param(
+            ("one_ring", "three_cell_edge"), id="one_ring-three_cell_edge", marks=_plain_de_gap("557%")
+        ),
+    ],
+)
+def conventional_curves(request):
+    """(MC, DE) conventional SE, each (SNR point, BS, user), of one scenario."""
+    correlation, layout = request.param
+    cells = 3 if layout == "three_cell_edge" else 1
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=150, k=20, t=500, kappa_max=2.0,
+        correlation=correlation, seed=SEED, trials=TRIALS,
+    )
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
+    reports = conventional_mc(scenario.profiles, configs, TRIALS, SEED)
+    mc = np.array([[report.per_user_se for report in per_bs] for per_bs in reports])
+    return mc, np.array(conv_de_per_bs(scenario, configs))
+
+
+def test_conventional_de_within_five_percent_of_mc_for_every_user(conventional_curves):
+    # every user at every SNR point, relative to the DE
+    mc, de = conventional_curves
+    gap = np.abs(mc - de) / de
+    assert gap.max() <= DE_VS_MC_TOLERANCE, f"worst per-user gap {gap.max():.1%}"

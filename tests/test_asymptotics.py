@@ -194,8 +194,6 @@ def _oracle_moments(h_bar, r_tildes, z, zxz, q, gram2, t_bar, n, rho_d):
 
     noise_corr = quad_shift(z @ z, gram2)
     err_corr = quad_shift(zxz, t_bar / n)
-    if rho_d is None:
-        return qm, var_mat, noise_corr, err_corr, np.zeros((0, 0))
     s0 = h_bar.conj().T @ z @ h_bar
     y_mat = q @ s0
     mu_psi = (qm @ s0) / n - (qm @ w_sum) / n**2
@@ -251,34 +249,18 @@ def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
             for ell in others
         ]
     ).reshape(len(others), k)
-    moments = _oracle_moments(
-        h_bar, r_tildes, z, zxz, q, gram(z @ z), t_mat, n, rho_d if others else None
-    )
-    extra = np.zeros((len(others), k, k))
-    alphas = np.zeros((len(others), k))
+    moments = _oracle_moments(h_bar, r_tildes, z, zxz, q, gram(z @ z), t_mat, n, rho_d)
+    alphas = np.array(
+        [[n * cross[m, i] / np.real(_tr(z, r_tildes[i])) for i in range(k)] for m in range(len(others))]
+    ).reshape(len(others), k)
+    # one shared theta: each contaminating gain R_l Phi is alpha times the
+    # local one, so the conditional mean is alpha e_i with no remainder
     for m, ell in enumerate(others):
-        for i in range(k):
-            alpha = n * cross[m, i] / np.real(_tr(z, r_tildes[i]))
-            alphas[m, i] = alpha
-            c_mat = estimators[i].gains[ell]
-            cr = c_mat @ local[i].r_cov
-            sigma_m = c_mat @ profiles_at_bs[ell][i].r_cov
-            resid = sigma_m - alpha * (cr + cr.conj().T) + alpha**2 * r_tildes[i]
-            x_c = cr - alpha * r_tildes[i]
-            scale = np.abs(sigma_m).max() + np.abs(alpha**2 * r_tildes[i]).max()
-            if max(np.abs(resid).max(), np.abs(x_c).max()) <= 1e-10 * scale:
-                continue  # matched correlation family: no remainder
-            w_res = z @ resid @ z
-            w_xc = z @ x_c.conj().T @ z
-            g_res = h_bar.conj().T @ w_res @ h_bar + np.diag([np.real(_tr(rt, w_res)) for rt in r_tildes])
-            g_xc = h_bar.conj().T @ w_xc @ h_bar + np.diag([_tr(rt, w_xc) for rt in r_tildes])
-            quad_res = np.real(np.diag(q @ g_res @ q.conj().T))
-            quad_xc = np.real(np.diag(q @ g_xc @ q.conj().T))
-            extra[m, :, i] = (quad_res + 2.0 * alpha * quad_xc) / n**2
+        for i, e in enumerate(estimators):
+            gap = np.linalg.norm(e.gains[ell] - alphas[m, i] * e.gain)
+            assert gap <= 1e-10 * np.linalg.norm(e.gains[ell])
     fields = dict(zip(("q_mean", "var_mat", "noise_corr", "err_corr", "contam_second"), moments))
-    fields["cross_traces"] = cross
-    if others:
-        fields.update(contam_alpha=alphas, contam_extra=extra)
+    fields.update(cross_traces=cross, contam_alpha=alphas)
     return fields
 
 
@@ -313,11 +295,12 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
         _assert_state_matches_oracle(state, _oracle_state(scenario.profiles[bs], dense, bs, rho))
 
 
-def test_refined_contamination_remainder_on_one_basis():
-    # links that share one eigenvector array but whose spectra are not
-    # proportional: the contaminating conditional mean is not a multiple of
-    # the local estimate, and the quadratic remainder is live
-    n, k, cells, rho = 12, 3, 3, 10.0
+def test_refined_mode_refuses_one_basis_with_unrelated_spectra():
+    # links that share one eigenvector array but not one correlation matrix:
+    # their spectra are not proportional, so a contaminating conditional
+    # mean is no multiple of the local estimate and the refined state is
+    # refused; the plain state is not
+    n, k = 12, 3
     _, v, _ = theta_spectrum(exponential_correlation(0.6, n))
     base = np.linspace(0.1, 2.0, n)
     spectra = [base, base[::-1], np.sqrt(base)]
@@ -332,10 +315,22 @@ def test_refined_contamination_remainder_on_one_basis():
         ]
         for ell, lam in enumerate(spectra)
     ]
-    state = _state_at(links, 0, rho)
-    oracle = _oracle_state(links, _dense_estimators(links, 0, k * rho), 0, rho)
-    assert np.abs(oracle["contam_extra"]).max() > 0
-    _assert_state_matches_oracle(state, oracle)
+    with pytest.raises(ValueError, match="common"):
+        _state_at(links, 0, 10.0)
+    assert np.all(np.isfinite(_state_at(links, 0, 10.0, refined=False).q_matrix))
+
+
+def test_refined_multicell_de_saturates_at_the_contamination_ceiling():
+    # pilot contamination caps the three-cell SE: past 100 dB no user's DE
+    # moves; dropping a contamination gain lifts users far above it
+    spec = ScenarioSpec(
+        layout="three_cell_edge", l=3, n=150, k=20, t=500, correlation="exponential",
+        placement="cell_edge", kappa_max=2.0, seed=3,
+    )
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(snr) for snr in (100.0, 120.0, 150.0, 300.0)]
+    de = np.array(conv_de_per_bs(scenario, configs))
+    np.testing.assert_allclose(de[1:], np.broadcast_to(de[0], de[1:].shape), rtol=1e-8, atol=0.0)
 
 
 def test_refined_mode_needs_a_common_basis():

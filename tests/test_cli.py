@@ -294,24 +294,56 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
     assert "numerical failure: conventional SINR is not finite" in err
 
 
+LOW_SNR_SCENARIO = "correlation = one_ring\nn = 16\nk = 3\nt = 50\nseed = 4\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["asymptotic", "--schemes", "conv", "--snr=-2000:-2000:1"],
         ["optimize-tau", "--snr=-3200:-3200:1"],
-        ["optimize-tau", "--snr=-600:-600:1"],
     ],
-    ids=["conv-de-nan", "tau-star-inf", "tau-star-negative"],
+    ids=["conv-de-nan", "tau-star-inf"],
 )
 def test_exit_numerical_failure_on_non_finite_or_negative_row(tmp_path, capsys, argv):
     # at extreme low SNR the equivalents break down; a NaN, infinite or
     # negative SE is refused when its row is built, never written
     path = tmp_path / "low.cfg"
-    path.write_text("correlation = one_ring\nn = 16\nk = 3\nt = 50\nseed = 4\n")
+    path.write_text(LOW_SNR_SCENARIO)
     code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
     assert code == 2
     assert out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["", "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"],
+    ids=["one-cell", "three-cell"],
+)
+def test_conv_de_scales_with_snr_at_extreme_low_snr(tmp_path, capsys, extra):
+    # Q (G + I/rho_d) = I gives the signal term [QG]_kk without cancellation,
+    # so the SE keeps falling with rho_d instead of reading 0 or ~63 nats
+    path = tmp_path / "low.cfg"
+    path.write_text(LOW_SNR_SCENARIO + extra)
+    se = {}
+    for snr in (-300, -600):
+        argv = ["asymptotic", "--schemes", "conv", f"--snr={snr}:{snr}:1", "--scenario", str(path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        se[snr] = np.array([row.se_value for row in parse_csv(out)])
+    np.testing.assert_allclose(se[-600] / se[-300], 1e-30, rtol=1e-9)
+
+
+def test_tau_star_at_extreme_low_snr_is_a_tiny_nonnegative_se(tmp_path, capsys):
+    # gamma_k = rho_d [QG]_kk / [Q]_kk has no cancellation: at -600 dB the
+    # average SE is about 4e-61, where rho_d/[Q]_kk - 1 gave -2.2e-18
+    path = tmp_path / "low.cfg"
+    path.write_text(LOW_SNR_SCENARIO)
+    code, out, _ = run_cli(capsys, "optimize-tau", "--snr=-600:-600:1", "--scenario", str(path))
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert 0.0 <= row.se_value < 1e-59
 
 
 @pytest.mark.parametrize(
