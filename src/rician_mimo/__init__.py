@@ -8,14 +8,13 @@ solves for the optimal training length.
 
 from .asymptotics import (
     AsymptoticState,
-    MulticellDEResult,
     build_q_multicell,
     build_q_singlecell,
     pilot_contamination_term,
+    se_conv_expanded,
     se_conv_favorable,
     se_conv_multicell_de,
     se_conv_singlecell_de,
-    se_conv_singlecell_de_simplified,
     se_stat_multicell_de,
     se_stat_singlecell_de,
 )
@@ -50,8 +49,6 @@ from .sweeps import run_sweep
 from .training import (
     TrainingCurve,
     TrainingSolution,
-    gamma_of_tau,
-    gamma_prime,
     kappa_threshold,
     solve_tau_star,
 )

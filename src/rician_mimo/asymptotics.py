@@ -62,7 +62,6 @@ class AsymptoticState:
     """
 
     q_matrix: np.ndarray  # (K, K) Hermitian positive definite
-    rho_d: float
     gram2: np.ndarray  # (1/N) E[Hhat^H Z^2 Hhat], drives the noise term
     t_matrix: np.ndarray  # quadratic-term matrix H^H ZXZ H + diag traces
     cross_traces: np.ndarray
@@ -249,7 +248,7 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     # conditional mean is exactly alpha e_i, alpha = tr(Z C_i R_i) / tr(Z Rtilde_i)
     alpha = n * cross / (r @ z)
     signal = 1.0 - np.real(np.diag(moments[0])) / rho_d
-    return AsymptoticState(q, rho_d, gram2, t_mat, cross, alpha, signal, *moments)
+    return AsymptoticState(q, gram2, t_mat, cross, alpha, signal, *moments)
 
 
 def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
@@ -309,7 +308,7 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     signal = np.real(np.einsum("ki,ik->k", q, gram))
     zeros = np.zeros(k)
     return AsymptoticState(
-        q, rho_d, gram, t_mat, cross, cross, signal, q, np.zeros((k, k)), zeros, zeros, np.abs(q) ** 2
+        q, gram, t_mat, cross, cross, signal, q, np.zeros((k, k)), zeros, zeros, np.abs(q) ** 2
     )
 
 
@@ -318,14 +317,8 @@ def se_conv_singlecell_de(
     config: SystemConfig,
     include_estimation_error: bool = True,
 ) -> np.ndarray:
-    """`se_conv_multicell_de(...).se` of one cell."""
-    return se_conv_multicell_de(state, config, include_estimation_error).se
-
-
-def se_conv_singlecell_de_simplified(state: AsymptoticState, config: SystemConfig) -> np.ndarray:
-    """O(1/N) simplification: SE_k = prelog * log(rho_d / [Q]_kk)."""
-    q_diag = np.real(np.diag(state.q_matrix))
-    return config.prelog * np.log(state.rho_d / q_diag)
+    """`se_conv_multicell_de` of one cell."""
+    return se_conv_multicell_de(state, config, include_estimation_error)
 
 
 def se_conv_favorable(bs: BSStatistics, config: SystemConfig) -> np.ndarray:
@@ -337,22 +330,13 @@ def se_conv_favorable(bs: BSStatistics, config: SystemConfig) -> np.ndarray:
     return config.prelog * np.log1p(config.snr_data / config.n_antennas * (traces + norms))
 
 
-@dataclass
-class MulticellDEResult:
-    """Theorem and expanded forms of the multi-cell conventional equivalent."""
-
-    se: np.ndarray  # theorem form
-    se_expanded: np.ndarray  # expanded form separating the interference kinds
-    pilot_contamination: np.ndarray  # per-user i = k inter-cell term (expanded scale)
-    uncorrelated: np.ndarray  # per-user i != k inter-cell term (expanded scale)
-
-
 def se_conv_multicell_de(
     state: AsymptoticState,
     config: SystemConfig,
     include_estimation_error: bool = True,
-) -> MulticellDEResult:
-    """Conventional deterministic equivalent of one BS, in one cell or several.
+) -> np.ndarray:
+    """Conventional deterministic equivalent of one BS, in one cell or
+    several: the theorem form.
 
     In refined mode the second moments E|[Qtilde]_ki|^2 = |E[.]|^2 + Var(.)
     replace the plain squared entries; in plain mode q_mean = Q and the
@@ -363,16 +347,14 @@ def se_conv_multicell_de(
     False drops it, which on a plain state gives exactly the large-antenna
     limit expression, and in one cell under orthogonal LoS the
     favorable-propagation corollary.  The signal amplitude is the state's
-    `signal`, which the plain state forms without cancellation, so the SE
-    keeps its relative accuracy at very low SNR.  The inter-cell term of
-    each contaminating link is contam_alpha^2 times contam_second, clamped
-    at zero, in both modes; a single cell has none.
+    `signal`, which both modes form without cancellation, so the SE keeps
+    its relative accuracy at very low SNR.  The inter-cell term of each
+    contaminating link is contam_alpha^2 times contam_second, in both
+    modes; a single cell has none.
     """
     q = state.q_mean
-    rho = state.rho_d
+    rho = config.snr_data
     n = config.n_antennas
-    k = state.n_users
-    q_diag = np.real(np.diag(q))
     num = state.signal**2 + np.diag(state.var_mat) / rho**2
     second = np.abs(q) ** 2 + state.var_mat
     den = (np.sum(second, axis=1) - np.diag(second)) / rho**2
@@ -382,22 +364,37 @@ def se_conv_multicell_de(
         den = den + (quad + state.err_corr / n)
     # inter-cell contamination: the conditional mean of link (l, i) is
     # alpha_li e_i, so its power is sum_i alpha_li^2 E|(1/N)[Qtilde Hhat^H Z e_i]_k|^2
-    inter = np.zeros(k)
-    contam = np.zeros(k)
-    uncorr = np.zeros(k)
-    for alpha, c in zip(state.contam_alpha, state.cross_traces):
-        inter += np.sum(np.maximum(alpha[None, :] ** 2 * state.contam_second, 0.0), axis=1)
+    inter = np.zeros(state.n_users)
+    for alpha in state.contam_alpha:
+        inter += np.sum(alpha**2 * state.contam_second, axis=1)
+    return config.prelog * np.log1p(num / (den + inter))
+
+
+def se_conv_expanded(
+    state: AsymptoticState, config: SystemConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The published expanded form of the conventional equivalent:
+    (SE, pilot-contamination term, uncorrelated term), per user.
+
+    With g_k = rho_d/[Q]_kk - 1, evaluated as rho_d signal_k/[Q]_kk without
+    cancellation, SINR_k = g_k^2 / (g_k + contam_k + uncorr_k): the i = k
+    inter-cell term (rho_d c_lk)^2 and the i != k term
+    |rho_d [Q]_ki c_li / [Q]_kk|^2, summed over the interfering cells l.  In
+    one cell both vanish and the SE is the simplified
+    prelog * log(rho_d/[Q]_kk) = prelog * log1p(g_k).  A tested reference of
+    the published expressions; the rows read `se_conv_multicell_de`.
+    """
+    q = state.q_mean
+    rho = config.snr_data
+    q_diag = np.real(np.diag(q))
+    contam = np.zeros(state.n_users)
+    uncorr = np.zeros(state.n_users)
+    for c in state.cross_traces:
         contam += (rho * c) ** 2
         off = np.abs(q / q_diag[:, None] * c[None, :] * rho) ** 2
         uncorr += np.sum(off, axis=1) - np.diag(off)
-    se = config.prelog * np.log1p(num / (den + inter))
-    gain = rho * state.signal / q_diag  # rho / q_kk - 1
-    num_exp = gain**2
-    den_exp = gain + contam + uncorr
-    se_exp = config.prelog * np.log1p(num_exp / den_exp)
-    return MulticellDEResult(
-        se=se, se_expanded=se_exp, pilot_contamination=contam, uncorrelated=uncorr
-    )
+    gain = rho * state.signal / q_diag
+    return config.prelog * np.log1p(gain**2 / (gain + contam + uncorr)), contam, uncorr
 
 
 def se_stat_singlecell_de(

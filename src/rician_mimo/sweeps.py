@@ -50,7 +50,7 @@ def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> l
     # equivalents
     refined = scenario.spec.correlation != "one_ring"
     stats = scenario.profiles[bs]
-    return [se_conv_multicell_de(build_q_multicell(stats, c, refined), c).se for c in configs]
+    return [se_conv_multicell_de(build_q_multicell(stats, c, refined), c) for c in configs]
 
 
 def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:

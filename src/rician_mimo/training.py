@@ -49,9 +49,15 @@ class TrainingCurve:
         # tau-dependent trace is a scalar function of these
         self.eigs = np.stack([p.r_eigvals for p in profiles])
 
+    def _shift(self, tau: float) -> float:
+        """1/(tau rho_tr), read by every tau-dependent method: each refuses tau <= 0."""
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        return 1.0 / (tau * self.rho_tr)
+
     def _resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """(Q, G) with G = gram + diag(tr R_tilde)/N and Q = (G + I/rho_d)^{-1}."""
-        s = 1.0 / (tau * self.rho_tr)
+        s = self._shift(tau)
         traces = np.sum(self.eigs**2 / (self.eigs + s), axis=1)  # tr(R_tilde)
         g = self.gram + np.diag(traces) / self.n
         q = np.linalg.inv(g + np.eye(self.k) / self.rho_d)
@@ -59,7 +65,7 @@ class TrainingCurve:
 
     def d_alpha_diag(self, tau: float, alpha: int) -> np.ndarray:
         """Per-user (-1)^alpha/(rho_tr tau^alpha) * (1/N) tr(R^alpha Phi^alpha)."""
-        s = 1.0 / (tau * self.rho_tr)
+        s = self._shift(tau)
         tr = np.sum((self.eigs / (self.eigs + s)) ** alpha, axis=1) / self.n
         return ((-1.0) ** alpha) / (self.rho_tr * tau**alpha) * tr
 
@@ -70,7 +76,7 @@ class TrainingCurve:
 
     def _d2(self, tau: float) -> np.ndarray:
         # d/dtau of (1/N) tr(R_tilde_l); equals |D_2| of the closed form
-        s = 1.0 / (tau * self.rho_tr)
+        s = self._shift(tau)
         tr = np.sum(self.eigs**2 / (self.eigs + s) ** 2, axis=1) / self.n
         return tr / (self.rho_tr * tau**2)
 
@@ -83,7 +89,7 @@ class TrainingCurve:
 
     def gamma_second(self, tau: float) -> np.ndarray:
         """Analytic second derivative (used by concavity checks only)."""
-        s = 1.0 / (tau * self.rho_tr)
+        s = self._shift(tau)
         q = self._resolvent(tau)[0]
         q_diag = np.real(np.diag(q))
         d2 = self._d2(tau)
@@ -111,18 +117,6 @@ class TrainingCurve:
         return -np.mean(np.log1p(gam)) / self.t + (1.0 - tau / self.t) * float(
             np.mean(gp / (1.0 + gam))
         )
-
-
-def gamma_of_tau(profiles: list[UserLinkProfile], config: SystemConfig, tau: float) -> np.ndarray:
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return TrainingCurve(profiles, config).gamma(tau)
-
-
-def gamma_prime(profiles: list[UserLinkProfile], config: SystemConfig, tau: float) -> np.ndarray:
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return TrainingCurve(profiles, config).gamma_prime(tau)
 
 
 def _bisect_root(curve: TrainingCurve, lo: float, hi: float) -> float:

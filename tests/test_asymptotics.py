@@ -10,10 +10,10 @@ from rician_mimo.asymptotics import (
     build_q_multicell,
     build_q_singlecell,
     pilot_contamination_term,
+    se_conv_expanded,
     se_conv_favorable,
     se_conv_multicell_de,
     se_conv_singlecell_de,
-    se_conv_singlecell_de_simplified,
     se_stat_multicell_de,
     se_stat_singlecell_de,
 )
@@ -70,8 +70,10 @@ def test_plain_q_scalar_closed_form():
     state = build_q_singlecell(BSStatistics([[p]], 0), cfg, refined=False)
     r_tilde_scalar = c**2 / (c + 1.0 / (tau * rho))
     assert state.q_matrix[0, 0].real == pytest.approx(1.0 / (r_tilde_scalar + 1.0 / rho), rel=1e-12)
-    simp = se_conv_singlecell_de_simplified(state, cfg)
+    # one cell: the expanded form is the simplified SE prelog * log(rho / [Q]_kk)
+    simp, contam, uncorr = se_conv_expanded(state, cfg)
     assert simp[0] == pytest.approx(cfg.prelog * math.log1p(rho * r_tilde_scalar), rel=1e-12)
+    assert contam.tolist() == uncorr.tolist() == [0.0]
 
 
 def test_plain_q_diagonal_under_orthogonal_los():
@@ -107,9 +109,12 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
     ]
     cfg = make_config(n, k, snr=rho)
     state = build_q_multicell(BSStatistics([local, inter], 0), cfg, refined=False)
-    res = se_conv_multicell_de(state, cfg, include_estimation_error=False)
-    assert np.max(np.abs(res.se - res.se_expanded)) < 1e-10
-    assert np.all(res.pilot_contamination > 0)
+    theorem = se_conv_multicell_de(state, cfg, include_estimation_error=False)
+    expanded, contam, uncorr = se_conv_expanded(state, cfg)
+    assert np.max(np.abs(theorem - expanded)) < 1e-10
+    assert np.all(contam > 0)
+    # orthogonal LoS and white scattering: Q is diagonal, so no i != k term
+    assert np.max(np.abs(uncorr)) < 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ def test_refined_and_plain_converge_with_n():
         # one cell is the L = 1 case of the one SE formula, bit for bit
         for state in states:
             for err in (True, False):
-                multi = se_conv_multicell_de(state, cfg, include_estimation_error=err).se
+                multi = se_conv_multicell_de(state, cfg, include_estimation_error=err)
                 assert np.array_equal(se_conv_singlecell_de(state, cfg, err), multi)
         plain, refined = (se_conv_singlecell_de(state, cfg) for state in states)
         return np.max(np.abs(refined - plain) / plain)

@@ -14,8 +14,6 @@ from rician_mimo.channel import (
 from rician_mimo.config import SystemConfig
 from rician_mimo.training import (
     TrainingCurve,
-    gamma_of_tau,
-    gamma_prime,
     kappa_threshold,
     solve_tau_star,
 )
@@ -63,24 +61,28 @@ def test_gamma_single_user_closed_form():
     c = beta / (1.0 + kappa)
     s = 1.0 / (tau * rho_tr)
     expected = rho_d * (beta * kappa / (1.0 + kappa) + c**2 / (c + s))
-    gam = gamma_of_tau([p], cfg, tau)
+    gam = TrainingCurve([p], cfg).gamma(tau)
     assert gam[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_gamma_increasing_in_tau():
     profiles = correlated_profiles(32, 4, seed=1)
     cfg = make_config()
-    g1 = gamma_of_tau(profiles, cfg, 4.0)
-    g2 = gamma_of_tau(profiles, cfg, 40.0)
+    curve = TrainingCurve(profiles, cfg)
+    g1 = curve.gamma(4.0)
+    g2 = curve.gamma(40.0)
     assert np.all(g2 > g1)
 
 
 def test_gamma_rejects_nonpositive_tau():
-    profiles = white_profiles(32, 2)
-    with pytest.raises(ValueError):
-        gamma_of_tau(profiles, make_config(k=2), 0.0)
-    with pytest.raises(ValueError):
-        gamma_prime(profiles, make_config(k=2), -1.0)
+    # every tau-dependent method of the curve refuses tau <= 0
+    curve = TrainingCurve(white_profiles(32, 2), make_config(k=2))
+    for method in (curve.gamma, curve.gamma_prime, curve.gamma_second, curve.avg_se, curve.se_derivative):
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                method(tau)
+    with pytest.raises(ValueError, match="positive"):
+        curve.d_alpha_diag(0.0, 2)
 
 
 # ---------------------------------------------------------------------------
