@@ -70,7 +70,7 @@ class AsymptoticState:
     contam_alpha: np.ndarray
     # contam_alpha[m, i]: the conditional mean of the contaminating link
     # (l_m, i) is contam_alpha[m, i] times the local estimate fluctuation e_i
-    signal: np.ndarray  # per-user 1 - [q_mean]_kk / rho_d; [QG]_kk in plain mode
+    signal: np.ndarray  # per-user 1 - [q_mean]_kk / rho_d, formed without cancellation
     q_mean: np.ndarray  # E[Qtilde] including the resolvent bias Q E[Delta Q Delta] Q
     var_mat: np.ndarray  # var_mat[k, i] = Var([Qtilde]_ki), leading order
     noise_corr: np.ndarray  # per-user second-order shift of [Qtilde G2 Qtilde]_kk
@@ -108,19 +108,21 @@ def _second_order_moments(
     z: np.ndarray,
     zxz: np.ndarray,
     q: np.ndarray,
+    gram: np.ndarray,
     gram2: np.ndarray,
     t_bar: np.ndarray,
     n: int,
     rho_d: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Leading fluctuation moments of Qtilde around Q.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Leading fluctuation moments of Qtilde around Q = (gram + I/rho_d)^{-1}.
 
     The estimates hhat_i = hbar_i + e_i are independent Gaussians with
     covariance R_tilde_i, so every covariance of bilinear forms in the gram
     fluctuation Delta = (1/N) Hhat^H Z Hhat - E[.] reduces to the traces
     tr(Z R_tilde_i Z R_tilde_j) and the K x K matrices Hbar^H Z R_tilde_j Z
-    Hbar.  Returns (E[Qtilde], Var([Qtilde]_ki), noise shift, error shift,
-    contamination second moment): the shifts are the second-order
+    Hbar.  Returns (signal 1 - [E Qtilde]_kk/rho_d, E[Qtilde],
+    Var([Qtilde]_ki), noise shift, error shift, contamination second
+    moment): the shifts are the second-order
     corrections of E[[Qtilde G_B Qtilde]_kk] for the noise gram (B = Z^2)
     and the error-term gram (B = Z A Z / N).
     Everything is on the common basis: `r`, `z` and `zxz` are the diagonals
@@ -129,7 +131,6 @@ def _second_order_moments(
     tr(W_m X) = r_m . diag(Z Hbar X Hbar^H Z), the quadratic forms
     x^H W_m x = r_m . |Z Hbar x|^2 and sums sum_m c_m W_m, each O(N K^2).
     """
-    k = len(r)
     zr = z * r
     t_t = zr @ zr.T
     t_t = 0.5 * (t_t + t_t.T)
@@ -144,8 +145,14 @@ def _second_order_moments(
     # E[Delta Q Delta] and the resolvent mean shift Q E[.] Q
     w_sum = zh.conj().T @ ((q_diag @ r)[:, None] * zh)  # sum_a q_aa W_a
     m_mat = w_sum + np.diag(t_t @ q_diag + np.real(traces(zh, q)))
-    q_mean = q + q @ m_mat @ q / n**2
+    shift = q @ m_mat @ q / n**2
+    q_mean = q + shift
     q_mean = 0.5 * (q_mean + q_mean.conj().T)
+    # Q (gram + I/rho_d) = I: I - E[Qtilde]/rho_d is Q gram - shift/rho_d,
+    # with no cancellation at low SNR
+    shift = 0.5 * (shift + shift.conj().T)
+    resid = q @ gram - shift / rho_d
+    signal = np.real(np.diag(resid))
     # the exact identity Qtilde = Q - Qtilde Delta Q puts Qtilde (not Q) on
     # the left slot of every fluctuation, so evaluating that slot at E[Qtilde]
     # resums part of the higher orders
@@ -201,9 +208,9 @@ def _second_order_moments(
     vrhq = r @ (zv.conj() * (zh @ q))
     qyc = q * y_mat.conj()
     cov_qpsi = -(p_mat @ vrhq) / n**2 + (w_right @ qyc + p_mat @ (t_t @ qyc)) / n**3
-    mean_t = np.eye(k) - qm / rho_d - mu_psi
+    mean_t = resid - mu_psi
     second = np.abs(mean_t) ** 2 + var_mat / rho_d**2 + var_psi + (2.0 / rho_d) * np.real(cov_qpsi)
-    return q_mean, var_mat, noise_corr, err_corr, second
+    return signal, q_mean, var_mat, noise_corr, err_corr, second
 
 
 def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> AsymptoticState:
@@ -237,18 +244,18 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     cond = lam * f * (mu - lam + 1.0 / tau_rho)
     z = 1.0 / (1.0 + (rho_d / n) * (cond[local].sum(0) + lam[others].sum((0, 1))))
     zxz = z * z * cond.sum((0, 1))
-    q = np.linalg.inv(_diag_gram(h, r, z) + np.eye(k) / rho_d)
+    gram = _diag_gram(h, r, z)
+    q = np.linalg.inv(gram + np.eye(k) / rho_d)
     q = 0.5 * (q + q.conj().T)
     gram2 = _diag_gram(h, r, z * z)
     t_mat = n * _diag_gram(h, r, zxz)
     # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
     cross = (z * lam[others] * lam[local] * f).sum(-1) / n
-    moments = _second_order_moments(h, r, z, zxz, q, gram2, t_mat, n, rho_d)
+    moments = _second_order_moments(h, r, z, zxz, q, gram, gram2, t_mat, n, rho_d)
     # every spectrum is a multiple of theta's, so the contaminating
     # conditional mean is exactly alpha e_i, alpha = tr(Z C_i R_i) / tr(Z Rtilde_i)
     alpha = n * cross / (r @ z)
-    signal = 1.0 - np.real(np.diag(moments[0])) / rho_d
-    return AsymptoticState(q, gram2, t_mat, cross, alpha, signal, *moments)
+    return AsymptoticState(q, gram2, t_mat, cross, alpha, *moments)
 
 
 def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:

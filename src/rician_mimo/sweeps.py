@@ -45,9 +45,9 @@ def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> l
     one SE formula in one cell and in several."""
     # the refined equivalent runs on the eigenbasis that every link of an
     # exponential/identity scenario shares, where it is diagonal: O(N K^2 +
-    # K^3) per point.  One-ring links have no common basis (and the refined
-    # corrections overshot into negative SINRs there), so they use the plain
-    # equivalents
+    # K^3) per point.  It needs links of one shared theta and raises
+    # ValueError otherwise; one-ring links each hold their own theta, so
+    # they use the plain equivalents
     refined = scenario.spec.correlation != "one_ring"
     stats = scenario.profiles[bs]
     return [se_conv_multicell_de(build_q_multicell(stats, c, refined), c) for c in configs]

@@ -5,9 +5,10 @@ reading it shares.  A criterion the program does not meet yet is marked
 `xfail(strict=True)` with its measured gap, so the mark turns into a failure
 the moment the program meets it.
 
-The settings are those of `scripts/compare_de_vs_mc.py --trials 1000`:
-N=150, K=20, T=500, seed 3, kappa_max 2, tau = K, the default SNR grid and
-placement.
+The DE-vs-MC settings are those of `scripts/compare_de_vs_mc.py --trials
+1000`: N=150, K=20, T=500, seed 3, kappa_max 2, tau = K, the default SNR
+grid and placement.  The N-convergence criterion runs one cell at
+K = N/8 and 400 trials.
 """
 
 import numpy as np
@@ -60,3 +61,39 @@ def test_conventional_de_within_five_percent_of_mc_for_every_user(conventional_c
     mc, de = conventional_curves
     gap = np.abs(mc - de) / de
     assert gap.max() <= DE_VS_MC_TOLERANCE, f"worst per-user gap {gap.max():.1%}"
+
+
+def _user_mean_gap(correlation: str, n: int) -> float:
+    """Largest gap between the user means of the MC and the DE over 0, 10
+    and 20 dB, relative to the DE: one cell, K = N/8, tau = K, 400 trials
+    with common random numbers across the three points."""
+    spec = ScenarioSpec(n=n, k=n // 8, t=500, kappa_max=2.0, correlation=correlation, seed=SEED, trials=400)
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(snr, tau=spec.k) for snr in (0.0, 10.0, 20.0)]
+    reports = conventional_mc(scenario.profiles, configs, 400, SEED)
+    mc = np.array([[report.per_user_se for report in per_bs] for per_bs in reports]).mean(axis=-1)
+    de = np.array(conv_de_per_bs(scenario, configs)).mean(axis=-1)
+    return float(np.max(np.abs(mc - de) / de))
+
+
+def _no_convergence(gaps: str) -> pytest.MarkDecorator:
+    return pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=f"the production conventional DE's user-mean gap does not shrink with N: {gaps} (ROADMAP item 2)",
+    )
+
+
+@pytest.mark.parametrize(
+    "correlation",
+    [
+        pytest.param("one_ring", marks=_no_convergence("7.56% at N=32, 9.37% at N=256")),
+        pytest.param("exponential", marks=_no_convergence("0.33% at N=32, 0.39% at N=256")),
+    ],
+)
+def test_conventional_de_converges_to_mc_with_n(correlation):
+    # a large-N equivalent's error shrinks with N: below 1% at N=256, and at
+    # most half of the N=32 gap
+    gap_32, gap_256 = _user_mean_gap(correlation, 32), _user_mean_gap(correlation, 256)
+    assert gap_256 < 0.01, f"N=256 gap {gap_256:.2%}"
+    assert gap_256 <= 0.5 * gap_32, f"N=32 gap {gap_32:.2%}, N=256 gap {gap_256:.2%}"

@@ -28,7 +28,7 @@ from rician_mimo.channel import (
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.estimation import BSStatistics, EstimatorState
-from rician_mimo.spectral_efficiency import se_stat_multicell, se_stat_singlecell
+from rician_mimo.spectral_efficiency import conventional_mc, se_stat_multicell, se_stat_singlecell
 from rician_mimo.sweeps import conv_de_per_bs
 
 
@@ -265,7 +265,8 @@ def _oracle_state(profiles_at_bs, estimators, bs, rho_d):
             gap = np.linalg.norm(e.gains[ell] - alphas[m, i] * e.gain)
             assert gap <= 1e-10 * np.linalg.norm(e.gains[ell])
     fields = dict(zip(("q_mean", "var_mat", "noise_corr", "err_corr", "contam_second"), moments))
-    fields.update(cross_traces=cross, contam_alpha=alphas)
+    # the state forms its signal as Q G - shift/rho_d; the oracle by definition
+    fields.update(cross_traces=cross, contam_alpha=alphas, signal=1.0 - np.real(np.diag(moments[0])) / rho_d)
     return fields
 
 
@@ -350,6 +351,26 @@ def test_refined_mode_needs_a_common_basis():
         with pytest.raises(ValueError, match="common"):
             _state_at(links, 0, 10.0)
         assert np.all(np.isfinite(_state_at(links, 0, 10.0, refined=False).q_matrix))
+
+
+@pytest.mark.parametrize("correlation", ["exponential", "identity", "one_ring"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_conv_de_matches_mc_at_minus_600_db(correlation, layout):
+    # both DE modes form the signal and the contamination mean from
+    # Q (G + I/rho_d) = I, with no cancellation: at -600 dB the SE is about
+    # 1e-61 and the DE keeps the Monte Carlo's digits
+    cells = 1 if layout == "single_cell" else 3
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=16, k=3, t=50, correlation=correlation,
+        placement="cell_edge" if cells > 1 else "uniform_disk", seed=4,
+    )
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(-600.0)]
+    reports = conventional_mc(scenario.profiles, configs, 20, 4)
+    mc = np.array([[r.per_user_se for r in per_bs] for per_bs in reports])
+    de = np.array(conv_de_per_bs(scenario, configs))
+    assert np.all(de > 0) and np.all(de < 1e-59)
+    np.testing.assert_allclose(de, mc, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("correlation", ["one_ring", "exponential"])

@@ -316,16 +316,20 @@ def test_exit_numerical_failure_on_non_finite_or_negative_row(tmp_path, capsys, 
     assert "numerical failure" in err
 
 
+THREE_CELLS = "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+
+
 @pytest.mark.parametrize(
-    "extra",
-    ["", "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"],
-    ids=["one-cell", "three-cell"],
+    "correlation, extra",
+    [("one_ring", ""), ("one_ring", THREE_CELLS), ("exponential", ""), ("exponential", THREE_CELLS)],
+    ids=["one-cell", "three-cell", "exponential-one-cell", "exponential-three-cell"],
 )
-def test_conv_de_scales_with_snr_at_extreme_low_snr(tmp_path, capsys, extra):
-    # Q (G + I/rho_d) = I gives the signal term [QG]_kk without cancellation,
-    # so the SE keeps falling with rho_d instead of reading 0 or ~63 nats
+def test_conv_de_scales_with_snr_at_extreme_low_snr(tmp_path, capsys, correlation, extra):
+    # Q (G + I/rho_d) = I gives the signal term without cancellation in both
+    # DE modes (plain on one_ring, refined on exponential), so the SE keeps
+    # falling with rho_d instead of reading 0 or ~63 nats
     path = tmp_path / "low.cfg"
-    path.write_text(LOW_SNR_SCENARIO + extra)
+    path.write_text(LOW_SNR_SCENARIO.replace("one_ring", correlation) + extra)
     se = {}
     for snr in (-300, -600):
         argv = ["asymptotic", "--schemes", "conv", f"--snr={snr}:{snr}:1", "--scenario", str(path)]
