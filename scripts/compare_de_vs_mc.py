@@ -6,7 +6,7 @@ point, the worst and mean per-user relative gap between the Monte Carlo SE
 and the closed-form equivalent for conventional combining.
 
 Usage:
-    python3 scripts/compare_de_vs_mc.py [--multi] [--trials 200] [--seed 3] [--snr=-10:30:5]
+    python3 scripts/compare_de_vs_mc.py [--multi] [--trials 200] [--seed 3]
 """
 
 import argparse
@@ -14,8 +14,7 @@ import time
 
 import numpy as np
 
-from rician_mimo.config import ConfigError
-from rician_mimo.scenarios import ScenarioSpec, build_scenario, parse_snr_range
+from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import conventional_mc
 from rician_mimo.sweeps import conv_de_per_bs
 
@@ -30,12 +29,7 @@ def main() -> None:
     parser.add_argument("--kappa-max", type=float, default=2.0)
     parser.add_argument("--correlation", default="exponential",
                         choices=("identity", "exponential", "one_ring"))
-    parser.add_argument("--snr", help="SNR grid lo:hi:step in dB (default: the scenario's 9-point grid)")
     args = parser.parse_args()
-    try:
-        grid = {} if args.snr is None else {"snr_grid_db": parse_snr_range(args.snr, "--snr")}
-    except ConfigError as exc:
-        parser.error(str(exc))
 
     spec = ScenarioSpec(
         layout="three_cell_edge" if args.multi else "single_cell",
@@ -47,7 +41,6 @@ def main() -> None:
         correlation=args.correlation,
         seed=args.seed,
         trials=args.trials,
-        **grid,
     )
     scenario = build_scenario(spec)
     configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]

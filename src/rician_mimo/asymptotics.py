@@ -146,11 +146,10 @@ def _second_order_moments(
     w_sum = zh.conj().T @ ((q_diag @ r)[:, None] * zh)  # sum_a q_aa W_a
     m_mat = w_sum + np.diag(t_t @ q_diag + np.real(traces(zh, q)))
     shift = q @ m_mat @ q / n**2
-    q_mean = q + shift
-    q_mean = 0.5 * (q_mean + q_mean.conj().T)
+    shift = 0.5 * (shift + shift.conj().T)
+    q_mean = q + shift  # Hermitian, as q is
     # Q (gram + I/rho_d) = I: I - E[Qtilde]/rho_d is Q gram - shift/rho_d,
     # with no cancellation at low SNR
-    shift = 0.5 * (shift + shift.conj().T)
     resid = q @ gram - shift / rho_d
     signal = np.real(np.diag(resid))
     # the exact identity Qtilde = Q - Qtilde Delta Q puts Qtilde (not Q) on
@@ -357,7 +356,8 @@ def se_conv_multicell_de(
     `signal`, which both modes form without cancellation, so the SE keeps
     its relative accuracy at very low SNR.  The inter-cell term of each
     contaminating link is contam_alpha^2 times contam_second, in both
-    modes; a single cell has none.
+    modes; a single cell has none.  A negative second moment is not
+    clamped: it raises ValueError, a numerical failure.
     """
     q = state.q_mean
     rho = config.snr_data
@@ -371,6 +371,8 @@ def se_conv_multicell_de(
         den = den + (quad + state.err_corr / n)
     # inter-cell contamination: the conditional mean of link (l, i) is
     # alpha_li e_i, so its power is sum_i alpha_li^2 E|(1/N)[Qtilde Hhat^H Z e_i]_k|^2
+    if state.contam_alpha.size and np.any(state.contam_second < 0.0):
+        raise ValueError("negative pilot-contamination second moment")
     inter = np.zeros(state.n_users)
     for alpha in state.contam_alpha:
         inter += np.sum(alpha**2 * state.contam_second, axis=1)
@@ -388,8 +390,10 @@ def se_conv_expanded(
     inter-cell term (rho_d c_lk)^2 and the i != k term
     |rho_d [Q]_ki c_li / [Q]_kk|^2, summed over the interfering cells l.  In
     one cell both vanish and the SE is the simplified
-    prelog * log(rho_d/[Q]_kk) = prelog * log1p(g_k).  A tested reference of
-    the published expressions; the rows read `se_conv_multicell_de`.
+    prelog * log(rho_d/[Q]_kk) = prelog * log1p(g_k).  [Q] is the state's
+    q_mean: Q on a plain state, E[Qtilde] on a refined one.  A tested
+    reference of the published expressions; the rows read
+    `se_conv_multicell_de`.
     """
     q = state.q_mean
     rho = config.snr_data

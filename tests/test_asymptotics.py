@@ -74,6 +74,12 @@ def test_plain_q_scalar_closed_form():
     simp, contam, uncorr = se_conv_expanded(state, cfg)
     assert simp[0] == pytest.approx(cfg.prelog * math.log1p(rho * r_tilde_scalar), rel=1e-12)
     assert contam.tolist() == uncorr.tolist() == [0.0]
+    # a refined state reads [E Qtilde]_kk, which carries the resolvent bias, in place of [Q]_kk
+    shared = shared_profiles(np.eye(n, dtype=complex), [los_steering(0.1, n)], [c], [0.0])
+    refined = build_q_singlecell(BSStatistics([shared], 0), cfg)
+    q_mean, q = refined.q_mean[0, 0].real, refined.q_matrix[0, 0].real
+    assert q_mean > 1.02 * q
+    assert se_conv_expanded(refined, cfg)[0][0] == pytest.approx(cfg.prelog * math.log(rho / q_mean), rel=1e-12)
 
 
 def test_plain_q_diagonal_under_orthogonal_los():
@@ -115,6 +121,21 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
     assert np.all(contam > 0)
     # orthogonal LoS and white scattering: Q is diagonal, so no i != k term
     assert np.max(np.abs(uncorr)) < 1e-20
+
+
+def test_negative_contamination_moment_is_a_numerical_failure():
+    n, k = 16, 3
+    local = dft_profiles(n, k)
+    inter = [
+        build_profile(0.1, 0.0, np.eye(n, dtype=complex), dft_steering(i, n), is_local=False)
+        for i in range(k)
+    ]
+    cfg = make_config(n, k)
+    state = build_q_multicell(BSStatistics([local, inter], 0), cfg, refined=False)
+    assert np.all(se_conv_multicell_de(state, cfg) > 0)
+    state.contam_second[0, 1] = -1e-30
+    with pytest.raises(ValueError, match="negative"):
+        se_conv_multicell_de(state, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -50,21 +50,15 @@ def test_tau_star_table(monkeypatch, capsys):
         assert all(0.0 <= loss <= 100.0 for loss in numbers(losses.split(maxsplit=1)[1]))
 
 
-@pytest.mark.parametrize(
-    "multi, snr", [(False, None), (True, None), (False, "-600:-300:300")], ids=["False", "True", "low-snr"]
-)
-def test_compare_de_vs_mc(monkeypatch, capsys, multi, snr):
+@pytest.mark.parametrize("multi", [False, True])
+def test_compare_de_vs_mc(monkeypatch, capsys, multi):
     args = ["--n", "8", "--k", "2", "--trials", "4"] + (["--multi"] if multi else [])
-    args += [] if snr is None else [f"--snr={snr}"]
     lines = run_script(monkeypatch, capsys, "compare_de_vs_mc.py", *args)
     assert lines[0].startswith("scenario: " + ("three_cell_edge" if multi else "single_cell"))
     assert lines[1].split() == ["snr_db", "worst_gap", "mean_gap", "mc_stderr"]
     rows = [numbers(line) for line in lines[2:]]
-    assert [row[0] for row in rows] == ([-600.0, -300.0] if snr else [-10.0 + 5 * i for i in range(9)])
+    assert len(rows) == 9
     assert all(all(math.isfinite(x) for x in row) and row[2] <= row[1] for row in rows)
-    if snr:
-        # far below any noise floor the DE still agrees with the MC: every printed gap is 0
-        assert all(row[1] == 0.0 for row in rows)
 
 
 def test_crossover_summary_fig1b():
