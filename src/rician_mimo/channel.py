@@ -16,8 +16,10 @@ N = 2m, Q = [[I, iJ], [J, -iI]] / sqrt(2); odd N adds a middle row and
 column with entry 1.  `real_image`, `antenna_image` and `real_basis` apply
 Q by slicing and flipping, never as a dense product.  A Toeplitz image is
 fixed by the first row: `toeplitz_image` writes it as real Toeplitz and
-Hankel blocks of that row, so a one-ring link keeps only that row
-(`row_spectrum`) and never forms its complex N x N matrix.
+Hankel blocks of that row, so every link keeps only that row
+(`row_spectrum`) and never forms its complex N x N matrix.  The dense
+constructors `one_ring_correlation` and `exponential_correlation`, and
+`real_image`, are the reference the row forms are tested against.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
-def theta_spectrum(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, image): Theta's real image, Theta = Q image Q^H, and its real
-    eigenpair, image = V diag(lam) V^T."""
-    image = real_image(theta)
-    lam, v = np.linalg.eigh(image)
-    return lam, v, image
-
-
 def row_spectrum(first_row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, V, first_row): the real eigenpair of `toeplitz_image(first_row)`,
     with the row in place of the image, which is dropped."""
@@ -250,11 +244,17 @@ def one_ring_correlation(
     return toeplitz(np.conj(first_row), first_row)
 
 
-def exponential_correlation(rho: complex, n: int) -> np.ndarray:
-    """Exponential correlation [Theta]_uv = rho^(v-u) for v >= u, |rho| < 1."""
+def exponential_first_row(rho: complex, n: int) -> np.ndarray:
+    """First row t(d) = rho^d of the exponential correlation, |rho| < 1."""
     if abs(rho) >= 1:
         raise ChannelModelError(f"|rho| must be < 1 to keep the model PSD, got {abs(rho)}")
-    first_row = np.asarray(rho, dtype=complex) ** np.arange(n)
+    return np.asarray(rho, dtype=complex) ** np.arange(n)
+
+
+def exponential_correlation(rho: complex, n: int) -> np.ndarray:
+    """Exponential correlation [Theta]_uv = rho^(v-u) for v >= u: the
+    Hermitian Toeplitz matrix of `exponential_first_row`."""
+    first_row = exponential_first_row(rho, n)
     return toeplitz(np.conj(first_row), first_row)
 
 
@@ -281,17 +281,13 @@ def pathloss(distance: float, alpha: float) -> float:
 class UserLinkProfile:
     """Second-order statistics of one (BS, cell, user) link.
 
-    The correlation matrix theta is taken at construction only: the profile
-    keeps `theta_eig` = (lam, V, source), theta's real eigenpair and what its
-    real image is formed from.  Given theta, it decomposes it here
-    (`theta_spectrum`) and the source is the image, which links with one
-    correlation matrix share.  A one-ring link passes theta=None with the
-    `row_spectrum` of its first row, and the source is that row (N values):
-    `theta_image` forms the image from it on each access, bit for bit the
-    array the eigenpair was taken of.  The covariance R is the positive
-    multiple `scale` of theta, so its image is `scale` times theta's
-    (`r_image`), its eigenvectors are theta's and its eigenvalues
-    (`r_eigvals`) are theta's scaled, clamped at zero because
+    The profile keeps `theta_eig` = (lam, V, t): the `row_spectrum` of the
+    first row t of its Hermitian Toeplitz correlation matrix Theta, which
+    links with one Theta share.  `theta_image` forms the real image from t
+    on each access, bit for bit the array the eigenpair was taken of.  The
+    covariance R is the positive multiple `scale` of theta, so its image is
+    `scale` times theta's (`r_image`), its eigenvectors are theta's and its
+    eigenvalues (`r_eigvals`) are theta's scaled, clamped at zero because
     quadrature-built correlation matrices are often numerically
     semi-definite.  The PSD check, R^{1/2}, the training eigenvalues, the
     estimators and the statistical receiver all read this one
@@ -303,23 +299,21 @@ class UserLinkProfile:
         self,
         beta: float,
         kappa: float,
-        theta: np.ndarray | None,
+        theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray],
         los_dir: np.ndarray,
         is_local: bool = True,
-        theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         if beta <= 0:
             raise ChannelModelError(f"beta must be positive, got {beta}")
         if kappa < 0:
             raise ChannelModelError(f"kappa must be non-negative, got {kappa}")
-        n = los_dir.shape[0] if theta is None else theta.shape[0]
-        if (theta is not None and theta.shape != (n, n)) or los_dir.shape != (n,):
-            raise ChannelModelError("theta must be N x N and los_dir length N")
-        self.beta, self.kappa, self.los_dir, self.is_local = beta, kappa, los_dir, is_local
-        self.theta_eig = theta_spectrum(theta) if theta_eig is None else theta_eig
-        ev = self.theta_eig[0]
+        ev = theta_eig[0]
+        n = len(ev)
+        if los_dir.shape != (n,):
+            raise ChannelModelError("los_dir must have length N")
         if ev[0] < -PSD_EPS * max(ev[-1], 1.0):
             raise ChannelModelError(f"theta is not PSD: min eigenvalue {ev[0]:.3e}")
+        self.theta_eig, self.is_local = theta_eig, is_local
         if is_local:
             # kappa splits power between scattered and specular parts
             self.scale = beta / (1.0 + kappa)
@@ -336,10 +330,8 @@ class UserLinkProfile:
 
     @property
     def theta_image(self) -> np.ndarray:
-        """Q^H Theta Q, formed from the first row on each access where the
-        link keeps only that row."""
-        source = self.theta_eig[2]
-        return toeplitz_image(source) if source.ndim == 1 else source
+        """Q^H Theta Q, formed from the first row on each access."""
+        return toeplitz_image(self.theta_eig[2])
 
     @property
     def theta(self) -> np.ndarray:
@@ -382,9 +374,24 @@ def build_profile(
     is_local: bool = True,
     theta_eig: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> UserLinkProfile:
-    return UserLinkProfile(
-        beta=beta, kappa=kappa, theta=theta, los_dir=los_dir, is_local=is_local, theta_eig=theta_eig
-    )
+    """A link from its correlation matrix theta, or, when theta_eig is given,
+    from that `row_spectrum` of theta's first row (theta is then unread).
+
+    theta must be square and Hermitian Toeplitz: it may differ from the
+    Hermitian Toeplitz matrix of its first row by at most REAL_IMAGE_TOL
+    times its largest entry, or `ChannelModelError` is raised.  The link
+    keeps a copy of that row, not theta.
+    """
+    if theta_eig is None:
+        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+            raise ChannelModelError("theta must be N x N")
+        n, row = theta.shape[0], theta[0].astype(complex)
+        # t(-(n-1)) .. t(n-1), with t(-d) = conj t(d) and t(0) taken real
+        lags = np.concatenate([np.conj(row[::-1]), row[1:]])
+        if np.abs(theta - _hankel(lags, n)[::-1]).max() > REAL_IMAGE_TOL * np.abs(theta).max():
+            raise ChannelModelError("correlation matrix is not Hermitian Toeplitz")
+        theta_eig = row_spectrum(row)
+    return UserLinkProfile(beta, kappa, theta_eig, los_dir, is_local)
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -56,6 +56,8 @@ def _load_spec(args) -> ScenarioSpec:
                 spec = parse_scenario(fh.read())
         except OSError as exc:
             raise _IOFailure(str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario file {args.scenario} is not UTF-8: {exc}") from exc
     else:
         spec = ScenarioSpec()
     overrides = {}

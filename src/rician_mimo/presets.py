@@ -232,6 +232,8 @@ def run_preset(
         raise ConfigError("seed must be non-negative")
     if trials is not None and trials < 1:
         raise ConfigError("trials must be >= 1")
+    if trials is not None and figure_id == "fig1b":
+        raise ConfigError("fig1b runs no Monte Carlo and takes no trial count")
     rows: list[ResultRow] = []
     summary: dict = {"figure": figure_id}
     for spec in preset_specs(figure_id):

@@ -2,8 +2,9 @@
 
 A `ScenarioSpec` is a flat, typed key-value description of one experiment
 (see README for the file grammar).  `build_scenario` turns it into concrete
-per-link statistics: user drop, pathloss, per-user Rician factors, one-ring
-correlation matrices and LoS directions.  Each BS's links are held in its
+per-link statistics: user drop, pathloss, per-user Rician factors, the
+first row of each link's Toeplitz correlation matrix with its eigenpair,
+and LoS directions.  Each BS's links are held in its
 `estimation.BSStatistics`, the one copy of the per-BS statistics that
 every scheme reads.
 
@@ -27,12 +28,11 @@ from .channel import (
     build_profile,
     dft_steering,
     drop_users,
-    exponential_correlation,
+    exponential_first_row,
     los_steering,
     one_ring_first_row,
     pathloss,
     row_spectrum,
-    theta_spectrum,
 )
 from .config import ConfigError, SystemConfig
 from .estimation import BSStatistics
@@ -106,6 +106,15 @@ class ScenarioSpec:
                 raise ConfigError(f"SNR {db!r} dB overflows or underflows as a linear value")
         if self.radius_m <= 0 or self.alpha <= 0:
             raise ConfigError("radius_m and alpha must be positive")
+        try:
+            ok = self.radius_m**2 > 0.0 and self.radius_m ** (-self.alpha) > 0.0
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"radius_m {self.radius_m!r} with alpha {self.alpha!r}: R^2 or R^-alpha"
+                " overflows or underflows to 0"
+            )
         if self.placement == "uniform_disk" and self.radius_m < MIN_USER_DISTANCE_M:
             raise ConfigError(f"uniform_disk placement needs radius_m >= {MIN_USER_DISTANCE_M:g} m")
         if self.correlation == "exponential" and abs(self.corr_rho) >= 1:
@@ -206,16 +215,16 @@ def _one_ring_window(theta_k: float) -> tuple[float, float]:
 
 
 def _shared_correlation(spec: ScenarioSpec):
-    """(theta, theta_spectrum(theta)) of the families whose theta is the same
-    for every link, so one decomposition serves the whole scenario; None for
-    one-ring."""
+    """The `row_spectrum` of the first row of the families whose theta is the
+    same for every link (rho^d, or e_0 for the identity), so one tuple and
+    one decomposition serve the whole scenario; None for one-ring."""
     if spec.correlation == "one_ring":
         return None
     if spec.correlation == "exponential":
-        theta = exponential_correlation(spec.corr_rho, spec.n)
+        row = exponential_first_row(spec.corr_rho, spec.n)
     else:
-        theta = np.eye(spec.n, dtype=complex)
-    return theta, theta_spectrum(theta)
+        row = np.eye(1, spec.n, dtype=complex)[0]
+    return row_spectrum(row)
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
@@ -238,21 +247,27 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
         for ell in range(spec.l):
             per_cell = []
             for k in range(spec.k):
-                dist = geometry.distance(j, ell, k)
-                beta = pathloss(dist, spec.alpha) / edge_loss
+                try:
+                    beta = pathloss(geometry.distance(j, ell, k), spec.alpha) / edge_loss
+                except OverflowError:
+                    beta = math.inf
+                if not 0.0 < beta < math.inf:
+                    raise ConfigError(
+                        f"radius_m {spec.radius_m!r} and alpha {spec.alpha!r} put the gain of"
+                        f" user {k} of cell {ell} at BS {j} out of floating-point range"
+                    )
                 theta_k = geometry.arrival_angle(j, ell, k)
-                if shared is None:
+                corr_eig = shared
+                if corr_eig is None:
                     row = one_ring_first_row(*_one_ring_window(theta_k), spec.n)
-                    corr, corr_eig = None, row_spectrum(row)
-                else:
-                    corr, corr_eig = shared
+                    corr_eig = row_spectrum(row)
                 if spec.los == "dft":
                     los = dft_steering(k, spec.n)
                 else:
                     los = los_steering(theta_k, spec.n)
                 per_cell.append(
                     build_profile(
-                        beta, kappas[ell, k], corr, los, is_local=(j == ell), theta_eig=corr_eig
+                        beta, kappas[ell, k], None, los, is_local=(j == ell), theta_eig=corr_eig
                     )
                 )
             per_bs.append(per_cell)

@@ -74,16 +74,10 @@ class TrainingCurve:
         q, g = self._resolvent(tau)
         return self.rho_d * np.real(np.einsum("ki,ik->k", q, g)) / np.real(np.diag(q))
 
-    def _d2(self, tau: float) -> np.ndarray:
-        # d/dtau of (1/N) tr(R_tilde_l); equals |D_2| of the closed form
-        s = self._shift(tau)
-        tr = np.sum(self.eigs**2 / (self.eigs + s) ** 2, axis=1) / self.n
-        return tr / (self.rho_tr * tau**2)
-
     def gamma_prime(self, tau: float) -> np.ndarray:
         q = self._resolvent(tau)[0]
         q_diag = np.real(np.diag(q))
-        d2 = self._d2(tau)
+        d2 = self.d_alpha_diag(tau, 2)  # d/dtau of (1/N) tr(R_tilde_l)
         quad = np.real(np.einsum("lk,l,lk->k", q.conj(), d2, q))
         return self.rho_d * quad / q_diag**2
 
@@ -92,7 +86,7 @@ class TrainingCurve:
         s = self._shift(tau)
         q = self._resolvent(tau)[0]
         q_diag = np.real(np.diag(q))
-        d2 = self._d2(tau)
+        d2 = self.d_alpha_diag(tau, 2)
         # derivative of d2 itself
         tr2 = np.sum(self.eigs**2 / (self.eigs + s) ** 2, axis=1) / self.n
         tr3 = np.sum(self.eigs**2 / (self.eigs + s) ** 3, axis=1) / self.n

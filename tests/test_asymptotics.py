@@ -21,9 +21,10 @@ from rician_mimo.channel import (
     build_profile,
     dft_steering,
     exponential_correlation,
+    exponential_first_row,
     los_steering,
     one_ring_correlation,
-    theta_spectrum,
+    row_spectrum,
 )
 from rician_mimo.config import SystemConfig
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
@@ -46,9 +47,9 @@ def make_config(n, k, t=200, tau=None, snr=2.0):
 def shared_profiles(theta, steering, betas, kappas):
     """Local links of one correlation matrix, sharing its eigenpair as a
     scenario's links do (the refined DE's common basis)."""
-    eig = theta_spectrum(theta)
+    eig = row_spectrum(theta[0])
     return [
-        build_profile(beta, kappa, theta, los, theta_eig=eig)
+        build_profile(beta, kappa, None, los, theta_eig=eig)
         for los, beta, kappa in zip(steering, betas, kappas)
     ]
 
@@ -328,7 +329,7 @@ def test_refined_mode_refuses_one_basis_with_unrelated_spectra():
     # mean is no multiple of the local estimate and the refined state is
     # refused; the plain state is not
     n, k = 12, 3
-    _, v, _ = theta_spectrum(exponential_correlation(0.6, n))
+    _, v, row = row_spectrum(exponential_first_row(0.6, n))
     base = np.linspace(0.1, 2.0, n)
     spectra = [base, base[::-1], np.sqrt(base)]
     # links[cell][user] at BS 0
@@ -336,7 +337,7 @@ def test_refined_mode_refuses_one_basis_with_unrelated_spectra():
         [
             build_profile(
                 1.0 / (1 + ell), 1.5 if ell == 0 else 0.0, None, los_steering(0.4 * i - 0.3 * ell, n),
-                is_local=(ell == 0), theta_eig=(lam, v, (v * lam) @ v.T),
+                is_local=(ell == 0), theta_eig=(lam, v, row),
             )
             for i in range(k)
         ]

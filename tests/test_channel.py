@@ -279,9 +279,19 @@ def test_intercell_profile_has_no_los():
 
 
 def test_profile_rejects_indefinite_theta():
-    bad = np.diag([1.0, -0.5]).astype(complex)
-    with pytest.raises(ChannelModelError):
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)  # Hermitian Toeplitz, eigenvalues -1, 3
+    with pytest.raises(ChannelModelError, match="not PSD"):
         build_profile(1.0, 1.0, bad, los_steering(0.0, 2))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_profile_rejects_centro_hermitian_non_toeplitz_theta(n):
+    # I + 0.1 J is centro-Hermitian with a real image and PSD, but its first
+    # row does not fix it: a link keeps only that row, so it is refused
+    theta = (np.eye(n) + 0.1 * np.eye(n)[::-1]).astype(complex)
+    real_image(theta)
+    with pytest.raises(ChannelModelError, match="Toeplitz"):
+        build_profile(1.0, 1.0, theta, los_steering(0.0, n))
 
 
 # ---------------------------------------------------------------------------

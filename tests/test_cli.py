@@ -264,6 +264,15 @@ def test_exit_io_missing_scenario(capsys):
     assert "i/o error" in err
 
 
+def test_exit_config_error_scenario_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"n = 8\nk = 2\nt = 50\ntrials = 2\n\xff\xfe = 1\n")
+    code, out, err = run_cli(capsys, "asymptotic", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("configuration error:") and str(path) in err
+
+
 def test_exit_io_unwritable_output(scenario_file, tmp_path, capsys):
     target = tmp_path  # a directory is not a writable file
     code, _, err = run_cli(
@@ -370,11 +379,18 @@ def test_tau_star_at_extreme_low_snr_is_a_tiny_nonnegative_se(tmp_path, capsys):
         ({}, ["--snr", "0:inf:5"]),
         ({"snr_grid_db": "4000"}, []),
         ({}, ["--snr", "4000:4000:1"]),
+        # the cell-edge gain R^-alpha or R^2 overflows or underflows to 0
+        ({"alpha": "1000"}, []),
+        ({"radius_m": "1e-320", "placement": "cell_edge"}, []),
+        ({"radius_m": "1e300"}, []),
+        # a finite edge gain, but the other cells' users' gains underflow to 0
+        ({"alpha": "140", "layout": "three_cell_edge", "l": "3"}, []),
     ],
     ids=[
         "seed-flag", "seed-file", "radius", "radius-under-1m", "radius-tiny", "alpha",
         "exponential-rho", "radius-nan", "alpha-inf", "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
-        "snr-grid-overflow", "snr-range-overflow",
+        "snr-grid-overflow", "snr-range-overflow", "edge-gain-underflow", "edge-gain-overflow",
+        "radius-squared-overflow", "inter-cell-gain-underflow",
     ],
 )
 def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):
@@ -392,7 +408,12 @@ def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("override", [["--seed", "-1"], ["--trials", "0"]], ids=["seed", "trials"])
+@pytest.mark.parametrize(
+    "override",
+    [["--seed", "-1"], ["--trials", "0"], ["--trials", "5"]],
+    # fig1b solves tau* and runs no Monte Carlo: any trial count goes unread
+    ids=["seed", "trials", "trials-unread"],
+)
 def test_exit_config_error_bad_preset_override(capsys, override):
     code, _, err = run_cli(capsys, "reproduce", "--figure", "fig1b", *override)
     assert code == 1
@@ -501,7 +522,8 @@ def test_three_cell_simulate_never_leaves_the_real_basis(tmp_path, capsys, monke
 def test_no_scipy_linalg_in_compute_path(scenario_file, tmp_path, capsys, monkeypatch):
     # numpy and scipy each load their own OpenBLAS with its own thread pool;
     # hopping between them per call makes the two pools fight over the cores.
-    # toeplitz is construction only and keeps scipy.linalg imported.
+    # toeplitz serves only the two dense reference constructors and keeps
+    # scipy.linalg imported.
     for info in pkgutil.iter_modules(rician_mimo.__path__):
         module = importlib.import_module(f"rician_mimo.{info.name}")
         for name, obj in vars(module).items():

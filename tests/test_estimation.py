@@ -14,8 +14,8 @@ from rician_mimo.channel import (
     one_ring_correlation,
     real_basis,
     real_image,
+    row_spectrum,
     standard_complex_normal,
-    theta_spectrum,
 )
 from rician_mimo.estimation import (
     BSStatistics,
@@ -168,10 +168,10 @@ def _shared_theta_links(n):
     # same-pilot links of one exponential theta that hold its one eigenpair,
     # as a scenario's links do: the group takes no eigh of its sum
     theta = exponential_correlation(0.7, n)
-    eig = theta_spectrum(theta)
+    eig = row_spectrum(theta[0])
     powers = [(40.0, 1.5), (0.8, 0.0), (0.5, 0.0)]  # (beta, kappa)
     return [
-        build_profile(beta, kappa, theta, los_steering(0.3, n), is_local=(ell == 0), theta_eig=eig)
+        build_profile(beta, kappa, None, los_steering(0.3, n), is_local=(ell == 0), theta_eig=eig)
         for ell, (beta, kappa) in enumerate(powers)
     ]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rician_mimo import channel
 from rician_mimo.channel import (
     build_profile,
     exponential_correlation,
@@ -208,16 +209,31 @@ def test_one_ring_links_keep_their_first_row_not_their_image(n):
 
 
 @pytest.mark.parametrize("correlation", ["exponential", "identity"])
-def test_links_given_a_matrix_keep_its_image(correlation):
+def test_links_given_a_matrix_keep_its_first_row(correlation):
     n = 9
     theta = exponential_correlation(0.6 + 0.2j, n) if correlation == "exponential" else np.eye(n, dtype=complex)
     link = build_profile(1.7, 0.4, theta, los_steering(0.3, n))
-    assert np.array_equal(link.theta_image, real_image(theta))
-    assert np.array_equal(link.r_image, link.scale * real_image(theta))
-    # a scenario's shared theta: every link reads the one image
+    assert np.array_equal(link.theta_eig[2], theta[0])
+    assert np.array_equal(link.theta_image, toeplitz_image(theta[0]))
+    assert np.abs(link.theta_image - real_image(theta)).max() <= 1e-15
+    # a scenario's shared theta: every link holds the one eigenpair
     sc = build_scenario(small_spec(n=n, correlation=correlation, layout="three_cell_edge", l=3))
     links = [link for per_bs in sc.profiles for cell in per_bs for link in cell]
-    assert all(link.theta_image is links[0].theta_image for link in links)
+    assert all(link.theta_eig is links[0].theta_eig for link in links)
+
+
+@pytest.mark.parametrize("correlation", ["one_ring", "exponential", "identity"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_scenario_links_are_built_from_first_rows_alone(correlation, layout, monkeypatch):
+    # no family forms the dense image of a complex N x N correlation matrix
+    def forbidden(theta):
+        raise AssertionError("real_image called while building a scenario")
+
+    monkeypatch.setattr(channel, "real_image", forbidden)
+    cells = 3 if layout == "three_cell_edge" else 1
+    sc = build_scenario(small_spec(n=9, correlation=correlation, layout=layout, l=cells))
+    for link in (link for per_bs in sc.profiles for cell in per_bs for link in cell):
+        assert link.theta_eig[2].shape == (9,)
 
 
 # ---------------------------------------------------------------------------
