@@ -3,13 +3,16 @@
 
 Runs a seeded scenario over its SNR grid in `both` mode and prints, per SNR
 point, the worst and mean per-user relative gap between the Monte Carlo SE
-and the closed-form equivalent for conventional combining.
+and the closed-form equivalent for conventional combining.  The `scenario:`
+line also gives the Monte Carlo's wall time and the process's peak resident
+memory up to the end of the Monte Carlo.
 
 Usage:
     python3 scripts/compare_de_vs_mc.py [--multi] [--trials 200] [--seed 3]
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -44,13 +47,15 @@ def main() -> None:
     )
     scenario = build_scenario(spec)
     configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
-    start = time.time()
+    start = time.perf_counter()
     reports = conventional_mc(scenario.profiles, configs, args.trials, args.seed)
-    mc_elapsed = time.time() - start
+    mc_elapsed = time.perf_counter() - start
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     print(f"scenario: {spec.layout}, N={spec.n}, K={spec.k}, "
           f"corr={spec.correlation}, kappa_max={spec.kappa_max:g}, "
-          f"{args.trials} trials ({mc_elapsed:.0f}s)")
+          f"{args.trials} trials ({mc_elapsed:.1f}s, peak RSS {peak_rss_mb:.1f} MB)")
     print(f"{'snr_db':>7} {'worst_gap':>10} {'mean_gap':>9} {'mc_stderr':>10}")
     des = conv_de_per_bs(scenario, configs)
     for snr, de, per_bs in zip(spec.snr_grid_db, des, reports):

@@ -356,7 +356,8 @@ class UserLinkProfile:
     @property
     def sqrt_r_image(self) -> np.ndarray:
         """Q^H R^{1/2} Q, the real image of `sqrt_r`: the Gram product
-        W W^T of W = V diag(lam^{1/4}), exactly symmetric."""
+        W W^T of W = V diag(lam^{1/4}), exactly symmetric.  A tested
+        reference: the Monte Carlo applies it as V (sqrt(lam) * (V^T z))."""
         w = self.eigvecs * np.sqrt(np.sqrt(self.r_eigvals))
         return w @ w.T
 

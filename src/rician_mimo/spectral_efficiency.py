@@ -49,8 +49,9 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 # trials drawn, rotated and evaluated together: every key-independent
-# (..., N, N) stack multiplies a (..., N, BLOCK_TRIALS) operand, wide enough
-# for a matrix-matrix product and small enough to stay in cache
+# N x N factor (a link's eigenvectors, the stacked V_k^T) multiplies a
+# (..., N, BLOCK_TRIALS) operand, wide enough for a matrix-matrix product
+# and small enough to stay in cache
 BLOCK_TRIALS = 8
 
 
@@ -88,18 +89,22 @@ class _EstimatorArrays:
 
 
 def _rotated_draws(
-    stats: list[BSStatistics], sqrt_r: list[np.ndarray], seed: int, first: int, count: int
+    stats: list[BSStatistics], sqrt_lam: list[np.ndarray], seed: int, first: int, count: int
 ) -> list[np.ndarray]:
     """Per BS, V^T of the channel part and of the pilot noise of y - h_bar
     for trials first .. first + count - 1, side by side: (K, N, 2 * count).
 
     Each trial keeps its own generator and draws z for every (BS, cell),
     then w for every BS.  The block is rotated into the real basis once,
-    and the R^{1/2} images and V^T multiply (..., N, count) operands.  The
-    other cells' links carry no LoS (is_local=False sets h_bar = 0), so the
-    channel part of y - h_bar is the sum of the scattered parts.
+    and each link's scattered part Q^H R^{1/2} Q z is read off its own
+    eigenpair as V (sqrt(lam) * (V^T z)), with `sqrt_lam[j]` the (L, K, N)
+    square roots of BS j's clamped eigenvalues: two real products per link
+    on the block's interleaved real and imaginary columns, into two reused
+    buffers, and no N x N R^{1/2} image.  The other cells' links carry no
+    LoS (is_local=False sets h_bar = 0), so the channel part of y - h_bar
+    is the sum of the scattered parts.
     """
-    cells, users, n = len(sqrt_r), sqrt_r[0].shape[1], sqrt_r[0].shape[-1]
+    cells, users, n = sqrt_lam[0].shape
     z = np.empty((count, cells, cells, users, n), dtype=complex)
     w = np.empty((count, cells, users, n), dtype=complex)
     for t in range(count):
@@ -109,11 +114,21 @@ def _rotated_draws(
                 z[t, j, ell] = standard_complex_normal(rng, users, n)
         for j in range(cells):
             w[t, j] = standard_complex_normal(rng, users, n)
-    z = np.moveaxis(real_basis(z), 0, -1)  # (L, L, K, N, count)
+    z = np.ascontiguousarray(np.moveaxis(real_basis(z), 0, -1))  # (L, L, K, N, count)
     w = np.moveaxis(real_basis(w), 0, -1)  # (L, K, N, count)
+    # real and imaginary parts as interleaved real columns, (L, L, K, N, 2 * count)
+    z_re = z.view(np.float64)
+    scaled, term = np.empty((2, n, 2 * count))
     rot = []
     for j, bs in enumerate(stats):
-        channel = np.sum(real_matmul(sqrt_r[j], z[j]), axis=0)
+        channel = np.zeros((users, n, count), dtype=complex)
+        channel_re = channel.view(np.float64)
+        for ell, cell in enumerate(bs):
+            for k, link in enumerate(cell):
+                v = link.eigvecs
+                np.matmul(v.T, z_re[j, ell, k], out=scaled)
+                scaled *= sqrt_lam[j][ell, k, :, None]
+                channel_re[k] += np.matmul(v, scaled, out=term)
         # (K, N, N), the k-th slice V_k^T
         vecs_t = bs.vecs.transpose(1, 2, 0)
         rot.append(real_matmul(vecs_t, np.concatenate([channel, w[j]], axis=-1)))
@@ -144,11 +159,13 @@ def mc_log_moments(
     is the regularizer A, and `conventional_sinr` reads the block's SINR
     off the K x K gram; with more cells every trial point forms the
     combiner and the closed-form conditional SINR terms.  Per BS the kernel
-    reads its `BSStatistics`, `profiles[j]`, and the stacked images
-    Q^H R^{1/2} Q of every link, (L, K, N, N).
+    reads its `BSStatistics`, `profiles[j]`, and draws every link's
+    channel from the link's own eigenpair: its eigenvectors as they are,
+    and the square roots of its clamped eigenvalues, taken once per call
+    as an (L, K, N) array.  No R^{1/2} image is formed.
     """
     L, K = len(profiles), len(profiles[0][0])
-    sqrt_r = [np.array([[p.sqrt_r_image for p in cell] for cell in bs]) for bs in profiles]
+    sqrt_lam = [np.sqrt([[p.r_eigvals for p in cell] for cell in bs]) for bs in profiles]
     key_of = [(pt.training_len, pt.snr_training) for pt in points]
     ests = {}
     for key in dict.fromkeys(key_of):
@@ -157,7 +174,7 @@ def mc_log_moments(
     logs = np.zeros((len(points), L, trial_count, K))
     for start in range(0, trial_count, BLOCK_TRIALS):
         count = min(BLOCK_TRIALS, trial_count - start)
-        rot = _rotated_draws(profiles, sqrt_r, seed, trial_start + start, count)
+        rot = _rotated_draws(profiles, sqrt_lam, seed, trial_start + start, count)
         fits_key, fits = None, []
         for p_idx, pt in enumerate(points):
             est = ests[key_of[p_idx]]

@@ -515,6 +515,25 @@ def test_three_cell_simulate_never_leaves_the_real_basis(tmp_path, capsys, monke
     assert {r.scheme for r in parse_csv(out)} == {"conv_multi", "stat_multi"}
 
 
+@pytest.mark.parametrize("correlation", ["exponential", "one_ring"])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_simulate_forms_no_sqrt_r_image(tmp_path, capsys, monkeypatch, layout, correlation):
+    # the Monte Carlo draws each link's channel from its own eigenpair;
+    # `UserLinkProfile.sqrt_r_image` stays a tested accessor only
+    def forbidden(self):
+        raise AssertionError("the Monte Carlo formed an R^{1/2} image")
+
+    monkeypatch.setattr(channel.UserLinkProfile, "sqrt_r_image", property(forbidden))
+    text = SCENARIO_TEXT.replace("n = 16", "n = 8").replace("exponential", correlation)
+    if layout == "three_cell_edge":
+        text += "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
+    assert code == 0, err
+    assert parse_csv(out)
+
+
 # ---------------------------------------------------------------------------
 # one BLAS library: every dense factorization is a numpy call
 

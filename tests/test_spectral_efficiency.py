@@ -11,8 +11,10 @@ from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
     build_profile,
     exponential_correlation,
+    exponential_first_row,
     los_steering,
     one_ring_correlation,
+    row_spectrum,
     standard_complex_normal,
 )
 from rician_mimo.combining import conventional_combiner, statistical_combiner
@@ -31,9 +33,19 @@ from rician_mimo.spectral_efficiency import (
 from rician_mimo.sweeps import run_sweep
 
 
-def tiny_profiles(n=8, k=2, l=2, seed=0):
-    """Per-BS statistics of a small synthetic network, profiles[bs][cell][user]."""
+def tiny_profiles(n=8, k=2, l=2, seed=0, family="one_ring"):
+    """Per-BS statistics of a small synthetic network, profiles[bs][cell][user].
+
+    `family` sets each link's correlation: "one_ring" a wide random window
+    per link, "narrow_one_ring" a 0.1 rad window per link (numerically
+    semi-definite, so eigenvalues clamp to exactly 0), and
+    "shared_exponential" one exponential Theta whose eigenpair every link
+    holds, so every link reads one V.
+    """
     rng = np.random.default_rng(seed)
+    shared = None
+    if family == "shared_exponential":
+        shared = row_spectrum(exponential_first_row(0.7 * np.exp(0.4j), n))
     profiles = []
     for j in range(l):
         per_bs = []
@@ -42,9 +54,16 @@ def tiny_profiles(n=8, k=2, l=2, seed=0):
             for _ in range(k):
                 beta = rng.uniform(0.5, 1.5) if ell == j else rng.uniform(0.05, 0.2)
                 kappa = rng.uniform(0.5, 3.0)
-                theta = one_ring_correlation(
-                    rng.uniform(-math.pi, -1.0), rng.uniform(0.0, 1.0), n
-                )
+                theta, theta_eig = None, None
+                if family == "one_ring":
+                    theta = one_ring_correlation(
+                        rng.uniform(-math.pi, -1.0), rng.uniform(0.0, 1.0), n
+                    )
+                elif family == "narrow_one_ring":
+                    center = rng.uniform(-math.pi, math.pi)
+                    theta = one_ring_correlation(center - 0.05, center + 0.05, n)
+                else:
+                    theta_eig = shared
                 cell.append(
                     build_profile(
                         beta,
@@ -52,6 +71,7 @@ def tiny_profiles(n=8, k=2, l=2, seed=0):
                         theta,
                         los_steering(rng.uniform(-1.0, 1.0), n),
                         is_local=(ell == j),
+                        theta_eig=theta_eig,
                     )
                 )
             per_bs.append(cell)
@@ -203,23 +223,33 @@ def test_mc_configs_with_one_training_snr_share_one_estimator_key(monkeypatch, c
 
 
 @pytest.mark.parametrize(
-    "cells, n, trials",
+    "cells, n, trials, family",
     [
-        pytest.param(1, 8, 3, id="1"),
-        pytest.param(3, 8, 3, id="3"),
+        pytest.param(1, 8, 3, "one_ring", id="1"),
+        pytest.param(3, 8, 3, "one_ring", id="3"),
         # odd N: the real basis has a middle row of its own
-        pytest.param(1, 7, 3, id="1-odd_n"),
-        pytest.param(3, 7, 3, id="3-odd_n"),
+        pytest.param(1, 7, 3, "one_ring", id="1-odd_n"),
+        pytest.param(3, 7, 3, "one_ring", id="3-odd_n"),
         # one full block of trials and a partial one
-        pytest.param(1, 8, BLOCK_TRIALS + 3, id="1-blocks"),
-        pytest.param(3, 8, BLOCK_TRIALS + 3, id="3-blocks"),
+        pytest.param(1, 8, BLOCK_TRIALS + 3, "one_ring", id="1-blocks"),
+        pytest.param(3, 8, BLOCK_TRIALS + 3, "one_ring", id="3-blocks"),
+        # every link holds one V: the draw V (sqrt(lam) * V^T z) of each
+        # link rotates by the same eigenvectors
+        pytest.param(3, 8, 3, "shared_exponential", id="3-shared_exponential"),
+        # eigenvalues clamped to exactly 0 drop out of the draw
+        pytest.param(3, 8, 3, "narrow_one_ring", id="3-narrow_one_ring"),
     ],
 )
-def test_mc_log_moments_match_dense_replay(cells, n, trials):
+def test_mc_log_moments_match_dense_replay(cells, n, trials, family):
     # replay the kernel's draws (per-trial SeedSequence, z then w) through
     # dense inverse-based estimators and an N x N solve for the combiner
     k, seed = 2, 7
-    profiles = tiny_profiles(n=n, k=k, l=cells, seed=4)
+    profiles = tiny_profiles(n=n, k=k, l=cells, seed=4, family=family)
+    every_link = [p for bs in profiles for cell in bs for p in cell]
+    if family == "shared_exponential":
+        assert all(p.eigvecs is every_link[0].eigvecs for p in every_link)
+    if family == "narrow_one_ring":
+        assert any(np.any(p.r_eigvals == 0) for p in every_link)
     points = [point(2, 1.0, 1.0), point(2, 30.0, 30.0), point(3, 30.0, 0.5)]
     mean, m2 = mc_log_moments(profiles, points, seed, 0, trials)
     logs = np.zeros((len(points), cells, trials, k))
