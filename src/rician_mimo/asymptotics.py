@@ -29,11 +29,11 @@ into V and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N
 product or inverse.  It reads only the links' eigenvalues, so the BS never
 builds its same-pilot stacks.  Links without one common theta raise
 ValueError.  The plain mode replaces Z by I, the additional large-antenna
-simplification used in the published closed forms: it builds the K
-estimators on the BS's same-pilot spectra, and every trace is a weighted
-column sum of the projections P_l and the shrinkage f; no R_tilde_i is
-formed.  Its contamination gains are its cross traces.  Both modes
-coincide as N grows.
+simplification used in the published closed forms: it reads the BS's
+`estimation.key_shrinkage` f, and every trace is a weighted column sum of
+the projections P_l and f; no R_tilde_i is formed.  Its contamination
+gains are its cross traces.  Both modes coincide as N grows, and take Q
+from `resolvent`, which `training`'s tau* curve reads too.
 
 The statistical-combining equivalents need no Q: they read the K x K LoS
 resolvent `combining.los_resolvent`.
@@ -48,7 +48,7 @@ import numpy as np
 from .channel import UserLinkProfile, real_matmul
 from .combining import los_resolvent
 from .config import SystemConfig
-from .estimation import BSStatistics, EstimatorState, build_estimator_multicell, regularizer_sums
+from .estimation import BSStatistics, build_estimator_multicell, key_shrinkage, regularizer_sums
 from .spectral_efficiency import se_stat_singlecell
 
 
@@ -82,6 +82,15 @@ class AsymptoticState:
     @property
     def n_users(self) -> int:
         return self.q_matrix.shape[0]
+
+
+def resolvent(gram: np.ndarray, rho_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, signal) of the K x K gram G: Q = (G + I/rho_d)^{-1}, exactly
+    Hermitian, and signal = Re diag(QG).  As Q (G + I/rho_d) = I, the signal
+    is 1 - [Q]_kk/rho_d with no cancellation at low SNR."""
+    q = np.linalg.inv(gram + np.eye(len(gram)) / rho_d)
+    q = 0.5 * (q + q.conj().T)
+    return q, np.real(np.einsum("ki,ik->k", q, gram))
 
 
 def _diag_gram(h: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -230,9 +239,8 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
             "correlation matrix (one theta eigenpair shared by every link)"
         )
     h = bs.h_rot
-    n, k = h.shape
-    local = bs.j
-    others = [ell for ell in range(len(bs.links)) if ell != local]
+    n = len(h)
+    local, others = bs.j, bs.others
     # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, summed in the
     # order of `same_pilot_spectrum`; f[i] the shrinkage
     lam = np.array([[p.r_eigvals for p in group] for group in zip(*bs.links)]).swapaxes(0, 1)
@@ -244,8 +252,7 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     z = 1.0 / (1.0 + (rho_d / n) * (cond[local].sum(0) + lam[others].sum((0, 1))))
     zxz = z * z * cond.sum((0, 1))
     gram = _diag_gram(h, r, z)
-    q = np.linalg.inv(gram + np.eye(k) / rho_d)
-    q = 0.5 * (q + q.conj().T)
+    q = resolvent(gram, rho_d)[0]
     gram2 = _diag_gram(h, r, z * z)
     t_mat = n * _diag_gram(h, r, zxz)
     # cross[m, i] = (1/N) tr(Z R_{l_m} Phi_i R_i); a single cell has no l_m
@@ -262,15 +269,6 @@ def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = T
     return build_q_multicell(bs, config, refined)
 
 
-def _estimators(bs: BSStatistics, config: SystemConfig) -> list[EstimatorState]:
-    """The K estimators of BS j at the training key of `config`, on the BS's
-    same-pilot spectra."""
-    return [
-        build_estimator_multicell(sp, bs.j, config.training_len, config.snr_training)
-        for sp in bs.spectra
-    ]
-
-
 def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
     """State of BS j at one operating point, in one cell or several.
 
@@ -283,35 +281,31 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     the dedicated contamination model, matching the Monte Carlo split.
 
     The refined state reads only the links' eigenvalues (`_refined_state`).
-    The plain state (Z = I) builds the K estimators on the BS's same-pilot
-    stacks: with P_l the projections `bs.proj[l]` and f the stacked
-    shrinkage, tr R_tilde_i and the cross traces come from `_phi_traces`,
-    and tr(R_tilde_i B) from one (N, N) @ (N, K*N) product B P_j and a
-    weighted column sum.
+    The plain state (Z = I) reads the BS's same-pilot stacks and its
+    `key_shrinkage` f: with P_l the projections `bs.proj[l]`, tr R_tilde_i
+    and the cross traces come from `_phi_traces`, and tr(R_tilde_i B) from
+    one (N, N) @ (N, K*N) product B P_j and a weighted column sum.  Q and
+    the cancellation-free signal [QG]_kk are `resolvent`'s of the gram.
     """
-    rho_d = config.snr_data
+    tau_rho = config.training_len * config.snr_training
     if refined:
-        return _refined_state(bs, config.training_len * config.snr_training, rho_d)
-    estimators = _estimators(bs, config)
+        return _refined_state(bs, tau_rho, config.snr_data)
+    shrink = key_shrinkage(bs, config.training_len, config.snr_training)
     h_bar = bs.h_bar
     n, k = h_bar.shape
     local = bs.j
-    shrink = np.stack([e.shrink for e in estimators])
     p_local = bs.proj[local]
     # phi[l, i] = tr(R_l Phi_i R_i); row `local` is tr R_tilde_i
     phi = _phi_traces(bs.proj, local, shrink)
     gram = (h_bar.conj().T @ h_bar + np.diag(phi[local])) / n
     gram = 0.5 * (gram + gram.conj().T)
-    q = np.linalg.inv(gram + np.eye(k) / rho_d)
-    q = 0.5 * (q + q.conj().T)
-    b_mat = regularizer_sums(estimators, bs)[1]
+    q, signal = resolvent(gram, config.snr_data)
+    b_mat = regularizer_sums(bs, shrink, tau_rho)[1]
     b_proj = (b_mat @ p_local.reshape(n, -1)).reshape(p_local.shape)
     tr_b = np.einsum("rkc,rkc,kc->k", b_proj, p_local, shrink)
     t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(tr_b)
     # cross[m, i] = (1/N) tr(R_{l_m} Phi_i R_i); a single cell has no l_m
-    cross = phi[estimators[0].others] / n
-    # Q (G + I/rho_d) = I: the signal 1 - [Q]_kk/rho_d is [QG]_kk, with no cancellation
-    signal = np.real(np.einsum("ki,ik->k", q, gram))
+    cross = phi[bs.others] / n
     zeros = np.zeros(k)
     return AsymptoticState(
         q, gram, t_mat, cross, cross, signal, q, np.zeros((k, k)), zeros, zeros, np.abs(q) ** 2
@@ -329,7 +323,7 @@ def se_conv_singlecell_de(
 
 def se_conv_favorable(bs: BSStatistics, config: SystemConfig) -> np.ndarray:
     """Favorable-propagation corollary of BS j: interference-free conventional SE."""
-    shrink = np.stack([e.shrink for e in _estimators(bs, config)])
+    shrink = key_shrinkage(bs, config.training_len, config.snr_training)
     # tr(R_tilde_i) = sum_c f_ic |P_ji[:, c]|^2
     traces = _phi_traces(bs.proj, bs.j, shrink)[bs.j]
     norms = np.array([np.real(p.h_bar.conj() @ p.h_bar) for p in bs.links[bs.j]])

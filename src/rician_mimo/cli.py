@@ -7,6 +7,9 @@ Subcommands:
   sweep         sweep one axis (snr, kappa_max, n_antennas, tau)
   reproduce     run a built-in figure preset and print its summary
 
+Each subparser names its handler (`run`); simulate and asymptotic are the
+SNR `sweep` in mode mc and de.
+
 Exit codes: 0 success, 1 configuration error (usage errors included),
 2 numerical failure, 3 I/O error.  Runs are serial and byte-deterministic;
 `--workers N` is accepted for compatibility and ignored.
@@ -23,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError
 from .presets import PRESET_IDS, run_preset, tau_star_rows
-from .results import ResultRow, emit_results, render_csv, render_json
+from .results import ResultRow, emit_results, render
 from .scenarios import (
     ScenarioSpec,
     build_scenario,
@@ -84,8 +87,7 @@ def _emit(rows: list[ResultRow], args) -> None:
         if args.out:
             emit_results(rows, args.format, args.out)
         else:
-            text = render_csv(rows) if args.format == "csv" else render_json(rows)
-            sys.stdout.write(text)
+            sys.stdout.write(render(rows, args.format))
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
 
@@ -122,14 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uplink SE experiments for correlated Rician massive MIMO",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "Monte Carlo SE over the scenario SNR grid"),
-        ("asymptotic", "deterministic-equivalent SE only"),
-        ("optimize-tau", "optimal training length per SNR point"),
-        ("sweep", "sweep one axis"),
-        ("reproduce", "run a built-in figure preset"),
+    for name, helptext, run in (
+        ("simulate", "Monte Carlo SE over the scenario SNR grid", _cmd_sweep),
+        ("asymptotic", "deterministic-equivalent SE only", _cmd_sweep),
+        ("optimize-tau", "optimal training length per SNR point", _cmd_optimize_tau),
+        ("sweep", "sweep one axis", _cmd_sweep),
+        ("reproduce", "run a built-in figure preset", _cmd_reproduce),
     ):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=run)
         _add_common(p)
         if name in ("simulate", "sweep", "reproduce"):
             p.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
@@ -140,23 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "optimize-tau":
             # optimize-tau rows are tau* per SNR point, not per scheme
             p.add_argument("--schemes", default="conv,stat", help="comma list: conv,stat")
+        if name in ("simulate", "asymptotic"):
+            # the SNR sweep of the scenario grid, by Monte Carlo or by the DEs alone
+            p.set_defaults(axis="snr", values=None, mode="mc" if name == "simulate" else "de")
         if name == "sweep":
             p.add_argument("--axis", choices=SWEEP_AXES, default="snr")
             p.add_argument("--values", help="comma list of axis values (non-snr axes)")
             p.add_argument("--mode", choices=MODES, default="both")
     return parser
-
-
-def _cmd_simulate(args, mode: str) -> int:
-    spec = _load_spec(args)
-    rows = run_sweep(
-        spec,
-        schemes=_parse_schemes(args.schemes),
-        sweep_axis="snr",
-        mode=mode,
-    )
-    _emit(rows, args)
-    return EXIT_OK
 
 
 def _cmd_optimize_tau(args) -> int:
@@ -167,16 +161,8 @@ def _cmd_optimize_tau(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    values = None
-    if args.values:
-        values = parse_float_list(args.values, "--values")
-    rows = run_sweep(
-        spec,
-        schemes=_parse_schemes(args.schemes),
-        sweep_axis=args.axis,
-        axis_values=values,
-        mode=args.mode,
-    )
+    values = parse_float_list(args.values, "--values") if args.values else None
+    rows = run_sweep(spec, _parse_schemes(args.schemes), args.axis, values, args.mode)
     _emit(rows, args)
     return EXIT_OK
 
@@ -193,15 +179,7 @@ def _cmd_reproduce(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, "mc")
-        if args.command == "asymptotic":
-            return _cmd_simulate(args, "de")
-        if args.command == "optimize-tau":
-            return _cmd_optimize_tau(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_reproduce(args)
+        return args.run(args)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

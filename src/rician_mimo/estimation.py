@@ -23,6 +23,7 @@ spectra and their stacks, and the eigenbasis of the links' one shared
 correlation matrix, if any.  A scenario builds one per BS
 (`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`, the
 deterministic equivalents and the statistical receiver all read it.
+`key_shrinkage` is the one builder of a BS's K estimators at a training key.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class BSStatistics:
         self.h_bar = np.ascontiguousarray(h_bar)
         self.local = sum(p.r_image for p in served)
         # user-major, like the same-pilot groups
-        others = (cell[k] for k in range(len(served)) for ell, cell in enumerate(links) if ell != j)
+        others = (links[ell][k] for k in range(len(served)) for ell in self.others)
         self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
 
     def __len__(self) -> int:
@@ -125,6 +126,11 @@ class BSStatistics:
 
     def __getitem__(self, cell: int) -> list[UserLinkProfile]:
         return self.links[cell]
+
+    @property
+    def others(self) -> list[int]:
+        """The contaminating cells: every cell but j."""
+        return [ell for ell in range(len(self.links)) if ell != self.j]
 
     @cached_property
     def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray]:
@@ -231,10 +237,16 @@ def build_estimator_multicell(
     )
 
 
+def key_shrinkage(bs: BSStatistics, tau: float, rho_tr: float) -> np.ndarray:
+    """Shrinkage f of BS j's K estimators at one training key, (K, N): one
+    `build_estimator_multicell` per same-pilot spectrum of the BS."""
+    return np.stack([build_estimator_multicell(sp, bs.j, tau, rho_tr).shrink for sp in bs.spectra])
+
+
 def regularizer_sums(
-    states: list[EstimatorState], bs: BSStatistics
+    bs: BSStatistics, shrink: np.ndarray, tau_rho: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real images of (A, B) for the K estimators of one BS at one key.
+    """Real images of (A, B) of BS j at one key: its `key_shrinkage` f and tau*rho_tr.
 
     A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
     regularizer; B = sum_k err_k + sum_{l != j, k} cond_lk is the error and
@@ -251,18 +263,17 @@ def regularizer_sums(
     and A = B is one Gram product W^T W, with W the stacked
     sqrt(s lam f) V^T: exactly symmetric.
     """
-    first = states[0]
-    n = first.n_antennas
+    n = shrink.shape[-1]
     # f of every user, in the column order of the (N, K*N) rows
-    shrink = np.stack([s.shrink for s in states]).reshape(-1)
+    shrink = shrink.reshape(-1)
     vecs = bs.vecs.reshape(n, -1)
     if len(bs.links) == 1:
-        lam = np.concatenate([s.spectrum.eigvals for s in states])
-        w_t = vecs * np.sqrt(lam * shrink / first.tau_rho)
+        lam = np.concatenate([sp.eigvals for sp in bs.spectra])
+        w_t = vecs * np.sqrt(lam * shrink / tau_rho)
         a_mat = w_t @ w_t.T
         return a_mat, a_mat
     proj = bs.proj.reshape(len(bs.links), n, -1)
-    scaled_vecs = vecs * (shrink / first.tau_rho)
+    scaled_vecs = vecs * (shrink / tau_rho)
     buffer = np.empty_like(scaled_vecs)
 
     def cell_sum(ell: int) -> np.ndarray:
@@ -275,6 +286,6 @@ def regularizer_sums(
         right += scaled_vecs
         return proj[ell] @ right.T
 
-    err = cell_sum(first.local_index)
-    b_mat = err + sum(cell_sum(ell) for ell in first.others)
+    err = cell_sum(bs.j)
+    b_mat = err + sum(cell_sum(ell) for ell in bs.others)
     return _symmetric(err + bs.inter), _symmetric(b_mat)

@@ -59,13 +59,18 @@ def render_json(rows: list[ResultRow]) -> str:
     return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
+def render(rows: list[ResultRow], fmt: str) -> str:
+    """The rows as csv or json text."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    return render_csv(rows) if fmt == "csv" else render_json(rows)
+
+
 def emit_results(rows: list[ResultRow], fmt: str, path: str | Path) -> Path:
     """Write rows to `path` as csv or json; returns the written path."""
     if not rows:
         raise ValueError("no result rows to emit")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
-    text = render_csv(rows) if fmt == "csv" else render_json(rows)
+    text = render(rows, fmt)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -26,7 +26,7 @@ import numpy as np
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
 from .combining import conventional_combiner, conventional_sinr, statistical_resolvent
 from .config import SystemConfig
-from .estimation import BSStatistics, build_estimator_multicell, regularizer_sums
+from .estimation import BSStatistics, key_shrinkage, regularizer_sums
 
 Profiles = list[BSStatistics]  # [bs], each indexing [cell][user] like its links
 
@@ -66,11 +66,11 @@ class _EstimatorArrays:
         self.shrink = []  # per bs: (K, N)
         self.m_inv = []  # per bs: rho_d -> M
         self.b_mat = []  # per bs, multi-cell only: image of the error + interference covariance
-        for j, bs in enumerate(stats):
-            states = [build_estimator_multicell(sp, j, tau, rho_tr) for sp in bs.spectra]
-            a_mat, b_mat = regularizer_sums(states, bs)
+        for bs in stats:
+            shrink = key_shrinkage(bs, tau, rho_tr)
+            a_mat, b_mat = regularizer_sums(bs, shrink, self.tau_rho)
             n = len(a_mat)
-            self.shrink.append(np.stack([s.shrink for s in states]))
+            self.shrink.append(shrink)
             self.m_inv.append(
                 {rho_d: np.linalg.inv(a_mat + (n / rho_d) * np.eye(n)) for rho_d in rho_ds}
             )

@@ -6,7 +6,7 @@ rho_d/[Q(tau)]_kk - 1, is maximized over tau in [K, T).  gamma_k is
 evaluated as rho_d [Q G]_kk / [Q]_kk, G = Q^{-1} - I/rho_d, which is the
 same number without the cancellation at low SNR.  All tau dependence
 enters through the per-user eigenvalues of the correlation matrices, so
-re-evaluating at a new tau costs one K x K inverse.
+re-evaluating at a new tau costs one K x K inverse, `asymptotics.resolvent`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import resolvent
 from .channel import UserLinkProfile
 from .config import SystemConfig
 
@@ -34,7 +35,8 @@ class TrainingCurve:
     """gamma_k(tau), its derivatives and the average SE, for fixed SNRs.
 
     `profiles` are the served users' local links; `config` supplies rho_d,
-    rho_tr and T (its training_len is ignored).
+    rho_tr and T (its training_len is ignored).  Q(tau) and [Q G]_kk are
+    the conventional DE's `asymptotics.resolvent` of G = gram + diag(tr R_tilde)/N.
     """
 
     def __init__(self, profiles: list[UserLinkProfile], config: SystemConfig):
@@ -56,12 +58,10 @@ class TrainingCurve:
         return 1.0 / (tau * self.rho_tr)
 
     def _resolvent(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, G) with G = gram + diag(tr R_tilde)/N and Q = (G + I/rho_d)^{-1}."""
+        """`asymptotics.resolvent` (Q, signal) of G = gram + diag(tr R_tilde)/N."""
         s = self._shift(tau)
         traces = np.sum(self.eigs**2 / (self.eigs + s), axis=1)  # tr(R_tilde)
-        g = self.gram + np.diag(traces) / self.n
-        q = np.linalg.inv(g + np.eye(self.k) / self.rho_d)
-        return 0.5 * (q + q.conj().T), g
+        return resolvent(self.gram + np.diag(traces) / self.n, self.rho_d)
 
     def d_alpha_diag(self, tau: float, alpha: int) -> np.ndarray:
         """Per-user (-1)^alpha/(rho_tr tau^alpha) * (1/N) tr(R^alpha Phi^alpha)."""
@@ -70,9 +70,9 @@ class TrainingCurve:
         return ((-1.0) ** alpha) / (self.rho_tr * tau**alpha) * tr
 
     def gamma(self, tau: float) -> np.ndarray:
-        # Q (G + I/rho_d) = I: rho_d/[Q]_kk - 1 is rho_d [QG]_kk/[Q]_kk, with no cancellation
-        q, g = self._resolvent(tau)
-        return self.rho_d * np.real(np.einsum("ki,ik->k", q, g)) / np.real(np.diag(q))
+        # rho_d/[Q]_kk - 1 is rho_d [QG]_kk/[Q]_kk, with no cancellation
+        q, signal = self._resolvent(tau)
+        return self.rho_d * signal / np.real(np.diag(q))
 
     def gamma_prime(self, tau: float) -> np.ndarray:
         q = self._resolvent(tau)[0]

@@ -10,6 +10,8 @@ from scipy.special import j0
 
 from rician_mimo.channel import (
     ChannelModelError,
+    ScenarioGeometry,
+    UserLinkProfile,
     antenna_image,
     build_profile,
     dft_steering,
@@ -21,6 +23,7 @@ from rician_mimo.channel import (
     pathloss,
     real_basis,
     real_image,
+    row_spectrum,
     toeplitz_image,
 )
 from rician_mimo.scenarios import MIN_ANGULAR_SPREAD
@@ -343,3 +346,33 @@ def test_drop_users_cell_edge_distance():
 def test_drop_users_unknown_placement():
     with pytest.raises(ChannelModelError):
         drop_users(np.zeros((1, 2)), 150.0, 3, "grid", np.random.default_rng(0))
+
+
+def _link(beta=1.0, kappa=1.0, los_len=4):
+    theta_eig = row_spectrum(np.eye(4, dtype=complex)[0])
+    return UserLinkProfile(beta, kappa, theta_eig, los_steering(0.3, los_len))
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: one_ring_first_row(-1.0, 1.0, 0), "n must be >= 1"),
+        (lambda: los_steering(0.3, 0), "n must be >= 1"),
+        (lambda: _link(beta=0.0), "beta must be positive"),
+        (lambda: _link(kappa=-0.1), "kappa must be non-negative"),
+        (lambda: _link(los_len=3), "los_dir must have length N"),
+        (lambda: build_profile(1.0, 1.0, np.eye(4, 3, dtype=complex), los_steering(0.3, 4)),
+         "theta must be N x N"),
+        (lambda: ScenarioGeometry(np.zeros((1, 2)), np.zeros((1, 1, 2))).distance(0, 0, 0),
+         "distance must be positive"),
+        (lambda: drop_users(np.zeros((1, 2)), 150.0, 0, "uniform_disk", np.random.default_rng(0)),
+         "at least one user"),
+        (lambda: drop_users(np.zeros((1, 2)), 0.0, 3, "uniform_disk", np.random.default_rng(0)),
+         "cell_radius must be positive"),
+    ],
+    ids=["ring-n", "steering-n", "beta", "kappa", "los-length", "theta-shape", "distance",
+         "no-users", "radius"],
+)
+def test_channel_inputs_out_of_range_rejected(make, match):
+    with pytest.raises(ChannelModelError, match=match):
+        make()

@@ -385,12 +385,14 @@ def test_tau_star_at_extreme_low_snr_is_a_tiny_nonnegative_se(tmp_path, capsys):
         ({"radius_m": "1e300"}, []),
         # a finite edge gain, but the other cells' users' gains underflow to 0
         ({"alpha": "140", "layout": "three_cell_edge", "l": "3"}, []),
+        ({}, ["--schemes", ","]),
+        ({"n": "0"}, []),
     ],
     ids=[
         "seed-flag", "seed-file", "radius", "radius-under-1m", "radius-tiny", "alpha",
         "exponential-rho", "radius-nan", "alpha-inf", "kappa-nan", "kappa-inf", "rho-nan", "training-snr-inf", "snr-grid-inf", "snr-range-inf",
         "snr-grid-overflow", "snr-range-overflow", "edge-gain-underflow", "edge-gain-overflow",
-        "radius-squared-overflow", "inter-cell-gain-underflow",
+        "radius-squared-overflow", "inter-cell-gain-underflow", "no-scheme", "no-antenna",
     ],
 )
 def test_exit_config_error_out_of_range_value(tmp_path, capsys, fields, argv):

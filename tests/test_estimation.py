@@ -20,6 +20,7 @@ from rician_mimo.channel import (
 from rician_mimo.estimation import (
     BSStatistics,
     build_estimator_multicell,
+    key_shrinkage,
     regularizer_sums,
     same_pilot_spectrum,
 )
@@ -29,7 +30,8 @@ def _error_image(state):
     """Real image of a single-cell estimator's error covariance: the
     regularizer A of one user in a single cell."""
     links = [[p] for p in state.spectrum.links]
-    return regularizer_sums([state], BSStatistics(links, state.local_index))[0]
+    bs = BSStatistics(links, state.local_index)
+    return regularizer_sums(bs, state.shrink[None], state.tau_rho)[0]
 
 
 def _link_images(state):
@@ -237,7 +239,8 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
     for groups, local in cases:
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
         links = [[s.spectrum[ell] for s in states] for ell in range(len(groups[0]))]
-        a_img, b_img = regularizer_sums(states, BSStatistics(links, local))
+        bs = BSStatistics(links, local)
+        a_img, b_img = regularizer_sums(bs, key_shrinkage(bs, 1, tau_rho), tau_rho)
         others = [ell for ell in range(len(groups[0])) if ell != local]
         conds = [_link_images(s)[1] for s in states]
         err = sum(c[local] for c in conds)

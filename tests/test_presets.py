@@ -87,3 +87,19 @@ def test_fig1a_summary_reads_the_rows_conventional_de(monkeypatch):
     assert calls == [spec.scenario_id for spec in preset_specs("fig1a")]
     assert {row.scheme for row in rows} == {"conv_single"}
     assert summary == preset_summary("fig1a")
+
+
+def test_fig5_rows_and_summary_cover_the_cell_with_and_without_the_others(monkeypatch):
+    # fig5 adds cell 0's single-cell view to every drop: its rows and both
+    # summary tables carry a multi and a single entry per scenario
+    monkeypatch.setattr(presets, "_BASE", dataclasses.replace(presets._BASE, n=16, k=4))
+    rows, summary = run_preset("fig5", trials=1)
+    ids = [spec.scenario_id for spec in preset_specs("fig5")]
+    assert ids == ["fig5-kmax1", "fig5-kmax2"]
+    expected = {(sid, f"{scheme}_multi") for sid in ids for scheme in ("conv", "stat")}
+    expected |= {(f"{sid}-cell0", f"{scheme}_single") for sid in ids for scheme in ("conv", "stat")}
+    assert {(row.scenario_id, row.scheme) for row in rows} == expected
+    for table in ("stat_over_conv_crossover_snr_db", "high_snr_stat_gain_at_30db"):
+        assert set(summary[table]) == set(ids)
+        assert all(set(entry) == {"multi", "single"} for entry in summary[table].values())
+    assert summary == preset_summary("fig5")

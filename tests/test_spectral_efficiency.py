@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from lmmse_oracle import dense_lmmse
 
-from rician_mimo import spectral_efficiency
+from rician_mimo import estimation
 from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
     build_profile,
@@ -206,13 +206,13 @@ def test_mc_configs_with_one_training_snr_share_one_estimator_key(monkeypatch, c
     keys = {(c.training_len, c.snr_training) for c in configs}
     assert len(keys) == 1
     builds = []
-    original = spectral_efficiency.build_estimator_multicell
+    original = estimation.build_estimator_multicell
 
     def counted(*args, **kwargs):
         builds.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_efficiency, "build_estimator_multicell", counted)
+    monkeypatch.setattr(estimation, "build_estimator_multicell", counted)
     both = conventional_mc(profiles, configs, 5, seed=3)
     assert len(builds) == cells * spec.k
     for cfg, per_bs in zip(configs, both):
