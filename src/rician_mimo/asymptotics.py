@@ -243,7 +243,7 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     local, others = bs.j, bs.others
     # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, summed in the
     # order of `same_pilot_spectrum`; f[i] the shrinkage
-    lam = np.array([[p.r_eigvals for p in group] for group in zip(*bs.links)]).swapaxes(0, 1)
+    lam = bs.eigvals
     mu = sum(lam[1:], lam[0])
     f = 1.0 / (mu + 1.0 / tau_rho)
     r = lam[local] ** 2 * f
@@ -282,7 +282,8 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
 
     The refined state reads only the links' eigenvalues (`_refined_state`).
     The plain state (Z = I) reads the BS's same-pilot stacks and its
-    `key_shrinkage` f: with P_l the projections `bs.proj[l]`, tr R_tilde_i
+    `key_shrinkage` f: with P_l the projections `bs.proj[l]` (formed once
+    per call from (V, lam) on a same-basis BS, which stores none), tr R_tilde_i
     and the cross traces come from `_phi_traces`, and tr(R_tilde_i B) from
     one (N, N) @ (N, K*N) product B P_j and a weighted column sum.  Q and
     the cancellation-free signal [QG]_kk are `resolvent`'s of the gram.
@@ -294,9 +295,10 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     h_bar = bs.h_bar
     n, k = h_bar.shape
     local = bs.j
-    p_local = bs.proj[local]
+    proj = bs.proj
+    p_local = proj[local]
     # phi[l, i] = tr(R_l Phi_i R_i); row `local` is tr R_tilde_i
-    phi = _phi_traces(bs.proj, local, shrink)
+    phi = _phi_traces(proj, local, shrink)
     gram = (h_bar.conj().T @ h_bar + np.diag(phi[local])) / n
     gram = 0.5 * (gram + gram.conj().T)
     q, signal = resolvent(gram, config.snr_data)

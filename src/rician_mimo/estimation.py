@@ -11,18 +11,19 @@ With the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
 (P_l, f): the gain of link l has the image P_l diag(f) V^T and the
 estimate covariance the image P_i diag(f) P_i^T.  No N x N inverse, no
 complex N x N product and no dense antenna-basis estimator matrix is
-formed.  A group whose links hold one eigenvector array V (a single link,
-or links of one shared correlation matrix) takes no `eigh`: it reuses V,
-with mu = sum_l lam_l of the links' clamped eigenvalues and
-P_l = V diag(lam_l), so the single- and multi-cell estimators are one path.
+formed.  A same-basis group, whose links hold one eigenvector array V (a
+single link, or links of one shared correlation matrix), takes no `eigh`
+and stores no projection: its estimator is (V, lam_l), with
+mu = sum_l lam_l of the links' clamped eigenvalues and P_l = V diag(lam_l),
+which only the cold readers form, on access (`basis_projections`).
 
 `BSStatistics` is the one holder of what a BS's receivers read from its
 links: the served LoS columns in the real basis, the images of the local
-and inter-cell covariance sums, and (on first read) the K same-pilot
-spectra and their stacks, and the eigenbasis of the links' one shared
-correlation matrix, if any.  A scenario builds one per BS
-(`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`, the
-deterministic equivalents and the statistical receiver all read it.
+and inter-cell covariance sums, the links' eigenvalues, (on first read)
+the K same-pilot spectra and their eigenvectors, and the eigenbasis of the
+links' one shared correlation matrix, if any.  A scenario builds one per
+BS (`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`,
+the deterministic equivalents and the statistical receiver all read it.
 `key_shrinkage` is the one builder of a BS's K estimators at a training key.
 """
 
@@ -36,20 +37,29 @@ import numpy as np
 from .channel import UserLinkProfile, real_basis, real_matmul
 
 
+def basis_projections(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """P_l = V diag(lam_l) of same-basis links, stacked on a new first axis:
+    (L, N, N) from one group's V (N, N) and eigenvalues (L, N), or
+    (L, N, K, N) from a BS's `vecs` (N, K, N) and `eigvals` (L, K, N).  Only
+    cold readers call it; no hot path or cache holds its result."""
+    return vecs * lam[:, None]
+
+
 @dataclass(frozen=True)
 class PilotSpectrum:
     """Real eigendecomposition Q^H S Q = V diag(mu) V^T of one same-pilot sum.
 
-    `proj[l]` is (Q^H R_l Q) V for the l-th entry of `links`.  The
-    eigenvalues are clamped at zero, like each link's own.  The spectrum
-    indexes like its links, so it stands in for them wherever a same-pilot
-    group is asked for.
+    `proj[l]` is (Q^H R_l Q) V for the l-th entry of `links`: the stored
+    `stack`, or, for a same-basis group (every link holds V, and `stack` is
+    None), V diag(lam_l), formed on each read.  The eigenvalues are clamped
+    at zero, like each link's own.  The spectrum indexes like its links, so
+    it stands in for them wherever a same-pilot group is asked for.
     """
 
     links: tuple[UserLinkProfile, ...]
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    proj: np.ndarray  # (L, N, N)
+    stack: np.ndarray | None  # (L, N, N)
 
     def __len__(self) -> int:
         return len(self.links)
@@ -57,36 +67,54 @@ class PilotSpectrum:
     def __getitem__(self, ell: int) -> UserLinkProfile:
         return self.links[ell]
 
+    @property
+    def proj(self) -> np.ndarray:
+        if self.stack is not None:
+            return self.stack
+        return basis_projections(self.eigvecs, np.array([p.r_eigvals for p in self.links]))
+
 
 def same_pilot_spectrum(
     profiles: list[UserLinkProfile], out: tuple[np.ndarray, np.ndarray] | None = None
 ) -> PilotSpectrum:
     """Spectrum of the same-pilot links `profiles`.
 
-    `out` = (V, P) are the (N, N) and (L, N, N) arrays to write V and the
-    stack P into (views of a `BSStatistics`' stacks); without it a group on
-    one basis keeps its profiles' own eigenvectors and P gets a fresh array.
+    A same-basis group keeps its profiles' own eigenvectors, sums their
+    eigenvalues and stores no projection.  Any other group, or any group
+    given `out`, takes one `eigh` of its image sum; `out` = (V, P) are the
+    (N, N) and (L, N, N) arrays to write V and the stack P into (views of
+    the stacks of a `BSStatistics` that is not same-basis), and without it
+    both get fresh arrays.
     """
     v = profiles[0].eigvecs
-    shared = all(p.eigvecs is v for p in profiles)
-    if shared:
+    if out is None and all(p.eigvecs is v for p in profiles):
         lams = [p.r_eigvals for p in profiles]
-        mu = sum(lams[1:], lams[0])
-    else:
-        images = [p.r_image for p in profiles]
-        mu, v = np.linalg.eigh(sum(images))
-        mu = np.clip(mu, 0.0, None)
-    if out is None:
-        vecs, proj = v, np.empty((len(profiles),) + v.shape)
-    else:
-        vecs, proj = out
-        vecs[...] = v
-    for ell, p in enumerate(proj):
-        if shared:
-            np.multiply(v, lams[ell], out=p)
-        else:
-            np.matmul(images[ell], v, out=p)
-    return PilotSpectrum(tuple(profiles), mu, vecs, proj)
+        return PilotSpectrum(tuple(profiles), sum(lams[1:], lams[0]), v, None)
+    images = [p.r_image for p in profiles]
+    mu, v = np.linalg.eigh(sum(images))
+    vecs, proj = out if out is not None else (v, np.empty((len(profiles),) + v.shape))
+    vecs[...] = v
+    for image, p in zip(images, proj):
+        np.matmul(image, v, out=p)
+    return PilotSpectrum(tuple(profiles), np.clip(mu, 0.0, None), vecs, proj)
+
+
+def _columns(vs: list[np.ndarray]) -> np.ndarray:
+    """The (N, K, N) array whose [:, k] is vs[k], without a copy where the
+    vs allow it: the one V broadcast if every vs[k] is it, the array they are
+    the columns of if they are (as `scenarios.build_scenario` writes one
+    cell's eigenvectors), and a stacked copy otherwise."""
+    n, first = len(vs[0]), vs[0]
+    if all(v is first for v in vs):
+        return np.broadcast_to(first[:, None], (n, len(vs), n))
+    base = first.base
+    if (
+        base is not None
+        and base.shape == (n, len(vs), n)
+        and all(v.__array_interface__ == base[:, k].__array_interface__ for k, v in enumerate(vs))
+    ):
+        return base
+    return np.stack(vs, axis=1)
 
 
 class BSStatistics:
@@ -96,18 +124,23 @@ class BSStatistics:
     the served links, (N, K) and C-contiguous, so it views as 2K interleaved
     real and imaginary columns; `local` is the image of sum_i R_jji and
     `inter` the image of R_out = sum_{l != j, k} R_jlk (zero in a single
-    cell).  The K same-pilot `spectra` are built on first read, since the
-    statistical receiver and the refined DE never need them (only the Monte
-    Carlo and the plain DE read them), and their eigenvectors and
-    projections are held once, in two BS-level stacks: `vecs[:, k]` is V_k
-    and `proj[l, :, k]` is P_lk, so `vecs` reshapes in place to the
-    (N, K*N) row [V_1 ... V_K] and each `proj[l]` to [P_l1 ... P_lK], and
-    every spectrum's `eigvecs` and `proj` are views of them.  `basis` is
-    the eigenvector array V of the one correlation eigenpair `theta_eig`
-    every link holds (so every link's spectrum is a multiple of theta's),
-    or None, and `h_rot` the LoS columns in it, V^T h_bar.  It indexes like
-    its links, so it stands in for them: `stats[cell][user]` is
-    `links[cell][user]`.
+    cell); `eigvals[l, k]` are the clamped eigenvalues of link (l, k).  The
+    K same-pilot `spectra` are built on first read, since the statistical
+    receiver and the refined DE never need them, and their eigenvectors
+    are held once: `vecs[:, k]` is V_k, so `vecs` reshapes to the
+    (N, K*N) row [V_1 ... V_K].  The BS is `same_basis` when every
+    same-pilot group's links hold one eigenvector array, as in every single
+    cell and with one shared correlation matrix: `vecs` is then the links'
+    own eigenvectors (in a single cell the scenario's array of them, with no
+    copy), and `proj`, P_lk = V_k diag(lam_lk), is formed on each read for
+    the cold readers.  Otherwise each group takes one `eigh`, and `vecs` and
+    the stored `proj` (`proj[l, :, k]` is P_lk, so each `proj[l]` reshapes
+    to [P_l1 ... P_lK]) are BS-level stacks whose views every spectrum's
+    `eigvecs` and `proj` are.  `basis` is the eigenvector array V of the
+    one correlation eigenpair `theta_eig` every link holds (so every link's
+    spectrum is a multiple of theta's), or None, and `h_rot` the LoS
+    columns in it, V^T h_bar.  It indexes like its links, so it stands in
+    for them: `stats[cell][user]` is `links[cell][user]`.
     """
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
@@ -120,6 +153,7 @@ class BSStatistics:
         # user-major, like the same-pilot groups
         others = (links[ell][k] for k in range(len(served)) for ell in self.others)
         self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
+        self.eigvals = np.array([[p.r_eigvals for p in cell] for cell in links])
 
     def __len__(self) -> int:
         return len(self.links)
@@ -133,14 +167,19 @@ class BSStatistics:
         return [ell for ell in range(len(self.links)) if ell != self.j]
 
     @cached_property
-    def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray]:
-        n, users = len(self.local), len(self.links[self.j])
-        vecs = np.empty((n, users, n))
-        proj = np.empty((len(self.links), n, users, n))
-        spectra = [
-            same_pilot_spectrum([cell[k] for cell in self.links], (vecs[:, k], proj[:, :, k]))
-            for k in range(users)
-        ]
+    def same_basis(self) -> bool:
+        return all(all(p.eigvecs is group[0].eigvecs for p in group) for group in zip(*self.links))
+
+    @cached_property
+    def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray | None]:
+        groups = [list(group) for group in zip(*self.links)]
+        if self.same_basis:
+            spectra = [same_pilot_spectrum(g) for g in groups]
+            return spectra, _columns([sp.eigvecs for sp in spectra]), None
+        n = len(self.local)
+        vecs = np.empty((n, len(groups), n))
+        proj = np.empty((len(self.links), n, len(groups), n))
+        spectra = [same_pilot_spectrum(g, (vecs[:, k], proj[:, :, k])) for k, g in enumerate(groups)]
         return spectra, vecs, proj
 
     @cached_property
@@ -164,7 +203,8 @@ class BSStatistics:
     @property
     def proj(self) -> np.ndarray:
         """(L, N, K, N): proj[l, :, k] is P_lk."""
-        return self._pilot[2]
+        stack = self._pilot[2]
+        return basis_projections(self.vecs, self.eigvals) if stack is None else stack
 
 
 def _symmetric(mat: np.ndarray) -> np.ndarray:
@@ -253,27 +293,42 @@ def regularizer_sums(
     conditional interference covariance of the Monte Carlo SINR and the
     DE's quadratic term.  The error (or conditional) covariance of link l,
     R_l - R_l Phi R_l, is P_l diag(f) W_l^T with W_l = (S - R_l + sI) V, which
-    involves no cancellation.  Each cell's sum over k of these is one real
+    involves no cancellation.
+
+    On a same-basis BS (one V_k per group) every term is diagonal in V_k:
+    with s = 1/(tau*rho_tr), err_k and cond_lk are V_k diag(d_lk) V_k^T,
+    d_lk = lam_lk f_k (sum_{m != l} lam_mk + s), and R_lk is
+    V_k diag(lam_lk) V_k^T.  So A and B are each one Gram product X X^T of
+    the (N, K*N) row X of sqrt(w_k)-weighted V_k, with weights
+    w = d_j + sum_{l != j} lam_l for A and w = d_j + sum_{l != j} d_l for B:
+    exactly symmetric.  Where the two weights are equal, as with no
+    contaminating cell, B is A.
+
+    On any other BS each cell's sum over k is one real
     (N, K*N) @ (K*N, N) product: the row [P_l1 ... P_lK] of the BS's `proj`
     stack, used as it is, against the transpose of the row of
     W_lk diag(f_k) = rest_lk diag(f_k) + s V_k diag(f_k), with
     rest_lk = sum_{m != l} P_mk.  The term s f V is formed once per call,
     and every cell forms its rest and right operand in one reused buffer.
-    In a single cell S = R, so the error covariance is V diag(s lam f) V^T
-    and A = B is one Gram product W^T W, with W the stacked
-    sqrt(s lam f) V^T: exactly symmetric.
     """
     n = shrink.shape[-1]
+    if bs.same_basis:
+        lam, cells = bs.eigvals, range(len(bs.links))
+        s = 1.0 / tau_rho
+        d = np.stack([lam[ell] * shrink * sum((lam[m] for m in cells if m != ell), s) for ell in cells])
+        a_weights = d[bs.j] + sum(lam[ell] for ell in bs.others)
+        b_weights = d[bs.j] + sum(d[ell] for ell in bs.others)
+
+        def gram(weights: np.ndarray) -> np.ndarray:
+            x = (bs.vecs * np.sqrt(weights)).reshape(n, -1)
+            return x @ x.T
+
+        a_mat = gram(a_weights)
+        return a_mat, a_mat if np.array_equal(a_weights, b_weights) else gram(b_weights)
     # f of every user, in the column order of the (N, K*N) rows
     shrink = shrink.reshape(-1)
-    vecs = bs.vecs.reshape(n, -1)
-    if len(bs.links) == 1:
-        lam = np.concatenate([sp.eigvals for sp in bs.spectra])
-        w_t = vecs * np.sqrt(lam * shrink / tau_rho)
-        a_mat = w_t @ w_t.T
-        return a_mat, a_mat
     proj = bs.proj.reshape(len(bs.links), n, -1)
-    scaled_vecs = vecs * (shrink / tau_rho)
+    scaled_vecs = bs.vecs.reshape(n, -1) * (shrink / tau_rho)
     buffer = np.empty_like(scaled_vecs)
 
     def cell_sum(ell: int) -> np.ndarray:

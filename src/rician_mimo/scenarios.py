@@ -3,8 +3,9 @@
 A `ScenarioSpec` is a flat, typed key-value description of one experiment
 (see README for the file grammar).  `build_scenario` turns it into concrete
 per-link statistics: user drop, pathloss, per-user Rician factors, the
-first row of each link's Toeplitz correlation matrix with its eigenpair,
-and LoS directions.  Each BS's links are held in its
+first row of each link's Toeplitz correlation matrix with its eigenpair
+(a cell's one-ring eigenvectors written into one (N, K, N) array), and LoS
+directions.  Each BS's links are held in its
 `estimation.BSStatistics`, the one copy of the per-BS statistics that
 every scheme reads.
 
@@ -246,6 +247,9 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
         per_bs = []
         for ell in range(spec.l):
             per_cell = []
+            # the cell's one-ring eigenvectors: one C-contiguous array whose
+            # [:, k] link k holds, so a single-cell BS reads them as they are
+            vecs = np.empty((spec.n, spec.k, spec.n)) if shared is None else None
             for k in range(spec.k):
                 try:
                     beta = pathloss(geometry.distance(j, ell, k), spec.alpha) / edge_loss
@@ -260,7 +264,8 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
                 corr_eig = shared
                 if corr_eig is None:
                     row = one_ring_first_row(*_one_ring_window(theta_k), spec.n)
-                    corr_eig = row_spectrum(row)
+                    lam, vecs[:, k], _ = row_spectrum(row)
+                    corr_eig = (lam, vecs[:, k], row)
                 if spec.los == "dft":
                     los = dft_steering(k, spec.n)
                 else:

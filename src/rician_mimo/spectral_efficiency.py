@@ -82,27 +82,35 @@ class _EstimatorArrays:
         and trial of a block, (L, K, N, trials): the served estimates minus
         their LoS (l = j) and the interferers' conditional means.  `rot` is
         the block's V^T-rotated channel part and pilot noise side by side,
-        (K, N, 2 * trials) (`_rotated_draws`)."""
+        (K, N, 2 * trials) (`_rotated_draws`).  On a same-basis BS, where
+        P_lk = V_k diag(lam_lk), this is V_k (lam_lk f_k * rot); otherwise
+        the stored P_lk multiply f_k * rot."""
         trials = rot.shape[-1] // 2
         x = self.shrink[j][..., None] * (rot[..., :trials] + rot[..., trials:] / math.sqrt(self.tau_rho))
+        if bs.same_basis:
+            return real_matmul(bs.vecs.transpose(1, 0, 2), bs.eigvals[..., None] * x)
         return real_matmul(bs.proj.transpose(0, 2, 1, 3), x)
 
 
 def _rotated_draws(
     stats: list[BSStatistics], sqrt_lam: list[np.ndarray], seed: int, first: int, count: int
 ) -> list[np.ndarray]:
-    """Per BS, V^T of the channel part and of the pilot noise of y - h_bar
+    """Per BS, V_k^T of the channel part and of the pilot noise of y - h_bar
     for trials first .. first + count - 1, side by side: (K, N, 2 * count).
 
     Each trial keeps its own generator and draws z for every (BS, cell),
     then w for every BS.  The block is rotated into the real basis once,
     and each link's scattered part Q^H R^{1/2} Q z is read off its own
     eigenpair as V (sqrt(lam) * (V^T z)), with `sqrt_lam[j]` the (L, K, N)
-    square roots of BS j's clamped eigenvalues: two real products per link
-    on the block's interleaved real and imaginary columns, into two reused
-    buffers, and no N x N R^{1/2} image.  The other cells' links carry no
-    LoS (is_local=False sets h_bar = 0), so the channel part of y - h_bar
-    is the sum of the scattered parts.
+    square roots of BS j's clamped eigenvalues; no N x N R^{1/2} image is
+    formed.  The other cells' links carry no LoS (is_local=False sets
+    h_bar = 0), so the channel part of y - h_bar is the sum of the
+    scattered parts.  On a same-basis BS every link of group k holds V_k,
+    so V_k^T V_k = I cancels: one product V_k^T [z_0k ... z_(L-1)k w_k]
+    per group gives the rotated noise and the rotated channel part
+    sum_l sqrt(lam_lk) * (V_k^T z_lk).  Otherwise each link's part takes two
+    real products on the block's interleaved real and imaginary columns,
+    into two reused buffers, and their sum is rotated by the group's V_k^T.
     """
     cells, users, n = sqrt_lam[0].shape
     z = np.empty((count, cells, cells, users, n), dtype=complex)
@@ -121,6 +129,15 @@ def _rotated_draws(
     scaled, term = np.empty((2, n, 2 * count))
     rot = []
     for j, bs in enumerate(stats):
+        # (K, N, N), the k-th slice V_k^T
+        vecs_t = bs.vecs.transpose(1, 2, 0)
+        if bs.same_basis:
+            # (K, N, (L + 1) * count): V_k^T z_lk for every cell l, then V_k^T w_k
+            block = np.concatenate([*z[j], w[j]], axis=-1)
+            parts = np.split(real_matmul(vecs_t, block), cells + 1, axis=-1)
+            channel = sum(root[..., None] * part for root, part in zip(sqrt_lam[j], parts[:-1]))
+            rot.append(np.concatenate([channel, parts[-1]], axis=-1))
+            continue
         channel = np.zeros((users, n, count), dtype=complex)
         channel_re = channel.view(np.float64)
         for ell, cell in enumerate(bs):
@@ -129,8 +146,6 @@ def _rotated_draws(
                 np.matmul(v.T, z_re[j, ell, k], out=scaled)
                 scaled *= sqrt_lam[j][ell, k, :, None]
                 channel_re[k] += np.matmul(v, scaled, out=term)
-        # (K, N, N), the k-th slice V_k^T
-        vecs_t = bs.vecs.transpose(1, 2, 0)
         rot.append(real_matmul(vecs_t, np.concatenate([channel, w[j]], axis=-1)))
     return rot
 
@@ -162,10 +177,12 @@ def mc_log_moments(
     reads its `BSStatistics`, `profiles[j]`, and draws every link's
     channel from the link's own eigenpair: its eigenvectors as they are,
     and the square roots of its clamped eigenvalues, taken once per call
-    as an (L, K, N) array.  No R^{1/2} image is formed.
+    as an (L, K, N) array.  No R^{1/2} image is formed, and on a same-basis
+    BS (every single cell) the draws and fits read (V_k, lam_lk) and no
+    projection V_k diag(lam_lk).
     """
     L, K = len(profiles), len(profiles[0][0])
-    sqrt_lam = [np.sqrt([[p.r_eigvals for p in cell] for cell in bs]) for bs in profiles]
+    sqrt_lam = [np.sqrt(bs.eigvals) for bs in profiles]
     key_of = [(pt.training_len, pt.snr_training) for pt in points]
     ests = {}
     for key in dict.fromkeys(key_of):

@@ -70,12 +70,16 @@ class TrainingCurve:
         return ((-1.0) ** alpha) / (self.rho_tr * tau**alpha) * tr
 
     def gamma(self, tau: float) -> np.ndarray:
+        return self._gamma(*self._resolvent(tau))
+
+    def _gamma(self, q: np.ndarray, signal: np.ndarray) -> np.ndarray:
         # rho_d/[Q]_kk - 1 is rho_d [QG]_kk/[Q]_kk, with no cancellation
-        q, signal = self._resolvent(tau)
         return self.rho_d * signal / np.real(np.diag(q))
 
     def gamma_prime(self, tau: float) -> np.ndarray:
-        q = self._resolvent(tau)[0]
+        return self._gamma_prime(tau, self._resolvent(tau)[0])
+
+    def _gamma_prime(self, tau: float, q: np.ndarray) -> np.ndarray:
         q_diag = np.real(np.diag(q))
         d2 = self.d_alpha_diag(tau, 2)  # d/dtau of (1/N) tr(R_tilde_l)
         quad = np.real(np.einsum("lk,l,lk->k", q.conj(), d2, q))
@@ -105,9 +109,11 @@ class TrainingCurve:
         return (1.0 - tau / self.t) * float(np.mean(np.log1p(gam)))
 
     def se_derivative(self, tau: float) -> float:
-        """d/dtau of the average simplified SE."""
-        gam = self.gamma(tau)
-        gp = self.gamma_prime(tau)
+        """d/dtau of the average simplified SE: gamma and its derivative
+        read one resolvent Q(tau)."""
+        q, signal = self._resolvent(tau)
+        gam = self._gamma(q, signal)
+        gp = self._gamma_prime(tau, q)
         return -np.mean(np.log1p(gam)) / self.t + (1.0 - tau / self.t) * float(
             np.mean(gp / (1.0 + gam))
         )

@@ -37,13 +37,18 @@ def _error_image(state):
 def _link_images(state):
     """Real images of R_l Phi and of R_l - R_l Phi R_l for every same-pilot
     link l, formed link by link from the estimator's real factors:
-    P_l diag(f) V^T and P_l diag(f) W_l^T with W_l = (S - R_l + sI) V."""
+    P_l diag(f) V^T and P_l diag(f) W_l^T with W_l = (S - R_l + sI) V.  A
+    decomposed group stores its P_l; a same-basis group stores none, and
+    P_l = V diag(lam_l) is formed here from its links' eigenvalues."""
     sp = state.spectrum
+    proj = sp.stack
+    if proj is None:
+        proj = [sp.eigvecs * p.r_eigvals for p in sp.links]
     gains, conds = [], []
     for ell in range(len(sp.links)):
-        w = sum((sp.proj[m] for m in range(len(sp.links)) if m != ell), sp.eigvecs / state.tau_rho)
-        gains.append(state.weighted(ell) @ sp.eigvecs.T)
-        cond = state.weighted(ell) @ w.T
+        w = sum((proj[m] for m in range(len(sp.links)) if m != ell), sp.eigvecs / state.tau_rho)
+        gains.append((proj[ell] * state.shrink) @ sp.eigvecs.T)
+        cond = (proj[ell] * state.shrink) @ w.T
         conds.append(0.5 * (cond + cond.T))
     return gains, conds
 
@@ -258,18 +263,31 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
 
 @pytest.mark.parametrize("cells", [1, 3])
 def test_bs_stacks_hold_every_spectrum_once(cells):
-    # every same-pilot V and P lives in the BS's two stacks, as views with
-    # contiguous rows; the stacks are the (N, K*N) rows of regularizer_sums
+    # every same-pilot V lives once at the BS.  One-ring links in three
+    # cells each hold their own basis: every group takes one eigh, and its V
+    # and P are views of the BS's two stacks, with contiguous rows (the
+    # (N, K*N) rows of regularizer_sums).  In one cell every group is its
+    # link: the BS is same-basis, V_k is the link's own array, and no
+    # projection is stored; `proj` forms V_k diag(lam_k) on each read
     n, k = 12, 3
     groups = [_three_cell_links(n, u)[:cells] for u in range(k)]
     bs = BSStatistics([[g[ell] for g in groups] for ell in range(cells)], 0)
+    assert bs.same_basis == (cells == 1)
     assert bs.vecs.shape == (n, k, n) and bs.proj.shape == (cells, n, k, n)
     assert bs.vecs.flags.c_contiguous and bs.proj.flags.c_contiguous
-    for sp, group in zip(bs.spectra, groups):
-        assert np.shares_memory(sp.eigvecs, bs.vecs) and np.shares_memory(sp.proj, bs.proj)
-        assert sp.eigvecs.strides[-1] == sp.proj.strides[-1] == sp.proj.itemsize
+    for u, (sp, group) in enumerate(zip(bs.spectra, groups)):
         alone = same_pilot_spectrum(group)
         assert np.array_equal(sp.eigvecs, alone.eigvecs) and np.array_equal(sp.proj, alone.proj)
+        assert np.array_equal(bs.vecs[:, u], sp.eigvecs)
+        if cells == 1:
+            assert sp.eigvecs is group[0].eigvecs and sp.stack is None
+            assert np.array_equal(bs.proj[0, :, u], group[0].eigvecs * group[0].r_eigvals)
+        else:
+            assert np.shares_memory(sp.eigvecs, bs.vecs) and np.shares_memory(sp.proj, bs.proj)
+            assert sp.eigvecs.strides[-1] == sp.proj.strides[-1] == sp.proj.itemsize
+    if cells == 1:
+        # formed on each read, never cached
+        assert bs.proj is not bs.proj
     assert not any(hasattr(bs, name) for name in ("proj_t", "vecs_t", "rest_t"))
     # one-ring links each hold their own eigenvectors: no common basis
     assert bs.basis is None

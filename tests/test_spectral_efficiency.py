@@ -14,17 +14,20 @@ from rician_mimo.channel import (
     exponential_first_row,
     los_steering,
     one_ring_correlation,
+    real_basis,
     row_spectrum,
     standard_complex_normal,
 )
 from rician_mimo.combining import conventional_combiner, statistical_combiner
 from rician_mimo.config import SystemConfig
-from rician_mimo.estimation import BSStatistics
+from rician_mimo.estimation import BSStatistics, key_shrinkage, regularizer_sums
 from rician_mimo.presets import preset_specs
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import (
     BLOCK_TRIALS,
     SEReport,
+    _EstimatorArrays,
+    _rotated_draws,
     conventional_mc,
     mc_log_moments,
     se_stat_multicell,
@@ -291,6 +294,103 @@ def test_mc_log_moments_match_dense_replay(cells, n, trials, family):
     assert np.allclose(mean, logs.mean(axis=2), rtol=1e-12, atol=0)
     centered = logs - logs.mean(axis=2, keepdims=True)
     assert np.allclose(m2, (centered**2).sum(axis=2), rtol=1e-12, atol=0)
+
+
+def test_single_cell_links_hold_the_bs_eigenvectors_and_mc_forms_no_projection(monkeypatch):
+    # a single cell's one-ring links hold their V as columns of one array,
+    # which is the BS's `vecs` itself; the Monte Carlo reads (V_k, lam_k)
+    # and never forms the stack V_k diag(lam_k)
+    spec = ScenarioSpec(n=12, k=3, t=50, correlation="one_ring", kappa_max=2.0, seed=3, trials=5)
+    [bs] = build_scenario(spec).profiles
+    assert bs.same_basis and bs.vecs.flags.c_contiguous
+    for k, link in enumerate(bs[0]):
+        assert np.shares_memory(link.eigvecs, bs.vecs) and link.eigvecs.base is bs.vecs
+        assert np.array_equal(bs.vecs[:, k], link.eigvecs)
+    assert all(sp.stack is None for sp in bs.spectra)
+
+    def forbidden(*args):
+        raise AssertionError("a same-basis Monte Carlo formed V diag(lam)")
+
+    monkeypatch.setattr(estimation, "basis_projections", forbidden)
+    configs = [spec.system_config(db) for db in (0.0, 20.0)]
+    conventional_mc([bs], configs, spec.trials, spec.seed)
+    with pytest.raises(AssertionError, match="formed V diag"):
+        bs.proj
+
+
+def _three_product_draws(stats, seed, first, count):
+    """`_rotated_draws` as the dense reference: per link the three products
+    V_k^T V_lk (sqrt(lam_lk) * (V_lk^T z_lk)), and V_k^T w_k."""
+    cells, users, n = stats[0].eigvals.shape
+    z = np.empty((count, cells, cells, users, n), dtype=complex)
+    w = np.empty((count, cells, users, n), dtype=complex)
+    for t in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(first + t,)))
+        for j in range(cells):
+            for ell in range(cells):
+                z[t, j, ell] = standard_complex_normal(rng, users, n)
+        for j in range(cells):
+            w[t, j] = standard_complex_normal(rng, users, n)
+    z, w = real_basis(z), real_basis(w)
+    rot = []
+    for j, bs in enumerate(stats):
+        per_user = []
+        for k in range(users):
+            v_k = bs.vecs[:, k]
+            channel = sum(
+                link[k].eigvecs @ (np.sqrt(link[k].r_eigvals)[:, None] * (link[k].eigvecs.T @ z[:, j, ell, k].T))
+                for ell, link in enumerate(bs)
+            )
+            per_user.append(np.concatenate([v_k.T @ channel, v_k.T @ w[:, j, k].T], axis=-1))
+        rot.append(np.array(per_user))
+    return rot
+
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "layout, correlation",
+    [("single_cell", "exponential"), ("three_cell_edge", "exponential"), ("single_cell", "one_ring")],
+)
+def test_same_basis_kernel_matches_dense_projections(layout, correlation):
+    # the diagonal forms of a same-basis BS (draws sqrt(lam) * V^T z beside
+    # V^T w, fits V_k (lam_lk f_k * rot), A and B as Gram products) against
+    # the dense reference: P_lk = (Q^H R_lk Q) V_k and the three-product draw
+    cells = 3 if layout == "three_cell_edge" else 1
+    spec = ScenarioSpec(n=12, k=3, t=50, layout=layout, l=cells, correlation=correlation,
+                        corr_rho=0.6, kappa_max=2.0, seed=8)
+    stats = build_scenario(spec).profiles
+    assert all(bs.same_basis for bs in stats)
+    seed, count = 5, 3
+    rot = _rotated_draws(stats, [np.sqrt(bs.eigvals) for bs in stats], seed, 2, count)
+    for got, ref in zip(rot, _three_product_draws(stats, seed, 2, count)):
+        assert _rel(got, ref) <= 1e-13
+    tau, rho_tr = 3, 2.5
+    s = 1.0 / (tau * rho_tr)
+    est = _EstimatorArrays(stats, tau, rho_tr, [1.0])
+    for j, bs in enumerate(stats):
+        shrink = key_shrinkage(bs, tau, rho_tr)
+        proj = np.array([[link.r_image @ bs.vecs[:, k] for k, link in enumerate(cell)] for cell in bs])
+        x = shrink[..., None] * (rot[j][..., :count] + rot[j][..., count:] / math.sqrt(tau * rho_tr))
+        assert _rel(est.fits(j, bs, rot[j]), proj @ x) <= 1e-13
+        # error (l = j) and conditional covariances, P_lk diag(f_k) W_lk^T
+        conds = [
+            sum(
+                (proj[ell, k] * shrink[k])
+                @ (sum((proj[m, k] for m in range(cells) if m != ell), s * bs.vecs[:, k])).T
+                for k in range(spec.k)
+            )
+            for ell in range(cells)
+        ]
+        a_ref = conds[j] + sum(link.r_image for ell in bs.others for link in bs[ell])
+        b_ref = sum(conds)
+        a_mat, b_mat = regularizer_sums(bs, shrink, tau * rho_tr)
+        for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
+            assert np.array_equal(got, got.T)
+            assert _rel(got, 0.5 * (ref + ref.T)) <= 1e-13
+        assert (a_mat is b_mat) == (cells == 1)
 
 
 def test_mc_trial_chunks_are_contiguous():

@@ -122,6 +122,32 @@ def test_se_derivative_matches_finite_difference():
         assert curve.se_derivative(tau) == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
 
+def test_se_derivative_takes_one_resolvent(monkeypatch):
+    # gamma and its derivative share one K x K inverse Q(tau), and give the
+    # same bits as the two public methods, which each take their own
+    profiles = correlated_profiles(32, 4, seed=4)
+    cfg = make_config()
+    curve = TrainingCurve(profiles, cfg)
+    inverses = []
+    original = np.linalg.inv
+
+    def counted(mat):
+        inverses.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    for tau in (5.0, 40.0, 180.0):
+        inverses.clear()
+        got = curve.se_derivative(tau)
+        assert inverses == [(4, 4)]
+        gam, gp = curve.gamma(tau), curve.gamma_prime(tau)
+        assert len(inverses) == 3
+        expected = -np.mean(np.log1p(gam)) / cfg.coherence_len + (
+            1.0 - tau / cfg.coherence_len
+        ) * float(np.mean(gp / (1.0 + gam)))
+        assert got == expected
+
+
 def test_d_alpha_diag_closed_form_white():
     n, beta, kappa = 16, 1.0, 1.0
     p = build_profile(beta, kappa, np.eye(n, dtype=complex), los_steering(0.1, n))
