@@ -6,6 +6,29 @@ efficiencies against their large-antenna deterministic equivalents, and
 solves for the optimal training length.
 """
 
+import importlib.util
+import sys
+
+
+def _register_lazily(name: str) -> None:
+    """Put module `name` in sys.modules without running its body, which
+    runs when one of its attributes is first read."""
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+
+
+# perfbench/tracer.py wraps scipy.linalg.cho_factor and finds the module in
+# sys.modules.  The package itself needs no scipy.linalg, so it registers
+# the module lazily and binds it to no name (reading any attribute, even
+# __name__, would load it): no command pays for its import.  ROADMAP item
+# 5's [benchmark] step, in which the tracer imports scipy.linalg itself,
+# deletes this.
+if "scipy.linalg" not in sys.modules:
+    _register_lazily("scipy.linalg")
+
 from .asymptotics import (
     AsymptoticState,
     build_q_multicell,

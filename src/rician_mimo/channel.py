@@ -29,8 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# numpy loads these submodules on first use; a command that did so would
+# pay the import in its run, so every command loads them with the package
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import toeplitz
 
 # Negative eigenvalues larger than this (in magnitude, relative to the top
 # eigenvalue) mean the matrix is genuinely indefinite, not just noisy.
@@ -91,6 +95,14 @@ def _hankel(seq: np.ndarray, m: int) -> np.ndarray:
     """Read-only m x m view of seq[u + v] (len(seq) >= 2m - 1)."""
     step = seq.strides[0]
     return as_strided(seq, (m, m), (step, step), writeable=False)
+
+
+def _hermitian_toeplitz(first_row: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz Theta with first row t ([Theta]_uv = t(v - u),
+    t(-d) = conj t(d)), as a fresh C-contiguous array: the `_hankel` view of
+    the lags 1-N .. N-1, upside down."""
+    lags = np.concatenate([np.conj(first_row[:0:-1]), first_row])
+    return _hankel(lags, len(first_row))[::-1].copy()
 
 
 def toeplitz_image(first_row: np.ndarray) -> np.ndarray:
@@ -241,7 +253,7 @@ def one_ring_correlation(
     """One-ring spatial correlation Theta for a uniform linear array: the
     Hermitian Toeplitz matrix of `one_ring_first_row`."""
     first_row = one_ring_first_row(theta_min, theta_max, n, spacing_ratio)
-    return toeplitz(np.conj(first_row), first_row)
+    return _hermitian_toeplitz(first_row)
 
 
 def exponential_first_row(rho: complex, n: int) -> np.ndarray:
@@ -255,7 +267,7 @@ def exponential_correlation(rho: complex, n: int) -> np.ndarray:
     """Exponential correlation [Theta]_uv = rho^(v-u) for v >= u: the
     Hermitian Toeplitz matrix of `exponential_first_row`."""
     first_row = exponential_first_row(rho, n)
-    return toeplitz(np.conj(first_row), first_row)
+    return _hermitian_toeplitz(first_row)
 
 
 def los_steering(theta: float, n: int) -> np.ndarray:

@@ -208,6 +208,8 @@ def mc_log_moments(
                         for t in range(count)
                     ]
                 logs[p_idx, j, start : start + count] = np.log1p(sinr)
+        # free this block's draws and fits before the next block is drawn
+        del rot, fits
     mean = logs.mean(axis=2)
     m2 = ((logs - mean[:, :, None]) ** 2).sum(axis=2)
     return mean, m2

@@ -17,6 +17,7 @@ from rician_mimo.channel import (
     dft_steering,
     drop_users,
     exponential_correlation,
+    exponential_first_row,
     los_steering,
     one_ring_correlation,
     one_ring_first_row,
@@ -149,6 +150,18 @@ def test_exponential_complex_rho_hermitian():
 def test_exponential_rejects_unit_rho():
     with pytest.raises(ChannelModelError):
         exponential_correlation(1.0, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 151])
+def test_dense_constructors_equal_scipy_toeplitz(n):
+    # the numpy-built Hermitian Toeplitz matrix is scipy's, bit for bit
+    rho = 0.7 * np.exp(0.3j)
+    for theta, first_row in (
+        (one_ring_correlation(-0.4, 0.9, n), one_ring_first_row(-0.4, 0.9, n)),
+        (exponential_correlation(rho, n), exponential_first_row(rho, n)),
+    ):
+        assert np.array_equal(theta, toeplitz(np.conj(first_row), first_row))
+        assert theta.flags.c_contiguous and theta.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -543,8 +543,8 @@ def test_simulate_forms_no_sqrt_r_image(tmp_path, capsys, monkeypatch, layout, c
 def test_no_scipy_linalg_in_compute_path(scenario_file, tmp_path, capsys, monkeypatch):
     # numpy and scipy each load their own OpenBLAS with its own thread pool;
     # hopping between them per call makes the two pools fight over the cores.
-    # toeplitz serves only the two dense reference constructors and keeps
-    # scipy.linalg imported.
+    # The package registers scipy.linalg lazily, for the benchmark tracer,
+    # and binds it to no name: reading any attribute of it would load it.
     for info in pkgutil.iter_modules(rician_mimo.__path__):
         module = importlib.import_module(f"rician_mimo.{info.name}")
         for name, obj in vars(module).items():
@@ -735,7 +735,8 @@ def test_asymptotic_never_maps_back_to_the_antenna_basis(
 def test_import_runs_no_eigensolve():
     # a quadrature rule built at import (leggauss is a dense eigensolve) is
     # paid by every command, including those that never build a one-ring
-    # matrix; scipy.linalg must stay imported for the benchmark tracer
+    # matrix; scipy.linalg must stay in sys.modules (registered lazily, its
+    # body unrun) for the benchmark tracer
     script = textwrap.dedent(
         """
         import sys
@@ -761,6 +762,52 @@ def test_import_runs_no_eigensolve():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_import_no_module_and_leave_scipy_linalg_unloaded(tmp_path):
+    # a module first imported by a command is paid in its wall time; the
+    # lazily registered scipy.linalg is in sys.modules, but its body never runs
+    one_ring = SCENARIO_TEXT.replace("exponential", "one_ring")
+    single = tmp_path / "single.cfg"
+    single.write_text(one_ring)
+    three = tmp_path / "three.cfg"
+    three.write_text(
+        one_ring.replace("n = 16", "n = 8").replace("trials = 6", "trials = 2")
+        + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    )
+    optimal = tmp_path / "optimal.cfg"
+    optimal.write_text(one_ring + "tau_mode = optimal\n")
+    commands = [
+        ["simulate", "--scenario", str(single), "--out", str(tmp_path / "single.csv")],
+        ["simulate", "--scenario", str(three), "--out", str(tmp_path / "three.csv")],
+        ["asymptotic", "--scenario", str(optimal), "--out", str(tmp_path / "optimal.csv")],
+    ]
+    script = textwrap.dedent(
+        """
+        import json
+        import sys
+        import rician_mimo.cli
+
+        assert "scipy.linalg" in sys.modules
+        assert "scipy.linalg._basic" not in sys.modules
+        for argv in json.loads(sys.argv[1]):
+            before = set(sys.modules)
+            assert rician_mimo.cli.main(argv) == 0, argv
+            assert set(sys.modules) == before, (argv, sorted(set(sys.modules) - before))
+        assert "scipy.linalg._basic" not in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / name).stat().st_size for name in ("single.csv", "three.csv", "optimal.csv"))
 
 
 def test_quadrature_rule_built_only_for_one_ring(scenario_file, tmp_path, capsys):
