@@ -108,18 +108,49 @@ def los_resolvent(h_bar: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def statistical_resolvent(
-    bs: BSStatistics, rho_d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`los_resolvent` of the served links, C = sum_i R_i + (N/rho_d) I.
+    bs: BSStatistics, rho_ds: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `los_resolvent` m, c and U of the served links over a grid of data SNRs,
+    C = sum_i R_i + (N/rho_d) I, with the inter-cell form u_k^H R_out u_k of
+    R_out = sum_{l != j, k} R_jlk: (m, c, U, form), each stacked over the
+    points of `rho_ds` on a first axis (U is (P, N, K), the rest (P, K)).
 
-    It runs in the real basis: the image of C is real, so X = C^{-1} Hbar is
-    one real N x N solve against the interleaved columns of `bs.h_bar`.
-    m and c are invariant under Q; U comes back in the real basis.
+    On a BS of one shared theta (`bs.basis` V) every covariance is diagonal
+    in V, and so is C: V^T C V = diag(d + N/rho_d) with d = sum_k lam_jk.
+    With H = `bs.h_rot`, the grams P = H^H diag(d + N/rho_d)^{-1} H of every
+    point are one array operation, one stacked K x K resolvent gives m and
+    c, U = V^T u = diag(d + N/rho_d)^{-1} H M^{-1} is in V's basis, and the
+    form is sum_c w_c |[V^T u_k]_c|^2 with w = sum_{l != j, k} lam_lk: no
+    N x N solve, product or image.
+
+    Otherwise each point takes one real N x N solve of the image
+    `bs.local` + (N/rho_d) I against the interleaved columns of `bs.h_bar`;
+    U comes back in the real basis, and the form is its real product with
+    `bs.inter`, or zero in a single cell, where R_out = 0.  m and c are
+    invariant under Q and V.
     """
-    n = len(bs.local)
-    c_image = bs.local + (n / rho_d) * np.eye(n)
-    x = np.linalg.solve(c_image, bs.h_bar.view(np.float64)).view(np.complex128)
-    return los_resolvent(bs.h_bar, x)
+    if bs.basis is not None:
+        h, lam = bs.h_rot, bs.eigvals
+        # (P, N): the diagonal of V^T C^{-1} V at every point
+        c_inv = 1.0 / (lam[bs.j].sum(0) + len(h) / np.array(rho_ds)[:, None])
+        m, c, m_inv = _resolvent_diagonals((h.conj().T * c_inv[:, None]) @ h)
+        # U = C^{-1} Hbar M^{-1}, scaled in place: one (P, N, K) array is alive
+        u = h @ m_inv
+        u *= c_inv[..., None]
+        # w-weighted squares summed over the interleaved real and imaginary parts
+        parts = u.view(np.float64)
+        squares = np.einsum("n,pnk,pnk->pk", lam[bs.others].sum((0, 1)), parts, parts)
+        return m, c, u, squares[:, ::2] + squares[:, 1::2]
+    n, k = bs.h_bar.shape
+    m, c, form = np.zeros((3, len(rho_ds), k))
+    u = np.empty((len(rho_ds), n, k), dtype=complex)
+    for p, rho_d in enumerate(rho_ds):
+        c_image = bs.local + (n / rho_d) * np.eye(n)
+        x = np.linalg.solve(c_image, bs.h_bar.view(np.float64)).view(np.complex128)
+        m[p], c[p], u[p] = los_resolvent(bs.h_bar, x)
+        if len(bs.links) > 1:
+            form[p] = np.real(np.sum(u[p].conj() * real_matmul(bs.inter, u[p]), axis=0))
+    return m, c, u, form
 
 
 def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
@@ -128,8 +159,13 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     Hbar_k drops column k, so only the *other* users' LoS directions are
     whitened.  Uses local statistics only, so the multi-cell receiver is the
     same; a user with kappa = 0 gets the zero vector (its LoS numerator
-    vanishes).  The columns are u_k / m_k of `statistical_resolvent`, mapped
-    back to the antenna basis.
+    vanishes).  The columns are u_k / m_k of `statistical_resolvent`, taken
+    from theta's eigenbasis to the real basis where the links share one
+    theta, and mapped back to the antenna basis.
     """
-    m, _, u = statistical_resolvent(BSStatistics([profiles], 0), rho_d)
-    return CombinerSet(vectors=antenna_basis((u / m).T).T)
+    bs = BSStatistics([profiles], 0)
+    m, _, u, _ = statistical_resolvent(bs, [rho_d])
+    g = u[0] / m[0]
+    if bs.basis is not None:
+        g = real_matmul(bs.basis, g)
+    return CombinerSet(vectors=antenna_basis(g.T).T)

@@ -18,8 +18,8 @@ mu = sum_l lam_l of the links' clamped eigenvalues and P_l = V diag(lam_l),
 which only the cold readers form, on access (`basis_projections`).
 
 `BSStatistics` is the one holder of what a BS's receivers read from its
-links: the served LoS columns in the real basis, the images of the local
-and inter-cell covariance sums, the links' eigenvalues, (on first read)
+links: the served LoS columns in the real basis, the links' eigenvalues,
+(on first read) the images of the local and inter-cell covariance sums and
 the K same-pilot spectra and their eigenvectors, and the eigenbasis of the
 links' one shared correlation matrix, if any.  A scenario builds one per
 BS (`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`,
@@ -122,11 +122,13 @@ class BSStatistics:
 
     `links[cell][user]` are BS j's links.  `h_bar` is real_basis(Hbar) of
     the served links, (N, K) and C-contiguous, so it views as 2K interleaved
-    real and imaginary columns; `local` is the image of sum_i R_jji and
-    `inter` the image of R_out = sum_{l != j, k} R_jlk (zero in a single
-    cell); `eigvals[l, k]` are the clamped eigenvalues of link (l, k).  The
-    K same-pilot `spectra` are built on first read, since the statistical
-    receiver and the refined DE never need them, and their eigenvectors
+    real and imaginary columns; `eigvals[l, k]` are the clamped eigenvalues
+    of link (l, k).  The images `local` of sum_i R_jji and `inter` of
+    R_out = sum_{l != j, k} R_jlk (zero in a single cell) are built on first
+    read: only the statistical receiver of a BS without one shared theta,
+    and the regularizer A of a BS that is not same-basis, read them.  So
+    are the K same-pilot `spectra`, since the statistical receiver and the
+    refined DE never need them, and their eigenvectors
     are held once: `vecs[:, k]` is V_k, so `vecs` reshapes to the
     (N, K*N) row [V_1 ... V_K].  The BS is `same_basis` when every
     same-pilot group's links hold one eigenvector array, as in every single
@@ -145,14 +147,8 @@ class BSStatistics:
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
         self.links, self.j = links, j
-        served = links[j]
-        n = served[0].n_antennas
-        h_bar = real_basis(np.array([p.h_bar for p in served])).T
+        h_bar = real_basis(np.array([p.h_bar for p in links[j]])).T
         self.h_bar = np.ascontiguousarray(h_bar)
-        self.local = sum(p.r_image for p in served)
-        # user-major, like the same-pilot groups
-        others = (links[ell][k] for k in range(len(served)) for ell in self.others)
-        self.inter = sum((p.r_image for p in others), np.zeros((n, n)))
         self.eigvals = np.array([[p.r_eigvals for p in cell] for cell in links])
 
     def __len__(self) -> int:
@@ -167,6 +163,19 @@ class BSStatistics:
         return [ell for ell in range(len(self.links)) if ell != self.j]
 
     @cached_property
+    def local(self) -> np.ndarray:
+        """The image of sum_i R_jji."""
+        return sum(p.r_image for p in self.links[self.j])
+
+    @cached_property
+    def inter(self) -> np.ndarray:
+        """The image of R_out = sum_{l != j, k} R_jlk, user-major like the
+        same-pilot groups; zero in a single cell."""
+        n = len(self.h_bar)
+        others = (self.links[ell][k] for k in range(len(self.links[self.j])) for ell in self.others)
+        return sum((p.r_image for p in others), np.zeros((n, n)))
+
+    @cached_property
     def same_basis(self) -> bool:
         return all(all(p.eigvecs is group[0].eigvecs for p in group) for group in zip(*self.links))
 
@@ -176,7 +185,7 @@ class BSStatistics:
         if self.same_basis:
             spectra = [same_pilot_spectrum(g) for g in groups]
             return spectra, _columns([sp.eigvecs for sp in spectra]), None
-        n = len(self.local)
+        n = len(self.h_bar)
         vecs = np.empty((n, len(groups), n))
         proj = np.empty((len(self.links), n, len(groups), n))
         spectra = [same_pilot_spectrum(g, (vecs[:, k], proj[:, :, k])) for k, g in enumerate(groups)]

@@ -277,18 +277,18 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
     combiner u_k of `combining.statistical_resolvent` sees local statistics
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
     SINR_k = c_k / (m_k + u_k^H R_out u_k / c_k), which is c_k / m_k in a
-    single cell, where R_out = 0.  Everything runs in the real basis, from
-    each BS's `BSStatistics`.
+    single cell, where R_out = 0.  Each BS takes one `statistical_resolvent`
+    call for the whole list of configs, from its `BSStatistics`: in theta's
+    eigenbasis where its links share one theta, in the real basis otherwise.
     """
     reports: list[list[SEReport]] = [[] for _ in configs]
     for bs in profiles:
-        for config, per_bs in zip(configs, reports):
-            m, c, u = statistical_resolvent(bs, config.snr_data)
-            quad = np.real(np.sum(u.conj() * real_matmul(bs.inter, u), axis=0))
-            # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
-            # select on that exact zero, not on the sign of a computed denominator
-            los = c != 0
-            sinr = np.zeros_like(c)
-            sinr[los] = c[los] / (m[los] + quad[los] / c[los])
-            per_bs.append(SEReport(np.log1p(sinr), None))
+        m, c, _, form = statistical_resolvent(bs, [config.snr_data for config in configs])
+        # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
+        # select on that exact zero, not on the sign of a computed denominator
+        los = c != 0
+        sinr = np.zeros_like(c)
+        sinr[los] = c[los] / (m[los] + form[los] / c[los])
+        for per_bs, point_sinr in zip(reports, sinr):
+            per_bs.append(SEReport(np.log1p(point_sinr), None))
     return reports

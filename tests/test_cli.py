@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import rician_mimo
-from rician_mimo import channel, cli, scenarios, spectral_efficiency
+from rician_mimo import channel, cli, estimation, scenarios, spectral_efficiency, sweeps
 from rician_mimo.presets import preset_specs, run_preset
 from rician_mimo.results import FIELD_NAMES, parse_csv
 from rician_mimo.scenarios import serialize_scenario
@@ -696,6 +697,67 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     # the statistical DE its K x K LoS resolvent, each once per (SNR point, BS)
     assert calls == {"eigh": links + sums, "inv": [(k, k)] * (2 * points * cells)}
     assert dtypes == {np.dtype(np.float64)}
+
+
+def test_covariance_images_built_only_when_read(tmp_path, capsys, monkeypatch):
+    # a shared theta makes the statistical receiver diagonal in theta's
+    # eigenbasis, so a DE command reads no covariance image and solves no
+    # N x N system; a one-ring BS builds its local image once for all SNR
+    # points, and a single cell never builds its all-zero inter-cell image
+    builds = []
+    for name in ("local", "inter"):
+        original = getattr(estimation.BSStatistics, name).func
+
+        def counted(self, _name=name, _original=original):
+            builds.append((_name, self.j))
+            return _original(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(estimation.BSStatistics, name)
+        monkeypatch.setattr(estimation.BSStatistics, name, prop)
+    events = []
+    original_image, original_build = channel.toeplitz_image, sweeps.build_scenario
+
+    def toeplitz_image(first_row):
+        events.append("image")
+        return original_image(first_row)
+
+    def build_scenario(spec):
+        scenario = original_build(spec)
+        events.append("built")
+        return scenario
+
+    monkeypatch.setattr(channel, "toeplitz_image", toeplitz_image)
+    monkeypatch.setattr(sweeps, "build_scenario", build_scenario)
+    solves = []
+    original_solve = np.linalg.solve
+
+    def solve(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return original_solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    optimal = tmp_path / "optimal.cfg"
+    optimal.write_text(SCENARIO_TEXT + "tau_mode = optimal\n")
+    code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(optimal))
+    assert code == 0 and parse_csv(out)
+    assert events.count("built") == 1
+    assert "image" not in events[events.index("built") :]
+    assert not any(shape[-2:] == (16, 16) for shape in solves)
+    assert builds == []
+
+    one_ring = SCENARIO_TEXT.replace("n = 16", "n = 8").replace("exponential", "one_ring")
+    three_cell = one_ring + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
+    for text, expected in (
+        (one_ring, [("local", 0)]),
+        (three_cell, [(name, j) for name in ("inter", "local") for j in range(3)]),
+    ):
+        builds.clear()
+        scenario = tmp_path / "one_ring.cfg"
+        scenario.write_text(text)
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
+        assert code == 0 and parse_csv(out)
+        assert sorted(builds) == expected
 
 
 # ---------------------------------------------------------------------------

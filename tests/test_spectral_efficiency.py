@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -621,6 +622,50 @@ def test_stat_multicell_interference_hurts():
     assert np.all(multi.per_user_se <= clean.per_user_se + 1e-12)
     # the exact statistical SE has no Monte Carlo standard error
     assert multi.se_stderr is None
+
+
+def distinct_eigenpairs(bs):
+    """`bs` with every link holding its own tuple of the same eigenpair
+    arrays: no theta is shared (`basis` is None), so the statistical
+    receiver takes its per-point solve of the same statistics."""
+    links = []
+    for cell in bs.links:
+        copies = []
+        for p in cell:
+            link = copy.copy(p)
+            link.theta_eig = tuple(list(p.theta_eig))
+            copies.append(link)
+        links.append(copies)
+    return BSStatistics(links, bs.j)
+
+
+@pytest.mark.parametrize("kappa_max", [0.0, 2.0])
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+@pytest.mark.parametrize("correlation", ["exponential", "identity"])
+def test_stat_shared_theta_grid_matches_per_point_solve(correlation, layout, kappa_max):
+    three = {"layout": "three_cell_edge", "l": 3, "placement": "cell_edge"}
+    spec = ScenarioSpec(
+        n=16, k=4, t=50, seed=11, correlation=correlation, kappa_max=kappa_max,
+        snr_grid_db=(-10.0, 0.0, 20.0, 40.0), **(three if layout == "three_cell_edge" else {}),
+    )
+    scenario = build_scenario(spec)
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
+    solved = [distinct_eigenpairs(bs) for bs in scenario.profiles]
+    assert all(bs.basis is not None for bs in scenario.profiles)
+    assert all(bs.basis is None for bs in solved)
+    grid, reference = se_stat_multicell(scenario.profiles, configs), se_stat_multicell(solved, configs)
+    for per_bs, ref_bs in zip(grid, reference):
+        for j, (rep, ref) in enumerate(zip(per_bs, ref_bs)):
+            no_los = scenario.kappas[j] == 0
+            assert np.all(rep.per_user_se[no_los] == 0.0) and not np.any(np.signbit(rep.per_user_se))
+            assert np.all(ref.per_user_se[no_los] == 0.0)
+            assert np.allclose(rep.per_user_se, ref.per_user_se, rtol=1e-12, atol=0.0)
+    for j, bs in enumerate(scenario.profiles):
+        for cfg in configs:
+            g = statistical_combiner(bs[j], cfg.snr_data).vectors
+            g_ref = statistical_combiner(solved[j][j], cfg.snr_data).vectors
+            gap = np.linalg.norm(g - g_ref, axis=0)
+            assert np.all(gap <= 1e-12 * np.linalg.norm(g_ref, axis=0))
 
 
 def test_stat_rayleigh_user_gets_zero_se():
