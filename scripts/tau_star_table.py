@@ -31,16 +31,15 @@ def main() -> None:
         spec = ScenarioSpec(
             n=args.n, k=args.k, t=args.t, kappa_max=kmax, seed=args.seed
         )
-        scenario = build_scenario(spec)
-        stars = []
-        losses = []
-        for snr in snr_grid:
-            config = spec.system_config(snr)
-            sol = solve_tau_star(scenario.local_profiles(0), config)
-            stars.append(sol.tau_star)
-            curve = TrainingCurve(scenario.local_profiles(0), config)
-            at_min = curve.avg_se(float(args.k))
-            losses.append(0.0 if sol.avg_se_at_star <= 0 else 1 - at_min / sol.avg_se_at_star)
+        profiles = build_scenario(spec).local_profiles(0)
+        configs = [spec.system_config(snr) for snr in snr_grid]
+        solutions = solve_tau_star(profiles, configs)
+        curve = TrainingCurve(profiles)
+        stars = [sol.tau_star for sol in solutions]
+        losses = [
+            0.0 if sol.avg_se_at_star <= 0 else 1 - curve.avg_se(float(args.k), c) / sol.avg_se_at_star
+            for c, sol in zip(configs, solutions)
+        ]
         print(f"{kmax:>9.1f} " + " ".join(f"{t:>6d}" for t in stars))
         print(f"{'loss@K':>9} " + " ".join(f"{l:>6.1%}" for l in losses))
 

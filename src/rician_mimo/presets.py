@@ -17,7 +17,7 @@ from .config import ConfigError
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .spectral_efficiency import se_stat_multicell
-from .sweeps import _rows_for_scenario, conv_de_at_bs, resolve_tau_for_snr
+from .sweeps import _rows_for_scenario, conv_de_at_bs, operating_points
 from .training import solve_tau_star
 
 PRESET_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5")
@@ -102,38 +102,35 @@ def preset_specs(figure_id: str) -> list[ScenarioSpec]:
 
 def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
     """One `tau_star` row per SNR point of the scenario: the optimal training
-    length of cell 0, its average SE and the continuous root (as `se_de`).
-    `seed` fills the seed column only; tau* involves no draws."""
+    length of cell 0, its average SE and the continuous root (as `se_de`),
+    from one solve over the grid.  `seed` fills the seed column only; tau*
+    involves no draws."""
     spec = scenario.spec
-    rows = []
-    for snr in spec.snr_grid_db:
-        sol = solve_tau_star(scenario.local_profiles(0), spec.system_config(snr))
-        rows.append(
-            ResultRow(
-                scenario_id=spec.scenario_id,
-                scheme="tau_star",
-                snr_db=float(snr),
-                user_id=0,
-                se_value=float(sol.avg_se_at_star) * spec.log_scale,
-                se_stderr=None,
-                se_de=float(sol.tau_continuous),
-                tau_used=sol.tau_star,
-                prelog=spec.system_config(snr, tau=sol.tau_star).prelog,
-                seed=seed,
-            )
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
+    solutions = solve_tau_star(scenario.local_profiles(0), configs)
+    return [
+        ResultRow(
+            scenario_id=spec.scenario_id,
+            scheme="tau_star",
+            snr_db=float(snr),
+            user_id=0,
+            se_value=float(sol.avg_se_at_star) * spec.log_scale,
+            se_stderr=None,
+            se_de=float(sol.tau_continuous),
+            tau_used=sol.tau_star,
+            prelog=dataclasses.replace(config, training_len=sol.tau_star).prelog,
+            seed=seed,
         )
-    return rows
-
-
-def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...], bs: int = 0):
-    """Average (over users of one BS) DE SE per scheme over an SNR grid; both
-    schemes run for that BS only."""
-    configs = [
-        scenario.spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr))
-        for snr in snr_grid
+        for snr, config, sol in zip(spec.snr_grid_db, configs, solutions)
     ]
-    conv = [float(np.mean(se)) for se in conv_de_at_bs(scenario, bs, configs)]
-    reports = se_stat_multicell([scenario.profiles[bs]], configs)
+
+
+def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...]):
+    """Average (over users of cell 0) DE SE per scheme over an SNR grid; both
+    schemes run for BS 0 only."""
+    configs = operating_points(scenario, snr_grid)
+    conv = [float(np.mean(se)) for se in conv_de_at_bs(scenario, 0, configs)]
+    reports = se_stat_multicell([scenario.profiles[0]], configs)
     stat = [float(np.mean(per_bs[0].per_user_se)) for per_bs in reports]
     return np.array(conv), np.array(stat)
 

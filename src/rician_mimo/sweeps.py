@@ -8,7 +8,8 @@ SNR or tau are smooth functions of the same randomness.  Each scheme takes
 the scenario's whole SNR grid in one call and returns its results indexed
 [config][bs], and every scheme reads the scenario's one
 `estimation.BSStatistics` per BS (the LoS columns, the covariance sums and
-the same-pilot spectra).  The statistical SE is exact, so its deterministic
+the same-pilot spectra); tau* too is solved over the whole grid in one call
+(`operating_points`).  The statistical SE is exact, so its deterministic
 equivalent is that same SE in every layout.
 """
 
@@ -30,13 +31,15 @@ SCHEMES = ("conv", "stat")
 MODES = ("mc", "de", "both")
 
 
-def resolve_tau_for_snr(scenario: Scenario, snr_db: float) -> int:
-    """Training length at one SNR point, honoring the spec's tau_mode."""
+def operating_points(scenario: Scenario, snr_grid: tuple[float, ...]) -> list[SystemConfig]:
+    """The scenario's config at each SNR of the grid, in `optimal` tau mode
+    with cell 0's tau*; the other modes keep the spec's own training length."""
     spec = scenario.spec
-    if spec.tau_mode == "optimal":
-        config = spec.system_config(snr_db)
-        return solve_tau_star(scenario.local_profiles(0), config).tau_star
-    return spec.resolve_tau()
+    configs = [spec.system_config(snr) for snr in snr_grid]
+    if spec.tau_mode != "optimal":
+        return configs
+    solutions = solve_tau_star(scenario.local_profiles(0), configs)
+    return [dataclasses.replace(c, training_len=s.tau_star) for c, s in zip(configs, solutions)]
 
 
 def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
@@ -78,7 +81,7 @@ def _rows_for_scenario(
     k = scenario.n_users
     multi = scenario.n_cells > 1
     grid = spec.snr_grid_db
-    configs = [spec.system_config(snr, tau=resolve_tau_for_snr(scenario, snr)) for snr in grid]
+    configs = operating_points(scenario, grid)
     want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
     # per scheme: (row name, mc[config][bs] or None, de[config][bs] or None),
     # in nats, each list from one call over the whole grid

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import rician_mimo
-from rician_mimo import channel, cli, estimation, scenarios, spectral_efficiency, sweeps
+from rician_mimo import channel, cli, estimation, scenarios, spectral_efficiency, sweeps, training
 from rician_mimo.presets import preset_specs, run_preset
 from rician_mimo.results import FIELD_NAMES, parse_csv
 from rician_mimo.scenarios import serialize_scenario
@@ -758,6 +758,34 @@ def test_covariance_images_built_only_when_read(tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
         assert code == 0 and parse_csv(out)
         assert sorted(builds) == expected
+
+
+def test_optimal_tau_solves_the_whole_grid_once(tmp_path, capsys, monkeypatch):
+    # tau* takes the scenario's SNR grid in one call, which forms the links'
+    # SNR-independent operands (one TrainingCurve) once for every point
+    calls, curves = [], []
+    original_solve, original_init = training.solve_tau_star, training.TrainingCurve.__init__
+
+    def solve_tau_star(profiles, configs):
+        calls.append(configs)
+        return original_solve(profiles, configs)
+
+    def init(self, *args):
+        curves.append(self)
+        original_init(self, *args)
+
+    for info in pkgutil.iter_modules(rician_mimo.__path__):
+        module = importlib.import_module(f"rician_mimo.{info.name}")
+        for name, obj in list(vars(module).items()):
+            if obj is original_solve:
+                monkeypatch.setattr(module, name, solve_tau_star)
+    monkeypatch.setattr(training.TrainingCurve, "__init__", init)
+    optimal = tmp_path / "optimal.cfg"
+    optimal.write_text(SCENARIO_TEXT.replace("0,10", "-10,0,10") + "tau_mode = optimal\n")
+    code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(optimal))
+    assert code == 0 and len(parse_csv(out)) == 3 * 2 * 3  # points x schemes x users
+    assert len(calls) == 1 and len(calls[0]) == 3
+    assert len(curves) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
     _rows_for_scenario,
     conv_de_per_bs,
-    resolve_tau_for_snr,
+    operating_points,
     run_sweep,
     stat_de_per_bs,
 )
@@ -155,13 +155,13 @@ def test_tau_sweep_sets_fixed_mode():
     assert taus["scenario-tau=10"] == 10
 
 
-def test_resolve_tau_modes():
+def test_operating_points_modes():
     fixed = build_scenario(small_spec(tau_mode="fixed", tau=7))
-    assert resolve_tau_for_snr(fixed, 0.0) == 7
+    assert operating_points(fixed, (0.0,))[0].training_len == 7
     minimum = build_scenario(small_spec())
-    assert resolve_tau_for_snr(minimum, 0.0) == 3
+    assert operating_points(minimum, (0.0,))[0].training_len == 3
     optimal = build_scenario(small_spec(tau_mode="optimal"))
-    tau = resolve_tau_for_snr(optimal, -10.0)
+    tau = operating_points(optimal, (-10.0,))[0].training_len
     assert 3 <= tau < 50
 
 
