@@ -33,10 +33,11 @@ simplification used in the published closed forms: it reads the BS's
 `estimation.key_shrinkage` f, and every trace is a weighted column sum of
 the projections P_l and f; no R_tilde_i is formed.  Its contamination
 gains are its cross traces.  Both modes coincide as N grows, and take Q
-from `resolvent`, which `training`'s tau* curve reads too.
+from `combining.resolvent`, the package's one K x K resolvent, which
+`training`'s tau* curve reads too.
 
-The statistical-combining equivalents need no Q: they read the K x K LoS
-resolvent `combining.los_resolvent`.
+The statistical-combining equivalents read the same resolvent as the LoS
+resolvent of the served links (`combining.statistical_resolvent`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import UserLinkProfile, real_matmul
-from .combining import los_resolvent
+from .combining import resolvent
 from .config import SystemConfig
 from .estimation import BSStatistics, build_estimator_multicell, key_shrinkage, regularizer_sums
 from .spectral_efficiency import se_stat_singlecell
@@ -82,15 +83,6 @@ class AsymptoticState:
     @property
     def n_users(self) -> int:
         return self.q_matrix.shape[0]
-
-
-def resolvent(gram: np.ndarray, rho_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, signal) of the K x K gram G: Q = (G + I/rho_d)^{-1}, exactly
-    Hermitian, and signal = Re diag(QG).  As Q (G + I/rho_d) = I, the signal
-    is 1 - [Q]_kk/rho_d with no cancellation at low SNR."""
-    q = np.linalg.inv(gram + np.eye(len(gram)) / rho_d)
-    q = 0.5 * (q + q.conj().T)
-    return q, np.real(np.einsum("ki,ik->k", q, gram))
 
 
 def _diag_gram(h: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -422,12 +414,12 @@ def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemCo
     """Large-N statistical corollary, from local statistics only; the rows
     report the exact `se_stat_multicell`.
 
-    The LoS-only resolvent: C = (N/rho_d) I, so X = (rho_d/N) Hbar and
-    P = (rho_d/N) Hbar^H Hbar, with no N x N work.
+    The LoS-only `resolvent` at rho = 1: C = (N/rho_d) I, so its gram is
+    (rho_d/N) Hbar^H Hbar, with no N x N work.
     """
     h_bar = np.column_stack([p.h_bar for p in local_profiles])
-    m, c, _ = los_resolvent(h_bar, (config.snr_data / config.n_antennas) * h_bar)
-    return np.log1p(c / m)
+    q, c = resolvent(h_bar.conj().T @ ((config.snr_data / config.n_antennas) * h_bar), 1.0)
+    return np.log1p(c / np.real(np.diag(q)))
 
 
 def pilot_contamination_term(

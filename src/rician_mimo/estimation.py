@@ -127,10 +127,11 @@ class BSStatistics:
     R_out = sum_{l != j, k} R_jlk (zero in a single cell) are built on first
     read: only the statistical receiver of a BS without one shared theta,
     and the regularizer A of a BS that is not same-basis, read them.  So
-    are the K same-pilot `spectra`, since the statistical receiver and the
-    refined DE never need them, and their eigenvectors
-    are held once: `vecs[:, k]` is V_k, so `vecs` reshapes to the
-    (N, K*N) row [V_1 ... V_K].  The BS is `same_basis` when every
+    is `local_eig` (d, W), the statistical receiver's eigenpair of the local
+    sum, with `h_rot` = W^T h_bar.  So are the K same-pilot `spectra`, since
+    the statistical receiver and the refined DE never need them, and
+    their eigenvectors are held once: `vecs[:, k]` is V_k, so `vecs`
+    reshapes to the (N, K*N) row [V_1 ... V_K].  The BS is `same_basis` when every
     same-pilot group's links hold one eigenvector array, as in every single
     cell and with one shared correlation matrix: `vecs` is then the links'
     own eigenvectors (in a single cell the scenario's array of them, with no
@@ -140,9 +141,8 @@ class BSStatistics:
     to [P_l1 ... P_lK]) are BS-level stacks whose views every spectrum's
     `eigvecs` and `proj` are.  `basis` is the eigenvector array V of the
     one correlation eigenpair `theta_eig` every link holds (so every link's
-    spectrum is a multiple of theta's), or None, and `h_rot` the LoS
-    columns in it, V^T h_bar.  It indexes like its links, so it stands in
-    for them: `stats[cell][user]` is `links[cell][user]`.
+    spectrum is a multiple of theta's), or None.  It indexes like its links,
+    so it stands in for them: `stats[cell][user]` is `links[cell][user]`.
     """
 
     def __init__(self, links: list[list[UserLinkProfile]], j: int):
@@ -197,8 +197,17 @@ class BSStatistics:
         return eig[1] if all(p.theta_eig is eig for cell in self.links for p in cell) else None
 
     @cached_property
+    def local_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d, W) of the image of sum_i R_jji, d clamped at zero: (sum_i lam_jji,
+        V) on a shared theta, with no `eigh`, and one `eigh` of `local` otherwise."""
+        if self.basis is not None:
+            return self.eigvals[self.j].sum(0), self.basis
+        d, w = np.linalg.eigh(self.local)
+        return np.clip(d, 0.0, None), w
+
+    @cached_property
     def h_rot(self) -> np.ndarray:
-        return real_matmul(self.basis.T, self.h_bar)
+        return real_matmul(self.local_eig[1].T, self.h_bar)
 
     @property
     def spectra(self) -> list[PilotSpectrum]:

@@ -98,6 +98,8 @@ class ScenarioSpec:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if not all(map(math.isfinite, self.snr_grid_db)):
             raise ConfigError(f"snr_grid_db entries must be finite, got {self.snr_grid_db!r}")
+        if len(set(self.snr_grid_db)) != len(self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db repeats a point, got {self.snr_grid_db!r}")
         for db in (*self.snr_grid_db, self.snr_training_db):
             try:
                 ok = db is None or 10.0 ** (db / 10.0) > 0.0
@@ -131,6 +133,8 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"tau violates K <= tau < T: tau={self.tau}, K={self.k}, T={self.t}"
                 )
+        elif self.tau != 0:
+            raise ConfigError(f"tau = {self.tau} is read only with tau_mode = fixed")
         if self.k >= self.t:
             raise ConfigError("coherence length t must exceed the user count k")
         if any(ch in self.scenario_id for ch in ',"\r\n'):

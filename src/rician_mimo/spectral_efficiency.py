@@ -9,7 +9,8 @@ cell those terms sum to the combiner's own regularizer, and the SINR is
 read off the K x K gram by the MMSE identity (`combining.conventional_sinr`)
 without forming a combiner.
 Statistical combining needs no draws at all: its combiner and SINR
-expectations come from one K x K LoS resolvent (`combining.los_resolvent`).
+expectations come from one K x K LoS resolvent of each BS's whole SNR grid
+(`combining.statistical_resolvent`).
 
 Draws are seeded per trial from (master seed, trial index), so any subset of
 SNR/tau points re-evaluated with the same seed sees identical channels
@@ -278,8 +279,8 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
     only; the other cells' links (no LoS) add R_out = sum_{l != j, i} R_jli:
     SINR_k = c_k / (m_k + u_k^H R_out u_k / c_k), which is c_k / m_k in a
     single cell, where R_out = 0.  Each BS takes one `statistical_resolvent`
-    call for the whole list of configs, from its `BSStatistics`: in theta's
-    eigenbasis where its links share one theta, in the real basis otherwise.
+    call for the whole list of configs, from its `BSStatistics`, in the
+    eigenbasis of its local covariance sum.
     """
     reports: list[list[SEReport]] = [[] for _ in configs]
     for bs in profiles:

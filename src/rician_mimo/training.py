@@ -6,7 +6,7 @@ rho_d/[Q(tau)]_kk - 1, is maximized over tau in [K, T).  gamma_k is
 evaluated as rho_d [Q G]_kk / [Q]_kk, G = Q^{-1} - I/rho_d, which is the
 same number without the cancellation at low SNR.  All tau dependence
 enters through the per-user eigenvalues of the correlation matrices, so
-re-evaluating at a new tau costs one K x K inverse, `asymptotics.resolvent`.
+re-evaluating at a new tau costs one K x K inverse, `combining.resolvent`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import resolvent
 from .channel import UserLinkProfile
+from .combining import resolvent
 from .config import SystemConfig
 
 
@@ -44,7 +44,7 @@ class TrainingCurve:
     `profiles` are the served users' local links, and one curve serves every
     SNR point: each tau method reads rho_d, rho_tr and T from its `config`
     (whose training_len is ignored).  Q(tau) and [Q G]_kk are the
-    conventional DE's `asymptotics.resolvent` of G = gram + diag(tr R_tilde)/N.
+    conventional DE's `combining.resolvent` of G = gram + diag(tr R_tilde)/N.
     """
 
     def __init__(self, profiles: list[UserLinkProfile]):
@@ -57,7 +57,7 @@ class TrainingCurve:
         self.eigs = np.stack([p.r_eigvals for p in profiles])
 
     def _resolvent(self, tau: float, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Q(tau) and gamma(tau), from one `asymptotics.resolvent`."""
+        """Q(tau) and gamma(tau), from one `combining.resolvent`."""
         s = _shift(tau, config)
         traces = np.sum(self.eigs**2 / (self.eigs + s), axis=1)  # tr(R_tilde)
         q, signal = resolvent(self.gram + np.diag(traces) / self.n, config.snr_data)

@@ -627,9 +627,10 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
     one_ring.write_text(SCENARIO_TEXT.replace("exponential", "one_ring"))
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(one_ring), "--trials", "2")
     assert code == 0 and parse_csv(out)
-    # one per link (k = 3); the regularizer is one N x N inverse per
+    # one per link (k = 3), and one of the local sum the statistical
+    # receiver works in; the regularizer is one N x N inverse per
     # (SNR point, BS), and the rest are batched K x K resolvents
-    assert calls == {"eigh": 3, "eigvalsh": 0}
+    assert calls == {"eigh": 4, "eigvalsh": 0}
     assert dtypes == {np.dtype(np.float64)}
     assert sum(shape == (16, 16) for shape in inverses) == 2
     # a single cell reads its SINR off the K x K gram: no combiner is formed
@@ -654,8 +655,9 @@ def test_one_eigendecomposition_per_correlation_matrix(scenario_file, tmp_path, 
 
 def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys, monkeypatch):
     # one eigh per same-pilot sum serves every training key and both the
-    # Monte Carlo and the DE callers; the only N x N inverse is the Monte
-    # Carlo's regularizer M, one per (SNR point, BS)
+    # Monte Carlo and the DE callers, and one per local sum the statistical
+    # receiver; the only N x N inverse is the Monte Carlo's regularizer M,
+    # one per (SNR point, BS)
     n, k, cells, points = 8, 2, 3, 2
     calls = {"eigh": 0, "inv": []}
     dtypes = set()
@@ -679,12 +681,12 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
         .replace("exponential", "one_ring")
         + "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
     )
-    links, sums = cells * cells * k, cells * k
+    links, sums = cells * cells * k, cells * k + cells
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "2")
     assert code == 0 and parse_csv(out)
     # the inverses are one N x N regularizer M per (SNR point, BS), then the
-    # statistical K x K LoS resolvent, per (SNR point, BS)
-    assert calls == {"eigh": links + sums, "inv": [(n, n)] * (points * cells) + [(k, k)] * (points * cells)}
+    # statistical K x K LoS resolvent, one stack of the grid per BS
+    assert calls == {"eigh": links + sums, "inv": [(n, n)] * (points * cells) + [(points, k, k)] * cells}
     # links, same-pilot sums and regularizers are all real images
     assert dtypes == {np.dtype(np.float64)}
     # B != A with several cells: one combiner per (trial, SNR point, BS)
@@ -693,9 +695,10 @@ def test_three_cell_estimators_take_one_eigh_per_same_pilot_sum(tmp_path, capsys
     calls.update(eigh=0, inv=[])
     code, out, _ = run_cli(capsys, "asymptotic", "--scenario", str(scenario))
     assert code == 0 and parse_csv(out)
-    # the plain DE of one-ring scenarios inverts only its K x K Q matrix and
-    # the statistical DE its K x K LoS resolvent, each once per (SNR point, BS)
-    assert calls == {"eigh": links + sums, "inv": [(k, k)] * (2 * points * cells)}
+    # the plain DE of one-ring scenarios inverts only its K x K Q matrix, once
+    # per (SNR point, BS), and the statistical DE its K x K LoS resolvent,
+    # one stack of the grid per BS
+    assert calls == {"eigh": links + sums, "inv": [(k, k)] * (points * cells) + [(points, k, k)] * cells}
     assert dtypes == {np.dtype(np.float64)}
 
 

@@ -56,6 +56,12 @@ def test_defaults_are_valid():
         dict(kappa_max=-1.0),
         dict(trials=0),
         dict(tau_mode="fixed", tau=2),
+        # tau is read only in fixed mode; elsewhere it would be ignored
+        dict(tau=30),
+        dict(tau_mode="optimal", tau=30),
+        # a repeated point would write every row of it twice
+        dict(snr_grid_db=(0.0, 0.0)),
+        dict(snr_grid_db=(0.0, 5.0, -0.0)),
         dict(k=50, t=50),
         # each would break the CSV row the id is written into
         dict(scenario_id="a,b"),

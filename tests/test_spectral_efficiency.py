@@ -19,7 +19,7 @@ from rician_mimo.channel import (
     row_spectrum,
     standard_complex_normal,
 )
-from rician_mimo.combining import conventional_combiner, statistical_combiner
+from rician_mimo.combining import conventional_combiner, statistical_combiner, statistical_resolvent
 from rician_mimo.config import SystemConfig
 from rician_mimo.estimation import BSStatistics, key_shrinkage, regularizer_sums
 from rician_mimo.presets import preset_specs
@@ -627,7 +627,7 @@ def test_stat_multicell_interference_hurts():
 def distinct_eigenpairs(bs):
     """`bs` with every link holding its own tuple of the same eigenpair
     arrays: no theta is shared (`basis` is None), so the statistical
-    receiver takes its per-point solve of the same statistics."""
+    receiver takes the `eigh` of the local sum of the same statistics."""
     links = []
     for cell in bs.links:
         copies = []
@@ -642,7 +642,9 @@ def distinct_eigenpairs(bs):
 @pytest.mark.parametrize("kappa_max", [0.0, 2.0])
 @pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
 @pytest.mark.parametrize("correlation", ["exponential", "identity"])
-def test_stat_shared_theta_grid_matches_per_point_solve(correlation, layout, kappa_max):
+def test_stat_theta_basis_matches_eigh(correlation, layout, kappa_max):
+    # the analytic eigenpair (sum_k lam_jk, V) of a shared theta and the
+    # eigh of the local image give the same SE and combiner
     three = {"layout": "three_cell_edge", "l": 3, "placement": "cell_edge"}
     spec = ScenarioSpec(
         n=16, k=4, t=50, seed=11, correlation=correlation, kappa_max=kappa_max,
@@ -666,6 +668,39 @@ def test_stat_shared_theta_grid_matches_per_point_solve(correlation, layout, kap
             g_ref = statistical_combiner(solved[j][j], cfg.snr_data).vectors
             gap = np.linalg.norm(g - g_ref, axis=0)
             assert np.all(gap <= 1e-12 * np.linalg.norm(g_ref, axis=0))
+
+
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_stat_one_ring_grid_takes_one_eigh_per_bs_and_no_solve(layout, monkeypatch):
+    # one-ring links share no theta, so each BS takes one eigh of its local
+    # sum and reads the whole grid in that basis: no N x N solve, and the
+    # grid equals its one-point calls
+    three = {"layout": "three_cell_edge", "l": 3, "placement": "cell_edge"}
+    spec = ScenarioSpec(
+        n=16, k=4, t=50, seed=11, correlation="one_ring", kappa_max=2.0,
+        snr_grid_db=(-10.0, 0.0, 20.0, 40.0), **(three if layout == "three_cell_edge" else {}),
+    )
+    scenario = build_scenario(spec)
+    rho_ds = [spec.system_config(snr).snr_data for snr in spec.snr_grid_db]
+    calls = {"eigh": [], "solve": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    grids = [statistical_resolvent(bs, rho_ds) for bs in scenario.profiles]
+    assert all(bs.basis is None for bs in scenario.profiles)
+    assert calls["eigh"] == [(16, 16)] * scenario.n_cells
+    assert calls["solve"] == []
+    for bs, grid in zip(scenario.profiles, grids):
+        for p, rho_d in enumerate(rho_ds):
+            for stacked, single in zip(grid, statistical_resolvent(bs, [rho_d])):
+                assert np.allclose(stacked[p], single[0], rtol=1e-14, atol=0.0)
+    # the one-point calls reuse each BS's eigenpair
+    assert len(calls["eigh"]) == scenario.n_cells and calls["solve"] == []
 
 
 def test_stat_rayleigh_user_gets_zero_se():

@@ -83,11 +83,13 @@ def test_statistical_sums_are_built_once_per_bs(monkeypatch, cells):
     rows = _rows_for_scenario(scenario, ("conv", "stat"), "both", 2, spec.seed)
     assert len({r.snr_db for r in rows}) == 9
     # one same-pilot eigh per (BS, user), shared by the Monte Carlo and the
-    # DE; a single cell's one-link groups reuse the link's own eigenvectors
-    assert len(eighs) == (cells * spec.k if cells > 1 else 0)
+    # DE, where a single cell's one-link groups reuse the link's own
+    # eigenvectors; and one of each BS's local sum, the statistical receiver's
+    eigh_count = (cells * spec.k if cells > 1 else 0) + cells
+    assert len(eighs) == eigh_count
     _crossover_and_gain(scenario)
     assert built == list(range(cells))
-    assert len(eighs) == (cells * spec.k if cells > 1 else 0)
+    assert len(eighs) == eigh_count
 
 
 def test_finished_scenario_is_freed_without_the_cycle_collector():
