@@ -40,15 +40,9 @@ def main() -> None:
         scenario = build_scenario(spec)
         config = spec.system_config(args.snr)
         multi = se_stat_multicell(scenario.profiles, [config])[0]
-        gaps = []
-        for bs in range(3):
-            single = se_stat_singlecell(scenario.local_profiles(bs), [config])[0]
-            mask = single.per_user_se > 1e-9
-            gaps.append(
-                np.abs(multi[bs].per_user_se - single.per_user_se)[mask]
-                / single.per_user_se[mask]
-            )
-        gap = np.concatenate(gaps)
+        single = np.array([se_stat_singlecell(scenario.local_profiles(bs), [config])[0] for bs in range(3)])
+        mask = single > 1e-9
+        gap = np.abs(multi - single)[mask] / single[mask]
         print(f"{n:>5d} {gap.max():>10.4f} {gap.mean():>9.4f}")
 
 

@@ -62,12 +62,7 @@ from .estimation import BSStatistics, EstimatorState, build_estimator_multicell
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset
 from .results import ResultRow, emit_results
 from .scenarios import Scenario, ScenarioSpec, build_scenario, parse_scenario, serialize_scenario
-from .spectral_efficiency import (
-    SEReport,
-    conventional_mc,
-    se_stat_multicell,
-    se_stat_singlecell,
-)
+from .spectral_efficiency import conventional_mc, se_stat_multicell, se_stat_singlecell
 from .sweeps import run_sweep
 from .training import (
     TrainingCurve,

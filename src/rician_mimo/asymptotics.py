@@ -406,8 +406,7 @@ def se_stat_singlecell_de(
     of `combining.statistical_resolvent`; the LoS-only form is
     `se_stat_multicell_de`, which drops the vanishing scattered covariances.
     """
-    exact = se_stat_singlecell(profiles, [config])[0].per_user_se
-    return exact, se_stat_multicell_de(profiles, config)
+    return se_stat_singlecell(profiles, [config])[0], se_stat_multicell_de(profiles, config)
 
 
 def se_stat_multicell_de(local_profiles: list[UserLinkProfile], config: SystemConfig) -> np.ndarray:

@@ -350,11 +350,15 @@ def regularizer_sums(
     buffer = np.empty_like(scaled_vecs)
 
     def cell_sum(ell: int) -> np.ndarray:
-        rest = [m for m in range(len(proj)) if m != ell]
+        rest = [proj[m] for m in range(len(proj)) if m != ell]
         right = buffer
-        right[...] = proj[rest[0]]
-        for m in rest[1:]:
-            right += proj[m]
+        if len(rest) == 1:
+            right[...] = rest[0]
+        else:
+            # the first two terms in one pass, with no copy first
+            np.add(rest[0], rest[1], out=right)
+        for term in rest[2:]:
+            right += term
         right *= shrink
         right += scaled_vecs
         return proj[ell] @ right.T

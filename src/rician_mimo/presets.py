@@ -129,10 +129,9 @@ def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...]):
     """Average (over users of cell 0) DE SE per scheme over an SNR grid; both
     schemes run for BS 0 only."""
     configs = operating_points(scenario, snr_grid)
-    conv = [float(np.mean(se)) for se in conv_de_at_bs(scenario, 0, configs)]
-    reports = se_stat_multicell([scenario.profiles[0]], configs)
-    stat = [float(np.mean(per_bs[0].per_user_se)) for per_bs in reports]
-    return np.array(conv), np.array(stat)
+    conv = conv_de_at_bs(scenario, 0, configs).mean(axis=-1)
+    stat = se_stat_multicell([scenario.profiles[0]], configs)[:, 0].mean(axis=-1)
+    return conv, stat
 
 
 def _crossover_and_gain(scenario: Scenario) -> tuple[float | None, float]:

@@ -20,7 +20,6 @@ SNR/tau points re-evaluated with the same seed sees identical channels
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +31,11 @@ from .estimation import BSStatistics, key_shrinkage, regularizer_sums
 Profiles = list[BSStatistics]  # [bs], each indexing [cell][user] like its links
 
 
-@dataclass
-class SEReport:
-    """Per-user SE for one scheme at one operating point."""
-
-    per_user_se: np.ndarray
-    se_stderr: np.ndarray | None  # None for an exact (draw-free) SE
-
-    def __post_init__(self):
-        # NaN fails every comparison, so test for the valid values
-        if not np.all(self.per_user_se >= 0):
-            raise ValueError("spectral efficiencies must be non-negative")
+def _checked(se: np.ndarray) -> np.ndarray:
+    # NaN fails every comparison, so test for the valid values
+    if not np.all(se >= 0):
+        raise ValueError("spectral efficiencies must be non-negative")
+    return se
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -241,8 +234,10 @@ def _conditional_sinr(
 
 def conventional_mc(
     profiles: Profiles, configs: list[SystemConfig], trials: int, seed: int
-) -> list[list[SEReport]]:
-    """Monte Carlo SE of conventional combining, reports[config][bs].
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Monte Carlo SE of conventional combining and its standard error, each
+    (configs, BS, users) in nats; the standard error is None for one trial,
+    whose spread is unknown.
 
     Estimators are shared between configs with equal (training_len,
     snr_training); channel and pilot-noise draws are shared by all configs
@@ -251,27 +246,20 @@ def conventional_mc(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     mean, m2 = mc_log_moments(profiles, configs, seed, 0, trials)
-    var = m2 / (trials - 1) if trials > 1 else np.zeros_like(m2)
-    stderr = np.sqrt(var / trials)
-    return [
-        [
-            SEReport(c.prelog * mean[p, j], c.prelog * stderr[p, j]) for j in range(len(profiles))
-        ]
-        for p, c in enumerate(configs)
-    ]
+    prelog = np.array([c.prelog for c in configs])[:, None, None]
+    stderr = prelog * np.sqrt(m2 / (trials - 1) / trials) if trials > 1 else None
+    return _checked(prelog * mean), stderr
 
 
-def se_stat_singlecell(
-    profiles: list[UserLinkProfile], configs: list[SystemConfig]
-) -> list[SEReport]:
-    """Exact SE of single-cell statistical combining, one report per config:
+def se_stat_singlecell(profiles: list[UserLinkProfile], configs: list[SystemConfig]) -> np.ndarray:
+    """Exact SE of single-cell statistical combining, (configs, users):
     `se_stat_multicell` of the one cell, whose SINR is c_k / m_k."""
-    return [r[0] for r in se_stat_multicell([BSStatistics([profiles], 0)], configs)]
+    return se_stat_multicell([BSStatistics([profiles], 0)], configs)[:, 0]
 
 
-def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[list[SEReport]]:
+def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> np.ndarray:
     """Exact SE of statistical combining (no Monte Carlo needed) under full
-    inter-cell interference, reports[config][bs].
+    inter-cell interference, (configs, BS, users) in nats.
 
     Uses E[h_i h_i^H] = R_i + h_bar_i h_bar_i^H for every user, with the
     served user's LoS outer product excluded from the interference.  The
@@ -282,7 +270,7 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
     call for the whole list of configs, from its `BSStatistics`, in the
     eigenbasis of its local covariance sum.
     """
-    reports: list[list[SEReport]] = [[] for _ in configs]
+    per_bs = []
     for bs in profiles:
         m, c, _, form = statistical_resolvent(bs, [config.snr_data for config in configs])
         # a user without LoS has c_k = 0 and u_k = 0 exactly, hence 0/0;
@@ -290,6 +278,5 @@ def se_stat_multicell(profiles: Profiles, configs: list[SystemConfig]) -> list[l
         los = c != 0
         sinr = np.zeros_like(c)
         sinr[los] = c[los] / (m[los] + form[los] / c[los])
-        for per_bs, point_sinr in zip(reports, sinr):
-            per_bs.append(SEReport(np.log1p(point_sinr), None))
-    return reports
+        per_bs.append(np.log1p(sinr))
+    return _checked(np.stack(per_bs, axis=1))

@@ -5,8 +5,8 @@ requested schemes in the requested mode (Monte Carlo, deterministic
 equivalent, or both) and returns flat result rows.  All Monte Carlo points
 of one scenario share channel draws (common random numbers), so curves over
 SNR or tau are smooth functions of the same randomness.  Each scheme takes
-the scenario's whole SNR grid in one call and returns its results indexed
-[config][bs], and every scheme reads the scenario's one
+the scenario's whole SNR grid in one call and returns one (point, BS, user)
+array in nats, and every scheme reads the scenario's one
 `estimation.BSStatistics` per BS (the LoS columns, the covariance sums and
 the same-pilot spectra); tau* too is solved over the whole grid in one call
 (`operating_points`).  The statistical SE is exact, so its deterministic
@@ -42,31 +42,27 @@ def operating_points(scenario: Scenario, snr_grid: tuple[float, ...]) -> list[Sy
     return [dataclasses.replace(c, training_len=s.tau_star) for c, s in zip(configs, solutions)]
 
 
-def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> list[np.ndarray]:
-    """Deterministic-equivalent conventional SE of BS `bs`, one array per
-    config, from the scenario's `BSStatistics` of that BS: one builder and
-    one SE formula in one cell and in several."""
-    # the refined equivalent runs on the eigenbasis that every link of an
-    # exponential/identity scenario shares, where it is diagonal: O(N K^2 +
-    # K^3) per point.  It needs links of one shared theta and raises
-    # ValueError otherwise; one-ring links each hold their own theta, so
-    # they use the plain equivalents
-    refined = scenario.spec.correlation != "one_ring"
+def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> np.ndarray:
+    """Deterministic-equivalent conventional SE of BS `bs`, (configs, users),
+    from the scenario's `BSStatistics` of that BS: one builder and one SE
+    formula in one cell and in several."""
     stats = scenario.profiles[bs]
-    return [se_conv_multicell_de(build_q_multicell(stats, c, refined), c) for c in configs]
+    # the refined equivalent runs on the eigenbasis that every link shares
+    # (`basis`), where it is diagonal: O(N K^2 + K^3) per point.  Links with
+    # no shared theta (one-ring: each its own) use the plain equivalents
+    refined = stats.basis is not None
+    return np.array([se_conv_multicell_de(build_q_multicell(stats, c, refined), c) for c in configs])
 
 
-def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
-    """Deterministic-equivalent conventional SE, de[config][bs]."""
-    per_bs = [conv_de_at_bs(scenario, bs, configs) for bs in range(scenario.n_cells)]
-    return [list(per_config) for per_config in zip(*per_bs)]
+def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> np.ndarray:
+    """Deterministic-equivalent conventional SE, (configs, BS, users)."""
+    return np.stack([conv_de_at_bs(scenario, bs, configs) for bs in range(scenario.n_cells)], axis=1)
 
 
-def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> list[list[np.ndarray]]:
-    """Deterministic-equivalent statistical SE, de[config][bs]: the exact SE
-    of `se_stat_multicell`, in every layout."""
-    reports = se_stat_multicell(scenario.profiles, configs)
-    return [[r.per_user_se for r in per_bs] for per_bs in reports]
+def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> np.ndarray:
+    """Deterministic-equivalent statistical SE, (configs, BS, users): the
+    exact SE of `se_stat_multicell`, in every layout."""
+    return se_stat_multicell(scenario.profiles, configs)
 
 
 def _rows_for_scenario(
@@ -83,23 +79,18 @@ def _rows_for_scenario(
     grid = spec.snr_grid_db
     configs = operating_points(scenario, grid)
     want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
-    # per scheme: (row name, mc[config][bs] or None, de[config][bs] or None),
-    # in nats, each list from one call over the whole grid
+    # per scheme: (row name, (se, stderr) or None, de or None), each array
+    # (configs, BS, users) in nats from one call over the whole grid
     results = {}
     if "conv" in schemes:
-        mc = de = None
-        if want_mc:
-            mc = conventional_mc(scenario.profiles, configs, trials, seed)
-        if want_de:
-            de = conv_de_per_bs(scenario, configs)
-        name = "conv_multi" if multi else "conv_single"
-        results["conv"] = (name, mc, de)
+        mc = conventional_mc(scenario.profiles, configs, trials, seed) if want_mc else None
+        de = conv_de_per_bs(scenario, configs) if want_de else None
+        results["conv"] = ("conv_multi" if multi else "conv_single", mc, de)
     if "stat" in schemes:
         # the statistical SE is exact and is its own DE: one evaluation fills both columns
-        reports = se_stat_multicell(scenario.profiles, configs)
-        exact = [[r.per_user_se for r in per_bs] for per_bs in reports]
+        exact = se_stat_multicell(scenario.profiles, configs)
         name = "stat_multi" if multi else "stat_single"
-        results["stat"] = (name, reports if want_mc else None, exact if want_de else None)
+        results["stat"] = (name, (exact, None) if want_mc else None, exact if want_de else None)
     rows: list[ResultRow] = []
     for i, (snr, config) in enumerate(zip(grid, configs)):
         for scheme in schemes:
@@ -107,13 +98,13 @@ def _rows_for_scenario(
             tau_used, prelog = (config.training_len, config.prelog) if scheme == "conv" else (0, 1.0)
             for bs in range(scenario.n_cells):
                 for u in range(k):
-                    de_u = None if de is None else float(de[i][bs][u]) * scale
+                    de_u = None if de is None else float(de[i, bs, u]) * scale
                     if mc is None:
                         se_value, stderr, se_de = de_u, None, None
                     else:
-                        err = mc[i][bs].se_stderr
-                        se_value = float(mc[i][bs].per_user_se[u]) * scale
-                        stderr = None if err is None else float(err[u]) * scale
+                        se, err = mc
+                        se_value = float(se[i, bs, u]) * scale
+                        stderr = None if err is None else float(err[i, bs, u]) * scale
                         se_de = de_u
                     rows.append(
                         ResultRow(

@@ -8,12 +8,18 @@ the moment the program meets it.
 The DE-vs-MC settings are those of `scripts/compare_de_vs_mc.py --trials
 1000`: N=150, K=20, T=500, seed 3, kappa_max 2, tau = K, the default SNR
 grid and placement.  The N-convergence criterion runs one cell at
-K = N/8 and 400 trials.
+K = N/8 and 400 trials.  Byte-identical reproduction runs each command
+twice, in fresh interpreters with different hash seeds.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rician_mimo
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import conventional_mc
 from rician_mimo.sweeps import conv_de_per_bs
@@ -51,9 +57,8 @@ def conventional_curves(request):
     )
     scenario = build_scenario(spec)
     configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
-    reports = conventional_mc(scenario.profiles, configs, TRIALS, SEED)
-    mc = np.array([[report.per_user_se for report in per_bs] for per_bs in reports])
-    return mc, np.array(conv_de_per_bs(scenario, configs))
+    mc, _ = conventional_mc(scenario.profiles, configs, TRIALS, SEED)
+    return mc, conv_de_per_bs(scenario, configs)
 
 
 def test_conventional_de_within_five_percent_of_mc_for_every_user(conventional_curves):
@@ -70,9 +75,8 @@ def _user_mean_gap(correlation: str, n: int) -> float:
     spec = ScenarioSpec(n=n, k=n // 8, t=500, kappa_max=2.0, correlation=correlation, seed=SEED, trials=400)
     scenario = build_scenario(spec)
     configs = [spec.system_config(snr, tau=spec.k) for snr in (0.0, 10.0, 20.0)]
-    reports = conventional_mc(scenario.profiles, configs, 400, SEED)
-    mc = np.array([[report.per_user_se for report in per_bs] for per_bs in reports]).mean(axis=-1)
-    de = np.array(conv_de_per_bs(scenario, configs)).mean(axis=-1)
+    mc = conventional_mc(scenario.profiles, configs, 400, SEED)[0].mean(axis=-1)
+    de = conv_de_per_bs(scenario, configs).mean(axis=-1)
     return float(np.max(np.abs(mc - de) / de))
 
 
@@ -97,3 +101,32 @@ def test_conventional_de_converges_to_mc_with_n(correlation):
     gap_32, gap_256 = _user_mean_gap(correlation, 32), _user_mean_gap(correlation, 256)
     assert gap_256 < 0.01, f"N=256 gap {gap_256:.2%}"
     assert gap_256 <= 0.5 * gap_32, f"N=32 gap {gap_32:.2%}, N=256 gap {gap_256:.2%}"
+
+
+REPRODUCED_SCENARIO = "correlation = one_ring\nn = 150\nk = 20\nt = 500\nseed = 3\ntrials = 16\n"
+
+
+def _fresh_run(argv: list[str], out: str, hash_seed: str) -> tuple[bytes, bytes]:
+    """(rows, stdout) of one `python -m rician_mimo.cli` run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rician_mimo.cli", *argv, "--out", out],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    with open(out, "rb") as fh:
+        return fh.read(), proc.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "fig1b"], ids=["simulate-one_ring-single_cell", "reproduce-fig1b"])
+def test_reproduction_is_byte_identical(tmp_path, preset):
+    # a paper-scale one-ring Monte Carlo (16 trials, default grid) and the
+    # fig1b preset: rows and summary the same bytes in two fresh interpreters
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(REPRODUCED_SCENARIO)
+    argv = ["reproduce", "--figure", preset] if preset else ["simulate", "--scenario", str(scenario)]
+    first, second = (_fresh_run(argv, str(tmp_path / f"rows{seed}.csv"), seed) for seed in ("0", "1"))
+    assert first[0] and first == second

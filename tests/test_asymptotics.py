@@ -357,7 +357,7 @@ def test_refined_multicell_de_saturates_at_the_contamination_ceiling():
     )
     scenario = build_scenario(spec)
     configs = [spec.system_config(snr) for snr in (100.0, 120.0, 150.0, 300.0)]
-    de = np.array(conv_de_per_bs(scenario, configs))
+    de = conv_de_per_bs(scenario, configs)
     np.testing.assert_allclose(de[1:], np.broadcast_to(de[0], de[1:].shape), rtol=1e-8, atol=0.0)
 
 
@@ -388,9 +388,8 @@ def test_conv_de_matches_mc_at_minus_600_db(correlation, layout):
     )
     scenario = build_scenario(spec)
     configs = [spec.system_config(-600.0)]
-    reports = conventional_mc(scenario.profiles, configs, 20, 4)
-    mc = np.array([[r.per_user_se for r in per_bs] for per_bs in reports])
-    de = np.array(conv_de_per_bs(scenario, configs))
+    mc, _ = conventional_mc(scenario.profiles, configs, 20, 4)
+    de = conv_de_per_bs(scenario, configs)
     assert np.all(de > 0) and np.all(de < 1e-59)
     np.testing.assert_allclose(de, mc, rtol=1e-9, atol=0.0)
 
@@ -451,7 +450,7 @@ def test_plain_de_forms_no_estimate_covariance_image(layout, monkeypatch):
     )
     scenario = build_scenario(spec)
     de = conv_de_per_bs(scenario, [spec.system_config(snr) for snr in (0.0, 20.0)])
-    assert all(np.all(np.isfinite(se)) and np.all(se > 0) for per_bs in de for se in per_bs)
+    assert np.all(np.isfinite(de)) and np.all(de > 0)
 
 
 @pytest.mark.parametrize("correlation", ["exponential", "one_ring"])
@@ -466,7 +465,7 @@ def test_refined_de_builds_no_same_pilot_spectra(layout, correlation):
     )
     scenario = build_scenario(spec)
     de = conv_de_per_bs(scenario, [spec.system_config(snr) for snr in (0.0, 20.0)])
-    assert all(np.all(np.isfinite(se)) for per_bs in de for se in per_bs)
+    assert np.all(np.isfinite(de))
     built = ["_pilot" in vars(stats) for stats in scenario.profiles]
     assert built == [correlation == "one_ring"] * cells
 
@@ -491,7 +490,7 @@ def test_stat_full_form_equals_exact_expression():
     ]
     cfg = make_config(n, k, snr=4.0)
     full, simplified = se_stat_singlecell_de(profiles, cfg)
-    exact = se_stat_singlecell(profiles, [cfg])[0].per_user_se
+    exact = se_stat_singlecell(profiles, [cfg])[0]
     assert np.max(np.abs(full - exact)) < 1e-10
     assert np.all(simplified >= 0)
 
@@ -545,9 +544,8 @@ def test_stat_multicell_converges_to_los_only_form_with_n(correlation):
         cfg = spec.system_config(3.0)
         exact = se_stat_multicell(scenario.profiles, [cfg])[0]
         return max(
-            np.max(np.abs(se_stat_multicell_de(scenario.local_profiles(j), cfg) - r.per_user_se)
-                   / r.per_user_se)
-            for j, r in enumerate(exact)
+            np.max(np.abs(se_stat_multicell_de(scenario.local_profiles(j), cfg) - se) / se)
+            for j, se in enumerate(exact)
         )
 
     gaps = [gap(n) for n in (32, 64, 128, 256)]

@@ -62,6 +62,15 @@ def test_asymptotic_has_no_stderr_column_values(scenario_file, capsys):
     assert all(r.se_stderr is None for r in rows)
 
 
+def test_simulate_one_trial_leaves_stderr_empty(scenario_file, capsys):
+    # one draw gives no spread: the stderr cell stays empty, not 0.0, which
+    # would claim a converged estimate
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", scenario_file, "--trials", "1")
+    assert code == 0
+    rows = [r for r in parse_csv(out) if r.scheme == "conv_single"]
+    assert rows and all(r.se_value > 0 and r.se_stderr is None for r in rows)
+
+
 def test_simulate_writes_output_file(scenario_file, tmp_path, capsys):
     out_path = tmp_path / "res" / "rows.csv"
     code, _, _ = run_cli(
@@ -307,6 +316,9 @@ def test_exit_numerical_failure_on_non_finite_single_cell_estimate(scenario_file
 LOW_SNR_SCENARIO = "correlation = one_ring\nn = 16\nk = 3\nt = 50\nseed = 4\n"
 
 
+# each case makes a NaN or inf on purpose, which the package refuses; the
+# numpy warning on the way there is expected, not an error of the test
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [

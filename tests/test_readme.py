@@ -15,7 +15,7 @@ def test_minimal_library_example_runs(capsys):
     namespace: dict = {}
     exec(compile(match.group(1), "README.md", "exec"), namespace)
     assert capsys.readouterr().out
-    mc, de = namespace["reports"][0][0].per_user_se, namespace["de"][0][0]
+    mc, de = namespace["se"][0, 0], namespace["de"][0, 0]
     users = namespace["spec"].k
     assert mc.shape == de.shape == (users,)
     assert np.all(np.isfinite(mc)) and np.all(mc > 0)

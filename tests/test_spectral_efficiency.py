@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from lmmse_oracle import dense_lmmse
 
-from rician_mimo import estimation
+from rician_mimo import estimation, spectral_efficiency
 from rician_mimo.asymptotics import se_stat_singlecell_de
 from rician_mimo.channel import (
     build_profile,
@@ -26,7 +26,6 @@ from rician_mimo.presets import preset_specs
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import (
     BLOCK_TRIALS,
-    SEReport,
     _EstimatorArrays,
     _rotated_draws,
     conventional_mc,
@@ -193,14 +192,14 @@ def test_mc_common_random_numbers_across_point_subsets():
     profiles = tiny_profiles(seed=2)
     both = conventional_mc(profiles, [point(2, 1.0, 1.0), point(2, 5.0, 5.0)], 10, seed=3)
     solo = conventional_mc(profiles, [point(2, 5.0, 5.0)], 10, seed=3)
-    assert np.array_equal(both[1][0].per_user_se, solo[0][0].per_user_se)
+    assert np.array_equal(both[0][1], solo[0][0])
 
 
 @pytest.mark.parametrize("cells", [1, 3])
 def test_mc_configs_with_one_training_snr_share_one_estimator_key(monkeypatch, cells):
     # a fixed training SNR puts two data SNRs on one (tau, rho_tr) key: the
-    # estimators are built once per (BS, user), and each config's report is
-    # the one a solo call gives
+    # estimators are built once per (BS, user), and each config's SE and
+    # standard error are those a solo call gives
     layout = {"layout": "three_cell_edge", "l": 3} if cells == 3 else {}
     spec = ScenarioSpec(n=8, k=2, t=50, correlation="exponential", seed=5,
                         snr_training_db=5.0, **layout)
@@ -219,11 +218,10 @@ def test_mc_configs_with_one_training_snr_share_one_estimator_key(monkeypatch, c
     monkeypatch.setattr(estimation, "build_estimator_multicell", counted)
     both = conventional_mc(profiles, configs, 5, seed=3)
     assert len(builds) == cells * spec.k
-    for cfg, per_bs in zip(configs, both):
-        [solo] = conventional_mc(profiles, [cfg], 5, seed=3)
-        for rep, alone in zip(per_bs, solo):
-            assert np.array_equal(rep.per_user_se, alone.per_user_se)
-            assert np.array_equal(rep.se_stderr, alone.se_stderr)
+    for p, cfg in enumerate(configs):
+        solo = conventional_mc(profiles, [cfg], 5, seed=3)
+        for grid, alone in zip(both, solo):
+            assert np.array_equal(grid[p], alone[0])
 
 
 @pytest.mark.parametrize(
@@ -420,32 +418,37 @@ def test_mc_stderr_matches_exact_rational_recomputation():
     spec = dataclasses.replace(preset_specs("fig2a")[0], trials=2)
     profiles = build_scenario(spec).profiles
     points = [spec.system_config(db) for db in (-10.0, 10.0, 30.0)]
-    reports = conventional_mc(profiles, points, 2, spec.seed)
+    _, stderr = conventional_mc(profiles, points, 2, spec.seed)
     logs = [mc_log_moments(profiles, points, spec.seed, t, 1)[0] for t in range(2)]
-    for p_idx, (pt, per_bs) in enumerate(zip(points, reports)):
-        rep = per_bs[0]
+    for p_idx, pt in enumerate(points):
         for k in range(spec.k):
             x = [Fraction(float(log[p_idx, 0, k])) for log in logs]
             mean = sum(x) / 2
             var = sum((v - mean) ** 2 for v in x)  # 1/(trials - 1) = 1
             exact = pt.prelog * math.sqrt(var / 2)
-            assert abs(rep.se_stderr[k] - exact) <= 1e-12 * exact
+            assert abs(stderr[p_idx, 0, k] - exact) <= 1e-12 * exact
 
 
 def test_mc_reports_scale_by_config_prelog():
-    # each report is its config's prelog times the kernel's moments, so
-    # configs of different tau share draws
+    # each point's SE and standard error are its config's prelog times the
+    # kernel's moments, so configs of different tau share draws
     profiles = tiny_profiles(seed=6)
     trials = 4
     configs = [point(5, 1.0, 1.0), point(2, 1.0, 1.0)]
     mean, m2 = mc_log_moments(profiles, configs, 1, 0, trials)
-    reports = conventional_mc(profiles, configs, trials, seed=1)
-    for p_idx, (cfg, per_bs) in enumerate(zip(configs, reports)):
-        for j, rep in enumerate(per_bs):
-            stderr = np.sqrt(m2[p_idx, j] / (trials - 1) / trials)
-            assert np.array_equal(rep.per_user_se, cfg.prelog * mean[p_idx, j])
-            assert np.array_equal(rep.se_stderr, cfg.prelog * stderr)
+    se, stderr = conventional_mc(profiles, configs, trials, seed=1)
+    assert se.shape == stderr.shape == (len(configs), len(profiles), 2)
+    for p_idx, cfg in enumerate(configs):
+        assert np.array_equal(se[p_idx], cfg.prelog * mean[p_idx])
+        assert np.array_equal(stderr[p_idx], cfg.prelog * np.sqrt(m2[p_idx] / (trials - 1) / trials))
     assert configs[0].prelog == 1.0 - 5 / 50
+
+
+def test_mc_one_trial_has_no_stderr():
+    # one draw gives no spread, so no standard error is reported
+    profiles = tiny_profiles(seed=6)
+    se, stderr = conventional_mc(profiles, [point(2, 1.0, 1.0)], 1, seed=1)
+    assert stderr is None and np.all(se > 0)
 
 
 def test_mc_rejects_zero_trials():
@@ -468,14 +471,25 @@ def test_log_base_scaling():
     assert len(rows) == len(configs) * spec.k
     for row in rows:
         i = spec.snr_grid_db.index(row.snr_db)
-        expected = nats[i].per_user_se[row.user_id] / math.log(2.0)
+        expected = nats[i, row.user_id] / math.log(2.0)
         assert np.isclose(row.se_value, expected, rtol=1e-12, atol=0.0)
 
 
-def test_report_rejects_negative_se():
+def test_producers_reject_negative_or_nan_se(monkeypatch):
+    # both producers check their whole array: a NaN or negative SE is a
+    # numerical failure, never a value
+    profiles = tiny_profiles(seed=7)
     for bad in (-0.1, np.nan):
-        with pytest.raises(ValueError):
-            SEReport(per_user_se=np.array([bad]), se_stderr=np.zeros(1))
+        mean = np.full((1, len(profiles), 2), bad)
+        monkeypatch.setattr(spectral_efficiency, "mc_log_moments", lambda *args: (mean, np.zeros_like(mean)))
+        with pytest.raises(ValueError, match="non-negative"):
+            conventional_mc(profiles, [point(2, 1.0, 1.0)], 2, seed=1)
+        # c / m = expm1(bad), so the SE log1p(c / m) is `bad`
+        m = np.full((1, 2), 1.0 / np.expm1(bad))
+        resolvent = (m, np.ones_like(m), None, np.zeros_like(m))
+        monkeypatch.setattr(spectral_efficiency, "statistical_resolvent", lambda bs, rho_ds: resolvent)
+        with pytest.raises(ValueError, match="non-negative"):
+            se_stat_multicell(profiles, [point(2, 1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +562,8 @@ def test_stat_core_matches_leave_one_out_oracle(cells, rho_d):
     multi = se_stat_multicell(profiles, [cfg])[0]
     for j, bs in enumerate(profiles):
         single, multi_sinr = leave_one_out_sinrs(bs, j, rho_d)
-        assert_matches_oracle(se_stat_singlecell(bs[j], [cfg])[0].per_user_se, single)
-        assert_matches_oracle(multi[j].per_user_se, multi_sinr)
+        assert_matches_oracle(se_stat_singlecell(bs[j], [cfg])[0], single)
+        assert_matches_oracle(multi[j], multi_sinr)
         full, los_only = se_stat_singlecell_de(bs[j], cfg)
         assert_matches_oracle(full, single)
         assert_matches_oracle(los_only, leave_one_out_sinrs(bs, j, rho_d, scattered=False)[0])
@@ -580,7 +594,7 @@ def test_stat_singlecell_matches_empirical_average():
         for _ in range(k)
     ]
     cfg = make_config(n_users=3, training_len=3)
-    rep = se_stat_singlecell(profiles, [cfg])[0]
+    exact = se_stat_singlecell(profiles, [cfg])[0]
 
     g = statistical_combiner(profiles, cfg.snr_data).vectors
     draws = 200_000
@@ -599,7 +613,7 @@ def test_stat_singlecell_matches_empirical_average():
         # remove the coherent LoS part of the served user from the denominator
         den = inter - num + (n / cfg.snr_data) * np.linalg.norm(gu) ** 2
         se = math.log1p(num / den)
-        assert rep.per_user_se[u] == pytest.approx(se, rel=0.02)
+        assert exact[u] == pytest.approx(se, rel=0.02)
 
 
 def test_stat_multicell_reduces_to_singlecell():
@@ -610,8 +624,8 @@ def test_stat_multicell_reduces_to_singlecell():
         local = tiny_profiles(seed=seed)[0][0]
         single = se_stat_singlecell(local, [cfg])[0]
         multi = se_stat_multicell([BSStatistics([local], 0)], [cfg])[0][0]
-        assert np.array_equal(single.per_user_se, multi.per_user_se), seed
-        assert np.array_equal(se_stat_singlecell_de(local, cfg)[0], multi.per_user_se), seed
+        assert np.array_equal(single, multi), seed
+        assert np.array_equal(se_stat_singlecell_de(local, cfg)[0], multi), seed
 
 
 def test_stat_multicell_interference_hurts():
@@ -619,9 +633,7 @@ def test_stat_multicell_interference_hurts():
     cfg = make_config()
     multi = se_stat_multicell(profiles, [cfg])[0][0]
     clean = se_stat_singlecell(profiles[0][0], [make_config()])[0]
-    assert np.all(multi.per_user_se <= clean.per_user_se + 1e-12)
-    # the exact statistical SE has no Monte Carlo standard error
-    assert multi.se_stderr is None
+    assert np.all(multi <= clean + 1e-12)
 
 
 def distinct_eigenpairs(bs):
@@ -656,12 +668,10 @@ def test_stat_theta_basis_matches_eigh(correlation, layout, kappa_max):
     assert all(bs.basis is not None for bs in scenario.profiles)
     assert all(bs.basis is None for bs in solved)
     grid, reference = se_stat_multicell(scenario.profiles, configs), se_stat_multicell(solved, configs)
-    for per_bs, ref_bs in zip(grid, reference):
-        for j, (rep, ref) in enumerate(zip(per_bs, ref_bs)):
-            no_los = scenario.kappas[j] == 0
-            assert np.all(rep.per_user_se[no_los] == 0.0) and not np.any(np.signbit(rep.per_user_se))
-            assert np.all(ref.per_user_se[no_los] == 0.0)
-            assert np.allclose(rep.per_user_se, ref.per_user_se, rtol=1e-12, atol=0.0)
+    no_los = scenario.kappas == 0
+    assert np.all(grid[:, no_los] == 0.0) and not np.any(np.signbit(grid))
+    assert np.all(reference[:, no_los] == 0.0)
+    assert np.allclose(grid, reference, rtol=1e-12, atol=0.0)
     for j, bs in enumerate(scenario.profiles):
         for cfg in configs:
             g = statistical_combiner(bs[j], cfg.snr_data).vectors
@@ -709,6 +719,6 @@ def test_stat_rayleigh_user_gets_zero_se():
         build_profile(1.0, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n)),
         build_profile(1.0, 2.0, np.eye(n, dtype=complex), los_steering(0.8, n)),
     ]
-    rep = se_stat_singlecell(profiles, [make_config()])[0]
-    assert rep.per_user_se[0] == 0.0
-    assert rep.per_user_se[1] > 0.0
+    se = se_stat_singlecell(profiles, [make_config()])[0]
+    assert se[0] == 0.0
+    assert se[1] > 0.0

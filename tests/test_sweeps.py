@@ -229,9 +229,7 @@ def test_stat_multi_de_is_the_exact_se():
 def test_per_bs_helpers_shapes():
     sc = build_scenario(small_spec(layout="three_cell_edge", l=3))
     cfg = sc.spec.system_config(5.0)
-    [conv] = conv_de_per_bs(sc, [cfg])
-    [stat] = stat_de_per_bs(sc, [cfg])
-    assert len(conv) == 3 and len(stat) == 3
-    for arr in conv + stat:
-        assert arr.shape == (3,)
+    # (point, BS, user)
+    for arr in (conv_de_per_bs(sc, [cfg]), stat_de_per_bs(sc, [cfg])):
+        assert arr.shape == (1, 3, 3)
         assert np.all(np.isfinite(arr)) and np.all(arr >= 0)
