@@ -46,7 +46,7 @@ def main() -> None:
         trials=args.trials,
     )
     scenario = build_scenario(spec)
-    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
     start = time.perf_counter()
     mc, stderr = conventional_mc(scenario.profiles, configs, args.trials, args.seed)
     mc_elapsed = time.perf_counter() - start

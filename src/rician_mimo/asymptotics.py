@@ -13,22 +13,22 @@ mapped back to the antenna basis.
 
 The conventional DE of one BS at one operating point is a function of that
 BS's `BSStatistics` and one `SystemConfig` (tau, rho_tr and rho_d) only:
-`build_q_multicell(bs, config, refined)` builds its state and
+`build_q_multicell(bs, config)` builds its state and
 `se_conv_multicell_de` its SE.  One cell is the L = 1 case, and the
 single-cell names delegate to them.
 
-Two evaluation modes are supported, and both fill the same state.  The
-refined mode (default) keeps Z, which stays accurate at finite N even when
-the regularizer dominates the noise loading.  It needs every link to hold
-one correlation matrix's eigenpair (as `exponential` and `identity`
-scenarios build; `BSStatistics.basis`), so every spectrum is a multiple of
-theta's.  There A, B, Z and every R_tilde_i are diagonal, and each
-contaminating conditional mean is exactly a multiple alpha of the local
-estimate fluctuation, so the state is per-eigenvalue vectors, Hbar rotated
-into V and K x K algebra: O(N K^2 + K^3) per SNR point, with no N x N
-product or inverse.  It reads only the links' eigenvalues, so the BS never
-builds its same-pilot stacks.  Links without one common theta raise
-ValueError.  The plain mode replaces Z by I, the additional large-antenna
+The BS decides which of two evaluation modes runs, and both fill the same
+state.  The refined mode keeps Z, which stays accurate at finite N even
+when the regularizer dominates the noise loading.  It runs where every
+link holds one correlation matrix's eigenpair (as `exponential` and
+`identity` scenarios build; `BSStatistics.basis`), so every spectrum is a
+multiple of theta's.  There A, B, Z and every R_tilde_i are diagonal, and
+each contaminating conditional mean is exactly a multiple alpha of the
+local estimate fluctuation, so the state is per-eigenvalue vectors, Hbar
+rotated into V and K x K algebra: O(N K^2 + K^3) per SNR point, with no
+N x N product or inverse.  It reads only the links' eigenvalues, so the BS
+never builds its same-pilot stacks.  Every other BS takes the plain mode
+(`_plain_state`), which replaces Z by I, the additional large-antenna
 simplification used in the published closed forms: it reads the BS's
 `estimation.key_shrinkage` f, and every trace is a weighted column sum of
 the projections P_l and f; no R_tilde_i is formed.  Its contamination
@@ -225,16 +225,11 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     Only the links' eigenvalues are read: no same-pilot stack and no N x N
     matrix is formed.
     """
-    if bs.basis is None:
-        raise ValueError(
-            "the refined deterministic equivalent needs links of one common "
-            "correlation matrix (one theta eigenpair shared by every link)"
-        )
     h = bs.h_rot
     n = len(h)
     local, others = bs.j, bs.others
     # lam[l, i]: eigenvalues of link (l, i); mu[i] their sum, summed in the
-    # order of `same_pilot_spectrum`; f[i] the shrinkage
+    # order of the same-pilot spectra; f[i] the shrinkage
     lam = bs.eigvals
     mu = sum(lam[1:], lam[0])
     f = 1.0 / (mu + 1.0 / tau_rho)
@@ -256,34 +251,17 @@ def _refined_state(bs: BSStatistics, tau_rho: float, rho_d: float) -> Asymptotic
     return AsymptoticState(q, gram2, t_mat, cross, alpha, *moments)
 
 
-def build_q_singlecell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
-    """`build_q_multicell` of one cell."""
-    return build_q_multicell(bs, config, refined)
+def _plain_state(bs: BSStatistics, config: SystemConfig) -> AsymptoticState:
+    """The plain state (Z = I), the published closed forms.
 
-
-def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = True) -> AsymptoticState:
-    """State of BS j at one operating point, in one cell or several.
-
-    `bs` is BS j's `BSStatistics` and `config` the operating point: tau,
-    rho_tr and rho_d come from it.  Pilot i at BS j is shared by user i of
-    every cell (none else in a single cell).  The regularizer adds the
-    inter-cell covariances, and the quadratic term B of `regularizer_sums`
-    keeps only the conditional covariances of the contaminating links
-    (B = A in a single cell); their conditional-mean power is carried by
-    the dedicated contamination model, matching the Monte Carlo split.
-
-    The refined state reads only the links' eigenvalues (`_refined_state`).
-    The plain state (Z = I) reads the BS's same-pilot stacks and its
-    `key_shrinkage` f: with P_l the projections `bs.proj[l]` (formed once
-    per call from (V, lam) on a same-basis BS, which stores none), tr R_tilde_i
-    and the cross traces come from `_phi_traces`, and tr(R_tilde_i B) from
-    one (N, N) @ (N, K*N) product B P_j and a weighted column sum.  Q and
-    the cancellation-free signal [QG]_kk are `resolvent`'s of the gram.
+    It reads the BS's same-pilot stacks and its `key_shrinkage` f: with P_l
+    the projections `bs.proj[l]` (formed once per call from (V, lam) on a
+    same-basis BS, which stores none), tr R_tilde_i and the cross traces
+    come from `_phi_traces`, and tr(R_tilde_i B) from one
+    (N, N) @ (N, K*N) product B P_j and a weighted column sum.  Q and the
+    cancellation-free signal [QG]_kk are `resolvent`'s of the gram.
     """
-    tau_rho = config.training_len * config.snr_training
-    if refined:
-        return _refined_state(bs, tau_rho, config.snr_data)
-    shrink = key_shrinkage(bs, config.training_len, config.snr_training)
+    shrink, _, b_mat = regularizer_sums(bs, config.training_len, config.snr_training)
     h_bar = bs.h_bar
     n, k = h_bar.shape
     local = bs.j
@@ -294,7 +272,6 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     gram = (h_bar.conj().T @ h_bar + np.diag(phi[local])) / n
     gram = 0.5 * (gram + gram.conj().T)
     q, signal = resolvent(gram, config.snr_data)
-    b_mat = regularizer_sums(bs, shrink, tau_rho)[1]
     b_proj = (b_mat @ p_local.reshape(n, -1)).reshape(p_local.shape)
     tr_b = np.einsum("rkc,rkc,kc->k", b_proj, p_local, shrink)
     t_mat = h_bar.conj().T @ real_matmul(b_mat, h_bar) + np.diag(tr_b)
@@ -304,6 +281,31 @@ def build_q_multicell(bs: BSStatistics, config: SystemConfig, refined: bool = Tr
     return AsymptoticState(
         q, gram, t_mat, cross, cross, signal, q, np.zeros((k, k)), zeros, zeros, np.abs(q) ** 2
     )
+
+
+def build_q_singlecell(bs: BSStatistics, config: SystemConfig) -> AsymptoticState:
+    """`build_q_multicell` of one cell."""
+    return build_q_multicell(bs, config)
+
+
+def build_q_multicell(bs: BSStatistics, config: SystemConfig) -> AsymptoticState:
+    """State of BS j at one operating point, in one cell or several.
+
+    `bs` is BS j's `BSStatistics` and `config` the operating point: tau,
+    rho_tr and rho_d come from it.  Pilot i at BS j is shared by user i of
+    every cell (none else in a single cell).  The regularizer adds the
+    inter-cell covariances, and the quadratic term B of `regularizer_sums`
+    keeps only the conditional covariances of the contaminating links
+    (B = A in a single cell); their conditional-mean power is carried by
+    the dedicated contamination model, matching the Monte Carlo split.
+
+    The BS decides the mode: the refined state (`_refined_state`, which
+    reads only the links' eigenvalues) where its links share one theta
+    (`bs.basis`), and the plain state (`_plain_state`) otherwise.
+    """
+    if bs.basis is None:
+        return _plain_state(bs, config)
+    return _refined_state(bs, config.training_len * config.snr_training, config.snr_data)
 
 
 def se_conv_singlecell_de(

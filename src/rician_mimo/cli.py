@@ -92,9 +92,13 @@ def _emit(rows: list[ResultRow], args) -> None:
         raise _IOFailure(str(exc)) from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+SEED_HELP = "override the scenario seed: the user drop and the Monte Carlo draws"
+REPRODUCE_SEED_HELP = "override the Monte Carlo seed and the seed column; a preset keeps its user drop"
+
+
+def _add_common(parser: argparse.ArgumentParser, seed_help: str) -> None:
     """The flags every subcommand reads."""
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    parser.add_argument("--seed", type=int, help=seed_help)
     parser.add_argument("--out", help="output path (stdout if omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(run=run)
-        _add_common(p)
+        _add_common(p, REPRODUCE_SEED_HELP if name == "reproduce" else SEED_HELP)
         if name in ("simulate", "sweep", "reproduce"):
             p.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
         if name == "reproduce":

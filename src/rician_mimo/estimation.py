@@ -5,7 +5,7 @@ despread observation has covariance S + sI with the same-pilot sum
 S = sum_l R_l and s = 1/(tau*rho_tr); pilot contamination enters only
 through S.  Every covariance is centro-Hermitian, and the estimator lives
 in one basis, that of the real images Q^H R Q (`channel.real_image`).  One
-real `eigh` of the image of S (`same_pilot_spectrum`) gives
+real `eigh` of the image of S, taken only by `BSStatistics`, gives
 Phi = Q V diag(f) V^T Q^H with f = 1/(mu + s) for every training key.
 With the real projections P_l = (Q^H R_l Q) V, the estimator is the pair
 (P_l, f): the gain of link l has the image P_l diag(f) V^T and the
@@ -24,7 +24,8 @@ the K same-pilot spectra and their eigenvectors, and the eigenbasis of the
 links' one shared correlation matrix, if any.  A scenario builds one per
 BS (`scenarios.build_scenario`), and the Monte Carlo, `regularizer_sums`,
 the deterministic equivalents and the statistical receiver all read it.
-`key_shrinkage` is the one builder of a BS's K estimators at a training key.
+`key_shrinkage` is the one builder of a BS's K estimators at a training key,
+and `regularizer_sums` returns it with the regularizer images it weights.
 """
 
 from __future__ import annotations
@@ -74,29 +75,12 @@ class PilotSpectrum:
         return basis_projections(self.eigvecs, np.array([p.r_eigvals for p in self.links]))
 
 
-def same_pilot_spectrum(
-    profiles: list[UserLinkProfile], out: tuple[np.ndarray, np.ndarray] | None = None
-) -> PilotSpectrum:
-    """Spectrum of the same-pilot links `profiles`.
-
-    A same-basis group keeps its profiles' own eigenvectors, sums their
-    eigenvalues and stores no projection.  Any other group, or any group
-    given `out`, takes one `eigh` of its image sum; `out` = (V, P) are the
-    (N, N) and (L, N, N) arrays to write V and the stack P into (views of
-    the stacks of a `BSStatistics` that is not same-basis), and without it
-    both get fresh arrays.
-    """
-    v = profiles[0].eigvecs
-    if out is None and all(p.eigvecs is v for p in profiles):
-        lams = [p.r_eigvals for p in profiles]
-        return PilotSpectrum(tuple(profiles), sum(lams[1:], lams[0]), v, None)
-    images = [p.r_image for p in profiles]
-    mu, v = np.linalg.eigh(sum(images))
-    vecs, proj = out if out is not None else (v, np.empty((len(profiles),) + v.shape))
-    vecs[...] = v
-    for image, p in zip(images, proj):
-        np.matmul(image, v, out=p)
-    return PilotSpectrum(tuple(profiles), np.clip(mu, 0.0, None), vecs, proj)
+def same_pilot_spectrum(profiles: list[UserLinkProfile]) -> PilotSpectrum:
+    """Spectrum of the same-pilot links `profiles`: the one spectrum of a BS
+    whose cells each hold one of them (`BSStatistics._pilot`).  A same-basis
+    group keeps its profiles' own eigenvectors and stores no projection; any
+    other group takes one `eigh` of its image sum."""
+    return BSStatistics([[p] for p in profiles], 0).spectra[0]
 
 
 def _columns(vs: list[np.ndarray]) -> np.ndarray:
@@ -181,14 +165,23 @@ class BSStatistics:
 
     @cached_property
     def _pilot(self) -> tuple[list[PilotSpectrum], np.ndarray, np.ndarray | None]:
-        groups = [list(group) for group in zip(*self.links)]
+        groups = [tuple(group) for group in zip(*self.links)]
+        spectra = []
         if self.same_basis:
-            spectra = [same_pilot_spectrum(g) for g in groups]
+            for group in groups:
+                lams = [p.r_eigvals for p in group]
+                spectra.append(PilotSpectrum(group, sum(lams[1:], lams[0]), group[0].eigvecs, None))
             return spectra, _columns([sp.eigvecs for sp in spectra]), None
         n = len(self.h_bar)
         vecs = np.empty((n, len(groups), n))
         proj = np.empty((len(self.links), n, len(groups), n))
-        spectra = [same_pilot_spectrum(g, (vecs[:, k], proj[:, :, k])) for k, g in enumerate(groups)]
+        for k, group in enumerate(groups):
+            images = [p.r_image for p in group]
+            mu, v = np.linalg.eigh(sum(images))
+            vecs[:, k] = v
+            for image, p in zip(images, proj[:, :, k]):
+                np.matmul(image, v, out=p)
+            spectra.append(PilotSpectrum(group, np.clip(mu, 0.0, None), vecs[:, k], proj[:, :, k]))
         return spectra, vecs, proj
 
     @cached_property
@@ -302,9 +295,10 @@ def key_shrinkage(bs: BSStatistics, tau: float, rho_tr: float) -> np.ndarray:
 
 
 def regularizer_sums(
-    bs: BSStatistics, shrink: np.ndarray, tau_rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real images of (A, B) of BS j at one key: its `key_shrinkage` f and tau*rho_tr.
+    bs: BSStatistics, tau: float, rho_tr: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BS j's `key_shrinkage` f at one training key (tau, rho_tr), and the
+    real images of its (A, B) there: (f, A, B).
 
     A = sum_k err_k + sum_{l != j, k} R_lk is the conventional combiner's
     regularizer; B = sum_k err_k + sum_{l != j, k} cond_lk is the error and
@@ -329,6 +323,8 @@ def regularizer_sums(
     rest_lk = sum_{m != l} P_mk.  The term s f V is formed once per call,
     and every cell forms its rest and right operand in one reused buffer.
     """
+    shrink = key_shrinkage(bs, tau, rho_tr)
+    tau_rho = tau * rho_tr
     n = shrink.shape[-1]
     if bs.same_basis:
         lam, cells = bs.eigvals, range(len(bs.links))
@@ -342,27 +338,23 @@ def regularizer_sums(
             return x @ x.T
 
         a_mat = gram(a_weights)
-        return a_mat, a_mat if np.array_equal(a_weights, b_weights) else gram(b_weights)
+        return shrink, a_mat, a_mat if np.array_equal(a_weights, b_weights) else gram(b_weights)
     # f of every user, in the column order of the (N, K*N) rows
-    shrink = shrink.reshape(-1)
+    flat = shrink.reshape(-1)
     proj = bs.proj.reshape(len(bs.links), n, -1)
-    scaled_vecs = bs.vecs.reshape(n, -1) * (shrink / tau_rho)
+    scaled_vecs = bs.vecs.reshape(n, -1) * (flat / tau_rho)
     buffer = np.empty_like(scaled_vecs)
 
     def cell_sum(ell: int) -> np.ndarray:
         rest = [proj[m] for m in range(len(proj)) if m != ell]
         right = buffer
-        if len(rest) == 1:
-            right[...] = rest[0]
-        else:
-            # the first two terms in one pass, with no copy first
-            np.add(rest[0], rest[1], out=right)
-        for term in rest[2:]:
+        right[...] = rest[0]
+        for term in rest[1:]:
             right += term
-        right *= shrink
+        right *= flat
         right += scaled_vecs
         return proj[ell] @ right.T
 
     err = cell_sum(bs.j)
     b_mat = err + sum(cell_sum(ell) for ell in bs.others)
-    return _symmetric(err + bs.inter), _symmetric(b_mat)
+    return shrink, _symmetric(err + bs.inter), _symmetric(b_mat)

@@ -1,7 +1,7 @@
 """Result rows and their CSV/JSON serialization.
 
-One row per (scheme, operating point, user).  A row refuses a NaN,
-infinite or negative SE with ValueError, so no such value is written.
+One row per (scheme, operating point, user).  A row refuses a NaN, infinite
+or negative SE, DE or stderr with ValueError, so none is written.
 Files are deterministic: fixed column order, repr() floats (shortest
 round-trip decimal), LF line endings, so identical runs produce
 byte-identical output.
@@ -31,10 +31,8 @@ class ResultRow:
     def __post_init__(self):
         for name in ("se_value", "se_stderr", "se_de"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.se_value < 0:
-            raise ValueError(f"se_value must be non-negative, got {self.se_value!r}")
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 FIELD_NAMES = [f.name for f in fields(ResultRow)]

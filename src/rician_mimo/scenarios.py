@@ -149,14 +149,14 @@ class ScenarioSpec:
         """Factor that converts an SE in nats to the spec's log base."""
         return 1.0 / math.log(2.0) if self.log_base == "base2" else 1.0
 
-    def system_config(self, snr_db: float, tau: int | None = None) -> SystemConfig:
+    def system_config(self, snr_db: float) -> SystemConfig:
         rho_d = 10.0 ** (snr_db / 10.0)
         tr_db = self.snr_training_db if self.snr_training_db is not None else snr_db
         return SystemConfig(
             n_antennas=self.n,
             n_users=self.k,
             coherence_len=self.t,
-            training_len=self.resolve_tau() if tau is None else tau,
+            training_len=self.resolve_tau(),
             snr_data=rho_d,
             snr_training=10.0 ** (tr_db / 10.0),
         )

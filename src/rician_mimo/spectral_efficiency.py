@@ -26,7 +26,7 @@ import numpy as np
 from .channel import UserLinkProfile, real_basis, real_matmul, standard_complex_normal
 from .combining import conventional_combiner, conventional_sinr, statistical_resolvent
 from .config import SystemConfig
-from .estimation import BSStatistics, key_shrinkage, regularizer_sums
+from .estimation import BSStatistics, regularizer_sums
 
 Profiles = list[BSStatistics]  # [bs], each indexing [cell][user] like its links
 
@@ -61,8 +61,7 @@ class _EstimatorArrays:
         self.m_inv = []  # per bs: rho_d -> M
         self.b_mat = []  # per bs, multi-cell only: image of the error + interference covariance
         for bs in stats:
-            shrink = key_shrinkage(bs, tau, rho_tr)
-            a_mat, b_mat = regularizer_sums(bs, shrink, self.tau_rho)
+            shrink, a_mat, b_mat = regularizer_sums(bs, tau, rho_tr)
             n = len(a_mat)
             self.shrink.append(shrink)
             self.m_inv.append(

@@ -45,13 +45,9 @@ def operating_points(scenario: Scenario, snr_grid: tuple[float, ...]) -> list[Sy
 def conv_de_at_bs(scenario: Scenario, bs: int, configs: list[SystemConfig]) -> np.ndarray:
     """Deterministic-equivalent conventional SE of BS `bs`, (configs, users),
     from the scenario's `BSStatistics` of that BS: one builder and one SE
-    formula in one cell and in several."""
+    formula in one cell and in several; the BS decides the DE's mode."""
     stats = scenario.profiles[bs]
-    # the refined equivalent runs on the eigenbasis that every link shares
-    # (`basis`), where it is diagonal: O(N K^2 + K^3) per point.  Links with
-    # no shared theta (one-ring: each its own) use the plain equivalents
-    refined = stats.basis is not None
-    return np.array([se_conv_multicell_de(build_q_multicell(stats, c, refined), c) for c in configs])
+    return np.array([se_conv_multicell_de(build_q_multicell(stats, c), c) for c in configs])
 
 
 def conv_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> np.ndarray:

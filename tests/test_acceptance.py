@@ -56,7 +56,7 @@ def conventional_curves(request):
         correlation=correlation, seed=SEED, trials=TRIALS,
     )
     scenario = build_scenario(spec)
-    configs = [spec.system_config(snr, tau=spec.k) for snr in spec.snr_grid_db]
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
     mc, _ = conventional_mc(scenario.profiles, configs, TRIALS, SEED)
     return mc, conv_de_per_bs(scenario, configs)
 
@@ -74,7 +74,7 @@ def _user_mean_gap(correlation: str, n: int) -> float:
     with common random numbers across the three points."""
     spec = ScenarioSpec(n=n, k=n // 8, t=500, kappa_max=2.0, correlation=correlation, seed=SEED, trials=400)
     scenario = build_scenario(spec)
-    configs = [spec.system_config(snr, tau=spec.k) for snr in (0.0, 10.0, 20.0)]
+    configs = [spec.system_config(snr) for snr in (0.0, 10.0, 20.0)]
     mc = conventional_mc(scenario.profiles, configs, 400, SEED)[0].mean(axis=-1)
     de = conv_de_per_bs(scenario, configs).mean(axis=-1)
     return float(np.max(np.abs(mc - de) / de))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from lmmse_oracle import dense_lmmse
 
 from rician_mimo.asymptotics import (
+    _plain_state,
+    _refined_state,
     build_q_multicell,
     build_q_singlecell,
     pilot_contamination_term,
@@ -68,7 +71,7 @@ def test_plain_q_scalar_closed_form():
     n, c, tau, rho = 16, 0.8, 4, 3.0
     p = build_profile(c, 0.0, np.eye(n, dtype=complex), los_steering(0.1, n))
     cfg = make_config(n, 1, tau=tau, snr=rho)
-    state = build_q_singlecell(BSStatistics([[p]], 0), cfg, refined=False)
+    state = _plain_state(BSStatistics([[p]], 0), cfg)
     r_tilde_scalar = c**2 / (c + 1.0 / (tau * rho))
     assert state.q_matrix[0, 0].real == pytest.approx(1.0 / (r_tilde_scalar + 1.0 / rho), rel=1e-12)
     # one cell: the expanded form is the simplified SE prelog * log(rho / [Q]_kk)
@@ -86,7 +89,7 @@ def test_plain_q_scalar_closed_form():
 def test_plain_q_diagonal_under_orthogonal_los():
     n, k = 32, 4
     profiles = dft_profiles(n, k)
-    state = build_q_singlecell(BSStatistics([profiles], 0), make_config(n, k), refined=False)
+    state = _plain_state(BSStatistics([profiles], 0), make_config(n, k))
     off = state.q_matrix - np.diag(np.diag(state.q_matrix))
     assert np.max(np.abs(off)) < 1e-12
 
@@ -100,7 +103,7 @@ def test_favorable_corollary_equals_theorem_under_orthogonal_los():
     profiles = dft_profiles(n, k, beta=1.3, kappa=1.7)
     stats = BSStatistics([profiles], 0)
     cfg = make_config(n, k, snr=rho)
-    state = build_q_singlecell(stats, cfg, refined=False)
+    state = _plain_state(stats, cfg)
     theorem = se_conv_singlecell_de(state, cfg, include_estimation_error=False)
     corollary = se_conv_favorable(stats, cfg)
     assert np.max(np.abs(theorem - corollary)) < 1e-10
@@ -115,7 +118,7 @@ def test_multicell_theorem_matches_expanded_under_orthogonal_los():
         for i in range(k)
     ]
     cfg = make_config(n, k, snr=rho)
-    state = build_q_multicell(BSStatistics([local, inter], 0), cfg, refined=False)
+    state = _plain_state(BSStatistics([local, inter], 0), cfg)
     theorem = se_conv_multicell_de(state, cfg, include_estimation_error=False)
     expanded, contam, uncorr = se_conv_expanded(state, cfg)
     assert np.max(np.abs(theorem - expanded)) < 1e-10
@@ -132,7 +135,7 @@ def test_negative_contamination_moment_is_a_numerical_failure():
         for i in range(k)
     ]
     cfg = make_config(n, k)
-    state = build_q_multicell(BSStatistics([local, inter], 0), cfg, refined=False)
+    state = _plain_state(BSStatistics([local, inter], 0), cfg)
     assert np.all(se_conv_multicell_de(state, cfg) > 0)
     state.contam_second[0, 1] = -1e-30
     with pytest.raises(ValueError, match="negative"):
@@ -154,7 +157,7 @@ def test_refined_and_plain_converge_with_n():
         profiles = shared_profiles(exponential_correlation(0.4, n), steering, betas, kappas)
         stats = BSStatistics([profiles], 0)
         cfg = make_config(n, k, snr=rho)
-        states = [build_q_singlecell(stats, cfg, refined=m) for m in (False, True)]
+        states = [_plain_state(stats, cfg), build_q_singlecell(stats, cfg)]
         # one cell is the L = 1 case of the one SE formula, bit for bit
         for state in states:
             for err in (True, False):
@@ -172,8 +175,8 @@ def test_refined_state_carries_moment_fields():
     n, k = 16, 3
     profiles = dft_profiles(n, k)
     stats, cfg = BSStatistics([profiles], 0), make_config(n, k, snr=1.0)
-    refined = build_q_singlecell(stats, cfg, refined=True)
-    plain = build_q_singlecell(stats, cfg, refined=False)
+    refined = build_q_singlecell(stats, cfg)
+    plain = _plain_state(stats, cfg)
     assert refined.var_mat.shape == (k, k)
     assert np.all(np.diag(refined.var_mat) >= 0)
     assert np.array_equal(plain.var_mat, np.zeros((k, k)))
@@ -300,11 +303,11 @@ def _assert_state_matches_oracle(state, oracle):
         assert np.linalg.norm(got - expected) <= 1e-10 * scale, name
 
 
-def _state_at(links, bs, rho, refined=True):
+def _state_at(links, bs, rho):
     """The state of BS `bs` from its links[cell][user], at tau = K."""
     cfg = make_config(links[bs][0].n_antennas, len(links[bs]), snr=rho)
     build = build_q_singlecell if len(links) == 1 else build_q_multicell
-    return build(BSStatistics(links, bs), cfg, refined=refined)
+    return build(BSStatistics(links, bs), cfg)
 
 
 @pytest.mark.parametrize("correlation", ["exponential"])
@@ -323,31 +326,6 @@ def test_refined_state_matches_per_pair_trace_oracle(correlation, layout):
         _assert_state_matches_oracle(state, _oracle_state(scenario.profiles[bs], dense, bs, rho))
 
 
-def test_refined_mode_refuses_one_basis_with_unrelated_spectra():
-    # links that share one eigenvector array but not one correlation matrix:
-    # their spectra are not proportional, so a contaminating conditional
-    # mean is no multiple of the local estimate and the refined state is
-    # refused; the plain state is not
-    n, k = 12, 3
-    _, v, row = row_spectrum(exponential_first_row(0.6, n))
-    base = np.linspace(0.1, 2.0, n)
-    spectra = [base, base[::-1], np.sqrt(base)]
-    # links[cell][user] at BS 0
-    links = [
-        [
-            build_profile(
-                1.0 / (1 + ell), 1.5 if ell == 0 else 0.0, None, los_steering(0.4 * i - 0.3 * ell, n),
-                is_local=(ell == 0), theta_eig=(lam, v, row),
-            )
-            for i in range(k)
-        ]
-        for ell, lam in enumerate(spectra)
-    ]
-    with pytest.raises(ValueError, match="common"):
-        _state_at(links, 0, 10.0)
-    assert np.all(np.isfinite(_state_at(links, 0, 10.0, refined=False).q_matrix))
-
-
 def test_refined_multicell_de_saturates_at_the_contamination_ceiling():
     # pilot contamination caps the three-cell SE: past 100 dB no user's DE
     # moves; dropping a contamination gain lifts users far above it
@@ -361,18 +339,48 @@ def test_refined_multicell_de_saturates_at_the_contamination_ceiling():
     np.testing.assert_allclose(de[1:], np.broadcast_to(de[0], de[1:].shape), rtol=1e-8, atol=0.0)
 
 
-def test_refined_mode_needs_a_common_basis():
-    # one-ring links each hold their own eigenvectors: the refined state
-    # has no diagonal form and is refused; the plain state is not
+def _assert_same_state(got, expected):
+    for field in dataclasses.fields(expected):
+        assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), field.name
+
+
+def test_the_bs_basis_picks_the_de_mode():
+    # the refined state where every link holds one theta eigenpair; the
+    # plain state, field for field, everywhere else
+    n, k, rho = 12, 3, 10.0
+    cfg = make_config(n, k, snr=rho)
+    shared = BSStatistics([dft_profiles(n, k)], 0)
+    assert shared.basis is not None
+    refined = build_q_multicell(shared, cfg)
+    _assert_same_state(refined, _refined_state(shared, k * rho, rho))
+    assert np.all(np.diag(refined.var_mat) > 0)
+    # one-ring links each hold their own eigenvectors
     for cells, layout in ((1, "single_cell"), (3, "three_cell_edge")):
         spec = ScenarioSpec(
-            layout=layout, l=cells, n=8, k=2, t=50, correlation="one_ring",
+            layout=layout, l=cells, n=n, k=k, t=50, correlation="one_ring",
             placement="cell_edge" if cells > 1 else "uniform_disk", kappa_max=2.0, seed=3,
         )
-        links = build_scenario(spec).profiles[0]
-        with pytest.raises(ValueError, match="common"):
-            _state_at(links, 0, 10.0)
-        assert np.all(np.isfinite(_state_at(links, 0, 10.0, refined=False).q_matrix))
+        stats = build_scenario(spec).profiles[0]
+        assert stats.basis is None
+        _assert_same_state(build_q_multicell(stats, cfg), _plain_state(stats, cfg))
+    # links that share one eigenvector array but not one correlation matrix:
+    # their spectra are not proportional, so a contaminating conditional
+    # mean is no multiple of the local estimate
+    _, v, row = row_spectrum(exponential_first_row(0.6, n))
+    base = np.linspace(0.1, 2.0, n)
+    links = [
+        [
+            build_profile(
+                1.0 / (1 + ell), 1.5 if ell == 0 else 0.0, None, los_steering(0.4 * i - 0.3 * ell, n),
+                is_local=(ell == 0), theta_eig=(lam, v, row),
+            )
+            for i in range(k)
+        ]
+        for ell, lam in enumerate([base, base[::-1], np.sqrt(base)])
+    ]
+    stats = BSStatistics(links, 0)
+    assert stats.same_basis and stats.basis is None
+    _assert_same_state(build_q_multicell(stats, cfg), _plain_state(stats, cfg))
 
 
 @pytest.mark.parametrize("correlation", ["exponential", "identity", "one_ring"])
@@ -409,10 +417,7 @@ def test_plain_state_matches_per_pair_trace_oracle(correlation, layout):
     for bs in range(cells):
         links = scenario.profiles[bs]
         stats, cfg = BSStatistics(links, bs), make_config(n, k, tau=3, snr=rho)
-        if cells == 1:
-            state = build_q_singlecell(stats, cfg, refined=False)
-        else:
-            state = build_q_multicell(stats, cfg, refined=False)
+        state = _plain_state(stats, cfg)
         others = [ell for ell in range(cells) if ell != bs]
         dense = _dense_estimators(links, bs, 3 * rho)
         err_sum = sum(e.err_cov for e in dense)

@@ -338,6 +338,46 @@ def test_exit_numerical_failure_on_non_finite_or_negative_row(tmp_path, capsys, 
     assert "numerical failure" in err
 
 
+NEGATIVE_DE_SCENARIO = """\
+n = 2
+k = 3
+t = 50
+correlation = exponential
+corr_rho = 0.9
+kappa_max = 0
+seed = 1
+trials = 20
+snr_grid_db = 0
+"""
+
+
+@pytest.mark.parametrize("mode", ["de", "both"])
+def test_exit_numerical_failure_on_negative_conventional_de(tmp_path, capsys, mode):
+    # with two antennas for three users the conventional DE is negative:
+    # refused whether it fills the se_value or the se_de column
+    path = tmp_path / "negative.cfg"
+    path.write_text(NEGATIVE_DE_SCENARIO)
+    out_path = tmp_path / "rows.csv"
+    argv = ["sweep", "--scenario", str(path), "--schemes", "conv", "--mode", mode]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    column = "se_value" if mode == "de" else "se_de"
+    assert f"numerical failure: {column} must be finite and non-negative" in err
+
+
+def test_seed_reseeds_the_user_drop_outside_reproduce(scenario_file, capsys):
+    # outside `reproduce`, --seed is the scenario seed: the drop moves with
+    # it, so even the exact statistical SE changes
+    rows = []
+    for seed in ("5", "6"):
+        code, out, _ = run_cli(capsys, "asymptotic", "--scenario", scenario_file, "--schemes", "stat", "--seed", seed)
+        assert code == 0
+        rows.append(parse_csv(out))
+    assert [r.seed for r in rows[0]] == [5] * len(rows[0])
+    assert all(a.se_value != b.se_value for a, b in zip(*rows))
+
+
 THREE_CELLS = "layout = three_cell_edge\nl = 3\nplacement = cell_edge\n"
 
 

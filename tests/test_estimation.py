@@ -31,7 +31,7 @@ def _error_image(state):
     regularizer A of one user in a single cell."""
     links = [[p] for p in state.spectrum.links]
     bs = BSStatistics(links, state.local_index)
-    return regularizer_sums(bs, state.shrink[None], state.tau_rho)[0]
+    return regularizer_sums(bs, 1, state.tau_rho)[1]
 
 
 def _link_images(state):
@@ -245,7 +245,8 @@ def test_regularizer_sums_match_dense_state_sums(tau_rho):
         states = [build_estimator_multicell(links, local, 1, tau_rho) for links in groups]
         links = [[s.spectrum[ell] for s in states] for ell in range(len(groups[0]))]
         bs = BSStatistics(links, local)
-        a_img, b_img = regularizer_sums(bs, key_shrinkage(bs, 1, tau_rho), tau_rho)
+        shrink, a_img, b_img = regularizer_sums(bs, 1, tau_rho)
+        assert np.array_equal(shrink, key_shrinkage(bs, 1, tau_rho))
         others = [ell for ell in range(len(groups[0])) if ell != local]
         conds = [_link_images(s)[1] for s in states]
         err = sum(c[local] for c in conds)

@@ -103,3 +103,20 @@ def test_fig5_rows_and_summary_cover_the_cell_with_and_without_the_others(monkey
         assert set(summary[table]) == set(ids)
         assert all(set(entry) == {"multi", "single"} for entry in summary[table].values())
     assert summary == preset_summary("fig5")
+
+
+def test_reproduce_seed_reseeds_the_monte_carlo_not_the_user_drop(monkeypatch):
+    # a preset scenario keeps its own seed for the user drop: another seed
+    # changes the Monte Carlo draws and the seed column, and no exact value
+    monkeypatch.setattr(presets, "_BASE", dataclasses.replace(presets._BASE, n=16, k=4))
+    rows5, summary5 = run_preset("fig2a", trials=2, seed=5)
+    rows6, summary6 = run_preset("fig2a", trials=2, seed=6)
+    assert summary5 == summary6
+    assert len(rows5) == len(rows6)
+    for a, b in zip(rows5, rows6):
+        assert (a.seed, b.seed) == (5, 6)
+        assert a.se_de == b.se_de
+        if a.scheme == "stat_single":
+            assert dataclasses.replace(a, seed=6) == b
+        else:
+            assert a.se_value != b.se_value

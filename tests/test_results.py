@@ -97,7 +97,9 @@ def test_emit_rejects_bad_input(tmp_path):
         ("se_value", float("inf")),
         ("se_value", -1e-18),
         ("se_stderr", float("nan")),
+        ("se_stderr", -1e-18),
         ("se_de", float("-inf")),
+        ("se_de", -0.287),
     ],
 )
 def test_row_rejects_non_finite_or_negative_se(field, value):

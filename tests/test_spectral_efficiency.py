@@ -385,7 +385,8 @@ def test_same_basis_kernel_matches_dense_projections(layout, correlation):
         ]
         a_ref = conds[j] + sum(link.r_image for ell in bs.others for link in bs[ell])
         b_ref = sum(conds)
-        a_mat, b_mat = regularizer_sums(bs, shrink, tau * rho_tr)
+        f, a_mat, b_mat = regularizer_sums(bs, tau, rho_tr)
+        assert np.array_equal(f, shrink)
         for got, ref in ((a_mat, a_ref), (b_mat, b_ref)):
             assert np.array_equal(got, got.T)
             assert _rel(got, 0.5 * (ref + ref.T)) <= 1e-13
