@@ -345,8 +345,7 @@ def _assert_same_state(got, expected):
 
 
 def test_the_bs_basis_picks_the_de_mode():
-    # the refined state where every link holds one theta eigenpair; the
-    # plain state, field for field, everywhere else
+    # the refined state where every link holds one theta eigenpair
     n, k, rho = 12, 3, 10.0
     cfg = make_config(n, k, snr=rho)
     shared = BSStatistics([dft_profiles(n, k)], 0)
@@ -354,7 +353,13 @@ def test_the_bs_basis_picks_the_de_mode():
     refined = build_q_multicell(shared, cfg)
     _assert_same_state(refined, _refined_state(shared, k * rho, rho))
     assert np.all(np.diag(refined.var_mat) > 0)
-    # one-ring links each hold their own eigenvectors
+
+
+def test_refined_mode_needs_a_common_basis():
+    # one-ring links each hold their own eigenvectors: the refined state
+    # has no diagonal form, so the BS gets the plain state, field for field
+    n, k, rho = 12, 3, 10.0
+    cfg = make_config(n, k, snr=rho)
     for cells, layout in ((1, "single_cell"), (3, "three_cell_edge")):
         spec = ScenarioSpec(
             layout=layout, l=cells, n=n, k=k, t=50, correlation="one_ring",
@@ -363,9 +368,15 @@ def test_the_bs_basis_picks_the_de_mode():
         stats = build_scenario(spec).profiles[0]
         assert stats.basis is None
         _assert_same_state(build_q_multicell(stats, cfg), _plain_state(stats, cfg))
+
+
+def test_refined_mode_refuses_one_basis_with_unrelated_spectra():
     # links that share one eigenvector array but not one correlation matrix:
     # their spectra are not proportional, so a contaminating conditional
-    # mean is no multiple of the local estimate
+    # mean is no multiple of the local estimate and the BS gets the plain
+    # state, field for field
+    n, k, rho = 12, 3, 10.0
+    cfg = make_config(n, k, snr=rho)
     _, v, row = row_spectrum(exponential_first_row(0.6, n))
     base = np.linspace(0.1, 2.0, n)
     links = [
