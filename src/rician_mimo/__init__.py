@@ -21,13 +21,16 @@ def _register_lazily(name: str) -> None:
 
 
 # perfbench/tracer.py wraps scipy.linalg.cho_factor and finds the module in
-# sys.modules.  The package itself needs no scipy.linalg, so it registers
-# the module lazily and binds it to no name (reading any attribute, even
-# __name__, would load it): no command pays for its import.  ROADMAP item
-# 5's [benchmark] step, in which the tracer imports scipy.linalg itself,
-# deletes this.
+# sys.modules.  The package itself needs no scipy (a test dependency), so
+# it registers the module lazily, if scipy is installed, and binds it to no
+# name (reading any attribute, even __name__, would load it): no command
+# pays for its import.  ROADMAP item 5's [benchmark] step, in which the
+# tracer imports scipy.linalg itself, deletes this.
 if "scipy.linalg" not in sys.modules:
-    _register_lazily("scipy.linalg")
+    try:
+        _register_lazily("scipy.linalg")
+    except ModuleNotFoundError:
+        pass
 
 from .asymptotics import (
     AsymptoticState,
@@ -52,11 +55,7 @@ from .channel import (
     one_ring_correlation,
     pathloss,
 )
-from .combining import (
-    CombinerSet,
-    conventional_combiner,
-    statistical_combiner,
-)
+from .combining import conventional_combiner, statistical_combiner
 from .config import ConfigError, SystemConfig
 from .estimation import BSStatistics, EstimatorState, build_estimator_multicell
 from .presets import PRESET_IDS, preset_specs, preset_summary, run_preset

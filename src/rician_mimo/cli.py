@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError
-from .presets import PRESET_IDS, run_preset, tau_star_rows
+from .presets import PRESET_IDS, run_preset
 from .results import ResultRow, emit_results, render
 from .scenarios import (
     ScenarioSpec,
@@ -34,7 +34,7 @@ from .scenarios import (
     parse_scenario,
     parse_snr_range,
 )
-from .sweeps import MODES, SWEEP_AXES, run_sweep
+from .sweeps import MODES, SWEEP_AXES, run_sweep, tau_star_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -17,26 +17,20 @@ algebra path (`statistical_resolvent`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import UserLinkProfile, antenna_basis, real_matmul
 from .estimation import BSStatistics
 
 
-@dataclass
-class CombinerSet:
-    """K combining vectors (columns)."""
-
-    vectors: np.ndarray  # (N, K)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.vectors)):
-            raise ValueError("combining vectors must be finite")
+def _finite(vectors: np.ndarray) -> np.ndarray:
+    """The K combining vectors (N, K), or ValueError if any is not finite."""
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("combining vectors must be finite")
+    return vectors
 
 
-def conventional_combiner(estimates: np.ndarray, m_inv: np.ndarray) -> CombinerSet:
+def conventional_combiner(estimates: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     """g_k = (H_hat H_hat^H + A + (N/rho_d) I)^{-1} h_hat_k.
 
     A is the Hermitian PSD regularizer: the sum of estimation error
@@ -57,7 +51,7 @@ def conventional_combiner(estimates: np.ndarray, m_inv: np.ndarray) -> CombinerS
     x = real_matmul(m_inv, estimates)
     gram = np.eye(k) + estimates.conj().T @ x
     # X gram^{-1}, transposed into a left solve
-    return CombinerSet(vectors=np.linalg.solve(gram.T, x.T).T)
+    return _finite(np.linalg.solve(gram.T, x.T).T)
 
 
 def resolvent(gram: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +90,7 @@ def conventional_sinr(estimates: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     (N, trials, K), each trial's N x K estimates side by side, so M H_hat
     of the whole block is one real GEMM and the SINR one batched K x K
     inverse.  A non-finite or non-positive [(I + H_hat^H M H_hat)^{-1}]_kk
-    raises ValueError, as a non-finite `CombinerSet` does.
+    raises ValueError, as a non-finite combiner does.
     """
     n, trials, k = estimates.shape
     x = real_matmul(m_inv, estimates.reshape(n, trials * k)).reshape(n, trials, k)
@@ -146,7 +140,7 @@ def statistical_resolvent(
     return np.real(np.diagonal(q, axis1=-2, axis2=-1)), c, u, squares[:, ::2] + squares[:, 1::2]
 
 
-def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> CombinerSet:
+def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> np.ndarray:
     """g_bar_k = (sum_i R_i + Hbar_k Hbar_k^H + (N/rho_d) I)^{-1} h_bar_k.
 
     Hbar_k drops column k, so only the *other* users' LoS directions are
@@ -159,4 +153,4 @@ def statistical_combiner(profiles: list[UserLinkProfile], rho_d: float) -> Combi
     bs = BSStatistics([profiles], 0)
     m, _, u, _ = statistical_resolvent(bs, [rho_d])
     g = real_matmul(bs.local_eig[1], u[0] / m[0])
-    return CombinerSet(vectors=antenna_basis(g.T).T)
+    return _finite(antenna_basis(g.T).T)

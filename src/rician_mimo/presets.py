@@ -17,8 +17,7 @@ from .config import ConfigError
 from .results import ResultRow
 from .scenarios import Scenario, ScenarioSpec, build_scenario
 from .spectral_efficiency import se_stat_multicell
-from .sweeps import _rows_for_scenario, conv_de_at_bs, operating_points
-from .training import solve_tau_star
+from .sweeps import _rows_for_scenario, conv_de_at_bs, operating_points, tau_star_rows
 
 PRESET_IDS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5")
 
@@ -98,31 +97,6 @@ def preset_specs(figure_id: str) -> list[ScenarioSpec]:
             for kmax in (1.0, 2.0)
         ]
     raise ConfigError(f"unknown preset {figure_id!r}; choose from {PRESET_IDS}")
-
-
-def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
-    """One `tau_star` row per SNR point of the scenario: the optimal training
-    length of cell 0, its average SE and the continuous root (as `se_de`),
-    from one solve over the grid.  `seed` fills the seed column only; tau*
-    involves no draws."""
-    spec = scenario.spec
-    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
-    solutions = solve_tau_star(scenario.local_profiles(0), configs)
-    return [
-        ResultRow(
-            scenario_id=spec.scenario_id,
-            scheme="tau_star",
-            snr_db=float(snr),
-            user_id=0,
-            se_value=float(sol.avg_se_at_star) * spec.log_scale,
-            se_stderr=None,
-            se_de=float(sol.tau_continuous),
-            tau_used=sol.tau_star,
-            prelog=dataclasses.replace(config, training_len=sol.tau_star).prelog,
-            seed=seed,
-        )
-        for snr, config, sol in zip(spec.snr_grid_db, configs, solutions)
-    ]
 
 
 def _avg_de_curves(scenario: Scenario, snr_grid: tuple[float, ...]):

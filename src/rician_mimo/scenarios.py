@@ -11,7 +11,7 @@ every scheme reads.
 
 Large-scale gains are normalized to the cell edge (beta = (x/radius)^-alpha)
 so that `snr_data` is the data SNR of a cell-edge user.  Every SE is in
-nats until the row builders multiply it by `ScenarioSpec.log_scale`.
+nats until the row builder, `sweeps`, multiplies it by `log_scale`.
 """
 
 from __future__ import annotations
@@ -140,23 +140,21 @@ class ScenarioSpec:
         if any(ch in self.scenario_id for ch in ',"\r\n'):
             raise ConfigError(f"scenario_id holds a comma, quote or line break: {self.scenario_id!r}")
 
-    def resolve_tau(self) -> int:
-        """Training length for the non-optimal modes (optimal is solved later)."""
-        return self.tau if self.tau_mode == "fixed" else self.k
-
     @property
     def log_scale(self) -> float:
         """Factor that converts an SE in nats to the spec's log base."""
         return 1.0 / math.log(2.0) if self.log_base == "base2" else 1.0
 
     def system_config(self, snr_db: float) -> SystemConfig:
+        """The operating point at `snr_db`, with tau in `fixed` mode and K
+        otherwise (`sweeps.operating_points` solves the `optimal` tau*)."""
         rho_d = 10.0 ** (snr_db / 10.0)
         tr_db = self.snr_training_db if self.snr_training_db is not None else snr_db
         return SystemConfig(
             n_antennas=self.n,
             n_users=self.k,
             coherence_len=self.t,
-            training_len=self.resolve_tau(),
+            training_len=self.tau if self.tau_mode == "fixed" else self.k,
             snr_data=rho_d,
             snr_training=10.0 ** (tr_db / 10.0),
         )

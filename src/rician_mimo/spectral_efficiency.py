@@ -217,7 +217,7 @@ def _conditional_sinr(
     (the quadratic form of B) and noise, each a closed-form conditional
     expectation given the estimates."""
     n = len(h_hat)
-    g = conventional_combiner(h_hat, est.m_inv[j][rho_d]).vectors
+    g = conventional_combiner(h_hat, est.m_inv[j][rho_d])
     gh = g.conj().T
     p_mat = gh @ h_hat  # p[k, i] = g_k^H h_hat_i
     sig = np.abs(np.diag(p_mat)) ** 2

@@ -9,8 +9,9 @@ the scenario's whole SNR grid in one call and returns one (point, BS, user)
 array in nats, and every scheme reads the scenario's one
 `estimation.BSStatistics` per BS (the LoS columns, the covariance sums and
 the same-pilot spectra); tau* too is solved over the whole grid in one call
-(`operating_points`).  The statistical SE is exact, so its deterministic
-equivalent is that same SE in every layout.
+(`operating_points`, `tau_star_rows`).  The statistical SE is exact, so its
+deterministic equivalent is that same SE in every layout.  This is the one
+module that builds rows and applies `ScenarioSpec.log_scale`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,31 @@ def stat_de_per_bs(scenario: Scenario, configs: list[SystemConfig]) -> np.ndarra
     return se_stat_multicell(scenario.profiles, configs)
 
 
+def tau_star_rows(scenario: Scenario, seed: int) -> list[ResultRow]:
+    """One `tau_star` row per SNR point of the scenario: the optimal training
+    length of cell 0, its average SE and the continuous root (as `se_de`),
+    from one solve over the grid.  `seed` fills the seed column only; tau*
+    involves no draws."""
+    spec = scenario.spec
+    configs = [spec.system_config(snr) for snr in spec.snr_grid_db]
+    solutions = solve_tau_star(scenario.local_profiles(0), configs)
+    return [
+        ResultRow(
+            scenario_id=spec.scenario_id,
+            scheme="tau_star",
+            snr_db=float(snr),
+            user_id=0,
+            se_value=float(sol.avg_se_at_star) * spec.log_scale,
+            se_stderr=None,
+            se_de=float(sol.tau_continuous),
+            tau_used=sol.tau_star,
+            prelog=dataclasses.replace(config, training_len=sol.tau_star).prelog,
+            seed=seed,
+        )
+        for snr, config, sol in zip(spec.snr_grid_db, configs, solutions)
+    ]
+
+
 def _rows_for_scenario(
     scenario: Scenario,
     schemes: tuple[str, ...],
@@ -71,46 +97,40 @@ def _rows_for_scenario(
     spec = scenario.spec
     scale = spec.log_scale
     k = scenario.n_users
-    multi = scenario.n_cells > 1
-    grid = spec.snr_grid_db
-    configs = operating_points(scenario, grid)
-    want_mc, want_de = mode in ("mc", "both"), mode in ("de", "both")
-    # per scheme: (row name, (se, stderr) or None, de or None), each array
-    # (configs, BS, users) in nats from one call over the whole grid
-    results = {}
+    configs = operating_points(scenario, spec.snr_grid_db)
+    # per scheme: its (se_value, se_stderr, se_de) columns, each None or a
+    # (configs, BS, users) array in nats from one call over the whole grid
+    columns = {}
     if "conv" in schemes:
-        mc = conventional_mc(scenario.profiles, configs, trials, seed) if want_mc else None
-        de = conv_de_per_bs(scenario, configs) if want_de else None
-        results["conv"] = ("conv_multi" if multi else "conv_single", mc, de)
+        if mode == "de":
+            columns["conv"] = (conv_de_per_bs(scenario, configs), None, None)
+        else:
+            se, err = conventional_mc(scenario.profiles, configs, trials, seed)
+            columns["conv"] = (se, err, conv_de_per_bs(scenario, configs) if mode == "both" else None)
     if "stat" in schemes:
-        # the statistical SE is exact and is its own DE: one evaluation fills both columns
+        # the statistical SE is exact and is its own DE
         exact = se_stat_multicell(scenario.profiles, configs)
-        name = "stat_multi" if multi else "stat_single"
-        results["stat"] = (name, (exact, None) if want_mc else None, exact if want_de else None)
+        columns["stat"] = (exact, None, exact if mode == "both" else None)
+    suffix = "multi" if scenario.n_cells > 1 else "single"
     rows: list[ResultRow] = []
-    for i, (snr, config) in enumerate(zip(grid, configs)):
+    for i, (snr, config) in enumerate(zip(spec.snr_grid_db, configs)):
         for scheme in schemes:
-            name, mc, de = results[scheme]
             tau_used, prelog = (config.training_len, config.prelog) if scheme == "conv" else (0, 1.0)
             for bs in range(scenario.n_cells):
                 for u in range(k):
-                    de_u = None if de is None else float(de[i, bs, u]) * scale
-                    if mc is None:
-                        se_value, stderr, se_de = de_u, None, None
-                    else:
-                        se, err = mc
-                        se_value = float(se[i, bs, u]) * scale
-                        stderr = None if err is None else float(err[i, bs, u]) * scale
-                        se_de = de_u
+                    value, stderr, de = (
+                        None if c is None else float(c[i, bs, u]) * scale
+                        for c in columns[scheme]
+                    )
                     rows.append(
                         ResultRow(
                             scenario_id=spec.scenario_id,
-                            scheme=name,
+                            scheme=f"{scheme}_{suffix}",
                             snr_db=float(snr),
                             user_id=bs * k + u,
-                            se_value=se_value,
+                            se_value=value,
                             se_stderr=stderr,
-                            se_de=se_de,
+                            se_de=de,
                             tau_used=tau_used,
                             prelog=prelog,
                             seed=seed,

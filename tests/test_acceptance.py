@@ -8,8 +8,10 @@ the moment the program meets it.
 The DE-vs-MC settings are those of `scripts/compare_de_vs_mc.py --trials
 1000`: N=150, K=20, T=500, seed 3, kappa_max 2, tau = K, the default SNR
 grid and placement.  The N-convergence criterion runs one cell at
-K = N/8 and 400 trials.  Byte-identical reproduction runs each command
-twice, in fresh interpreters with different hash seeds.
+K = N/8 and 400 trials.  The favorable-propagation criterion runs N=150,
+K=20, T=500, tau = K and the default grid, with orthogonal DFT LoS and
+white scattering.  Byte-identical reproduction runs each command twice, in
+fresh interpreters with different hash seeds.
 """
 
 import os
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import rician_mimo
+from rician_mimo.asymptotics import _plain_state, se_conv_expanded, se_conv_favorable, se_conv_multicell_de
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import conventional_mc
 from rician_mimo.sweeps import conv_de_per_bs
@@ -27,6 +30,7 @@ from rician_mimo.sweeps import conv_de_per_bs
 TRIALS = 1000
 SEED = 3
 DE_VS_MC_TOLERANCE = 0.05
+FAVORABLE_TOLERANCE = 1e-10
 
 
 def _plain_de_gap(gap: str) -> pytest.MarkDecorator:
@@ -101,6 +105,33 @@ def test_conventional_de_converges_to_mc_with_n(correlation):
     gap_32, gap_256 = _user_mean_gap(correlation, 32), _user_mean_gap(correlation, 256)
     assert gap_256 < 0.01, f"N=256 gap {gap_256:.2%}"
     assert gap_256 <= 0.5 * gap_32, f"N=32 gap {gap_32:.2%}, N=256 gap {gap_256:.2%}"
+
+
+@pytest.mark.parametrize("layout", ["single_cell", "three_cell_edge"])
+def test_favorable_propagation_corollaries_at_1e_10(layout):
+    # under orthogonal LoS and white scattering the general equivalent without
+    # its estimation-error quadratic (plain state) is, in one cell, the
+    # interference-free corollary and, in three cells whose inter-cell links
+    # carry no LoS, the published expanded form.  The small-scale units are
+    # test_asymptotics.py::test_favorable_corollary_equals_theorem_under_orthogonal_los
+    # and ::test_multicell_theorem_matches_expanded_under_orthogonal_los
+    cells = 3 if layout == "three_cell_edge" else 1
+    spec = ScenarioSpec(
+        layout=layout, l=cells, n=150, k=20, t=500, kappa_max=2.0,
+        correlation="identity", los="dft", seed=SEED,
+    )
+    scenario = build_scenario(spec)
+    for config in (spec.system_config(snr) for snr in spec.snr_grid_db):
+        for bs in scenario.profiles:
+            state = _plain_state(bs, config)
+            theorem = se_conv_multicell_de(state, config, include_estimation_error=False)
+            if cells == 1:
+                corollary = se_conv_favorable(bs, config)
+            else:
+                corollary, contam, _ = se_conv_expanded(state, config)
+                assert np.all(contam > 0)
+            gap = np.max(np.abs(theorem - corollary))
+            assert gap <= FAVORABLE_TOLERANCE, f"{config.snr_data:g}: worst gap {gap:.2e}"
 
 
 REPRODUCED_SCENARIO = "correlation = one_ring\nn = 150\nk = 20\nt = 500\nseed = 3\ntrials = 16\n"

@@ -877,6 +877,19 @@ def test_asymptotic_never_maps_back_to_the_antenna_basis(
 # per-command fixed cost: no eigensolve on the import path
 
 
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_import_runs_no_eigensolve():
     # a quadrature rule built at import (leggauss is a dense eigensolve) is
     # paid by every command, including those that never build a one-ring
@@ -897,15 +910,7 @@ def test_import_runs_no_eigensolve():
         assert "scipy.linalg" in sys.modules
         """
     )
-    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -942,17 +947,32 @@ def test_commands_import_no_module_and_leave_scipy_linalg_unloaded(tmp_path):
         assert "scipy.linalg._basic" not in sys.modules
         """
     )
-    src = os.path.dirname(os.path.dirname(rician_mimo.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _run_python(script, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / name).stat().st_size for name in ("single.csv", "three.csv", "optimal.csv"))
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, the package
+    # imports (no scipy.linalg to register) and a DE command writes its rows
+    out = tmp_path / "de.csv"
+    script = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["scipy"] = None
+        import rician_mimo.cli
+
+        assert "scipy.linalg" not in sys.modules
+        assert rician_mimo.cli.main(["asymptotic", "--snr", "0:10:10", "--out", sys.argv[1]]) == 0
+        """
+    )
+    proc = _run_python(script, str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = parse_csv(out.read_text())
+    assert {(r.scheme, r.snr_db) for r in rows} == {
+        (scheme, snr) for scheme in ("conv_single", "stat_single") for snr in (0.0, 10.0)
+    }
 
 
 def test_quadrature_rule_built_only_for_one_ring(scenario_file, tmp_path, capsys):

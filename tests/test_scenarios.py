@@ -40,7 +40,7 @@ def small_spec(**overrides):
 def test_defaults_are_valid():
     spec = ScenarioSpec()
     assert spec.layout == "single_cell"
-    assert spec.resolve_tau() == spec.k
+    assert spec.system_config(0.0).training_len == spec.k
 
 
 @pytest.mark.parametrize(
@@ -83,7 +83,7 @@ def test_invalid_specs_rejected(overrides):
 
 def test_fixed_tau_resolution():
     spec = small_spec(tau_mode="fixed", tau=10)
-    assert spec.resolve_tau() == 10
+    assert spec.system_config(0.0).training_len == 10
 
 
 def test_system_config_snr_conversion():

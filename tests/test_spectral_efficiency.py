@@ -142,7 +142,7 @@ def test_conditional_denominator_matches_nested_mc():
     b_mat = sum(s.err_cov for s in states) + sum(
         states[u].conds[ell] for ell in range(l) if ell != j for u in range(k)
     )
-    g = conventional_combiner(h_hat, np.linalg.inv(a_mat + (n / rho_d) * np.eye(n))).vectors[:, 0]
+    g = conventional_combiner(h_hat, np.linalg.inv(a_mat + (n / rho_d) * np.eye(n)))[:, 0]
 
     # closed-form denominator for user 0
     intra = sum(np.abs(g.conj() @ h_hat[:, u]) ** 2 for u in range(1, k))
@@ -597,7 +597,7 @@ def test_stat_singlecell_matches_empirical_average():
     cfg = make_config(n_users=3, training_len=3)
     exact = se_stat_singlecell(profiles, [cfg])[0]
 
-    g = statistical_combiner(profiles, cfg.snr_data).vectors
+    g = statistical_combiner(profiles, cfg.snr_data)
     draws = 200_000
     h = np.stack(
         [
@@ -675,8 +675,8 @@ def test_stat_theta_basis_matches_eigh(correlation, layout, kappa_max):
     assert np.allclose(grid, reference, rtol=1e-12, atol=0.0)
     for j, bs in enumerate(scenario.profiles):
         for cfg in configs:
-            g = statistical_combiner(bs[j], cfg.snr_data).vectors
-            g_ref = statistical_combiner(solved[j][j], cfg.snr_data).vectors
+            g = statistical_combiner(bs[j], cfg.snr_data)
+            g_ref = statistical_combiner(solved[j][j], cfg.snr_data)
             gap = np.linalg.norm(g - g_ref, axis=0)
             assert np.all(gap <= 1e-12 * np.linalg.norm(g_ref, axis=0))
 

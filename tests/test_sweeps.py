@@ -7,7 +7,7 @@ import pytest
 
 from rician_mimo.config import ConfigError
 from rician_mimo.estimation import BSStatistics
-from rician_mimo.presets import _crossover_and_gain, tau_star_rows
+from rician_mimo.presets import _crossover_and_gain
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.sweeps import (
     _rows_for_scenario,
@@ -15,6 +15,7 @@ from rician_mimo.sweeps import (
     operating_points,
     run_sweep,
     stat_de_per_bs,
+    tau_star_rows,
 )
 
 
@@ -47,10 +48,22 @@ def test_snr_sweep_row_inventory():
 
 
 def test_de_only_mode_has_no_stderr():
-    rows = run_sweep(small_spec(), mode="de")
-    assert all(r.se_stderr is None for r in rows)
-    assert all(r.se_de is None for r in rows)  # value column carries the DE
-    assert all(r.se_value > 0 for r in rows)
+    # which of (se_stderr, se_de) each mode fills per scheme: only the
+    # conventional Monte Carlo has a stderr, only `both` mode a DE column,
+    # and in `de` mode the value column carries the DE
+    filled = {
+        "de": {"conv": (False, False), "stat": (False, False)},
+        "mc": {"conv": (True, False), "stat": (False, False)},
+        "both": {"conv": (True, True), "stat": (False, True)},
+    }
+    for layout, suffix in (({}, "single"), ({"layout": "three_cell_edge", "l": 3}, "multi")):
+        for mode, expected in filled.items():
+            rows = run_sweep(small_spec(**layout), mode=mode)
+            assert {r.scheme for r in rows} == {f"conv_{suffix}", f"stat_{suffix}"}
+            for r in rows:
+                scheme = r.scheme.removesuffix(f"_{suffix}")
+                assert (r.se_stderr is not None, r.se_de is not None) == expected[scheme]
+            assert all(r.se_value > 0 for r in rows)
 
 
 def test_mc_and_de_match_loosely_in_both_mode():
