@@ -346,8 +346,8 @@ def se_conv_multicell_de(
     `signal`, which both modes form without cancellation, so the SE keeps
     its relative accuracy at very low SNR.  The inter-cell term of each
     contaminating link is contam_alpha^2 times contam_second, in both
-    modes; a single cell has none.  A negative second moment is not
-    clamped: it raises ValueError, a numerical failure.
+    modes; a single cell has none.  A negative second moment or a negative
+    or NaN SINR is not clamped: it raises ValueError, a numerical failure.
     """
     q = state.q_mean
     rho = config.snr_data
@@ -366,7 +366,10 @@ def se_conv_multicell_de(
     inter = np.zeros(state.n_users)
     for alpha in state.contam_alpha:
         inter += np.sum(alpha**2 * state.contam_second, axis=1)
-    return config.prelog * np.log1p(num / (den + inter))
+    sinr = num / (den + inter)
+    if not np.all(sinr >= 0.0):  # NaN fails every comparison
+        raise ValueError("conventional DE SINR is negative or NaN")
+    return config.prelog * np.log1p(sinr)
 
 
 def se_conv_expanded(

@@ -43,6 +43,9 @@ PSD_EPS = 1e-10
 # imaginary part allowed in a real image, relative to the largest entry
 REAL_IMAGE_TOL = 1e-12
 
+# antenna spacing of the uniform linear array, in wavelengths
+SPACING = 0.5
+
 _HALF = math.sqrt(0.5)
 
 
@@ -196,20 +199,15 @@ def _running_powers(base: np.ndarray, rows: int, first) -> np.ndarray:
     return table
 
 
-def one_ring_first_row(
-    theta_min: float,
-    theta_max: float,
-    n: int,
-    spacing_ratio: float = 0.5,
-) -> np.ndarray:
+def one_ring_first_row(theta_min: float, theta_max: float, n: int) -> np.ndarray:
     """First row t of the one-ring spatial correlation of a uniform linear
     array, [Theta]_uv = t(v - u) for v >= u, with t(0) = 1 exactly.
 
-    [Theta]_uv = 1/(theta_max - theta_min) * int exp(j*2*pi*spacing_ratio
-    *(v-u)*cos(theta)) dtheta over [theta_min, theta_max].  Evaluated with a
+    [Theta]_uv = 1/(theta_max - theta_min) * int exp(j*2*pi*SPACING*(v-u)
+    *cos(theta)) dtheta over [theta_min, theta_max].  Evaluated with a
     Clenshaw-Curtis rule of q + 1 nodes sized to the integrand: at the
     largest lag n - 1 it oscillates with frequency up to
-    pi*spacing_ratio*(n - 1)*(theta_max - theta_min) on the rule's [-1, 1],
+    pi*SPACING*(n - 1)*(theta_max - theta_min) on the rule's [-1, 1],
     and q + 1 is the next power of two at or above 1.25 times that plus 64,
     but at least 2048.  (Power-of-two node counts keep the cached rules
     few.)  Chebyshev coefficients of such an integrand decay
@@ -231,9 +229,9 @@ def one_ring_first_row(
     if not theta_max > theta_min:
         raise ChannelModelError("degenerate angular window: theta_max must exceed theta_min")
     width = theta_max - theta_min
-    size = math.ceil(1.25 * math.pi * spacing_ratio * (n - 1) * width) + 64
+    size = math.ceil(1.25 * math.pi * SPACING * (n - 1) * width) + 64
     nodes, weights = _clenshaw_curtis(max(2048, 1 << (size - 1).bit_length()) - 1)
-    phase = 2.0 * np.pi * spacing_ratio * np.cos(0.5 * (theta_max + theta_min) + 0.5 * width * nodes)
+    phase = 2.0 * np.pi * SPACING * np.cos(0.5 * (theta_max + theta_min) + 0.5 * width * nodes)
     w = 0.5 * weights
     b = math.isqrt(n - 1) + 1
     coarse = _running_powers(np.exp(1j * b * phase), -(-n // b), 1.0)
@@ -244,15 +242,10 @@ def one_ring_first_row(
     return first_row
 
 
-def one_ring_correlation(
-    theta_min: float,
-    theta_max: float,
-    n: int,
-    spacing_ratio: float = 0.5,
-) -> np.ndarray:
+def one_ring_correlation(theta_min: float, theta_max: float, n: int) -> np.ndarray:
     """One-ring spatial correlation Theta for a uniform linear array: the
     Hermitian Toeplitz matrix of `one_ring_first_row`."""
-    first_row = one_ring_first_row(theta_min, theta_max, n, spacing_ratio)
+    first_row = one_ring_first_row(theta_min, theta_max, n)
     return _hermitian_toeplitz(first_row)
 
 

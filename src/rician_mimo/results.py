@@ -74,29 +74,3 @@ def emit_results(rows: list[ResultRow], fmt: str, path: str | Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
-
-
-def parse_csv(text: str) -> list[ResultRow]:
-    """Inverse of render_csv (used by tests and the reproduce checks)."""
-    lines = text.strip("\n").split("\n")
-    if lines[0] != ",".join(FIELD_NAMES):
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        values = dict(zip(FIELD_NAMES, parts))
-        rows.append(
-            ResultRow(
-                scenario_id=values["scenario_id"],
-                scheme=values["scheme"],
-                snr_db=float(values["snr_db"]),
-                user_id=int(values["user_id"]),
-                se_value=float(values["se_value"]),
-                se_stderr=float(values["se_stderr"]) if values["se_stderr"] else None,
-                se_de=float(values["se_de"]) if values["se_de"] else None,
-                tau_used=int(values["tau_used"]),
-                prelog=float(values["prelog"]),
-                seed=int(values["seed"]),
-            )
-        )
-    return rows

@@ -344,15 +344,3 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw)
     return ScenarioSpec(**values)
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    lines = []
-    for f in dataclasses.fields(ScenarioSpec):
-        value = getattr(spec, f.name)
-        if f.name == "snr_grid_db":
-            value = ",".join(repr(v) for v in value)
-        elif value is None:
-            value = "none"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

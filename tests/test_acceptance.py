@@ -10,8 +10,10 @@ The DE-vs-MC settings are those of `scripts/compare_de_vs_mc.py --trials
 grid and placement.  The N-convergence criterion runs one cell at
 K = N/8 and 400 trials.  The favorable-propagation criterion runs N=150,
 K=20, T=500, tau = K and the default grid, with orthogonal DFT LoS and
-white scattering.  Byte-identical reproduction runs each command twice, in
-fresh interpreters with different hash seeds.
+white scattering.  The derivative checks run N=150, K=20, T=500, seed 3,
+kappa_max 2 and the default grid on both families, at tau = 20, 50, 150 and
+400.  Byte-identical reproduction runs each command twice, in fresh
+interpreters with different hash seeds.
 """
 
 import os
@@ -26,11 +28,21 @@ from rician_mimo.asymptotics import _plain_state, se_conv_expanded, se_conv_favo
 from rician_mimo.scenarios import ScenarioSpec, build_scenario
 from rician_mimo.spectral_efficiency import conventional_mc
 from rician_mimo.sweeps import conv_de_per_bs
+from rician_mimo.training import TrainingCurve
 
 TRIALS = 1000
 SEED = 3
 DE_VS_MC_TOLERANCE = 0.05
 FAVORABLE_TOLERANCE = 1e-10
+# A step study of central differences and Richardson pairs, h from 1e-6 tau
+# to 1e-1 tau, chose the Richardson pair h = 1e-2 tau and h/2.  Its worst
+# relative gaps were 6.9e-7 (7.6e-7 with BLAS on every core) for gamma',
+# round-off: gamma reaches 2e4 at 30 dB where gamma' is 1e-6, and no step
+# did better than 3.3e-7; and 1.1e-8 for the SE derivative, the O(h^4)
+# truncation.  A central difference at 1e-4 tau gave 2.8e-5 and 6.4e-8.
+DERIVATIVE_STEP = 1e-2
+GAMMA_PRIME_TOLERANCE = 2e-6
+SE_DERIVATIVE_TOLERANCE = 2e-8
 
 
 def _plain_de_gap(gap: str) -> pytest.MarkDecorator:
@@ -132,6 +144,34 @@ def test_favorable_propagation_corollaries_at_1e_10(layout):
                 assert np.all(contam > 0)
             gap = np.max(np.abs(theorem - corollary))
             assert gap <= FAVORABLE_TOLERANCE, f"{config.snr_data:g}: worst gap {gap:.2e}"
+
+
+def _richardson(f, tau: float, h: float) -> float:
+    """The derivative of f at tau from central differences at steps h and
+    h/2, extrapolated to O(h^4)."""
+
+    def central(step):
+        return (f(tau + step) - f(tau - step)) / (2 * step)
+
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+@pytest.mark.parametrize("correlation", ["one_ring", "exponential"])
+def test_training_derivatives_match_finite_differences(correlation):
+    # gamma' and the SE derivative whose root is tau*, against finite
+    # differences of gamma and of the average SE.  The small-scale units
+    # are test_training.py::test_gamma_prime_matches_finite_difference and
+    # ::test_se_derivative_matches_finite_difference
+    spec = ScenarioSpec(n=150, k=20, t=500, kappa_max=2.0, correlation=correlation, seed=SEED)
+    curve = TrainingCurve(build_scenario(spec).local_profiles(0))
+    for config in (spec.system_config(snr) for snr in spec.snr_grid_db):
+        for tau in (20.0, 50.0, 150.0, 400.0):
+            h = DERIVATIVE_STEP * tau
+            fd = _richardson(lambda x: curve.gamma(x, config), tau, h)
+            gap = np.max(np.abs(curve.gamma_prime(tau, config) - fd) / np.maximum(np.abs(fd), 1e-12))
+            assert gap < GAMMA_PRIME_TOLERANCE, f"{config.snr_data:g}, tau {tau:g}: gamma' gap {gap:.2e}"
+            fd = _richardson(lambda x: curve.avg_se(x, config), tau, h)
+            assert curve.se_derivative(tau, config) == pytest.approx(fd, rel=SE_DERIVATIVE_TOLERANCE, abs=1e-12)
 
 
 REPRODUCED_SCENARIO = "correlation = one_ring\nn = 150\nk = 20\nt = 500\nseed = 3\ntrials = 16\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,21 @@ def test_negative_contamination_moment_is_a_numerical_failure():
     state.contam_second[0, 1] = -1e-30
     with pytest.raises(ValueError, match="negative"):
         se_conv_multicell_de(state, cfg)
+
+
+@pytest.mark.parametrize("shift", [-1e6, math.nan])
+def test_negative_or_nan_sinr_is_a_numerical_failure_without_a_warning(shift):
+    # a denominator pushed below zero (or to NaN) is refused before the log,
+    # where log1p of a SINR below -1 would warn and return NaN
+    n, k = 16, 3
+    cfg = make_config(n, k)
+    state = _plain_state(BSStatistics([dft_profiles(n, k)], 0), cfg)
+    assert np.all(se_conv_multicell_de(state, cfg) > 0)
+    broken = dataclasses.replace(state, noise_corr=state.noise_corr + shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="conventional DE SINR is negative or NaN"):
+            se_conv_multicell_de(broken, cfg)
 
 
 # ---------------------------------------------------------------------------

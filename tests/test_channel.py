@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.special import j0
 
+from rician_mimo import channel
 from rician_mimo.channel import (
     ChannelModelError,
     ScenarioGeometry,
@@ -92,14 +93,17 @@ def composite_gauss_legendre_row(lo, hi, n, spacing, panels=1024, order=24):
 
 @pytest.mark.parametrize("spacing", [0.5, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 8, 150, 151, 600])
-def test_one_ring_matches_direct_exponential_quadrature(n, spacing):
-    # 1024 panels x 24 nodes agrees with 1536 x 20 to 1.1e-14 at these sizes
+def test_one_ring_matches_direct_exponential_quadrature(monkeypatch, n, spacing):
+    # 1024 panels x 24 nodes agrees with 1536 x 20 to 1.1e-14 at these sizes;
+    # a full-wavelength spacing doubles the integrand's frequency, which the
+    # rule's size must follow
+    monkeypatch.setattr(channel, "SPACING", spacing)
     windows = WIDE_WINDOWS if n > 151 else NARROW_WINDOWS + WIDE_WINDOWS
     for lo, hi in windows:
         row = composite_gauss_legendre_row(lo, hi, n, spacing)
         expected = toeplitz(np.conj(row), row)
         np.fill_diagonal(expected, 1.0)
-        got = one_ring_correlation(lo, hi, n, spacing)
+        got = one_ring_correlation(lo, hi, n)
         assert np.max(np.abs(got - expected)) <= 1e-13, (lo, hi)
 
 

@@ -3,12 +3,12 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_io import parse_csv
 
 from rician_mimo.results import (
     FIELD_NAMES,
     ResultRow,
     emit_results,
-    parse_csv,
     render_csv,
     render_json,
 )

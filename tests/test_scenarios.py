@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from text_io import serialize_scenario
 
 from rician_mimo import channel
 from rician_mimo.channel import (
@@ -23,7 +24,6 @@ from rician_mimo.scenarios import (
     _one_ring_window,
     build_scenario,
     parse_scenario,
-    serialize_scenario,
 )
 
 
